@@ -18,8 +18,6 @@ MAX_NAME = 255
 
 
 def _validate_name(name: str) -> bytes:
-    if not name or name in (".", ".."):
-        pass  # "." and ".." are legal entries; empty is not
     if not name:
         raise InvalidArgument("empty file name")
     raw = name.encode("utf-8")

@@ -28,11 +28,11 @@ from repro.errors import (FileExists, FileNotFound, InvalidArgument,
                           IsADirectory, DirectoryNotEmpty, NoSpace,
                           NotADirectory)
 from repro.lfs.buffercache import BufferCache
-from repro.lfs.constants import (BLOCK_SIZE, DOUBLE_ROOT_LBN,
-                                 FIRST_DOUBLE_CHILD_LBN, IFILE_INUM, MAX_LBN,
-                                 NDADDR, PTRS_PER_BLOCK, RESERVED_BLOCKS,
-                                 ROOT_INUM, SEGMENT_SIZE, SINGLE_ROOT_LBN,
-                                 SUMMARY_SIZE_LFS, UNASSIGNED, double_child_lbn)
+from repro.lfs.constants import (BLOCK_SIZE, DOUBLE_ROOT_LBN, IFILE_INUM,
+                                 MAX_LBN, NDADDR, PTRS_PER_BLOCK,
+                                 RESERVED_BLOCKS, ROOT_INUM, SEGMENT_SIZE,
+                                 SINGLE_ROOT_LBN, SUMMARY_SIZE_LFS, UNASSIGNED,
+                                 double_child_lbn)
 from repro.lfs.directory import Directory
 from repro.lfs.ifile import IFile, IMapEntry, SEG_ACTIVE, SEG_DIRTY
 from repro.lfs.inode import (Inode, S_IFDIR, S_IFREG, find_inode_in_block)
@@ -100,6 +100,10 @@ class LFS:
         self.ifile: IFile = IFile(1)
         self.ifile_inode: Inode = Inode(IFILE_INUM)
         self._inodes: Dict[int, Inode] = {}
+        #: Parsed directories by inode number.  An entry lives no longer
+        #: than its in-core inode and always equals the parse of the
+        #: directory's current bytes (see DESIGN.md, "Namespace cache").
+        self._dirs: Dict[int, Directory] = {}
         self._dirty_inodes: Set[int] = set()
         self.cur_segno: int = 0
         self.cur_offset: int = 0          # blocks consumed in cur segment
@@ -285,7 +289,6 @@ class LFS:
         if lbn == DOUBLE_ROOT_LBN:
             return ino.ib[1]
         if lbn < 0:  # a double-indirect child: pointer lives in the root
-            j = -(lbn - FIRST_DOUBLE_CHILD_LBN)  # lbn = -(3+j)
             j = (-lbn) - 3
             root = self._read_indirect(ino, DOUBLE_ROOT_LBN, ino.ib[1], actor)
             return self._ptr_of(root, j)
@@ -482,9 +485,6 @@ class LFS:
         """Write file bytes at ``offset``; extends the file as needed."""
         actor = actor or self.actor
         ino = self.get_inode(inum, actor)
-        if ino.is_dir() and inum != IFILE_INUM:
-            # Directory content is written via _write_dir only.
-            pass
         pos = offset
         remaining = memoryview(bytes(data))
         while remaining.nbytes:
@@ -527,13 +527,32 @@ class LFS:
     # ------------------------------------------------------------------
 
     def _read_dir(self, ino: Inode, actor: Actor) -> Directory:
+        """The directory's entries, parsed once per in-core inode.
+
+        A warm directory still reads every one of its blocks — the CPU
+        charge, buffer-cache touch, read-ahead state and any demand fetch
+        are those of the cold read — and skips only the join and parse.
+        The result is shared: only :meth:`_write_dir` may see it mutated.
+        """
         if not ino.is_dir():
             raise NotADirectory(f"inode {ino.inum}")
-        raw = self.read(ino.inum, 0, ino.size, actor, update_atime=False)
-        return Directory.parse(raw)
+        directory = self._dirs.get(ino.inum)
+        if directory is None:
+            raw = self.read(ino.inum, 0, ino.size, actor, update_atime=False)
+            directory = self._dirs[ino.inum] = Directory.parse(raw)
+        else:
+            for lbn in range((ino.size + BLOCK_SIZE - 1) // BLOCK_SIZE):
+                self._read_block(ino, lbn, actor)
+            self.stats.reads += 1
+        return directory
 
     def _write_dir(self, ino: Inode, directory: Directory,
                    actor: Actor) -> None:
+        # Callers mutate the shared parse just before this call: drop it
+        # first and re-install it only once the bytes are written, so a
+        # NoSpace or device error below cannot leave a parse that differs
+        # from the log.
+        self._dirs.pop(ino.inum, None)
         raw = directory.pack()
         old_size = ino.size
         self.write(ino.inum, 0, raw.ljust(
@@ -542,6 +561,7 @@ class LFS:
             self._truncate_blocks(ino, len(raw), actor)
         ino.size = max(len(raw), 1)
         self.mark_inode_dirty(ino.inum)
+        self._dirs[ino.inum] = directory
 
     def lookup(self, path: str, actor: Optional[Actor] = None) -> int:
         """Resolve a path to an inode number."""
@@ -643,6 +663,7 @@ class LFS:
         self._truncate_blocks(ino, 0, actor)
         self.bcache.invalidate_inode(ino.inum)
         self._inodes.pop(ino.inum, None)
+        self._dirs.pop(ino.inum, None)
         self._dirty_inodes.discard(ino.inum)
         entry = self.ifile.imap_lookup(ino.inum)
         if entry is not None and entry.daddr != UNASSIGNED:
@@ -836,6 +857,7 @@ class LFS:
         self._last_read_lbn.clear()
         if drop_inodes:
             self._inodes.clear()
+            self._dirs.clear()
 
     # -- statistics -------------------------------------------------------------
 

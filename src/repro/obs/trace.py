@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import re
 from collections import deque
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 __all__ = [
     "TraceError",
@@ -113,6 +113,11 @@ class TraceEvent:
         return f"TraceEvent({self.etype!r}, t={self.t:.6f}, {self.fields})"
 
 
+def _event(row: tuple) -> TraceEvent:
+    """The event a ring row ``(etype, t, names, *values)`` stands for."""
+    return TraceEvent(row[0], row[1], dict(zip(row[2], row[3:])))
+
+
 class TraceRecorder:
     """A bounded ring buffer of :class:`TraceEvent`."""
 
@@ -121,7 +126,12 @@ class TraceRecorder:
             raise TraceError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
         self.enabled = enabled
+        #: One flat tuple per event, ``(etype, t, names, *values)``: a
+        #: request-per-event ring is the largest resident item of a long
+        #: run, and a row is half the size of a TraceEvent with its dict.
+        #: ``names`` is one shared tuple per event shape (``_names``).
         self._events: deque = deque(maxlen=capacity)
+        self._names: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
         #: Events emitted since the last :meth:`clear` (including any the
         #: ring has since evicted).
         self.emitted = 0
@@ -141,7 +151,9 @@ class TraceRecorder:
         if len(self._events) == self.capacity:
             self.dropped += 1
         event = TraceEvent(etype, float(t), fields)
-        self._events.append(event)
+        names = tuple(fields)
+        self._events.append((etype, event.t, self._names.setdefault(
+            names, names), *fields.values()))
         self.emitted += 1
         return event
 
@@ -156,29 +168,28 @@ class TraceRecorder:
         return len(self._events)
 
     def events(self, etype: Optional[str] = None) -> List[TraceEvent]:
-        if etype is None:
-            return list(self._events)
-        return [e for e in self._events if e.etype == etype]
+        return [_event(row) for row in self._events
+                if etype is None or row[0] == etype]
 
     def count(self, etype: Optional[str] = None) -> int:
         if etype is None:
             return len(self._events)
-        return sum(1 for e in self._events if e.etype == etype)
+        return sum(1 for row in self._events if row[0] == etype)
 
     def counts_by_type(self) -> Dict[str, int]:
         out: Dict[str, int] = {}
-        for e in self._events:
-            out[e.etype] = out.get(e.etype, 0) + 1
+        for row in self._events:
+            out[row[0]] = out.get(row[0], 0) + 1
         return dict(sorted(out.items()))
 
     # -- export / import ---------------------------------------------------
 
     def to_list(self) -> List[Dict[str, object]]:
-        return [e.to_dict() for e in self._events]
+        return [_event(row).to_dict() for row in self._events]
 
     def to_jsonl(self) -> str:
-        return "\n".join(json.dumps(e.to_dict(), sort_keys=True)
-                         for e in self._events)
+        return "\n".join(json.dumps(_event(row).to_dict(), sort_keys=True)
+                         for row in self._events)
 
     def write_jsonl(self, path: str) -> str:
         with open(path, "w", encoding="utf-8") as fh:

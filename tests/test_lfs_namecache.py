@@ -1,0 +1,369 @@
+"""The in-core directory cache (DESIGN.md, "Namespace cache").
+
+Two contracts: a cached parse always equals ``Directory.parse`` of the
+directory's current bytes, whatever mutated or failed in between; and a
+warm directory costs exactly what a cold one does on the virtual clock,
+in the buffer cache and below it — the cache saves host work only.
+"""
+
+import random
+
+import pytest
+
+from repro import obs
+from repro.bench import harness
+from repro.blockdev import profiles
+from repro.errors import (DirectoryNotEmpty, FileExists, FileNotFound,
+                          NoSpace)
+from repro.frontend import open_node
+from repro.lfs.check import check_filesystem
+from repro.lfs.directory import Directory
+from repro.lfs.filesystem import LFS, LFSConfig
+from repro.sim.actor import Actor
+from repro.util.units import KB, MB
+from tests.conftest import HLBed
+
+
+def assert_coherent(fs):
+    """Every cached directory has an in-core inode and equals the parse
+    of that directory's current bytes."""
+    for inum, cached in list(fs._dirs.items()):
+        ino = fs._inodes[inum]
+        raw = fs.read(inum, 0, ino.size, update_atime=False)
+        assert cached.entries == Directory.parse(raw).entries, inum
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """Counts ``Directory.parse`` calls."""
+    calls = []
+    real = Directory.parse.__func__
+
+    def counting(cls, data):
+        calls.append(len(data))
+        return real(cls, data)
+
+    monkeypatch.setattr(Directory, "parse", classmethod(counting))
+    return calls
+
+
+# -- (a) coherence under a random namespace workload ----------------------------
+
+class Model:
+    """The namespace the filesystem should hold: directories and files."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.dirs = {"/"}
+        self.files = {}
+
+    def child(self, parent, name):
+        return parent.rstrip("/") + "/" + name
+
+    def fresh_name(self):
+        # Long names make a directory span (and shrink across) blocks.
+        return "n%04d" % self.rng.randrange(10_000) \
+            + "x" * self.rng.choice((0, 0, 90, 180))
+
+    def is_empty(self, d):
+        prefix = d.rstrip("/") + "/"
+        return not any(p != d and p.startswith(prefix)
+                       for p in list(self.dirs) + list(self.files))
+
+
+@pytest.mark.parametrize("seed", [1993, 7, 42])
+def test_cache_equals_bytes_under_random_namespace_ops(seed):
+    rng = random.Random(seed)
+    disk = profiles.make_disk(profiles.RZ57, capacity_bytes=64 * MB)
+    app = Actor("app")
+    fs = LFS.mkfs(disk, LFSConfig(), actor=app)
+    m = Model(rng)
+
+    def step_create():
+        path = m.child(rng.choice(sorted(m.dirs)), m.fresh_name())
+        if path in m.files or path in m.dirs:
+            with pytest.raises(FileExists):
+                fs.create(path)
+            return
+        data = rng.randbytes(rng.choice((0, 10, 5000)))
+        fs.write_path(path, data)
+        m.files[path] = data
+
+    def step_mkdir():
+        path = m.child(rng.choice(sorted(m.dirs)), m.fresh_name())
+        if path in m.files or path in m.dirs:
+            return
+        fs.mkdir(path)
+        m.dirs.add(path)
+
+    def step_unlink():
+        if m.files:
+            path = rng.choice(sorted(m.files))
+            fs.unlink(path)
+            del m.files[path]
+
+    def step_rmdir():
+        victims = sorted(m.dirs - {"/"})
+        if not victims:
+            return
+        path = rng.choice(victims)
+        if m.is_empty(path):
+            fs.rmdir(path)
+            m.dirs.remove(path)
+        else:
+            with pytest.raises(DirectoryNotEmpty):
+                fs.rmdir(path)
+
+    def step_rename():
+        if not m.files:
+            return
+        old = rng.choice(sorted(m.files))
+        parent = old.rsplit("/", 1)[0] or "/"
+        target_dir = parent if rng.random() < 0.5 \
+            else rng.choice(sorted(m.dirs))
+        new = m.child(target_dir, m.fresh_name())
+        if new in m.files or new in m.dirs:
+            return
+        fs.rename(old, new)
+        m.files[new] = m.files.pop(old)
+
+    def step_lookup():
+        if m.files and rng.random() < 0.7:
+            path = rng.choice(sorted(m.files))
+            assert fs.read_path(path) == m.files[path]
+        else:
+            with pytest.raises(FileNotFound):
+                fs.lookup(m.child(rng.choice(sorted(m.dirs)), "absent"))
+
+    def step_drop():
+        fs.drop_caches(drop_inodes=rng.random() < 0.5)
+
+    def step_remount():
+        nonlocal fs
+        fs.checkpoint()
+        fs = LFS.mount(disk, actor=app)
+
+    def step_crash():
+        nonlocal fs
+        fs.sync()                         # in the log, not checkpointed
+        fs = LFS.mount(disk, actor=app)   # roll-forward rebuilds it
+
+    steps = [step_create] * 5 + [step_mkdir] * 3 + [step_unlink] * 2 + \
+        [step_rmdir, step_rename, step_rename, step_lookup, step_lookup,
+         step_drop, step_remount, step_crash]
+    for _ in range(120):
+        rng.choice(steps)()
+        assert_coherent(fs)
+        report = check_filesystem(fs, oracle=dict(m.files))
+        assert report.ok, report.render()
+        for d in sorted(m.dirs):
+            want = sorted(p.rsplit("/", 1)[1]
+                          for p in list(m.dirs) + list(m.files)
+                          if p != "/" and (p.rsplit("/", 1)[0] or "/") == d)
+            assert fs.readdir(d) == want
+    assert fs._dirs, "the walk never populated the cache"
+
+
+# -- (b) exact accounting: the cache saves host work only -----------------------
+
+def observe(fs, app, fn):
+    """Everything a directory walk may move, as one comparable record."""
+    t0, hits, misses = app.time, fs.bcache.hits, fs.bcache.misses
+    reads, fetches = fs.stats.reads, fs.stats.demand_fetches
+    before = obs.metrics().snapshot()["counters"]
+    emitted = obs.trace().emitted
+    result = fn()
+    after = obs.metrics().snapshot()["counters"]
+    new_events = obs.trace().emitted - emitted
+    return {
+        "result": result,
+        "virt_s": app.time - t0,
+        "hits": fs.bcache.hits - hits,
+        "misses": fs.bcache.misses - misses,
+        "reads": fs.stats.reads - reads,
+        "demand_fetches": fs.stats.demand_fetches - fetches,
+        "counters": {k: v - before.get(k, 0.0) for k, v in after.items()
+                     if v != before.get(k, 0.0)},
+        "lru": list(fs.bcache._lru),
+        "readahead": dict(fs._last_read_lbn),
+        "events": obs.trace().to_list()[-new_events:] if new_events else [],
+    }
+
+
+def deep_tree():
+    """A depth-3 tree whose ``/a/b`` spans two blocks, on a fresh disk."""
+    disk = profiles.make_disk(profiles.RZ57, capacity_bytes=64 * MB)
+    app = Actor("app")
+    fs = LFS.mkfs(disk, LFSConfig(), actor=app)
+    fs.mkdir("/a")
+    fs.mkdir("/a/b")
+    fs.mkdir("/a/b/c")
+    for i in range(40):
+        fs.write_path("/a/b/" + "f%02d" % i + "y" * 150, b"x")
+    fs.write_path("/a/b/c/leaf", b"leaf")
+    fs.checkpoint()
+    assert fs.get_inode(fs.lookup("/a/b")).size > 4 * KB
+    return fs, app
+
+
+def test_warm_lookup_charges_exactly_what_the_cold_parse_did(parses):
+    fs, app = deep_tree()
+    fs.lookup("/a/b/c/leaf")          # buffer cache warm from here on
+    fs._dirs.clear()
+    del parses[:]
+    cold = observe(fs, app, lambda: fs.lookup("/a/b/c/leaf"))
+    assert len(parses) == 4           # /, /a, /a/b, /a/b/c
+    warm = observe(fs, app, lambda: fs.lookup("/a/b/c/leaf"))
+    assert len(parses) == 4           # ... and not once more
+    assert warm == cold
+    assert cold["hits"] == 5 and cold["misses"] == 0 and cold["reads"] == 4
+    assert cold["counters"] == {"buffercache_hits_total": 5.0}
+    assert cold["virt_s"] == pytest.approx(5 * fs.cpu.per_block_op)
+
+
+def test_warm_lookup_after_buffer_drop_reads_the_same_disk_blocks(parses):
+    """Cold buffer cache under a warm parse: the walk still misses,
+    bmaps and reads the device, to the same virtual instant."""
+    records = []
+    for keep_parses in (True, False):
+        fs, app = deep_tree()
+        fs.lookup("/a/b/c/leaf")
+        fs.drop_caches()              # buffers only: inodes and parses stay
+        if not keep_parses:
+            fs._dirs.clear()
+        del parses[:]
+        records.append(observe(fs, app, lambda: fs.lookup("/a/b/c/leaf")))
+        assert len(parses) == (0 if keep_parses else 4)
+    warm, cold = records
+    assert warm == cold
+    assert cold["misses"] >= 4 and cold["virt_s"] > 5 * 0.0008
+
+
+def test_read_hot_constant_14_block_operations_per_op(parses):
+    """bench_e2e's ``read_hot`` in small: open + 4 KB straddling read +
+    close of an 8 KB file three directories deep is 3 lookups x 4
+    directory blocks + 2 data blocks, each one CPU block operation."""
+    bed = harness.make_highlight()
+    client, app, fs = open_node(bed), bed.app, bed.fs
+    fs.mkdir("/proj")
+    paths = []
+    for run in range(4):
+        fs.mkdir(f"/proj/run{run:02d}")
+        fs.mkdir(f"/proj/run{run:02d}/out")
+        for i in range(16):
+            paths.append(f"/proj/run{run:02d}/out/f{i:02d}.dat")
+            fs.write_path(paths[-1], bytes([run, i]) * (4 * KB))
+    client.flush(app)
+
+    def op(path):
+        handle = client.open(app, path)
+        data = client.read(app, handle, 512, 4 * KB)
+        client.close(app, handle)
+        return data
+
+    for path in paths:
+        op(path)                      # warm-up: every directory parsed
+    del parses[:]
+    hits = fs.bcache.hits
+    rng = random.Random(1993)
+    for _ in range(500):
+        path = rng.choice(paths)
+        t0 = app.time
+        data = op(path)
+        assert app.time - t0 == pytest.approx(14 * fs.cpu.per_block_op,
+                                              abs=1e-9)
+        assert len(data) == 4 * KB and data[0] == int(path[9:11])
+    assert 14 * fs.cpu.per_block_op == pytest.approx(0.0112)
+    assert fs.bcache.hits - hits == 500 * 14
+    assert parses == []
+
+
+# -- (c) a migrated directory still demand-fetches under a warm parse ------------
+
+def test_migrated_directory_demand_fetches_on_warm_parse(parses):
+    records = []
+    for keep_parses in (True, False):
+        obs.reset()
+        bed = HLBed()
+        fs, app = bed.fs, bed.app
+        fs.mkdir("/dir")
+        for i in range(30):
+            fs.write_path(f"/dir/f{i}", b"x")
+        fs.checkpoint()
+        dir_inum = fs.lookup("/dir")
+        bed.migrator.migrate_file(dir_inum)
+        bed.migrator.flush()
+        assert fs.aspace.is_tertiary_daddr(
+            fs.bmap(fs.get_inode(dir_inum), 0))
+        fs.service.flush_cache(app)   # eject the cache lines ...
+        fs.drop_caches()              # ... and the buffers; parses stay
+        assert dir_inum in fs._dirs
+        if not keep_parses:
+            fs._dirs.clear()
+        del parses[:]
+        records.append(observe(fs, app, lambda: fs.lookup("/dir/f7")))
+        assert len(parses) == (0 if keep_parses else 2)
+    warm, cold = records
+    assert warm == cold
+    assert warm["demand_fetches"] == 1
+    assert [e["type"] for e in warm["events"]].count(
+        obs.EV_SEGMENT_FETCH) == 1
+
+
+# -- (d) a failed directory write leaves no parse that differs from the log ------
+
+MUTATORS = {
+    "create": lambda fs: fs.create("/d/new"),
+    "mkdir": lambda fs: fs.mkdir("/d/newdir"),
+    "unlink": lambda fs: fs.unlink("/d/f0"),
+    "rmdir": lambda fs: fs.rmdir("/d/sub"),
+    "rename_in": lambda fs: fs.rename("/e/g0", "/d/moved"),
+    "rename_out": lambda fs: fs.rename("/d/f0", "/e/moved"),
+    "rename_within": lambda fs: fs.rename("/d/f0", "/d/f0renamed"),
+}
+
+
+@pytest.mark.parametrize("bytes_written", [False, True])
+@pytest.mark.parametrize("mutator", sorted(MUTATORS))
+def test_failed_directory_write_cannot_poison_the_cache(
+        lfs, monkeypatch, mutator, bytes_written):
+    """``NoSpace`` out of ``_write_dir`` of ``/d``, raised before any
+    byte changed or (a flush failing) after the new bytes are buffered:
+    either way later lookups answer from the bytes, never from the parse
+    the failed operation had already mutated."""
+    lfs.mkdir("/d")
+    lfs.mkdir("/d/sub")
+    lfs.mkdir("/e")
+    lfs.write_path("/d/f0", b"0")
+    lfs.write_path("/e/g0", b"1")
+    d_inum = lfs.lookup("/d")
+    before = dict(lfs._dirs[d_inum].entries)
+    real_write = LFS.write
+
+    def failing_write(self, inum, offset, data, actor=None):
+        if inum != d_inum:
+            return real_write(self, inum, offset, data, actor)
+        if bytes_written:
+            real_write(self, inum, offset, data, actor)
+        raise NoSpace("injected")
+
+    monkeypatch.setattr(LFS, "write", failing_write)
+    with pytest.raises(NoSpace):
+        MUTATORS[mutator](lfs)
+    monkeypatch.undo()
+
+    assert d_inum not in lfs._dirs    # dropped, not left mutated
+    assert_coherent(lfs)
+    ino = lfs.get_inode(d_inum)
+    on_log = Directory.parse(
+        lfs.read(d_inum, 0, ino.size, update_atime=False)).entries
+    if not bytes_written:
+        assert on_log == before
+    for name in set(before) | set(on_log) | {"new", "newdir", "moved",
+                                             "f0renamed"}:
+        if name in on_log:
+            assert lfs.lookup(f"/d/{name}") == on_log[name]
+        else:
+            with pytest.raises(FileNotFound):
+                lfs.lookup(f"/d/{name}")
+    assert lfs._dirs[d_inum].entries == on_log

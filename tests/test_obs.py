@@ -303,9 +303,41 @@ class TestTrace:
         ev = tr.emit(obs.EV_SEGMENT_WRITEOUT, actor.time, actor=actor.name)
         assert ev.t == 42.25
 
-    def test_event_equality_and_dict_round_trip(self):
-        ev = TraceEvent(obs.EV_FAULT_INJECTED, 3.0, {"kind": "media"})
+    @pytest.mark.parametrize("fields", [
+        {},
+        {"kind": "media"},
+        {"tenant": "default", "op": "read", "nbytes": 4096, "wait": 0.0,
+         "service": 0.0112, "actor": "app"},
+    ], ids=["zero", "one", "many"])
+    def test_event_equality_and_dict_round_trip(self, fields):
+        ev = TraceEvent(obs.EV_FAULT_INJECTED, 3.0, dict(fields))
+        assert ev.to_dict() == {"type": "fault_injected", "t": 3.0,
+                                "fields": fields}
         assert TraceEvent.from_dict(ev.to_dict()) == ev
+        assert ev != TraceEvent(obs.EV_FAULT_INJECTED, 3.0, {"other": 1})
+        # The ring stores events compactly; what it hands back is equal
+        # to what emit() returned, and exports byte for byte the same.
+        tr = TraceRecorder()
+        emitted = tr.emit(ev.etype, ev.t, **fields)
+        assert emitted == ev and tr.events() == [ev]
+        assert tr.events()[0].fields == fields
+        assert tr.to_list() == [ev.to_dict()]
+        line = json.dumps({"type": "fault_injected", "t": 3.0,
+                           "fields": fields}, sort_keys=True)
+        assert tr.to_jsonl() == line
+        again = TraceRecorder()
+        assert again.load_jsonl(line) == 1
+        assert again.to_jsonl() == line
+
+    def test_ring_shares_field_names_between_events_of_one_shape(self):
+        tr = TraceRecorder()
+        for i in range(3):
+            tr.emit(obs.EV_CACHE_EJECT, float(i), tsegno=i, reason="lru")
+        tr.emit(obs.EV_CACHE_EJECT, 9.0, reason="lru", tsegno=9)
+        rows = list(tr._events)
+        assert rows[0][2] is rows[1][2] is rows[2][2] == ("tsegno", "reason")
+        assert rows[3][2] == ("reason", "tsegno")
+        assert tr.events()[3].fields == {"tsegno": 9, "reason": "lru"}
 
 
 # ---------------------------------------------------------------------------
