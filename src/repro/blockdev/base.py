@@ -178,10 +178,12 @@ class DeviceStats:
     the stats object carries a device name, every :meth:`record` also
     publishes to the process-wide registry — per-device byte/op counters
     and a latency histogram — so one snapshot covers the whole farm.
+    The three series of an op are bound on its first I/O and kept.
     """
 
     def __init__(self, device: str = "") -> None:
         self.device = device
+        self._series: Dict[str, tuple] = {}  # op -> (ops, bytes, seconds)
         self.read_ops = 0
         self.write_ops = 0
         self.bytes_read = 0
@@ -201,19 +203,23 @@ class DeviceStats:
         self.seek_seconds += seek_seconds
         self.transfer_seconds += transfer_seconds
         if self.device:
+            ops, moved, seconds = self._series.get(op) or self._bind(op)
+            ops.inc()
+            moved.inc(nbytes)
+            seconds.observe(seek_seconds + transfer_seconds)
+
+    def _bind(self, op: str) -> tuple:
+        series = self._series[op] = (
             obs.counter("device_io_ops_total",
                         "I/O operations completed per device",
-                        ("device", "op")).labels(
-                            device=self.device, op=op).inc()
+                        ("device", "op")).labels(device=self.device, op=op),
             obs.counter("device_io_bytes_total",
                         "bytes transferred per device",
-                        ("device", "op")).labels(
-                            device=self.device, op=op).inc(nbytes)
+                        ("device", "op")).labels(device=self.device, op=op),
             obs.histogram("device_io_seconds",
                           "virtual seconds per I/O (positioning + transfer)",
-                          ("device", "op")).labels(
-                              device=self.device, op=op).observe(
-                              seek_seconds + transfer_seconds)
+                          ("device", "op")).labels(device=self.device, op=op))
+        return series
 
     def snapshot(self) -> Dict[str, float]:
         """A plain-dict copy, for reports."""

@@ -79,6 +79,13 @@ class ClusterRouter:
         #: Same session objects the tenant front end uses — one session
         #: implementation, two backends (repro.frontend.session).
         self.sessions = SessionTable(first_fd=3)
+        self._opens = obs.counter(
+            "cluster_opens_total",
+            "cluster files opened through the router").labels()
+        #: Bound route series: (shard, op) -> (requests, bytes, wait),
+        #: op -> fan-out width.
+        self._routes: Dict[Tuple[int, str], tuple] = {}
+        self._fanout: Dict[str, object] = {}
 
     # -- placement ---------------------------------------------------------------
 
@@ -125,8 +132,7 @@ class ClusterRouter:
                 raise FileNotFound(f"no such cluster file: {path}")
             self.namespace[path] = 0
         sess = self.sessions.open(path, owner=client.name)
-        obs.counter("cluster_opens_total",
-                    "cluster files opened through the router").inc()
+        self._opens.inc()
         return sess.fd
 
     def close(self, client: Actor, fd: int) -> None:
@@ -204,24 +210,33 @@ class ClusterRouter:
             obs.event(EV_ROUTE_DISPATCH, done, shard=shard_id, op=op,
                       client=client.name, nbytes=nbytes,
                       wait=start - arrival, service=done - start)
-            fam = obs.counter("cluster_route_requests_total",
-                              "extent requests dispatched to shards",
-                              ("shard", "op"))
-            fam.labels(shard=shard_id, op=op).inc()
-            obs.counter("cluster_route_bytes_total",
-                        "bytes moved through the router",
-                        ("shard", "op")).labels(shard=shard_id,
-                                                op=op).inc(nbytes)
-            obs.histogram("cluster_route_wait_seconds",
-                          "time a routed request queued behind its "
-                          "shard's timeline", ("op",)).labels(
-                              op=op).observe(start - arrival)
-        obs.histogram("cluster_fanout_width",
-                      "shards touched per routed request", ("op",),
-                      buckets=(1.0, 2.0, 4.0, 8.0, 16.0)).labels(
-                          op=op).observe(float(len(plan)))
+            requests, moved, wait = self._routes.get((shard_id, op)) \
+                or self._bind_route(shard_id, op)
+            requests.inc()
+            moved.inc(nbytes)
+            wait.observe(start - arrival)
+        fanout = self._fanout.get(op)
+        if fanout is None:
+            fanout = self._fanout[op] = obs.histogram(
+                "cluster_fanout_width",
+                "shards touched per routed request", ("op",),
+                buckets=(1.0, 2.0, 4.0, 8.0, 16.0)).labels(op=op)
+        fanout.observe(float(len(plan)))
         client.sleep_until(finish)
         return results
+
+    def _bind_route(self, shard_id: int, op: str) -> tuple:
+        series = self._routes[(shard_id, op)] = (
+            obs.counter("cluster_route_requests_total",
+                        "extent requests dispatched to shards",
+                        ("shard", "op")).labels(shard=shard_id, op=op),
+            obs.counter("cluster_route_bytes_total",
+                        "bytes moved through the router",
+                        ("shard", "op")).labels(shard=shard_id, op=op),
+            obs.histogram("cluster_route_wait_seconds",
+                          "time a routed request queued behind its "
+                          "shard's timeline", ("op",)).labels(op=op))
+        return series
 
     def _write_extents(self, client: Actor, path: str, offset: int,
                        data: bytes) -> int:

@@ -126,6 +126,11 @@ class HighLightFS(LFS):
         #: keeps the stack byte-identical to the persistence-free
         #: pipeline (the golden-trace invariant).
         self.persist = None
+        routed = obs.counter("highlight_dev_blocks_total",
+                             "blocks routed through the block-map driver",
+                             ("op",))
+        self._routed_read = routed.labels(op="read")
+        self._routed_write = routed.labels(op="write")
 
     # ------------------------------------------------------------------
     # Construction
@@ -281,18 +286,14 @@ class HighLightFS(LFS):
         if self.driver is None:
             return super().dev_read(actor, daddr, nblocks)
         self.stats.blocks_read += nblocks
-        obs.counter("highlight_dev_blocks_total",
-                    "blocks routed through the block-map driver",
-                    ("op",)).labels(op="read").inc(nblocks)
+        self._routed_read.inc(nblocks)
         return self.driver.read(actor, daddr, nblocks)
 
     def dev_read_refs(self, actor: Actor, daddr: int, nblocks: int):
         if self.driver is None:
             return super().dev_read_refs(actor, daddr, nblocks)
         self.stats.blocks_read += nblocks
-        obs.counter("highlight_dev_blocks_total",
-                    "blocks routed through the block-map driver",
-                    ("op",)).labels(op="read").inc(nblocks)
+        self._routed_read.inc(nblocks)
         return self.driver.read_refs(actor, daddr, nblocks)
 
     def dev_write(self, actor: Actor, daddr: int, data: bytes) -> None:
@@ -301,9 +302,7 @@ class HighLightFS(LFS):
             return
         nblocks = len(data) // BLOCK_SIZE
         self.stats.blocks_written += nblocks
-        obs.counter("highlight_dev_blocks_total",
-                    "blocks routed through the block-map driver",
-                    ("op",)).labels(op="write").inc(nblocks)
+        self._routed_write.inc(nblocks)
         self.driver.write(actor, daddr, data)
 
     def dev_writev(self, actor: Actor, daddr: int, parts) -> None:
@@ -312,9 +311,7 @@ class HighLightFS(LFS):
             return
         nblocks = sum(len(p) for p in parts) // BLOCK_SIZE
         self.stats.blocks_written += nblocks
-        obs.counter("highlight_dev_blocks_total",
-                    "blocks routed through the block-map driver",
-                    ("op",)).labels(op="write").inc(nblocks)
+        self._routed_write.inc(nblocks)
         self.driver.writev(actor, daddr, parts)
 
     # ------------------------------------------------------------------

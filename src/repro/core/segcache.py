@@ -34,6 +34,14 @@ class SegmentCache:
         self.hits = 0
         self.misses = 0
         self.ejections = 0
+        self._hit_series = obs.counter(
+            "segcache_hits_total", "segment cache directory hits").labels()
+        self._miss_series = obs.counter(
+            "segcache_misses_total",
+            "segment cache directory misses").labels()
+        self._ejection_series = obs.counter(
+            "segcache_ejections_total",
+            "read-only cache lines dropped").labels()
 
     def __len__(self) -> int:
         return len(self._dir)
@@ -44,12 +52,10 @@ class SegmentCache:
         disk_segno = self._dir.get(tsegno)
         if disk_segno is None:
             self.misses += 1
-            obs.counter("segcache_misses_total",
-                        "segment cache directory misses").inc()
+            self._miss_series.inc()
         else:
             self.hits += 1
-            obs.counter("segcache_hits_total",
-                        "segment cache directory hits").inc()
+            self._hit_series.inc()
         return disk_segno
 
     def contains(self, tsegno: int) -> bool:
@@ -122,8 +128,7 @@ class SegmentCache:
         self.policy.on_evict(tsegno)
         self.ejections += 1
         when = (actor or self.fs.actor).time
-        obs.counter("segcache_ejections_total",
-                    "read-only cache lines dropped").inc()
+        self._ejection_series.inc()
         obs.event(obs.EV_CACHE_EJECT, when, tsegno=tsegno,
                   disk_segno=disk_segno)
         return disk_segno

@@ -245,6 +245,31 @@ class Tenant:
     def __post_init__(self) -> None:
         if self.bucket is None:
             self.bucket = self.budget.make_bucket()
+        # This tenant's series, bound once: every request records on them.
+        self.opens_series = obs.counter(
+            "frontend_opens_total", "handles opened through the client",
+            ("tenant",)).labels(tenant=self.name)
+        self.open_handles_series = obs.gauge(
+            "frontend_open_handles", "handles currently open per tenant",
+            ("tenant",)).labels(tenant=self.name)
+        self._op_series: Dict[str, tuple] = {}
+
+    def op_series(self, op: str) -> tuple:
+        """The (requests, bytes, latency) series of one op kind."""
+        series = self._op_series.get(op)
+        if series is None:
+            series = self._op_series[op] = (
+                obs.counter("frontend_requests_total",
+                            "client requests completed",
+                            ("tenant", "op")).labels(tenant=self.name, op=op),
+                obs.counter("frontend_bytes_total",
+                            "data-plane bytes moved through the client",
+                            ("tenant", "op")).labels(tenant=self.name, op=op),
+                obs.histogram("frontend_latency_seconds",
+                              "client-observed request latency (admission "
+                              "wait included)", ("tenant", "op")).labels(
+                                  tenant=self.name, op=op))
+        return series
 
     def admit_bytes(self, actor: Actor, nbytes: int) -> float:
         """Pace ``nbytes`` through the token bucket; returns the wait."""
@@ -404,13 +429,8 @@ class Client:
                 self.backend.size_of(path)
             self.backend.create(actor, path)
         sess = self.table.open(path, owner=actor.name, tenant=ten.name)
-        obs.counter("frontend_opens_total",
-                    "handles opened through the client",
-                    ("tenant",)).labels(tenant=ten.name).inc()
-        obs.gauge("frontend_open_handles",
-                  "handles currently open per tenant",
-                  ("tenant",)).labels(tenant=ten.name).set(
-                      self.table.open_count(ten.name))
+        ten.opens_series.inc()
+        ten.open_handles_series.set(self.table.open_count(ten.name))
         return Handle(self, sess)
 
     def _session_of(self, handle: Union[Handle, int],
@@ -460,10 +480,8 @@ class Client:
             self.table.close(sess.fd)
         else:
             sess = self.table.close(handle)
-        obs.gauge("frontend_open_handles",
-                  "handles currently open per tenant",
-                  ("tenant",)).labels(tenant=sess.tenant).set(
-                      self.table.open_count(sess.tenant))
+        self._tenants[sess.tenant].open_handles_series.set(
+            self.table.open_count(sess.tenant))
 
     def stat(self, actor: Actor, path: str,
              tenant: Optional[str] = None) -> FileStat:
@@ -573,17 +591,10 @@ class Client:
                 wait: float, service: float) -> None:
         ten.requests += 1
         ten.bytes_moved += nbytes
-        obs.counter("frontend_requests_total",
-                    "client requests completed",
-                    ("tenant", "op")).labels(tenant=ten.name, op=op).inc()
-        obs.counter("frontend_bytes_total",
-                    "data-plane bytes moved through the client",
-                    ("tenant", "op")).labels(tenant=ten.name,
-                                             op=op).inc(nbytes)
-        obs.histogram("frontend_latency_seconds",
-                      "client-observed request latency (admission wait "
-                      "included)", ("tenant", "op")).labels(
-                          tenant=ten.name, op=op).observe(wait + service)
+        requests, moved, latency = ten.op_series(op)
+        requests.inc()
+        moved.inc(nbytes)
+        latency.observe(wait + service)
         obs.event(EV_FRONTEND_REQUEST, actor.time, tenant=ten.name, op=op,
                   nbytes=nbytes, wait=wait, service=service,
                   actor=actor.name)

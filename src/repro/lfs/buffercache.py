@@ -9,16 +9,18 @@ filesystem layer, not here; this structure is pure bookkeeping.
 
 from __future__ import annotations
 
-import heapq
+from collections import OrderedDict
+from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro import obs
 from repro.errors import InvalidArgument
 from repro.lfs.constants import BLOCK_SIZE
-from repro.util.lru import LRUTracker
 from repro.util.units import MB
 
 BufKey = Tuple[int, int]  # (inum, logical block number)
+
+_by_seq = attrgetter("seq")
 
 
 class Buffer:
@@ -33,7 +35,7 @@ class Buffer:
         self.key = key
         self.data = data
         self.dirty = dirty
-        self.seq = 0  # last-touch sequence number (eviction ordering)
+        self.seq = 0  # last-touch sequence number (the recency order)
 
 
 class BufferCache:
@@ -42,19 +44,26 @@ class BufferCache:
     def __init__(self, capacity_bytes: int = int(3.2 * MB)) -> None:
         self.capacity_blocks = max(8, capacity_bytes // BLOCK_SIZE)
         self._bufs: Dict[BufKey, Buffer] = {}
-        self._lru: LRUTracker[BufKey] = LRUTracker()
         self._dirty = 0
         self.hits = 0
         self.misses = 0
-        # Eviction picks the least-recently-touched *clean* buffer.  A
-        # linear LRU scan re-walks the dirty prefix on every eviction —
-        # the single hottest site in the perf profile — so clean buffers
-        # are also indexed in a lazy min-heap of (last-touch seq, key).
-        # LRU order and ascending touch-seq order are the same order, so
-        # the heap minimum (after discarding stale entries) is exactly
-        # the buffer the scan would have picked.
+        # Recency is the touch sequence stamped on each buffer; the
+        # victim is the *clean* buffer with the smallest one (DESIGN.md
+        # "Buffer cache recency").  ``_clean`` queues exactly the clean
+        # keys in that order, so a touch is one move_to_end and an
+        # eviction one popitem.  Only mark_clean() can break the order —
+        # a flushed buffer re-enters at its old recency — so it appends
+        # and the queue is re-sorted once before the next eviction.
         self._seq = 0
-        self._clean_heap: List[Tuple[int, BufKey]] = []
+        self._clean: "OrderedDict[BufKey, None]" = OrderedDict()
+        self._clean_sorted = True
+        self._hit_series = obs.counter(
+            "buffercache_hits_total", "block buffer cache hits").labels()
+        self._miss_series = obs.counter(
+            "buffercache_misses_total", "block buffer cache misses").labels()
+        self._eviction_series = obs.counter(
+            "buffercache_evictions_total",
+            "clean blocks evicted to make room").labels()
 
     def __len__(self) -> int:
         return len(self._bufs)
@@ -66,36 +75,17 @@ class BufferCache:
 
     # -- lookup/insert -----------------------------------------------------
 
-    def _touch(self, buf: Buffer) -> None:
-        """Record a use: recency order, touch seq, clean-heap entry."""
-        self._seq += 1
-        buf.seq = self._seq
-        self._lru.touch(buf.key)
-        if not buf.dirty:
-            self._push_clean(buf)
-
-    def _push_clean(self, buf: Buffer) -> None:
-        heap = self._clean_heap
-        heapq.heappush(heap, (buf.seq, buf.key))
-        # Entries go stale when a buffer is re-touched, dirtied, or
-        # invalidated; they are skipped at pop time.  Compact when stale
-        # entries dominate so the heap stays O(cache) in memory.
-        if len(heap) > 64 and len(heap) > 4 * len(self._bufs):
-            self._clean_heap = [(b.seq, k) for k, b in self._bufs.items()
-                                if not b.dirty]
-            heapq.heapify(self._clean_heap)
-
     def get(self, key: BufKey) -> Optional[bytes]:
         buf = self._bufs.get(key)
         if buf is None:
             self.misses += 1
-            obs.counter("buffercache_misses_total",
-                        "block buffer cache misses").inc()
+            self._miss_series.inc()
             return None
         self.hits += 1
-        obs.counter("buffercache_hits_total",
-                    "block buffer cache hits").inc()
-        self._touch(buf)
+        self._hit_series.inc()
+        self._seq = buf.seq = self._seq + 1
+        if not buf.dirty:
+            self._clean.move_to_end(key)
         return buf.data
 
     def peek(self, key: BufKey) -> Optional[bytes]:
@@ -105,60 +95,63 @@ class BufferCache:
 
     def put(self, key: BufKey, data: bytes, dirty: bool) -> None:
         """Insert/overwrite a block; evicts clean LRU blocks to make room."""
-        existing = self._bufs.get(key)
-        if existing is not None:
-            existing.data = data
-            if dirty and not existing.dirty:
+        buf = self._bufs.get(key)
+        if buf is None:
+            self._evict_for_room()
+            buf = self._bufs[key] = Buffer(key, data, dirty)
+            if dirty:
                 self._dirty += 1
-            existing.dirty = existing.dirty or dirty
-            self._touch(existing)
-            return
-        self._evict_for_room()
-        buf = Buffer(key, data, dirty)
-        self._bufs[key] = buf
-        if dirty:
-            self._dirty += 1
-        self._touch(buf)
+        else:
+            buf.data = data
+            if dirty and not buf.dirty:
+                buf.dirty = True
+                self._dirty += 1
+                del self._clean[key]
+        self._seq = buf.seq = self._seq + 1
+        if not buf.dirty:
+            self._clean[key] = None
+            self._clean.move_to_end(key)
 
     def mark_clean(self, key: BufKey) -> None:
         buf = self._bufs.get(key)
-        if buf is not None:
-            if buf.dirty:
-                self._dirty -= 1
-                buf.dirty = False
-                # Now evictable at its *existing* recency (mark_clean is
-                # not a use, so the LRU position must not change).
-                self._push_clean(buf)
+        if buf is not None and buf.dirty:
+            self._dirty -= 1
+            buf.dirty = False
+            # Now evictable at its *existing* recency: mark_clean is not
+            # a use, so ``seq`` stays and the queue is sorted by it later.
+            self._clean[key] = None
+            self._clean_sorted = False
 
     def is_dirty(self, key: BufKey) -> bool:
         buf = self._bufs.get(key)
         return buf.dirty if buf is not None else False
 
     def _evict_for_room(self) -> None:
-        heap = self._clean_heap
-        while len(self._bufs) >= self.capacity_blocks:
-            victim = None
-            while heap:
-                seq, key = heap[0]
-                buf = self._bufs.get(key)
-                if buf is None or buf.dirty or buf.seq != seq:
-                    heapq.heappop(heap)  # stale entry
-                    continue
-                heapq.heappop(heap)
-                victim = key
-                break
-            if victim is None:
-                return  # everything dirty: caller must flush soon
-            self._lru.discard(victim)
-            del self._bufs[victim]
-            obs.counter("buffercache_evictions_total",
-                        "clean blocks evicted to make room").inc()
+        bufs = self._bufs
+        if len(bufs) < self.capacity_blocks:
+            return
+        clean = self._clean
+        if not self._clean_sorted:
+            # In place: a rebuilt queue is ~400 nodes freed and allocated
+            # again after every segment flush.
+            for key in sorted(clean, key=lambda k: bufs[k].seq):
+                clean.move_to_end(key)
+            self._clean_sorted = True
+        while len(bufs) >= self.capacity_blocks and clean:
+            del bufs[clean.popitem(last=False)[0]]
+            self._eviction_series.inc()
+        # Room not made means everything is dirty: caller must flush soon.
 
     # -- bulk operations -------------------------------------------------------
 
+    def lru_order(self) -> List[BufKey]:
+        """Every cached key, least recently touched first."""
+        return [b.key for b in sorted(self._bufs.values(), key=_by_seq)]
+
     def dirty_buffers(self) -> List[Buffer]:
         """All dirty buffers (segment-writer input), LRU-first."""
-        return [self._bufs[k] for k in self._lru if self._bufs[k].dirty]
+        return sorted((b for b in self._bufs.values() if b.dirty),
+                      key=_by_seq)
 
     def dirty_for_inode(self, inum: int) -> List[Buffer]:
         return [b for b in self._bufs.values()
@@ -167,9 +160,11 @@ class BufferCache:
     def invalidate(self, key: BufKey) -> None:
         """Drop one block regardless of state (truncate/unlink path)."""
         buf = self._bufs.pop(key, None)
-        if buf is not None and buf.dirty:
-            self._dirty -= 1
-        self._lru.discard(key)
+        if buf is not None:
+            if buf.dirty:
+                self._dirty -= 1
+            else:
+                del self._clean[key]
 
     def invalidate_inode(self, inum: int) -> None:
         for key in [k for k in self._bufs if k[0] == inum]:
@@ -177,10 +172,11 @@ class BufferCache:
 
     def drop_clean(self) -> int:
         """Flush-benchmark helper: discard every clean block."""
-        victims = [k for k, b in self._bufs.items() if not b.dirty]
-        for key in victims:
-            self.invalidate(key)
-        return len(victims)
+        dropped = len(self._clean)
+        for key in self._clean:
+            del self._bufs[key]
+        self._clean.clear()
+        return dropped
 
     def keys(self) -> Iterator[BufKey]:
         return iter(list(self._bufs.keys()))

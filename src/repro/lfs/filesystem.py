@@ -424,19 +424,15 @@ class LFS:
         if offset >= ino.size:
             return b""
         nbytes = min(nbytes, ino.size - offset)
-        out = bytearray()
-        lbn = offset // BLOCK_SIZE
         end_lbn = (offset + nbytes - 1) // BLOCK_SIZE
-        while lbn <= end_lbn:
-            block = self._read_block(ino, lbn, actor)
-            out += block
-            lbn += 1
+        blocks = [self._read_block(ino, lbn, actor)
+                  for lbn in range(offset // BLOCK_SIZE, end_lbn + 1)]
         if self.config.atime_updates and update_atime:
             ino.atime = actor.time
             self.mark_inode_dirty(inum)
         self.stats.reads += 1
         start = offset % BLOCK_SIZE
-        return bytes(out[start:start + nbytes])
+        return b"".join(blocks)[start:start + nbytes]
 
     def _read_block(self, ino: Inode, lbn: int, actor: Actor) -> bytes:
         """One data block through the cache, with read clustering.

@@ -8,11 +8,27 @@ module-level helpers here.  ``TimeAccount``, ``RateMeter``, and
 ``PhaseTimer`` mirror their charges into the same registry, so one
 snapshot (:mod:`repro.obs.report`) covers everything a run did.
 
-Usage from a hot path::
+Usage from a hot path — resolve the series once, keep it, record on
+it (the child ``.labels(...)`` returns stays *the* series for those
+labels across :func:`reset`, and shows up in snapshots from its first
+record, not from this line)::
 
     from repro import obs
-    obs.counter("ioserver_segments_fetched_total").inc()
-    obs.event(obs.EV_SEGMENT_FETCH, actor.time, tsegno=7, bytes=nbytes)
+
+    class IOServer:
+        def __init__(self):
+            self._fetched = obs.counter(
+                "ioserver_segments_fetched_total",
+                "segments read from tertiary", ("kind",)).labels(
+                    kind="demand")
+
+        def fetch(self, actor, tsegno):
+            ...
+            self._fetched.inc()
+            obs.event(obs.EV_SEGMENT_FETCH, actor.time, tsegno=tsegno)
+
+A rare path may still look the family up where it records
+(``obs.counter("x_total").inc()``); both forms land in the same series.
 
 Both sinks are bounded (the trace is a ring buffer; metric families cap
 their label cardinality) and can be disabled for zero-cost operation.
@@ -42,12 +58,14 @@ __all__ = [
     "EV_SEGMENT_FETCH", "EV_SEGMENT_WRITEOUT", "EV_CACHE_EJECT",
     "EV_CLEAN_PASS", "EV_MIGRATE_PICK", "EV_VOLUME_SWITCH",
     "EV_FAULT_INJECTED",
-    "metrics", "trace", "set_metrics", "set_trace",
+    "metrics", "trace", "set_trace",
     "counter", "gauge", "histogram", "event",
     "enable", "disable", "reset",
     "register_flusher", "flush",
 ]
 
+# One registry for the life of the process, never swapped: call sites
+# hold series of it.
 _metrics = MetricsRegistry()
 _trace = TraceRecorder()
 
@@ -62,13 +80,6 @@ def metrics() -> MetricsRegistry:
 def trace() -> TraceRecorder:
     """The process-wide trace recorder."""
     return _trace
-
-
-def set_metrics(registry: MetricsRegistry) -> MetricsRegistry:
-    """Swap the process-wide registry (tests); returns the old one."""
-    global _metrics
-    old, _metrics = _metrics, registry
-    return old
 
 
 def set_trace(recorder: TraceRecorder) -> TraceRecorder:
@@ -103,11 +114,12 @@ def event(etype: str, t: float, **fields: object) -> Optional[TraceEvent]:
 
 # -- lazy publication -------------------------------------------------------
 #
-# Hot paths that cannot afford a registry lookup per call (e.g. the
-# datapath copy ledger) accumulate into a plain process-local variable
-# and register a *flusher* here; the pending delta is published into the
-# registry right before anyone looks at it (snapshot) or wipes it
-# (reset), so readers never observe a stale metric.
+# Hot paths that cannot afford even a bound series' method call per
+# record (e.g. the datapath copy ledger) accumulate into a plain
+# process-local variable and register a *flusher* here; the pending
+# delta is published into the registry right before anyone looks at it
+# (snapshot) or wipes it (reset), so readers never observe a stale
+# metric.
 
 _flushers: list = []
 

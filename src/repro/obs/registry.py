@@ -13,6 +13,16 @@ Design points:
   A family is created once per name; children are memoised per label
   tuple.  Label cardinality is capped per family so a bug in a hot path
   cannot silently grow an unbounded series set.
+* **Bound series.**  The child ``.labels(...)`` returns *is* the series
+  for that label tuple for the registry's lifetime: a per-block call
+  site resolves it once, keeps it, and pays one method call per record.
+  ``reset()`` therefore never drops children — it bumps the registry's
+  ``epoch``; a child zeroes itself on its first record in a new epoch,
+  and every reader (``snapshot``/``get``/``counter_samples``/``series``)
+  sees only children recorded in the current epoch.  So a series appears
+  at its first record — never at bind time — whichever way it is
+  reached, and a bound child can never count into an object no snapshot
+  sees.
 * **Zero-cost when disabled.**  Every record call checks one boolean on
   the owning registry and returns immediately when it is off; no label
   resolution, no allocation.
@@ -23,6 +33,7 @@ Design points:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
@@ -48,35 +59,49 @@ class MetricError(ValueError):
 class Counter:
     """A monotonically increasing value."""
 
-    __slots__ = ("_registry", "value")
+    __slots__ = ("_registry", "_epoch", "value")
 
     def __init__(self, registry: "MetricsRegistry") -> None:
         self._registry = registry
+        # Registry epoch of the last record; negative = none yet
+        # (``~e``: made by ``labels()`` in epoch ``e``).
+        self._epoch = -1
         self.value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
-        if not self._registry.enabled:
+        registry = self._registry
+        if not registry.enabled:
             return
         if amount < 0:
             raise MetricError(f"counter increment must be >= 0, got {amount}")
+        if self._epoch != registry.epoch:
+            self._epoch = registry.epoch
+            self.value = 0.0
         self.value += amount
 
 
 class Gauge:
     """A value that can move in both directions."""
 
-    __slots__ = ("_registry", "value")
+    __slots__ = ("_registry", "_epoch", "value")
 
     def __init__(self, registry: "MetricsRegistry") -> None:
         self._registry = registry
+        self._epoch = -1
         self.value = 0.0
 
     def set(self, value: float) -> None:
-        if self._registry.enabled:
+        registry = self._registry
+        if registry.enabled:
+            self._epoch = registry.epoch
             self.value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
-        if self._registry.enabled:
+        registry = self._registry
+        if registry.enabled:
+            if self._epoch != registry.epoch:
+                self._epoch = registry.epoch
+                self.value = 0.0
             self.value += amount
 
     def dec(self, amount: float = 1.0) -> None:
@@ -86,26 +111,30 @@ class Gauge:
 class Histogram:
     """A fixed-bucket distribution with sum and count."""
 
-    __slots__ = ("_registry", "buckets", "counts", "sum", "count")
+    __slots__ = ("_registry", "_epoch", "buckets", "counts", "sum", "count")
 
     def __init__(self, registry: "MetricsRegistry",
                  buckets: Tuple[float, ...]) -> None:
         self._registry = registry
+        self._epoch = -1
         self.buckets = buckets
         self.counts = [0] * (len(buckets) + 1)  # +1 for the +Inf bucket
         self.sum = 0.0
         self.count = 0
 
     def observe(self, value: float) -> None:
-        if not self._registry.enabled:
+        registry = self._registry
+        if not registry.enabled:
             return
+        if self._epoch != registry.epoch:
+            self._epoch = registry.epoch
+            self.counts = [0] * len(self.counts)
+            self.sum = 0.0
+            self.count = 0
         self.sum += value
         self.count += 1
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.counts[i] += 1
-                return
-        self.counts[-1] += 1
+        # First bucket whose bound is >= value; past the last = +Inf.
+        self.counts[bisect_left(self.buckets, value)] += 1
 
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
@@ -142,7 +171,10 @@ class MetricFamily:
         self._default_child: Optional[object] = None
 
     def labels(self, **labelvalues: object) -> Any:
-        """The child series for one label-value assignment."""
+        """The child series for one label-value assignment.
+
+        The same object for the same labels for as long as the registry
+        lives (``reset()`` included), so a call site may keep it."""
         if set(labelvalues) != set(self.labelnames):
             raise MetricError(
                 f"metric {self.name!r} takes labels {self.labelnames}, "
@@ -150,7 +182,13 @@ class MetricFamily:
         key = tuple(str(labelvalues[n]) for n in self.labelnames)
         child = self._children.get(key)
         if child is None:
-            if len(self._children) >= self.max_series:
+            epoch = self.registry.epoch
+            # The cap is on what one run can grow.  Children of earlier
+            # epochs stay memoised (a caller may hold them) and count
+            # again from their next record.
+            if len(self._children) >= self.max_series and sum(
+                    1 for c in self._children.values()
+                    if c._epoch in (epoch, ~epoch)) >= self.max_series:
                 raise MetricError(
                     f"metric {self.name!r} exceeded its series cap of "
                     f"{self.max_series}; label values are too dynamic")
@@ -158,6 +196,7 @@ class MetricFamily:
                 child = Histogram(self.registry, self.buckets)
             else:
                 child = _KINDS[self.kind](self.registry)
+            child._epoch = ~epoch  # made in this epoch, not yet recorded
             self._children[key] = child
         return child
 
@@ -189,7 +228,11 @@ class MetricFamily:
         self._default().observe(value)
 
     def series(self) -> Iterable[Tuple[Tuple[str, ...], object]]:
-        return self._children.items()
+        """(label values, child) of every series recorded since the
+        last reset."""
+        epoch = self.registry.epoch
+        return [(values, child) for values, child in self._children.items()
+                if child._epoch == epoch]
 
     def series_key(self, values: Tuple[str, ...]) -> str:
         if not values:
@@ -197,16 +240,15 @@ class MetricFamily:
         pairs = ",".join(f"{n}={v}" for n, v in zip(self.labelnames, values))
         return f"{self.name}{{{pairs}}}"
 
-    def clear(self) -> None:
-        self._children.clear()
-        self._default_child = None
-
 
 class MetricsRegistry:
     """The process-wide set of metric families."""
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
+        #: Bumped by reset(); a child belongs to the epoch of its last
+        #: record and is invisible (and zero) in any other.
+        self.epoch = 0
         self._families: Dict[str, MetricFamily] = {}
 
     # -- toggling ----------------------------------------------------------
@@ -270,7 +312,7 @@ class MetricsRegistry:
             raise MetricError(
                 f"metric {name!r} needs labels {fam.labelnames}")
         child = fam._children.get(key)
-        if child is None:
+        if child is None or child._epoch != self.epoch:
             return 0.0
         return child.value if not isinstance(child, Histogram) else child.sum
 
@@ -293,9 +335,10 @@ class MetricsRegistry:
         return out
 
     def reset(self) -> None:
-        """Zero every series (family definitions survive)."""
-        for fam in self._families.values():
-            fam.clear()
+        """Zero every series, in O(1): family definitions survive, and
+        so does every child a call site holds — it reappears, from zero,
+        at its next record."""
+        self.epoch += 1
 
     # -- persistence (repro.persist checkpoints) ---------------------------
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import re
+import struct
 from collections import deque
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -113,9 +114,11 @@ class TraceEvent:
         return f"TraceEvent({self.etype!r}, t={self.t:.6f}, {self.fields})"
 
 
-def _event(row: tuple) -> TraceEvent:
-    """The event a ring row ``(etype, t, names, *values)`` stands for."""
-    return TraceEvent(row[0], row[1], dict(zip(row[2], row[3:])))
+#: How a field value is packed, by its exact type: strings as an index
+#: into the recorder's string table, None as a pad byte.  A value of any
+#: other type (or an int beyond 64 bits) keeps its event as a plain tuple.
+_CODES = {str: "I", int: "q", float: "d", bool: "?", type(None): "x"}
+_SHAPE_ID = struct.Struct("<H")
 
 
 class TraceRecorder:
@@ -126,12 +129,21 @@ class TraceRecorder:
             raise TraceError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
         self.enabled = enabled
-        #: One flat tuple per event, ``(etype, t, names, *values)``: a
-        #: request-per-event ring is the largest resident item of a long
-        #: run, and a row is half the size of a TraceEvent with its dict.
-        #: ``names`` is one shared tuple per event shape (``_names``).
+        #: One row per event.  A request-per-event ring is the largest
+        #: resident item of a long run, so a row is one ``bytes``: the
+        #: id of its shape — (etype, field names, field types), with the
+        #: ``struct`` that packs it — then ``t`` and the values, strings
+        #: replaced by their index in ``_strings`` (80 B for a
+        #: frontend_request against ~210 B of tuple, floats and int).
+        #: An event that does not pack is the tuple
+        #: ``(etype, t, names, *values)``.  :meth:`_event` reads both.
         self._events: deque = deque(maxlen=capacity)
-        self._names: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+        #: Per shape: etype, names, struct codes, the struct, and the
+        #: positions of string and None fields.
+        self._shapes: List[tuple] = []
+        self._shape_ids: Dict[tuple, int] = {}  # shape key -> id, -1 = none
+        self._strings: List[str] = []
+        self._string_ids: Dict[str, int] = {}
         #: Events emitted since the last :meth:`clear` (including any the
         #: ring has since evicted).
         self.emitted = 0
@@ -151,14 +163,74 @@ class TraceRecorder:
         if len(self._events) == self.capacity:
             self.dropped += 1
         event = TraceEvent(etype, float(t), fields)
-        names = tuple(fields)
-        self._events.append((etype, event.t, self._names.setdefault(
-            names, names), *fields.values()))
+        self._events.append(self._row(event))
         self.emitted += 1
         return event
 
+    def _row(self, event: TraceEvent) -> object:
+        fields = event.fields
+        values = list(fields.values())
+        key = (event.etype, *fields, *map(type, values))
+        shape_id = self._shape_ids.get(key)
+        if shape_id is None:
+            shape_id = self._shape_ids[key] = self._new_shape(
+                event.etype, tuple(fields), [type(v) for v in values])
+        if shape_id >= 0:
+            _etype, _names, _codes, packer, string_slots, none_slots = \
+                self._shapes[shape_id]
+            ids = self._string_ids
+            # The string table is bounded like the ring it serves.
+            if len(ids) + len(string_slots) <= self.capacity:
+                for slot in string_slots:
+                    index = ids.get(values[slot])
+                    if index is None:
+                        index = ids[values[slot]] = len(self._strings)
+                        self._strings.append(values[slot])
+                    values[slot] = index
+                for slot in none_slots:  # descending: a pad takes no value
+                    del values[slot]
+                try:
+                    return packer.pack(shape_id, event.t, *values)
+                except struct.error:  # an int beyond 64 bits
+                    pass
+        return (event.etype, event.t, tuple(fields), *fields.values())
+
+    def _new_shape(self, etype: str, names: Tuple[str, ...],
+                   types: List[type]) -> int:
+        """The id of a new shape — how events of one (type, field names,
+        field types) are packed — or -1 if a field's type has no code."""
+        codes = "".join([_CODES.get(t, "-") for t in types])
+        if "-" in codes or len(self._shapes) > 0xFFFF:
+            return -1
+        self._shapes.append((
+            etype, names, codes, struct.Struct("<Hd" + codes),
+            [i for i, code in enumerate(codes) if code == "I"],
+            [i for i, code in enumerate(codes) if code == "x"][::-1]))
+        return len(self._shapes) - 1
+
+    def _etype(self, row) -> str:
+        if type(row) is tuple:
+            return row[0]
+        return self._shapes[_SHAPE_ID.unpack_from(row)[0]][0]
+
+    def _event(self, row) -> TraceEvent:
+        """The event a ring row stands for."""
+        if type(row) is tuple:
+            return TraceEvent(row[0], row[1], dict(zip(row[2], row[3:])))
+        etype, names, codes, packer, _strs, _nones = self._shapes[
+            _SHAPE_ID.unpack_from(row)[0]]
+        _shape_id, t, *packed = packer.unpack(row)
+        values = iter(packed)
+        strings = self._strings
+        return TraceEvent(etype, t, {
+            name: None if code == "x" else
+            strings[next(values)] if code == "I" else next(values)
+            for name, code in zip(names, codes)})
+
     def clear(self) -> None:
         self._events.clear()
+        self._strings = []
+        self._string_ids = {}
         self.emitted = 0
         self.dropped = 0
 
@@ -168,28 +240,30 @@ class TraceRecorder:
         return len(self._events)
 
     def events(self, etype: Optional[str] = None) -> List[TraceEvent]:
-        return [_event(row) for row in self._events
-                if etype is None or row[0] == etype]
+        return [self._event(row) for row in self._events
+                if etype is None or self._etype(row) == etype]
 
     def count(self, etype: Optional[str] = None) -> int:
         if etype is None:
             return len(self._events)
-        return sum(1 for row in self._events if row[0] == etype)
+        return sum(1 for row in self._events if self._etype(row) == etype)
 
     def counts_by_type(self) -> Dict[str, int]:
         out: Dict[str, int] = {}
         for row in self._events:
-            out[row[0]] = out.get(row[0], 0) + 1
+            etype = self._etype(row)
+            out[etype] = out.get(etype, 0) + 1
         return dict(sorted(out.items()))
 
     # -- export / import ---------------------------------------------------
 
     def to_list(self) -> List[Dict[str, object]]:
-        return [_event(row).to_dict() for row in self._events]
+        return [self._event(row).to_dict() for row in self._events]
 
     def to_jsonl(self) -> str:
-        return "\n".join(json.dumps(_event(row).to_dict(), sort_keys=True)
-                         for row in self._events)
+        return "\n".join(
+            json.dumps(self._event(row).to_dict(), sort_keys=True)
+            for row in self._events)
 
     def write_jsonl(self, path: str) -> str:
         with open(path, "w", encoding="utf-8") as fh:

@@ -34,16 +34,21 @@ class TimeAccount:
 
     def __init__(self) -> None:
         self._buckets: Dict[str, float] = {}
+        self._series: Dict[str, object] = {}  # category -> bound counter
 
     def charge(self, category: str, seconds: float) -> None:
         """Add ``seconds`` to ``category``."""
         if seconds < 0:
             raise ValueError("cannot charge negative time")
         self._buckets[category] = self._buckets.get(category, 0.0) + seconds
-        from repro import obs
-        obs.counter("time_account_seconds_total",
-                    "virtual seconds charged to accounting categories",
-                    ("category",)).labels(category=category).inc(seconds)
+        series = self._series.get(category)
+        if series is None:
+            from repro import obs
+            series = self._series[category] = obs.counter(
+                "time_account_seconds_total",
+                "virtual seconds charged to accounting categories",
+                ("category",)).labels(category=category)
+        series.inc(seconds)
 
     def get(self, category: str) -> float:
         """Total seconds charged to ``category`` (0.0 if never charged)."""

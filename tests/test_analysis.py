@@ -84,6 +84,16 @@ class TestRuleFixtures:
         result = analyze("hl005_labels.py", [HL005MetricLabels()])
         assert lines_of(result, "HL005") == [7, 9, 11, 12]
 
+    def test_bound_series_form_is_held_to_hl005_and_hl004(self):
+        # Binding a series once and keeping it moves the family lookup
+        # and the .labels() call into __init__; both rules follow it
+        # there, and recording on the held child needs no exemption.
+        result = analyze("hl005_bound.py",
+                         [HL005MetricLabels(), HL004TraceEvents()])
+        assert lines_of(result, "HL005") == [13, 14, 15, 17, 17]
+        assert lines_of(result, "HL004") == [22]
+        assert all(f.line < 25 for f in result.findings)  # Good* is clean
+
     def test_hl006_exception_discipline(self):
         result = analyze("repro/lfs/hl006_except.py",
                          [HL006ExceptionDiscipline()])

@@ -184,7 +184,7 @@ def observe(fs, app, fn):
         "demand_fetches": fs.stats.demand_fetches - fetches,
         "counters": {k: v - before.get(k, 0.0) for k, v in after.items()
                      if v != before.get(k, 0.0)},
-        "lru": list(fs.bcache._lru),
+        "lru": fs.bcache.lru_order(),
         "readahead": dict(fs._last_read_lbn),
         "events": obs.trace().to_list()[-new_events:] if new_events else [],
     }

@@ -200,6 +200,156 @@ class TestRegistry:
 
 
 # ---------------------------------------------------------------------------
+# Bound series: a call site resolves a child once and keeps it
+# ---------------------------------------------------------------------------
+
+def _drive(record):
+    """One fixed sequence of records, through whatever ``record`` does
+    with (kind, name, labelnames, labels, method, value)."""
+    for args in (
+            ("counter", "io_total", ("device", "op"),
+             {"device": "rz57", "op": "read"}, "inc", 3.0),
+            ("counter", "io_total", ("device", "op"),
+             {"device": "rz57", "op": "write"}, "inc", 0),   # inc(0) shows
+            ("counter", "hits_total", (), {}, "inc", 1.0),
+            ("gauge", "depth", ("q",), {"q": "demand"}, "set", 4),
+            ("gauge", "depth", ("q",), {"q": "demand"}, "inc", 2.0),
+            ("histogram", "lat", ("op",), {"op": "read"}, "observe", 0.02),
+            ("histogram", "lat", ("op",), {"op": "read"}, "observe", 400.0),
+            ("counter", "io_total", ("device", "op"),
+             {"device": "rz57", "op": "read"}, "inc", 1.0)):
+        record(*args)
+
+
+class TestBoundSeries:
+    def test_child_bound_before_reset_records_into_live_registry(self):
+        reg = MetricsRegistry()
+        child = reg.counter("io_total", labelnames=("op",)).labels(op="read")
+        child.inc(5)
+        reg.reset()
+        assert reg.get("io_total", op="read") == 0.0
+        assert reg.snapshot()["counters"] == {}
+        child.inc(2)
+        assert reg.get("io_total", op="read") == 2.0
+        assert reg.snapshot()["counters"] == {"io_total{op=read}": 2.0}
+        # ...and it is still the object a by-name lookup finds.
+        assert reg.counter("io_total").labels(op="read") is child
+
+    def test_gauge_and_histogram_start_over_after_reset(self):
+        reg = MetricsRegistry()
+        gauge = reg.gauge("depth").labels()
+        hist = reg.histogram("lat", buckets=(1.0,)).labels()
+        gauge.set(7)
+        hist.observe(0.5)
+        hist.observe(5.0)
+        reg.reset()
+        gauge.inc()
+        hist.observe(0.25)
+        snap = reg.snapshot()
+        assert snap["gauges"] == {"depth": 1.0}
+        assert snap["histograms"]["lat"] == {
+            "count": 1, "sum": 0.25, "buckets": {"1.0": 1, "+Inf": 1}}
+
+    def test_series_appears_at_first_record_not_at_bind(self):
+        reg = MetricsRegistry()
+        fam = reg.counter("io_total", labelnames=("op",))
+        bound = fam.labels(op="read")
+        assert reg.snapshot()["counters"] == {}
+        assert fam.series() == []
+        assert reg.counter_samples(("io_",)) == []
+        bound.inc(0)
+        assert reg.snapshot()["counters"] == {"io_total{op=read}": 0.0}
+
+    def test_disable_enable_keeps_bound_child_live(self):
+        child = obs.counter("bound_total", "x", ("op",)).labels(op="read")
+        obs.disable()
+        try:
+            child.inc(100)
+        finally:
+            obs.enable()
+        assert "bound_total{op=read}" not in \
+            obs.metrics().snapshot()["counters"]
+        child.inc()
+        assert obs.metrics().get("bound_total", op="read") == 1.0
+
+    def test_checkpoint_round_trip_lands_on_bound_child(self):
+        reg = obs.metrics()
+        child = obs.counter("ioserver_bound_total", "x",
+                            ("op",)).labels(op="fetch")
+        child.inc(3)
+        rows = json.loads(json.dumps(reg.counter_samples(("ioserver_",))))
+        assert rows == [["ioserver_bound_total", ["op"], ["fetch"], 3.0]]
+        obs.reset()                       # the crash: counters gone
+        for row in rows:
+            reg.restore_counter_sample(*row)
+        assert reg.get("ioserver_bound_total", op="fetch") == 3.0
+        child.inc()                       # the survivor keeps counting
+        assert reg.get("ioserver_bound_total", op="fetch") == 4.0
+        assert reg.counter_samples(("ioserver_",))[0][3] == 4.0
+
+    def test_snapshot_bytes_equal_the_by_name_path(self):
+        by_name, bound = MetricsRegistry(), MetricsRegistry()
+
+        def record_by_name(kind, name, labelnames, labels, method, value):
+            fam = getattr(by_name, kind)(name, "", labelnames)
+            getattr(fam.labels(**labels), method)(value)
+
+        held = {}
+
+        def record_bound(kind, name, labelnames, labels, method, value):
+            key = (name, tuple(sorted(labels.items())))
+            if key not in held:
+                fam = getattr(bound, kind)(name, "", labelnames)
+                held[key] = fam.labels(**labels)        
+            getattr(held[key], method)(value)
+
+        # Bound but never recorded: must not appear.
+        bound.counter("never_total", "", ("op",)).labels(op="x")
+        bound.histogram("never_lat").labels()
+        for registry, record in ((by_name, record_by_name),
+                                 (bound, record_bound)):
+            _drive(record)       # an earlier run, wiped by the reset...
+            registry.reset()
+            _drive(record)       # ...then the same records again
+        dumps = [json.dumps(r.snapshot(), sort_keys=True)
+                 for r in (by_name, bound)]
+        assert dumps[0] == dumps[1]
+        assert "never" not in dumps[1]
+        assert '"io_total{device=rz57,op=write}": 0' in dumps[1]
+
+    def test_series_cap_counts_live_series_only(self):
+        reg = MetricsRegistry()
+        fam = reg.counter("hot", labelnames=("key",), max_series=4)
+        for run in range(3):              # 12 label values over 3 runs
+            for i in range(4):
+                fam.labels(key=f"{run}-{i}").inc()
+            with pytest.raises(MetricError):
+                fam.labels(key="one-too-many")
+            reg.reset()
+        # Binding without recording grows the set just the same.
+        for i in range(4):
+            fam.labels(key=f"bound-{i}")
+        with pytest.raises(MetricError):
+            fam.labels(key="one-too-many")
+        # A child of an earlier run is still usable once there is room.
+        reg.reset()
+        fam.labels(key="0-0").inc()
+        assert reg.get("hot", key="0-0") == 1.0
+
+    def test_histogram_bucket_is_first_bound_at_or_above_value(self):
+        reg = MetricsRegistry()
+        hist = reg.histogram("lat").labels()
+        for value in (0.0, 0.001, 0.0011, 0.05, 59.9, 300.0, 300.1, 1e9):
+            before = list(hist.counts)
+            hist.observe(value)
+            want = next((i for i, bound in enumerate(DEFAULT_BUCKETS)
+                         if value <= bound), len(DEFAULT_BUCKETS))
+            moved = [i for i, (a, b) in enumerate(zip(before, hist.counts))
+                     if a != b]
+            assert moved == [want], value
+
+
+# ---------------------------------------------------------------------------
 # TraceRecorder
 # ---------------------------------------------------------------------------
 
@@ -329,15 +479,58 @@ class TestTrace:
         assert again.load_jsonl(line) == 1
         assert again.to_jsonl() == line
 
-    def test_ring_shares_field_names_between_events_of_one_shape(self):
+    def test_ring_packs_events_of_one_shape_into_small_rows(self):
         tr = TraceRecorder()
         for i in range(3):
             tr.emit(obs.EV_CACHE_EJECT, float(i), tsegno=i, reason="lru")
         tr.emit(obs.EV_CACHE_EJECT, 9.0, reason="lru", tsegno=9)
         rows = list(tr._events)
-        assert rows[0][2] is rows[1][2] is rows[2][2] == ("tsegno", "reason")
-        assert rows[3][2] == ("reason", "tsegno")
-        assert tr.events()[3].fields == {"tsegno": 9, "reason": "lru"}
+        assert all(type(row) is bytes for row in rows)
+        assert rows[0][:2] == rows[1][:2] == rows[2][:2] != rows[3][:2]
+        assert len(rows[0]) == 2 + 8 + 8 + 4   # shape, t, tsegno, reason
+        assert tr._strings == ["lru"]           # stored once, not per row
+        assert tr.events()[3].fields == {"reason": "lru", "tsegno": 9}
+        assert list(tr.events()[3].fields) == ["reason", "tsegno"]
+        assert tr.count(obs.EV_CACHE_EJECT) == 4
+        assert tr.counts_by_type() == {obs.EV_CACHE_EJECT: 4}
+
+    def test_packed_rows_keep_every_value_and_its_type(self):
+        tr = TraceRecorder()
+        rows = [
+            {"n": 1, "x": 1.0, "ok": True, "why": None, "who": "app"},
+            {"n": 1.0, "x": 1, "ok": 0, "why": "", "who": None},
+            {"n": -2 ** 63, "x": float("inf"), "ok": False, "why": "é",
+             "who": "app"},
+            {"n": 2 ** 63, "x": -0.0},             # too wide: stays a tuple
+            {"n": (1, 2), "x": [3], "who": {"a": 1}},   # not packable
+        ]
+        for i, fields in enumerate(rows):
+            tr.emit(obs.EV_FAULT_INJECTED, float(i), **fields)
+        tr.emit(obs.EV_FAULT_INJECTED, 9.0, x=float("nan"))
+        assert [type(r) for r in tr._events] == \
+            [bytes, bytes, bytes, tuple, tuple, bytes]
+        back = tr.events()
+        for event, fields in zip(back, rows):
+            assert event.fields == fields
+            assert [type(v) for v in event.fields.values()] == \
+                [type(v) for v in fields.values()]
+        assert str(back[3].fields["x"]) == "-0.0"
+        assert back[5].fields["x"] != back[5].fields["x"]   # NaN survives
+        assert tr.to_jsonl().splitlines()[1] == json.dumps(
+            {"type": "fault_injected", "t": 1.0, "fields": rows[1]},
+            sort_keys=True)
+
+    def test_string_table_is_bounded_by_the_ring_and_dies_with_clear(self):
+        tr = TraceRecorder(capacity=4)
+        for i in range(10):
+            tr.emit(obs.EV_CACHE_EJECT, float(i), reason=f"r{i}")
+        assert len(tr._strings) == 4
+        assert [e.fields["reason"] for e in tr.events()] == \
+            ["r6", "r7", "r8", "r9"]
+        tr.clear()
+        assert tr._strings == [] and len(tr) == 0
+        tr.emit(obs.EV_CACHE_EJECT, 0.0, reason="again")
+        assert tr.events()[0].fields == {"reason": "again"}
 
 
 # ---------------------------------------------------------------------------
@@ -369,16 +562,6 @@ class TestObsModule:
             assert len(obs.trace()) == 0
         finally:
             obs.enable()
-
-    def test_set_metrics_swaps_instances(self):
-        fresh = MetricsRegistry()
-        old = obs.set_metrics(fresh)
-        try:
-            obs.counter("swapped_total").inc()
-            assert fresh.get("swapped_total") == 1.0
-            assert old.get("swapped_total") == 0.0
-        finally:
-            obs.set_metrics(old)
 
     def test_snapshot_combines_metrics_and_trace(self):
         obs.counter("snap_total").inc()
