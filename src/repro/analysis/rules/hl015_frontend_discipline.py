@@ -53,8 +53,8 @@ _DEFAULT_EXEMPT: Tuple[str, ...] = (
     # the bare stack on purpose).  Note repro.bench.frontend_scenario
     # is NOT here: the multi-tenant scenario must drive the Client.
     "repro.bench.harness", "repro.bench.tables", "repro.bench.figures",
-    "repro.bench.perf", "repro.bench.policy_eval",
-    "repro.bench.scenarios", "repro.bench.cluster_scenario",
+    "repro.bench.policy_eval", "repro.bench.scenarios",
+    "repro.bench.cluster_scenario",
     # Rule modules quote the patterns they look for.
     "repro.analysis",
 )

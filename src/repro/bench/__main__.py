@@ -5,9 +5,8 @@ Usage:
     python3 -m repro.bench table2 fig4            # a selection
     python3 -m repro.bench --scenario contention  # mixed-load scenarios
     python3 -m repro.bench --scenario frontend --seed 7  # reseed the run
+    python3 -m repro.bench --scenario crashes --quick    # a scenario's short form
     python3 -m repro.bench --list-scenarios       # what --scenario accepts
-    python3 -m repro.bench --perf [--quick] [--profile]  # seg-I/O perf
-    python3 -m repro.bench --perf --check         # CI perf regression gate
 """
 
 from __future__ import annotations
@@ -46,21 +45,6 @@ def main(argv: list[str]) -> int:
             print("--seed needs an integer")
             return 2
         del args[idx:idx + 2]
-    if "--perf" in args:
-        args.remove("--perf")
-        profile = "--profile" in args
-        if profile:
-            args.remove("--profile")
-        check = "--check" in args
-        if check:
-            args.remove("--check")
-        if args:
-            print(f"--perf takes no experiments, got: {', '.join(args)}")
-            return 2
-        from repro.bench import perf
-        if check:
-            return perf.check_regression()
-        return perf.main(quick=quick, profile=profile)
     if "--list-scenarios" in args:
         args.remove("--list-scenarios")
         if args:

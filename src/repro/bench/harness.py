@@ -17,7 +17,6 @@ from typing import List, Optional
 
 from repro.blockdev import profiles
 from repro.blockdev.bus import SCSIBus
-from repro.blockdev.datapath import set_store_mode
 from repro.blockdev.disk import DiskDevice
 from repro.blockdev.geometry import DiskProfile
 from repro.blockdev.jukebox import Jukebox
@@ -87,9 +86,6 @@ def make_highlight(partition_bytes: int = PARTITION_BYTES,
     columns).
     """
     config = config or HighLightConfig()
-    # The store mode is read at device construction, so it must be
-    # applied before any disk or platter below is built.
-    set_store_mode(config.datapath_mode)
     bus = _fresh_bus()
     disks = [profiles.make_disk(profiles.RZ57, bus=bus,
                                 capacity_bytes=partition_bytes)]

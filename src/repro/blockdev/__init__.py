@@ -9,12 +9,11 @@ objects (SCSI bus, disk arm, robot picker) so cross-actor contention
 emerges the same way it did on the real hardware.
 """
 
-from repro.blockdev.base import (BlockStore, BlockDevice, DataStore,
-                                 DeviceStats, CPUModel, make_store)
+from repro.blockdev.base import BlockDevice, DeviceStats, CPUModel
 from repro.blockdev.bus import SCSIBus
 from repro.blockdev.datapath import (ExtentRef, bytes_copied_total,
-                                     count_copy, set_store_mode, store_mode)
-from repro.blockdev.extent import ExtentStore
+                                     count_copy)
+from repro.blockdev.extent import DataStore, ExtentStore
 from repro.blockdev.geometry import DiskProfile, seek_time
 from repro.blockdev.disk import DiskDevice
 from repro.blockdev.mo import MOPlatter, MODrive
@@ -24,9 +23,9 @@ from repro.blockdev.striped import ConcatDevice
 from repro.blockdev import profiles
 
 __all__ = [
-    "BlockStore", "BlockDevice", "DataStore", "DeviceStats", "CPUModel",
-    "ExtentRef", "ExtentStore", "make_store",
-    "bytes_copied_total", "count_copy", "set_store_mode", "store_mode",
+    "BlockDevice", "DataStore", "DeviceStats", "CPUModel",
+    "ExtentRef", "ExtentStore",
+    "bytes_copied_total", "count_copy",
     "SCSIBus",
     "DiskProfile", "seek_time",
     "DiskDevice",

@@ -1,4 +1,4 @@
-"""Device fundamentals: data stores, statistics, the device ABC, CPU model."""
+"""Device fundamentals: statistics, the device ABC, CPU model."""
 
 from __future__ import annotations
 
@@ -6,169 +6,10 @@ from abc import ABC, abstractmethod
 from typing import Dict, List, Sequence
 
 from repro import obs
-from repro.blockdev import datapath
-from repro.blockdev.datapath import (Buffer, ExtentRef, count_copy,
-                                     materialize_refs, ref_of)
-from repro.errors import AddressError, InvalidArgument
+from repro.blockdev.datapath import (Buffer, ExtentRef, materialize_refs,
+                                     ref_of)
+from repro.blockdev.extent import ExtentStore
 from repro.sim.actor import Actor
-
-
-class DataStore:
-    """Common shape of the sparse data stores behind every device.
-
-    Devices are data-bearing — file contents written through the stack must
-    round-trip byte-for-byte through migration and demand fetch — but a
-    848 MB partition is stored sparsely; unwritten blocks read back as
-    zeros, like a freshly formatted medium.  Two implementations exist:
-    the historical per-block :class:`BlockStore` (the ``"blockdict"``
-    baseline) and the extent-run :class:`~repro.blockdev.extent
-    .ExtentStore` (the default); :func:`make_store` picks by the active
-    data-path mode.
-    """
-
-    def __init__(self, capacity_blocks: int, block_size: int) -> None:
-        if capacity_blocks <= 0 or block_size <= 0:
-            raise ValueError("capacity and block size must be positive")
-        self.capacity_blocks = capacity_blocks
-        self.block_size = block_size
-
-    def check_range(self, blkno: int, nblocks: int) -> None:
-        """Raise AddressError unless [blkno, blkno+nblocks) is on the store."""
-        if nblocks <= 0:
-            raise InvalidArgument(f"nblocks must be positive, got {nblocks}")
-        if blkno < 0 or blkno + nblocks > self.capacity_blocks:
-            raise AddressError(
-                f"blocks [{blkno}, {blkno + nblocks}) outside device of "
-                f"{self.capacity_blocks} blocks", blkno=blkno)
-
-    def _check_aligned(self, nbytes: int) -> None:
-        if nbytes % self.block_size != 0:
-            raise InvalidArgument(
-                f"write of {nbytes} bytes is not block-aligned "
-                f"(block size {self.block_size})")
-
-    # -- media imaging (crash simulation) ----------------------------------
-    #
-    # A "crash" in the simulator abandons every in-memory object; the only
-    # state that survives is what reached the stores.  ``snapshot`` freezes
-    # the written contents as an opaque image, ``restore`` loads such an
-    # image into a (typically fresh) store of the same geometry — together
-    # they model pulling the platters out of a dead machine and spinning
-    # them up in a new one.
-
-    def snapshot(self) -> object:
-        """Freeze the written contents as an opaque, immutable image."""
-        raise NotImplementedError
-
-    def restore(self, image: object) -> None:
-        """Replace this store's contents with a snapshotted image."""
-        raise NotImplementedError
-
-
-class BlockStore(DataStore):
-    """Sparse per-block data store: block number -> block bytes.
-
-    This is the ``"blockdict"`` baseline of the data-path A/B: simple,
-    but every multi-block transfer costs a join on read and a per-block
-    slice on write.  Those host copies are accounted through
-    :func:`~repro.blockdev.datapath.count_copy` so the perf harness can
-    compare modes honestly.
-    """
-
-    def __init__(self, capacity_blocks: int, block_size: int) -> None:
-        super().__init__(capacity_blocks, block_size)
-        self._blocks: Dict[int, bytes] = {}
-        self._zero = bytes(block_size)
-
-    def read(self, blkno: int, nblocks: int) -> bytes:
-        """Return ``nblocks`` blocks starting at ``blkno``."""
-        self.check_range(blkno, nblocks)
-        if nblocks == 1:
-            return self._blocks.get(blkno, self._zero)
-        count_copy(nblocks * self.block_size)
-        parts = [self._blocks.get(blkno + i, self._zero)
-                 for i in range(nblocks)]
-        return b"".join(parts)
-
-    def write(self, blkno: int, data: Buffer) -> None:
-        """Write ``data`` (a whole number of blocks) starting at ``blkno``.
-
-        Accepts ``bytes | bytearray | memoryview``; a single-block
-        immutable ``bytes`` write is stored by reference with no copy.
-        """
-        nbytes = len(data)
-        self._check_aligned(nbytes)
-        nblocks = nbytes // self.block_size
-        self.check_range(blkno, nblocks)
-        if nblocks == 1 and isinstance(data, bytes):
-            self._blocks[blkno] = data
-            return
-        bs = self.block_size
-        count_copy(nbytes)
-        if isinstance(data, bytes):
-            for i in range(nblocks):
-                self._blocks[blkno + i] = data[i * bs:(i + 1) * bs]
-        else:
-            view = memoryview(data)
-            for i in range(nblocks):
-                self._blocks[blkno + i] = bytes(view[i * bs:(i + 1) * bs])
-
-    def is_written(self, blkno: int) -> bool:
-        """True if ``blkno`` has ever been written."""
-        return blkno in self._blocks
-
-    def written_in_range(self, blkno: int, nblocks: int) -> int:
-        """How many blocks of [blkno, blkno+nblocks) have been written."""
-        return sum(1 for i in range(nblocks) if blkno + i in self._blocks)
-
-    def discard(self, blkno: int, nblocks: int = 1) -> None:
-        """Forget blocks (used by tests and by WORM 'blank check')."""
-        for i in range(nblocks):
-            self._blocks.pop(blkno + i, None)
-
-    def written_blocks(self) -> int:
-        """Number of distinct blocks ever written (space accounting)."""
-        return len(self._blocks)
-
-    # -- vectored API (baseline: emulated over scalar read/write) ----------
-
-    def read_refs(self, blkno: int, nblocks: int) -> List[ExtentRef]:
-        """One ref over a joined copy (the baseline has no shared runs)."""
-        return [ref_of(self.read(blkno, nblocks))]
-
-    def write_refs(self, blkno: int, refs: Sequence[ExtentRef]) -> None:
-        self.write(blkno, materialize_refs(refs))
-
-    def readv(self, blkno: int, nblocks: int) -> List[memoryview]:
-        return [memoryview(self.read(blkno, nblocks))]
-
-    def writev(self, blkno: int, parts: Sequence[Buffer]) -> None:
-        cursor = blkno
-        for part in parts:
-            if not len(part):
-                continue
-            self.write(cursor, part)
-            cursor += len(part) // self.block_size
-
-    # -- media imaging ------------------------------------------------------
-
-    def snapshot(self) -> object:
-        # Block payloads are immutable bytes, so a dict copy is a deep
-        # image: later writes rebind entries, never mutate them.
-        return dict(self._blocks)
-
-    def restore(self, image: object) -> None:
-        if not isinstance(image, dict):
-            raise InvalidArgument("not a BlockStore image")
-        self._blocks = dict(image)
-
-
-def make_store(capacity_blocks: int, block_size: int) -> DataStore:
-    """Build a data store per the active data-path mode."""
-    if datapath.store_mode() == datapath.MODE_BLOCKDICT:
-        return BlockStore(capacity_blocks, block_size)
-    from repro.blockdev.extent import ExtentStore
-    return ExtentStore(capacity_blocks, block_size)
 
 
 class DeviceStats:
@@ -241,7 +82,7 @@ class BlockDevice(ABC):
 
     def __init__(self, name: str, capacity_blocks: int, block_size: int) -> None:
         self.name = name
-        self.store = make_store(capacity_blocks, block_size)
+        self.store = ExtentStore(capacity_blocks, block_size)
         self.stats = DeviceStats(device=name)
 
     @property
@@ -286,16 +127,6 @@ class BlockDevice(ABC):
         """Gather-write a list of buffers as one device op."""
         self.write_refs(actor, blkno,
                         [ref_of(p) for p in parts if len(p)])
-
-    def read_segment_image(self, actor: Actor, blkno: int,
-                           nblocks: int) -> bytes:
-        """One-shot contiguous image read (a whole segment, typically)."""
-        return materialize_refs(self.read_refs(actor, blkno, nblocks))
-
-    def write_segment_image(self, actor: Actor, blkno: int,
-                            image: Buffer) -> None:
-        """One-shot contiguous image write (a whole segment, typically)."""
-        self.write(actor, blkno, image)
 
     def __repr__(self) -> str:
         return (f"{type(self).__name__}({self.name!r}, "

@@ -1,8 +1,8 @@
-"""Data-path plumbing: extent refs, copy accounting, and the store mode.
+"""Data-path plumbing: extent refs and copy accounting.
 
 The paper's design argument is that 1 MB segments amortize device costs
 into large sequential transfers; the simulator's *host* data path should
-match.  This module carries the three shared pieces:
+match.  This module carries the two shared pieces:
 
 * :class:`ExtentRef` — a (buffer, offset, length) handle on a byte range
   inside a store.  Refs are how whole segment images travel between
@@ -13,23 +13,14 @@ match.  This module carries the three shared pieces:
 * **Copy accounting** — every host-memory byte copy performed by the
   device data path funnels through :func:`count_copy`, which feeds both
   a cheap process-local counter (readable with the metrics registry
-  disabled) and the ``datapath_bytes_copied_total`` metric.  The perf
-  harness A/Bs this number across store modes.
-* **The store mode** — ``"extent"`` (the default
-  :class:`~repro.blockdev.extent.ExtentStore`) or ``"blockdict"`` (the
-  historical per-block :class:`~repro.blockdev.base.BlockStore`, kept
-  as the baseline for the A/B in ``python -m repro.bench --perf``).
-  The mode is read at store construction time; it is process-global
-  because devices are built before any filesystem config exists.
+  disabled) and the ``datapath_bytes_copied_total`` metric.
 
-Virtual-time charging is untouched by any of this: both modes issue the
-same device operations with the same sizes, so simulated results are
-bit-identical — only host CPU work differs.
+Virtual-time charging is untouched by any of this: a device operation
+charges by its size, however the bytes travel on the host.
 """
 
 from __future__ import annotations
 
-import os
 from typing import List, Sequence, Union
 
 from repro import obs
@@ -39,51 +30,19 @@ __all__ = [
     "ExtentRef",
     "block_views",
     "run_views",
-    "MODE_BLOCKDICT",
-    "MODE_EXTENT",
     "bytes_copied_total",
     "count_copy",
     "flush_copy_metric",
     "materialize_refs",
     "ref_of",
     "refs_nbytes",
-    "reset_copy_counter",
     "sanitizer",
     "set_sanitizer",
-    "set_store_mode",
-    "store_mode",
     "zeros",
 ]
 
 #: Acceptable data-bearing argument types for store writes.
 Buffer = Union[bytes, bytearray, memoryview]
-
-MODE_EXTENT = "extent"
-MODE_BLOCKDICT = "blockdict"
-_MODES = (MODE_EXTENT, MODE_BLOCKDICT)
-
-#: Environment override for the initial store mode (CI experiments).
-MODE_ENV = "REPRO_DATAPATH_MODE"
-
-_mode = os.environ.get(MODE_ENV, MODE_EXTENT)
-if _mode not in _MODES:
-    _mode = MODE_EXTENT
-
-
-def store_mode() -> str:
-    """The store implementation new devices will be built with."""
-    return _mode
-
-
-def set_store_mode(mode: str) -> str:
-    """Select the store implementation; returns the previous mode."""
-    global _mode
-    if mode not in _MODES:
-        raise ValueError(f"unknown datapath mode {mode!r}; "
-                         f"expected one of {_MODES}")
-    old, _mode = _mode, mode
-    return old
-
 
 # -- borrow sanitizer registry -----------------------------------------------
 #
@@ -146,14 +105,6 @@ def flush_copy_metric() -> int:
 def bytes_copied_total() -> int:
     """Process-lifetime copied bytes (independent of the obs registry)."""
     return _bytes_copied
-
-
-def reset_copy_counter() -> int:
-    """Zero the local copy counter (bench run boundary); returns old value."""
-    global _bytes_copied, _bytes_published
-    old, _bytes_copied = _bytes_copied, 0
-    _bytes_published = 0
-    return old
 
 
 obs.register_flusher(flush_copy_metric)
@@ -314,8 +265,3 @@ def zeros(nbytes: int) -> bytes:
     if len(_zero_buf) < nbytes:
         _zero_buf = bytes(max(nbytes, 2 * len(_zero_buf)))
     return _zero_buf
-
-
-def zero_refs(nbytes: int) -> List[ExtentRef]:
-    """Refs describing ``nbytes`` of zeros (one ref, shared buffer)."""
-    return [ExtentRef(zeros(nbytes), 0, nbytes)]

@@ -1,10 +1,9 @@
-"""ExtentStore: contiguous written ranges as shared-buffer extent runs.
+"""The device data store: written ranges as shared-buffer extent runs.
 
-The per-block :class:`~repro.blockdev.base.BlockStore` moves every
-segment through a Python loop — one dict entry per 4 KB block plus a
-``b"".join`` on each read.  The extent store keeps whole written runs as
-immutable ``(start, nblocks, buf, off)`` rows over shared buffers, so
-the common segment-sized transfers are O(runs) bookkeeping:
+The store keeps whole written runs as immutable ``(start, nblocks, buf,
+off)`` rows over shared buffers, so the common segment-sized transfers
+are O(runs) bookkeeping rather than a Python loop (and a ``b"".join``)
+over 4 KB blocks:
 
 * a ``write`` of an immutable ``bytes`` image *adopts* it by reference —
   sharing an immutable buffer is semantically identical to copying it;
@@ -30,7 +29,8 @@ same staging buffer) — and it makes :meth:`snapshot` a plain O(runs)
 list copy instead of a deep copy, which is what the crash matrix pays
 at every crash point.
 
-Sparse semantics match BlockStore exactly: unwritten blocks read back as
+Sparse semantics are those of a freshly formatted medium (and of the
+per-block reference model under ``tests/``): unwritten blocks read back as
 zeros, ``is_written``/``written_blocks`` count real writes only, and a
 read that crosses an unwritten hole never records the hole as written.
 Fragmented runs are re-coalesced opportunistically: a multi-extent read
@@ -46,15 +46,66 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import List, Sequence
 
-from repro.blockdev.base import DataStore
 from repro.blockdev.datapath import (Buffer, ExtentRef, count_copy,
                                      materialize_refs, sanitizer, zeros)
+from repro.errors import AddressError, InvalidArgument
 
-__all__ = ["ExtentStore"]
+__all__ = ["DataStore", "ExtentStore"]
 
 # Extent rows are immutable 4-tuples (start_blk, nblocks, buf, byte_off):
 # blocks [start, start + nblocks) hold buf[off : off + nblocks * bs].
 _START, _NBLK, _BUF, _OFF = range(4)
+
+
+class DataStore:
+    """Common shape of the sparse data stores behind every device.
+
+    Devices are data-bearing — file contents written through the stack must
+    round-trip byte-for-byte through migration and demand fetch — but a
+    848 MB partition is stored sparsely; unwritten blocks read back as
+    zeros, like a freshly formatted medium.  :class:`ExtentStore` is the
+    one implementation devices use; the other subclass is the per-block
+    dict model under ``tests/`` that the property tests compare it
+    against.
+    """
+
+    def __init__(self, capacity_blocks: int, block_size: int) -> None:
+        if capacity_blocks <= 0 or block_size <= 0:
+            raise ValueError("capacity and block size must be positive")
+        self.capacity_blocks = capacity_blocks
+        self.block_size = block_size
+
+    def check_range(self, blkno: int, nblocks: int) -> None:
+        """Raise AddressError unless [blkno, blkno+nblocks) is on the store."""
+        if nblocks <= 0:
+            raise InvalidArgument(f"nblocks must be positive, got {nblocks}")
+        if blkno < 0 or blkno + nblocks > self.capacity_blocks:
+            raise AddressError(
+                f"blocks [{blkno}, {blkno + nblocks}) outside device of "
+                f"{self.capacity_blocks} blocks", blkno=blkno)
+
+    def _check_aligned(self, nbytes: int) -> None:
+        if nbytes % self.block_size != 0:
+            raise InvalidArgument(
+                f"write of {nbytes} bytes is not block-aligned "
+                f"(block size {self.block_size})")
+
+    # -- media imaging (crash simulation) ----------------------------------
+    #
+    # A "crash" in the simulator abandons every in-memory object; the only
+    # state that survives is what reached the stores.  ``snapshot`` freezes
+    # the written contents as an opaque image, ``restore`` loads such an
+    # image into a (typically fresh) store of the same geometry — together
+    # they model pulling the platters out of a dead machine and spinning
+    # them up in a new one.
+
+    def snapshot(self) -> object:
+        """Freeze the written contents as an opaque, immutable image."""
+        raise NotImplementedError
+
+    def restore(self, image: object) -> None:
+        """Replace this store's contents with a snapshotted image."""
+        raise NotImplementedError
 
 
 class ExtentStore(DataStore):
@@ -158,7 +209,7 @@ class ExtentStore(DataStore):
         self._splice(idx, [(blkno, nblocks, buf, off)])
         self._written += nblocks
 
-    # -- scalar API (BlockStore-compatible) ---------------------------------
+    # -- scalar API ---------------------------------------------------------
 
     def read(self, blkno: int, nblocks: int) -> bytes:
         """Return ``nblocks`` blocks starting at ``blkno``."""

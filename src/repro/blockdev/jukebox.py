@@ -15,10 +15,11 @@ from abc import ABC, abstractmethod
 from typing import Dict, List, Optional, Sequence
 
 from repro import obs
-from repro.blockdev.base import DeviceStats, make_store
+from repro.blockdev.base import DeviceStats
 from repro.blockdev.bus import SCSIBus
 from repro.blockdev.datapath import (Buffer, ExtentRef, materialize_refs,
                                      ref_of)
+from repro.blockdev.extent import ExtentStore
 from repro.errors import (DriveBusy, EndOfMedium, NoSuchVolume,
                           ReadOnlyMedium, VolumeNotLoaded)
 from repro.faults.health import VolumeHealth
@@ -41,8 +42,8 @@ class RemovableVolume:
                  effective_capacity_bytes: Optional[int] = None,
                  write_once: bool = False) -> None:
         self.volume_id = volume_id
-        self.store = make_store(max(1, capacity_bytes // block_size),
-                                block_size)
+        self.store = ExtentStore(max(1, capacity_bytes // block_size),
+                                 block_size)
         if effective_capacity_bytes is None:
             effective_capacity_bytes = capacity_bytes
         self.effective_capacity_blocks = max(
@@ -54,21 +55,6 @@ class RemovableVolume:
         #: Health state machine (see docs/FAULTS.md); QUARANTINED and
         #: RETIRED volumes raise MediaFailure on I/O.
         self.health = VolumeHealth.ONLINE
-
-    def inject_failure(self, t: float = 0.0, reason: str = "media_failure"
-                       ) -> None:
-        """Fail this volume (fault-injection harness entry point).
-
-        Subsequent I/O through a drive holding it raises
-        :class:`~repro.errors.MediaFailure`.  ``t`` is the virtual time
-        of the injection, stamped onto the emitted trace event.
-        """
-        self.health = VolumeHealth.QUARANTINED
-        obs.counter("fault_injected_total",
-                    "faults injected by the fault plan",
-                    ("kind",)).labels(kind=reason).inc()
-        obs.event(obs.EV_FAULT_INJECTED, t, kind=reason,
-                  volume=self.volume_id)
 
     @property
     def block_size(self) -> int:

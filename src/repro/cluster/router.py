@@ -24,7 +24,6 @@ lowest-clock-first discipline keeps the interleaving deterministic.
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
@@ -109,22 +108,6 @@ class ClusterRouter:
         return out
 
     # -- the session surface -----------------------------------------------------
-
-    def open(self, client: Actor, path: str, create: bool = False) -> int:
-        """Open ``path``; returns a file descriptor.
-
-        .. deprecated::
-            Constructing sessions directly on the router is the legacy
-            surface; open tenant-aware handles through
-            :func:`repro.open_cluster` (the ``Client`` API) instead.
-            The descriptor semantics are unchanged — both surfaces
-            share one session implementation.
-        """
-        warnings.warn(
-            "ClusterRouter.open() is deprecated; open sessions through "
-            "the Client API (repro.open_cluster) instead",
-            DeprecationWarning, stacklevel=2)
-        return self._open(client, path, create)
 
     def _open(self, client: Actor, path: str, create: bool = False) -> int:
         if path not in self.namespace:

@@ -82,12 +82,6 @@ class HighLightConfig(LFSConfig):
     fault_max_attempts: Optional[int] = None
     fault_backoff_base: Optional[float] = None
     fault_retry_deadline: Optional[float] = None
-    #: Device data-path implementation: "extent" (zero-copy extent runs)
-    #: or "blockdict" (the historical per-block baseline, kept for the
-    #: A/B in ``python -m repro.bench --perf``).  Applied process-wide at
-    #: device construction time by the bench harness; virtual-time
-    #: results are bit-identical across modes.
-    datapath_mode: str = "extent"
     #: Scrub-daemon knobs (docs/RECOVERY.md), consumed by
     #: :meth:`repro.persist.PersistManager.make_scrubber`: virtual
     #: seconds charged between segment verifications (the configurable

@@ -32,9 +32,9 @@ from repro.sim.actor import Actor
 class ServiceProcess:
     """Coordinates the segment cache, the scheduler, and the I/O server."""
 
-    def __init__(self, fs, ioserver, cache,
+    def __init__(self, fs, ioserver, cache, sched,
                  request_overhead: float = 0.04,
-                 prefetcher=None, sched=None) -> None:
+                 prefetcher=None) -> None:
         self.fs = fs
         self.ioserver = ioserver
         self.cache = cache
@@ -44,20 +44,6 @@ class ServiceProcess:
         self.prefetcher = prefetcher
         #: Installed by the Migrator: re-stages a line after EndOfMedium.
         self.restage_handler: Optional[Callable[[Actor, int], int]] = None
-        if sched is None:
-            # Standalone construction: a pass-through scheduler
-            # preserves the historical synchronous pipeline exactly.
-            # The sanctioned wiring is HighLightFS.attach_tertiary —
-            # and sessions on top of it belong to the Client front end.
-            import warnings
-            warnings.warn(
-                "constructing a ServiceProcess without a scheduler is "
-                "deprecated; wire it through HighLightFS.attach_tertiary "
-                "and drive sessions through the Client API "
-                "(repro.open_node) instead",
-                DeprecationWarning, stacklevel=2)
-            from repro.sched import TertiaryScheduler
-            sched = TertiaryScheduler(fs, ioserver)
         self.sched = sched
 
     @property

@@ -465,10 +465,9 @@ class LFS:
                    and self.bcache.peek((ino.inum, lbn + run)) is None
                    and self.bmap_cached(ino, lbn + run) == daddr + run):
                 run += 1
-        # Borrowed ranges instead of a joined image: a store that keeps
-        # whole-block extents hands each block through untouched (no join
-        # copy, no re-slicing) — the per-block dict baseline still pays
-        # its join inside read_refs.
+        # Borrowed ranges instead of a joined image: the store keeps
+        # whole-block extents and hands each block through untouched (no
+        # join copy, no re-slicing).
         refs = self.dev_read_refs(actor, daddr, run)
         blocks = [b if isinstance(b, bytes) else bytes(b)
                   for b in block_views(refs, BLOCK_SIZE)]

@@ -43,8 +43,7 @@ from typing import Optional, Tuple
 from repro.obs.registry import (DEFAULT_BUCKETS, Counter, Gauge, Histogram,
                                 MetricError, MetricFamily, MetricsRegistry)
 from repro.obs.trace import (BASE_EVENT_TYPES, EVENT_TYPES, EV_CACHE_EJECT,
-                             EV_CLEAN_PASS, EV_FAULT_INJECTED,
-                             EV_MIGRATE_PICK, EV_SEGMENT_FETCH,
+                             EV_CLEAN_PASS, EV_MIGRATE_PICK, EV_SEGMENT_FETCH,
                              EV_SEGMENT_WRITEOUT, EV_VOLUME_SWITCH,
                              TraceError, TraceEvent, TraceRecorder,
                              register_event_type)
@@ -57,7 +56,6 @@ __all__ = [
     "register_event_type",
     "EV_SEGMENT_FETCH", "EV_SEGMENT_WRITEOUT", "EV_CACHE_EJECT",
     "EV_CLEAN_PASS", "EV_MIGRATE_PICK", "EV_VOLUME_SWITCH",
-    "EV_FAULT_INJECTED",
     "metrics", "trace", "set_trace",
     "counter", "gauge", "histogram", "event",
     "enable", "disable", "reset",

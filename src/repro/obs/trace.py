@@ -29,7 +29,6 @@ __all__ = [
     "EV_CLEAN_PASS",
     "EV_MIGRATE_PICK",
     "EV_VOLUME_SWITCH",
-    "EV_FAULT_INJECTED",
 ]
 
 #: The event taxonomy.  One constant per observable state transition the
@@ -40,7 +39,6 @@ EV_CACHE_EJECT = "cache_eject"            # read-only line dropped
 EV_CLEAN_PASS = "clean_pass"              # disk cleaner pass finished
 EV_MIGRATE_PICK = "migrate_pick"          # policy chose a migration unit
 EV_VOLUME_SWITCH = "volume_switch"        # robot swapped media in a drive
-EV_FAULT_INJECTED = "fault_injected"      # fault-injection harness acted
 
 #: The canonical built-in taxonomy.  This frozenset is the single source
 #: of truth shared by the runtime check in :meth:`TraceRecorder.emit` and
@@ -54,7 +52,6 @@ BASE_EVENT_TYPES: FrozenSet[str] = frozenset({
     EV_CLEAN_PASS,
     EV_MIGRATE_PICK,
     EV_VOLUME_SWITCH,
-    EV_FAULT_INJECTED,
 })
 
 #: The live taxonomy: the base set plus everything registered at runtime.

@@ -1,17 +1,19 @@
-"""Unit tests: block stores, disks, geometry, buses, striping."""
+"""Unit tests: data stores, disks, geometry, buses, striping."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.blockdev.base import BlockStore, CPUModel, FreeCPU
+from repro.blockdev.base import CPUModel, FreeCPU
 from repro.blockdev.bus import SCSIBus
 from repro.blockdev.disk import DiskDevice
+from repro.blockdev.extent import ExtentStore
 from repro.blockdev.geometry import DiskProfile, seek_time
 from repro.blockdev.striped import ConcatDevice
 from repro.blockdev import profiles
 from repro.errors import AddressError, InvalidArgument
 from repro.sim.actor import Actor
 from repro.util.units import KB, MB
+from tests.blockstore_model import BlockStore
 
 
 def small_profile(**overrides):
@@ -21,41 +23,46 @@ def small_profile(**overrides):
 
 
 class TestBlockStore:
+    """Sparse-store semantics, checked on the per-block reference model
+    so the model itself stays right."""
+
+    store_cls = BlockStore
+
     def test_roundtrip(self):
-        store = BlockStore(16, 4096)
+        store = self.store_cls(16, 4096)
         data = bytes(range(256)) * 16
         store.write(3, data)
         assert store.read(3, 1) == data
 
     def test_unwritten_reads_zero(self):
-        store = BlockStore(4, 4096)
+        store = self.store_cls(4, 4096)
         assert store.read(0, 1) == bytes(4096)
 
     def test_multi_block(self):
-        store = BlockStore(8, 4096)
+        store = self.store_cls(8, 4096)
         image = b"\x11" * 4096 + b"\x22" * 4096
         store.write(2, image)
         assert store.read(2, 2) == image
         assert store.read(3, 1) == b"\x22" * 4096
 
     def test_out_of_range(self):
-        store = BlockStore(4, 4096)
+        store = self.store_cls(4, 4096)
         with pytest.raises(AddressError):
             store.read(3, 2)
         with pytest.raises(AddressError):
             store.write(4, bytes(4096))
 
     def test_unaligned_write_rejected(self):
-        store = BlockStore(4, 4096)
+        store = self.store_cls(4, 4096)
         with pytest.raises(InvalidArgument):
             store.write(0, b"short")
 
     def test_zero_nblocks_rejected(self):
         with pytest.raises(InvalidArgument):
-            BlockStore(4, 4096).read(0, 0)
+            self.store_cls(4, 4096).read(0, 0)
 
     def test_is_written_and_discard(self):
-        store = BlockStore(4, 4096)
+        store = self.store_cls(4, 4096)
         store.write(1, bytes(4096))
         assert store.is_written(1)
         store.discard(1)
@@ -64,9 +71,11 @@ class TestBlockStore:
     @given(st.dictionaries(st.integers(0, 31),
                            st.binary(min_size=8, max_size=16),
                            max_size=8))
-    @settings(max_examples=25, deadline=None)
+    # Run once per store class by design (the subclass below inherits it).
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.differing_executors])
     def test_store_matches_model(self, model):
-        store = BlockStore(32, 4096)
+        store = self.store_cls(32, 4096)
         expanded = {blk: seed.ljust(4096, b"\0")
                     for blk, seed in model.items()}
         for blk, data in expanded.items():
@@ -74,6 +83,12 @@ class TestBlockStore:
         for blk in range(32):
             expected = expanded.get(blk, bytes(4096))
             assert store.read(blk, 1) == expected
+
+
+class TestExtentStoreSemantics(TestBlockStore):
+    """The same cases on the store the devices use."""
+
+    store_cls = ExtentStore
 
 
 class TestSeekModel:

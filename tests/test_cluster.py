@@ -9,7 +9,7 @@ hold over the same code paths the ``cluster`` bench scenario measures.
 
 import pytest
 
-from repro import obs
+from repro import obs, open_cluster
 from repro.cluster import (ClusterNode, ClusterRouter, EV_ROUTE_DISPATCH,
                            EV_SHARD_MIGRATE, MigrationCoordinator,
                            cluster_rollup, extent_key)
@@ -59,20 +59,17 @@ class TestRouterRoundTrip:
         # A sub-extent overwrite straddling the stripe boundary.
         patch = payload(3, 64 * 1024)
         off = 1 * MB - 1000
-        with pytest.warns(DeprecationWarning):
-            fd = router.open(client, "/f")
-        router.write(client, fd, off, patch)
+        router.write_path(client, "/f", patch, off)
         model[off:off + len(patch)] = patch
-        assert router.read(client, fd, 0) == bytes(model)
-        assert router.read(client, fd, off - 17, len(patch) + 34) == \
+        assert router.read_path(client, "/f") == bytes(model)
+        assert router.read_path(client, "/f", off - 17, len(patch) + 34) == \
             bytes(model[off - 17:off + len(patch) + 17])
-        router.close(client, fd)
 
     def test_session_errors(self):
         router, _nodes = make_cluster(1)
         client = Actor("client")
-        with pytest.warns(DeprecationWarning), pytest.raises(FileNotFound):
-            router.open(client, "/missing")
+        with pytest.raises(FileNotFound):
+            router.read_path(client, "/missing")
         # Sessions are the shared frontend implementation now: a stale
         # fd raises the typed HandleClosed, not EINVAL.
         with pytest.raises(HandleClosed):
@@ -81,20 +78,19 @@ class TestRouterRoundTrip:
             ClusterRouter([], seed=0)
 
     def test_sessions_are_shared_frontend_objects(self):
-        # One session implementation, two surfaces: the router's legacy
-        # fd table stores repro.frontend FileSession records.
+        # One session implementation: a cluster handle is backed by a
+        # repro.frontend FileSession record.
         from repro.frontend.session import FileSession
         router, _nodes = make_cluster(1)
-        client = Actor("client")
-        router.namespace["/f"] = 0
-        with pytest.warns(DeprecationWarning):
-            fd = router.open(client, "/f")
-        sess = router.sessions.get(fd)
+        actor = Actor("client")
+        client = open_cluster(router)
+        handle = client.open(actor, "/f", create=True)
+        sess = client.table.get(handle.fd)
         assert isinstance(sess, FileSession)
         assert sess.owner == "client"
-        router.close(client, fd)
+        client.close(actor, handle)
         with pytest.raises(HandleClosed):
-            router.close(client, fd)
+            client.close(actor, handle)
 
     def test_demand_reads_after_migration(self):
         router, _nodes = make_cluster(2)

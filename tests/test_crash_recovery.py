@@ -7,16 +7,14 @@ surviving media and asserts the acknowledged-write invariant: every byte
 whose ``checkpoint()`` returned reads back intact, and fsck — including
 persistence-slot validation — is clean.
 
-The matrix crosses four phases x four write indices x both device store
-modes (extent and blockdict).  ``CRASH_SWEEP_WIDE=1`` (the weekly CI
-sweep) widens the index set.
+The matrix crosses four phases x four write indices.
+``CRASH_SWEEP_WIDE=1`` (the weekly CI sweep) widens the index set.
 """
 
 import os
 
 import pytest
 
-from repro.blockdev.datapath import set_store_mode, store_mode
 from tests.crashkit import PHASES, CrashHarness, payload
 
 #: Store-write indices to tear, counted from each phase's arm point.
@@ -26,20 +24,13 @@ CRASH_POINTS = (0, 1, 3, 7)
 if os.environ.get("CRASH_SWEEP_WIDE"):
     CRASH_POINTS = tuple(range(12))
 
-STORE_MODES = ("extent", "blockdict")
-
-
-@pytest.fixture(params=STORE_MODES)
-def crash_store_mode(request):
-    before = store_mode()
-    set_store_mode(request.param)
-    yield request.param
-    set_store_mode(before)
-
 
 @pytest.mark.parametrize("phase", PHASES)
-@pytest.mark.parametrize("after_writes", CRASH_POINTS)
-def test_crash_point_matrix(phase, after_writes, crash_store_mode):
+# ids keep the "extent-" prefix these cases have always been reported
+# under, so CI history stays comparable.
+@pytest.mark.parametrize("after_writes", CRASH_POINTS,
+                         ids=lambda n: f"extent-{n}")
+def test_crash_point_matrix(phase, after_writes):
     h = CrashHarness(copies=2 if phase == "repair" else 1)
     h.run_phase(phase, after_writes, tear_blocks=after_writes % 3, seed=11)
     report = h.crash_and_recover()
@@ -50,7 +41,7 @@ def test_crash_point_matrix(phase, after_writes, crash_store_mode):
 class TestCrashSemantics:
     """Point checks that the matrix's machinery means what it claims."""
 
-    def test_trap_actually_fires(self, crash_store_mode):
+    def test_trap_actually_fires(self):
         h = CrashHarness()
         fired = h.run_phase("segwrite", 0, seed=3)
         assert fired and h.crashed

@@ -1,9 +1,10 @@
 """Unit + property tests: the extent-run data store.
 
 The ExtentStore must be observationally identical to the simple
-per-block dict (``BlockStore``) under every mixture of aligned writes,
-vectored writes, reads, discards, and occupancy queries — including the
-``written_blocks()`` occupancy count the migrator's accounting uses.
+per-block dict (``tests/blockstore_model.py``) under every mixture of
+aligned writes, vectored writes, reads, discards, and occupancy queries
+— including the ``written_blocks()`` occupancy count the migrator's
+accounting uses.
 The property test drives both the store and a reference dict model with
 one seeded RNG and compares after every operation.
 """
@@ -12,7 +13,6 @@ import random
 
 import pytest
 
-from repro.blockdev.base import BlockStore
 from repro.blockdev.datapath import (
     ExtentRef,
     block_views,
@@ -21,6 +21,7 @@ from repro.blockdev.datapath import (
 )
 from repro.blockdev.extent import ExtentStore
 from repro.errors import AddressError, InvalidArgument
+from tests.blockstore_model import BlockStore
 
 BS = 512  # small block size keeps the property test fast
 CAP = 128
@@ -217,6 +218,18 @@ class TestRunCounts:
         st.write_refs(0, [ExtentRef(seg, off, 4 * BS)
                           for off in range(0, 16 * BS, 4 * BS)])
         assert st.run_count() == 1
+
+    def test_segment_in_16_block_chunks_adopts_as_one_run(self):
+        # Real geometry: a 1 MB segment of 4 KB blocks arriving the way
+        # the segment writer hands it over, as 16-block parts of one
+        # buffer, settles into a single row at adopt time.
+        bs, bps, chunk = 4096, 256, 16 * 4096
+        st = ExtentStore(4 * bps, bs)
+        image = bytes(range(256)) * (bps * bs // 256)
+        st.write_refs(0, [ExtentRef(image, off, chunk)
+                          for off in range(0, len(image), chunk)])
+        assert st.run_count() == 1
+        assert st.read(0, bps) is image
 
     def test_distinct_buffers_bounded_by_ref_count(self):
         st = fresh()

@@ -4,27 +4,35 @@ The unit half exercises the pieces in isolation (state machine, spec
 matching, seeded backoff); the integration half wires a
 :class:`~repro.faults.FaultManager` onto a compact HighLight bed and
 checks the paper-level guarantee — acknowledged bytes survive transient
-storms, dead media, and the repair sweep that follows.
+storms, dead media, and the repair sweep that follows.  The last part
+covers the device-level failure behaviour underneath all of that: a
+quarantined medium with no recovery stack above it, the bus-hogging
+changer, and the alternate (tape, WORM) jukeboxes.
 """
 
+import os
 from types import SimpleNamespace
 
 import pytest
 
 import repro
 from repro import obs
-from repro.core.highlight import HighLightConfig
+from repro.blockdev import profiles
+from repro.blockdev.bus import SCSIBus
+from repro.core.highlight import HighLightConfig, HighLightFS
+from repro.core.migrator import Migrator
 from repro.core.replicas import ReplicaManager
 from repro.errors import (DeviceError, DriveTimeout, MediaFailure,
-                          MountFailure, PermanentDeviceError,
+                          MountFailure, PermanentDeviceError, ReadOnlyMedium,
                           TransientDeviceError, TransientMediaError)
 from repro.faults import (DEFAULT_CLASS_POLICIES, FaultInjector, FaultManager,
                           FaultPlan, FaultSpec, HealthRegistry,
                           KIND_MEDIA_DEAD, KIND_MEDIA_ERROR,
                           KIND_MOUNT_FAILURE, KIND_SLOW_IO, RetryClassPolicy,
                           RetryPolicy, VolumeHealth)
+from repro.footprint.robot import JukeboxFootprint
 from repro.sim.actor import Actor
-from repro.util.units import MB
+from repro.util.units import KB, MB
 from tests.conftest import HLBed
 
 
@@ -60,7 +68,7 @@ class TestVolumeHealth:
         bed = HLBed()
         vid = next(iter(bed.jukebox.volumes))
         assert bed.footprint.volume_info(vid).health is VolumeHealth.ONLINE
-        bed.jukebox.volumes[vid].inject_failure()
+        bed.jukebox.volumes[vid].health = VolumeHealth.QUARANTINED
         assert bed.footprint.volume_info(vid).health is \
             VolumeHealth.QUARANTINED
 
@@ -439,6 +447,144 @@ class TestRecoveryIntegration:
         bed.fs.drop_caches(drop_inodes=True)
         _read_all(bed)
         assert fm.injector.injected >= 1
+
+
+# ---------------------------------------------------------------------------
+# Device-level failure behaviour, with no recovery stack installed
+# ---------------------------------------------------------------------------
+
+class TestMediaFailure:
+    def _migrated_bed(self, **kwargs):
+        bed = HLBed(n_platters=6, platter_bytes=8 * MB, **kwargs)
+        payload = os.urandom(MB)
+        bed.fs.write_path("/precious", payload)
+        bed.fs.checkpoint()
+        bed.app.sleep(60)
+        return bed, payload
+
+    def test_failed_volume_raises(self):
+        bed, payload = self._migrated_bed()
+        bed.migrator.migrate_file("/precious")
+        bed.migrator.flush()
+        bed.fs.service.flush_cache(bed.app)
+        bed.fs.drop_caches(drop_inodes=True)
+        bed.jukebox.volumes[0].health = VolumeHealth.QUARANTINED
+        with pytest.raises(MediaFailure):
+            bed.fs.read_path("/precious")
+
+    def test_replica_survives_primary_failure(self):
+        bed, payload = self._migrated_bed()
+        manager = ReplicaManager(bed.fs, copies=1)
+        manager.install(bed.migrator)
+        bed.migrator.migrate_file("/precious")
+        bed.migrator.flush()
+        bed.fs.service.flush_cache(bed.app)
+        bed.fs.drop_caches(drop_inodes=True)
+        # The primary volume dies; the replica (on another volume) serves.
+        bed.jukebox.volumes[0].health = VolumeHealth.QUARANTINED
+        assert bed.fs.read_path("/precious") == payload
+        assert manager.replica_reads >= 1
+
+    def test_cached_data_immune_to_media_failure(self):
+        bed, payload = self._migrated_bed()
+        bed.migrator.migrate_file("/precious")
+        bed.migrator.flush()
+        # Lines still cached: the tertiary copy is never touched.
+        bed.jukebox.volumes[0].health = VolumeHealth.QUARANTINED
+        assert bed.fs.read_path("/precious") == payload
+
+
+class TestBusHogging:
+    def test_volume_swap_stalls_concurrent_disk_io(self):
+        """The non-disconnecting autochanger hogs the SCSI bus during a
+        media swap (paper §7): disk I/O issued meanwhile must wait."""
+        bus = SCSIBus()
+        disk = profiles.make_disk(profiles.RZ57, bus=bus,
+                                  capacity_bytes=32 * MB)
+        jukebox = profiles.make_hp6300(n_platters=4, bus=bus)
+        swapper = Actor("swapper")
+        reader = Actor("reader")
+        disk.read(reader, 0, 1)  # position the arm; bus mostly free
+        jukebox.load(swapper, 0)  # 13.5 s bus hog starts at ~t0
+        t0 = reader.time
+        disk.read(reader, 1, 16)
+        stalled = reader.time - t0
+        assert stalled > 10.0, (
+            f"disk read should stall behind the bus-hogging swap, "
+            f"took only {stalled:.2f}s")
+
+    def test_disconnecting_changer_does_not_stall(self):
+        bus = SCSIBus()
+        disk = profiles.make_disk(profiles.RZ57, bus=bus,
+                                  capacity_bytes=32 * MB)
+        jukebox = profiles.make_hp6300(n_platters=4, bus=bus,
+                                       hog_bus_on_swap=False)
+        swapper = Actor("swapper")
+        reader = Actor("reader")
+        disk.read(reader, 0, 1)
+        jukebox.load(swapper, 0)
+        t0 = reader.time
+        disk.read(reader, 1, 16)
+        assert reader.time - t0 < 1.0
+
+
+class TestAlternateJukeboxes:
+    def test_highlight_over_metrum_tape(self):
+        """HighLight is device-agnostic through Footprint: the same code
+        drives the Metrum tape robot (§6.5)."""
+        bus = SCSIBus()
+        disk = profiles.make_disk(profiles.RZ57, bus=bus,
+                                  capacity_bytes=96 * MB)
+        metrum = profiles.make_metrum(n_cartridges=3, bus=bus,
+                                      effective_cartridge_bytes=64 * MB)
+        fp = JukeboxFootprint(metrum)
+        app = Actor("app")
+        fs = HighLightFS.mkfs_highlight(disk, fp, actor=app)
+        migrator = Migrator(fs)
+        payload = os.urandom(MB)
+        fs.write_path("/tape-bound", payload)
+        fs.checkpoint()
+        app.sleep(60)
+        migrator.migrate_file("/tape-bound")
+        migrator.flush()
+        fs.service.flush_cache(app)
+        fs.drop_caches(drop_inodes=True)
+        assert fs.read_path("/tape-bound") == payload
+        drive = metrum.drives[metrum.drive_holding(
+            fs.tsegfile.volumes[0].volume_id)]
+        assert drive.stats.bytes_written >= MB
+
+    def test_worm_jukebox_rejects_overwrite_of_segment(self):
+        """Sony WORM platters: a tertiary segment can be written once;
+        rewriting the same physical location must fail."""
+        worm = profiles.make_sony_worm(n_platters=2, n_drives=1)
+        fp = JukeboxFootprint(worm)
+        app = Actor("app")
+        fp.write(app, 0, 0, bytes(4096))
+        with pytest.raises(ReadOnlyMedium):
+            fp.write(app, 0, 0, bytes(4096))
+
+    def test_highlight_over_worm(self):
+        """Plan 9-style: a WORM back end works as long as nothing cleans
+        or rewrites tertiary segments (§8.2)."""
+        bus = SCSIBus()
+        disk = profiles.make_disk(profiles.RZ57, bus=bus,
+                                  capacity_bytes=96 * MB)
+        worm = profiles.make_sony_worm(n_platters=2, bus=bus,
+                                       platter_bytes=64 * MB)
+        fp = JukeboxFootprint(worm)
+        app = Actor("app")
+        fs = HighLightFS.mkfs_highlight(disk, fp, actor=app)
+        migrator = Migrator(fs)
+        payload = os.urandom(600 * KB)
+        fs.write_path("/write-once", payload)
+        fs.checkpoint()
+        app.sleep(60)
+        migrator.migrate_file("/write-once")
+        migrator.flush()
+        fs.service.flush_cache(app)
+        fs.drop_caches(drop_inodes=True)
+        assert fs.read_path("/write-once") == payload
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ workload script runs on both backends.
 
 import json
 import os
-import warnings
 
 import pytest
 
@@ -460,36 +459,27 @@ def test_snapshot_without_header_unchanged(tmp_path):
     assert "header" not in snap
 
 
-# -- deprecated legacy surfaces ----------------------------------------------
-
-
-def test_router_open_warns_deprecation():
-    nodes = [ClusterNode(0, n_platters=4, platter_bytes=4 * MB)]
-    router = ClusterRouter(nodes, seed=3)
-    actor = Actor("legacy")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        fd = router.open(actor, "/legacy.bin", create=True)
-    assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-    router.close(actor, fd)
-    with pytest.raises(HandleClosed):
-        router.close(actor, fd)  # shared session semantics
+# -- one session implementation ----------------------------------------------
 
 
 def test_router_uses_frontend_session_objects():
-    """One session implementation, two surfaces: the router's legacy fd
-    API is backed by the same ``FileSession``/``SessionTable`` machinery
-    the Client uses, so lifecycle errors are the same typed exceptions."""
+    """One session implementation: the router's path-level calls and a
+    cluster ``Client`` are both backed by the same ``FileSession``/
+    ``SessionTable`` machinery, so lifecycle errors are the same typed
+    exceptions."""
     from repro.frontend.session import FileSession, SessionTable
 
     nodes = [ClusterNode(0, n_platters=4, platter_bytes=4 * MB)]
     router = ClusterRouter(nodes, seed=3)
     actor = Actor("legacy")
     assert isinstance(router.sessions, SessionTable)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        fd = router.open(actor, "/legacy2.bin", create=True)
-    assert fd in router.sessions
-    assert isinstance(router.sessions.get(fd), FileSession)
-    router.close(actor, fd)
-    assert fd not in router.sessions
+    client = open_cluster(router)
+    assert isinstance(client.table, SessionTable)
+    handle = client.open(actor, "/legacy2.bin", create=True)
+    fd = handle.fd
+    assert fd in client.table
+    assert isinstance(client.table.get(fd), FileSession)
+    client.close(actor, handle)
+    assert fd not in client.table
+    with pytest.raises(HandleClosed):
+        client.close(actor, handle)

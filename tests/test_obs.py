@@ -460,11 +460,11 @@ class TestTrace:
          "service": 0.0112, "actor": "app"},
     ], ids=["zero", "one", "many"])
     def test_event_equality_and_dict_round_trip(self, fields):
-        ev = TraceEvent(obs.EV_FAULT_INJECTED, 3.0, dict(fields))
-        assert ev.to_dict() == {"type": "fault_injected", "t": 3.0,
+        ev = TraceEvent(obs.EV_VOLUME_SWITCH, 3.0, dict(fields))
+        assert ev.to_dict() == {"type": "volume_switch", "t": 3.0,
                                 "fields": fields}
         assert TraceEvent.from_dict(ev.to_dict()) == ev
-        assert ev != TraceEvent(obs.EV_FAULT_INJECTED, 3.0, {"other": 1})
+        assert ev != TraceEvent(obs.EV_VOLUME_SWITCH, 3.0, {"other": 1})
         # The ring stores events compactly; what it hands back is equal
         # to what emit() returned, and exports byte for byte the same.
         tr = TraceRecorder()
@@ -472,7 +472,7 @@ class TestTrace:
         assert emitted == ev and tr.events() == [ev]
         assert tr.events()[0].fields == fields
         assert tr.to_list() == [ev.to_dict()]
-        line = json.dumps({"type": "fault_injected", "t": 3.0,
+        line = json.dumps({"type": "volume_switch", "t": 3.0,
                            "fields": fields}, sort_keys=True)
         assert tr.to_jsonl() == line
         again = TraceRecorder()
@@ -505,8 +505,8 @@ class TestTrace:
             {"n": (1, 2), "x": [3], "who": {"a": 1}},   # not packable
         ]
         for i, fields in enumerate(rows):
-            tr.emit(obs.EV_FAULT_INJECTED, float(i), **fields)
-        tr.emit(obs.EV_FAULT_INJECTED, 9.0, x=float("nan"))
+            tr.emit(obs.EV_VOLUME_SWITCH, float(i), **fields)
+        tr.emit(obs.EV_VOLUME_SWITCH, 9.0, x=float("nan"))
         assert [type(r) for r in tr._events] == \
             [bytes, bytes, bytes, tuple, tuple, bytes]
         back = tr.events()
@@ -517,7 +517,7 @@ class TestTrace:
         assert str(back[3].fields["x"]) == "-0.0"
         assert back[5].fields["x"] != back[5].fields["x"]   # NaN survives
         assert tr.to_jsonl().splitlines()[1] == json.dumps(
-            {"type": "fault_injected", "t": 1.0, "fields": rows[1]},
+            {"type": "volume_switch", "t": 1.0, "fields": rows[1]},
             sort_keys=True)
 
     def test_string_table_is_bounded_by_the_ring_and_dies_with_clear(self):
