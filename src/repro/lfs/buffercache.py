@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from operator import attrgetter
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.errors import InvalidArgument
@@ -87,6 +87,26 @@ class BufferCache:
         if not buf.dirty:
             self._clean.move_to_end(key)
         return buf.data
+
+    def hit_all(self, keys: Sequence[BufKey]) -> bool:
+        """:meth:`get` on each of ``keys`` in order, provided every one of
+        them is cached; if one is not, touch and count nothing."""
+        bufs = self._bufs
+        try:
+            found = [bufs[key] for key in keys]
+        except KeyError:
+            return False
+        if found:
+            seq = self._seq
+            touch_clean = self._clean.move_to_end
+            for buf in found:
+                buf.seq = seq = seq + 1
+                if not buf.dirty:
+                    touch_clean(buf.key)
+            self._seq = seq
+            self.hits += len(found)
+            self._hit_series.inc(len(found))
+        return True
 
     def peek(self, key: BufKey) -> Optional[bytes]:
         """Lookup without recency update or hit accounting."""

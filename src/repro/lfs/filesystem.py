@@ -104,6 +104,11 @@ class LFS:
         #: than its in-core inode and always equals the parse of the
         #: directory's current bytes (see DESIGN.md, "Namespace cache").
         self._dirs: Dict[int, Directory] = {}
+        #: Resolved paths: path -> (inum, every (dir inum, lbn) the walk
+        #: read, (dir inum, nblocks) per component).  Names only
+        #: directories that are in ``_dirs`` and ``_inodes``, so it is
+        #: cleared whenever either loses one (:meth:`_forget_names`).
+        self._walks: Dict[str, Tuple[int, tuple, tuple]] = {}
         self._dirty_inodes: Set[int] = set()
         self.cur_segno: int = 0
         self.cur_offset: int = 0          # blocks consumed in cur segment
@@ -547,7 +552,7 @@ class LFS:
         # first and re-install it only once the bytes are written, so a
         # NoSpace or device error below cannot leave a parse that differs
         # from the log.
-        self._dirs.pop(ino.inum, None)
+        self._forget_names(ino.inum)
         raw = directory.pack()
         old_size = ino.size
         self.write(ino.inum, 0, raw.ljust(
@@ -558,15 +563,46 @@ class LFS:
         self.mark_inode_dirty(ino.inum)
         self._dirs[ino.inum] = directory
 
+    def _forget_names(self, inum: Optional[int] = None) -> None:
+        """Drop one directory's parse (or all of them) and every resolved
+        path: the one invalidation point of the namespace caches."""
+        if inum is None:
+            self._dirs.clear()
+        else:
+            self._dirs.pop(inum, None)
+        self._walks.clear()
+
     def lookup(self, path: str, actor: Optional[Actor] = None) -> int:
-        """Resolve a path to an inode number."""
+        """Resolve a path to an inode number.
+
+        A path resolved before, whose directory blocks are all still
+        buffered, is not walked again: the walk's charges are replayed
+        (DESIGN.md, "Namespace cache").  Anything else takes the loop.
+        """
         actor = actor or self.actor
-        parts = [p for p in path.split("/") if p]
-        inum = ROOT_INUM
-        for part in parts:
+        walk = self._walks.get(path)
+        if walk is not None and self.bcache.hit_all(walk[1]):
+            inum, keys, dirs = walk
+            block_ops = self.cpu.block_ops
+            for _ in keys:  # one float addition per block, as the loop does
+                block_ops(actor, 1)
+            last_read = self._last_read_lbn
+            cluster = self.config.cluster_blocks
+            for dir_inum, nblocks in dirs:
+                ramp = last_read.get(dir_inum, (None, 2))[1]
+                last_read[dir_inum] = (nblocks - 1,
+                                       min(cluster, ramp * 2 ** nblocks))
+            self.stats.reads += len(dirs)
+            return inum
+        keys, dirs, inum = [], [], ROOT_INUM
+        for part in [p for p in path.split("/") if p]:
             ino = self.get_inode(inum, actor)
             directory = self._read_dir(ino, actor)
+            nblocks = (ino.size + BLOCK_SIZE - 1) // BLOCK_SIZE
+            keys += [(inum, lbn) for lbn in range(nblocks)]
+            dirs.append((inum, nblocks))
             inum = directory.lookup(part)
+        self._walks[path] = (inum, tuple(keys), tuple(dirs))
         return inum
 
     def _parent_of(self, path: str, actor: Actor) -> Tuple[Inode, str]:
@@ -658,7 +694,7 @@ class LFS:
         self._truncate_blocks(ino, 0, actor)
         self.bcache.invalidate_inode(ino.inum)
         self._inodes.pop(ino.inum, None)
-        self._dirs.pop(ino.inum, None)
+        self._forget_names(ino.inum)
         self._dirty_inodes.discard(ino.inum)
         entry = self.ifile.imap_lookup(ino.inum)
         if entry is not None and entry.daddr != UNASSIGNED:
@@ -671,6 +707,8 @@ class LFS:
     def _truncate_blocks(self, ino: Inode, new_size: int,
                          actor: Actor) -> None:
         """Release data blocks past ``new_size`` (liveness accounting)."""
+        if ino.is_dir():
+            self._forget_names(ino.inum)  # block count and bytes change
         first_dead = (new_size + BLOCK_SIZE - 1) // BLOCK_SIZE
         last = (ino.size + BLOCK_SIZE - 1) // BLOCK_SIZE
         for lbn in range(first_dead, last):
@@ -686,11 +724,8 @@ class LFS:
                  actor: Optional[Actor] = None) -> None:
         actor = actor or self.actor
         ino = self.get_inode(self.lookup(path, actor), actor)
-        if new_size < ino.size:
-            self._truncate_blocks(ino, new_size, actor)
-        else:
-            ino.size = new_size
-            self.mark_inode_dirty(ino.inum)
+        # Growing releases nothing: the same call just sets the size.
+        self._truncate_blocks(ino, new_size, actor)
 
     def stat(self, path: str, actor: Optional[Actor] = None) -> Inode:
         actor = actor or self.actor
@@ -852,7 +887,7 @@ class LFS:
         self._last_read_lbn.clear()
         if drop_inodes:
             self._inodes.clear()
-            self._dirs.clear()
+            self._forget_names()
 
     # -- statistics -------------------------------------------------------------
 

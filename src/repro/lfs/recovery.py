@@ -139,7 +139,7 @@ def _apply_partial(fs, pos: int, summary: SegmentSummary,
                 fs.ifile.imap[ino.inum] = entry
             entry.daddr = daddr
             fs._inodes[ino.inum] = ino
-            fs._dirs.pop(ino.inum, None)  # parsed from the replaced inode
+            fs._forget_names(ino.inum)  # parsed from the replaced inode
             # The checkpointed ifile predates this inode: advance the
             # allocator so post-recovery creates cannot collide with it.
             if ino.inum >= fs.ifile._next_inum:

@@ -48,6 +48,13 @@ class NaiveLRU:
         self._touch(key)
         return self.data[key]
 
+    def hit_all(self, keys):
+        if any(key not in self.data for key in keys):
+            return False     # nothing touched, nothing counted
+        for key in keys:
+            self.get(key)
+        return True
+
     def put(self, key, data, dirty):
         if key not in self.data:
             while len(self.data) >= self.capacity:
@@ -115,9 +122,19 @@ def random_step(rng: random.Random, bc: BufferCache, ref: NaiveLRU,
                 dirty_share: float) -> str:
     key = (rng.randint(1, 3), rng.randint(0, 7))
     roll = rng.random()
-    if roll < 0.30:
+    if roll < 0.24:
         assert bc.get(key) == ref.get(key)
         return f"get{key}"
+    if roll < 0.30:
+        # A replayed directory walk: a few keys (repeats allowed), mostly
+        # cached ones so that both the all-or-nothing answers come up.
+        cached = sorted(ref.data)
+        keys = [rng.choice(cached) if cached and rng.random() < 0.85
+                else (rng.randint(1, 3), rng.randint(0, 7))
+                for _ in range(rng.randint(0, 4))]
+        replayed = ref.hit_all(keys)
+        assert bc.hit_all(keys) == replayed
+        return f"hit_all{keys} -> {replayed}"
     if roll < 0.70:
         data, dirty = block(rng.randrange(256)), rng.random() < dirty_share
         bc.put(key, data, dirty)
@@ -153,12 +170,16 @@ def test_random_ops_match_naive_lru(seed, dirty_share):
     bc = BufferCache(capacity_bytes=CAPACITY * BLOCK_SIZE)
     ref = NaiveLRU(CAPACITY)
     over_capacity = 0
+    replays = set()
     for step in range(3000):
         before = set(bc.keys())
         what = random_step(rng, bc, ref, dirty_share)
         assert_same(bc, ref, before, f"{step} ({what})")
         over_capacity += len(bc) > CAPACITY
+        if what.startswith("hit_all"):
+            replays.add(what.split(" -> ")[1])
     assert ref.victims, "the walk never evicted"
+    assert replays == {"True", "False"}, "hit_all never declined (or replayed)"
     if dirty_share > 0.9:
         assert over_capacity, "the walk never met an all-dirty cache"
 

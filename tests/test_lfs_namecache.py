@@ -1,9 +1,11 @@
-"""The in-core directory cache (DESIGN.md, "Namespace cache").
+"""The in-core namespace caches (DESIGN.md, "Namespace cache").
 
 Two contracts: a cached parse always equals ``Directory.parse`` of the
-directory's current bytes, whatever mutated or failed in between; and a
-warm directory costs exactly what a cold one does on the virtual clock,
-in the buffer cache and below it — the cache saves host work only.
+directory's current bytes, and a resolved path (``LFS._walks``) a fresh
+component-by-component resolution, whatever mutated or failed in
+between; and a warm directory or a replayed walk costs exactly what a
+cold one does on the virtual clock, in the buffer cache and below it —
+the caches save host work only.
 """
 
 import random
@@ -13,10 +15,12 @@ import pytest
 from repro import obs
 from repro.bench import harness
 from repro.blockdev import profiles
+from repro.blockdev.base import FreeCPU
 from repro.errors import (DirectoryNotEmpty, FileExists, FileNotFound,
                           NoSpace)
 from repro.frontend import open_node
 from repro.lfs.check import check_filesystem
+from repro.lfs.constants import BLOCK_SIZE, ROOT_INUM
 from repro.lfs.directory import Directory
 from repro.lfs.filesystem import LFS, LFSConfig
 from repro.sim.actor import Actor
@@ -24,13 +28,39 @@ from repro.util.units import KB, MB
 from tests.conftest import HLBed
 
 
+def resolve(fs, path):
+    """``(inum, keys)`` of ``path`` resolved one component at a time from
+    the directories' current bytes, or None where a name does not
+    resolve; ``keys`` is every directory block on the way, in order."""
+    inum, keys = ROOT_INUM, []
+    for part in [p for p in path.split("/") if p]:
+        ino = fs.get_inode(inum)
+        if not ino.is_dir():
+            return None
+        raw = fs.read(inum, 0, ino.size, update_atime=False)
+        keys += [(inum, lbn) for lbn in range(-(-ino.size // BLOCK_SIZE))]
+        inum = Directory.parse(raw).entries.get(part)
+        if inum is None:
+            return None
+    return inum, tuple(keys)
+
+
 def assert_coherent(fs):
     """Every cached directory has an in-core inode and equals the parse
-    of that directory's current bytes."""
+    of that directory's current bytes; every resolved path equals a
+    fresh resolution and walks only such directories.  Returns the
+    number of resolved paths checked."""
     for inum, cached in list(fs._dirs.items()):
         ino = fs._inodes[inum]
         raw = fs.read(inum, 0, ino.size, update_atime=False)
         assert cached.entries == Directory.parse(raw).entries, inum
+    walks = dict(fs._walks)
+    for path, (inum, keys, dirs) in walks.items():
+        assert resolve(fs, path) == (inum, keys), path
+        assert keys == tuple((d, lbn) for d, n in dirs for lbn in range(n))
+        for d, _ in dirs:
+            assert d in fs._dirs and d in fs._inodes, (path, d)
+    return len(walks)
 
 
 @pytest.fixture
@@ -151,9 +181,10 @@ def test_cache_equals_bytes_under_random_namespace_ops(seed):
     steps = [step_create] * 5 + [step_mkdir] * 3 + [step_unlink] * 2 + \
         [step_rmdir, step_rename, step_rename, step_lookup, step_lookup,
          step_drop, step_remount, step_crash]
+    walks_checked = 0
     for _ in range(120):
         rng.choice(steps)()
-        assert_coherent(fs)
+        walks_checked += assert_coherent(fs)
         report = check_filesystem(fs, oracle=dict(m.files))
         assert report.ok, report.render()
         for d in sorted(m.dirs):
@@ -162,6 +193,7 @@ def test_cache_equals_bytes_under_random_namespace_ops(seed):
                           if p != "/" and (p.rsplit("/", 1)[0] or "/") == d)
             assert fs.readdir(d) == want
     assert fs._dirs, "the walk never populated the cache"
+    assert walks_checked > 100, "hardly a resolved path outlived a step"
 
 
 # -- (b) exact accounting: the cache saves host work only -----------------------
@@ -190,11 +222,11 @@ def observe(fs, app, fn):
     }
 
 
-def deep_tree():
+def deep_tree(cpu=None):
     """A depth-3 tree whose ``/a/b`` spans two blocks, on a fresh disk."""
     disk = profiles.make_disk(profiles.RZ57, capacity_bytes=64 * MB)
     app = Actor("app")
-    fs = LFS.mkfs(disk, LFSConfig(), actor=app)
+    fs = LFS.mkfs(disk, LFSConfig(), cpu=cpu, actor=app)
     fs.mkdir("/a")
     fs.mkdir("/a/b")
     fs.mkdir("/a/b/c")
@@ -209,7 +241,7 @@ def deep_tree():
 def test_warm_lookup_charges_exactly_what_the_cold_parse_did(parses):
     fs, app = deep_tree()
     fs.lookup("/a/b/c/leaf")          # buffer cache warm from here on
-    fs._dirs.clear()
+    fs._forget_names()
     del parses[:]
     cold = observe(fs, app, lambda: fs.lookup("/a/b/c/leaf"))
     assert len(parses) == 4           # /, /a, /a/b, /a/b/c
@@ -230,7 +262,7 @@ def test_warm_lookup_after_buffer_drop_reads_the_same_disk_blocks(parses):
         fs.lookup("/a/b/c/leaf")
         fs.drop_caches()              # buffers only: inodes and parses stay
         if not keep_parses:
-            fs._dirs.clear()
+            fs._forget_names()
         del parses[:]
         records.append(observe(fs, app, lambda: fs.lookup("/a/b/c/leaf")))
         assert len(parses) == (0 if keep_parses else 4)
@@ -278,6 +310,210 @@ def test_read_hot_constant_14_block_operations_per_op(parses):
     assert parses == []
 
 
+# -- (b2) a replayed walk re-applies exactly what the loop would have charged ------
+
+LEAF = "/a/b/c/leaf"                  # 5 directory blocks: /, /a, /a/b x2, /a/b/c
+
+
+@pytest.fixture
+def walked(monkeypatch):
+    """The ``(inum, lbn)`` of every ``LFS._read_block`` call: a replayed
+    lookup makes none."""
+    calls = []
+    real = LFS._read_block
+
+    def counting(self, ino, lbn, actor):
+        calls.append((ino.inum, lbn))
+        return real(self, ino, lbn, actor)
+
+    monkeypatch.setattr(LFS, "_read_block", counting)
+    return calls
+
+
+def both_ways(walked, prepare=lambda fs, app: None, cpu=None, repeat=1):
+    """``repeat`` lookups of LEAF on two identical trees in the same state
+    (resolved once, then ``prepare``): as ``lookup`` does them, replaying
+    where it can, and with no resolved path to replay, so by the
+    component loop alone.  Returns each side's record and the number of
+    blocks it walked one by one."""
+    sides = []
+    for loop_only in (False, True):
+        fs, app = deep_tree(cpu)
+        fs.lookup(LEAF)
+        prepare(fs, app)
+
+        def lookups():
+            for _ in range(repeat):
+                if loop_only:
+                    fs._walks.clear()
+                inum = fs.lookup(LEAF, app)
+            return inum
+
+        del walked[:]
+        record = observe(fs, app, lookups)
+        record["dirty"] = [b.key for b in fs.bcache.dirty_buffers()]
+        record["clean_queue"] = list(fs.bcache._clean)
+        record["app_time"] = app.time
+        sides.append((record, len(walked)))
+    return sides
+
+
+def buffers_dropped_then_walked_once(fs, app):
+    """Read-ahead state one walk old (not yet saturated), buffers warm."""
+    fs.drop_caches()
+    fs.lookup(LEAF)
+
+
+def test_replayed_lookup_equals_the_loop(walked):
+    (replay, n_replay), (loop, n_loop) = both_ways(
+        walked, buffers_dropped_then_walked_once)
+    assert (n_replay, n_loop) == (0, 5)
+    assert replay == loop
+    assert replay["hits"] == 5 and replay["misses"] == 0
+    assert replay["reads"] == 4 and replay["events"] == []
+    assert replay["counters"] == {"buffercache_hits_total": 5.0}
+    assert replay["virt_s"] == pytest.approx(5 * 0.0008)
+    # Each directory's read-ahead ramp doubled once per block walked.
+    assert sorted(replay["readahead"].values()) == \
+        [(0, 8), (0, 8), (0, 8), (1, 16)]
+
+
+def test_replays_add_block_charges_one_by_one(walked):
+    """``n`` sleeps of ``x`` are not one sleep of ``n * x`` on a float
+    clock: 300 replays end on the very instant 300 loop walks do."""
+    (replay, n_replay), (loop, n_loop) = both_ways(walked, repeat=300)
+    assert (n_replay, n_loop) == (0, 1500)
+    assert replay["app_time"] == loop["app_time"]
+    assert replay == loop
+
+
+def test_replay_charges_the_calling_actor(walked):
+    turns = "abbaabab"
+    clocks = []
+    for loop_only in (False, True):
+        fs, app = deep_tree()
+        actors = {"a": app, "b": Actor("other")}
+        fs.lookup(LEAF)
+        del walked[:]
+        seen = []
+        for turn in turns:
+            if loop_only:
+                fs._walks.clear()
+            before = {name: actor.time for name, actor in actors.items()}
+            fs.lookup(LEAF, actors[turn])
+            idle = actors["b" if turn == "a" else "a"]
+            assert idle.time == before["b" if turn == "a" else "a"]
+            assert actors[turn].time > before[turn]
+            seen.append((actors["a"].time, actors["b"].time))
+        assert len(walked) == (5 * len(turns) if loop_only else 0)
+        clocks.append(seen)
+    assert clocks[0] == clocks[1]
+
+
+def one_block_gone(fs, app):
+    """The second block of ``/a/b`` leaves the cache; the three blocks
+    the walk reads before it stay."""
+    b_inum = fs.lookup("/a/b")
+    fs.lookup(LEAF)
+    fs.bcache.invalidate((b_inum, 1))
+
+
+def evicted_by_other_reads(fs, app):
+    """Real evictions: a file larger than the cache is read through it."""
+    fs.write_path("/big", bytes(4 * MB))
+    fs.lookup(LEAF)                   # resolved again after the create
+    fs.sync()
+    fs.read_path("/big")
+    assert fs.bcache.peek((ROOT_INUM, 0)) is None
+
+
+@pytest.mark.parametrize("prepare", [
+    one_block_gone, evicted_by_other_reads,
+    lambda fs, app: fs.drop_caches(),
+    lambda fs, app: fs.drop_caches(drop_inodes=True),
+], ids=["one_block_gone", "evicted", "drop_caches", "inodes_dropped"])
+def test_replay_declines_and_the_loop_runs_untouched(walked, prepare):
+    """A directory block that is not buffered: ``hit_all`` touches and
+    counts nothing, and the loop misses, bmaps and reads the device as
+    it always did — to the same record, hit for hit."""
+    (declined, n_declined), (loop, n_loop) = both_ways(walked, prepare)
+    assert (n_declined, n_loop) == (5, 5)
+    assert declined == loop
+    assert declined["misses"] >= 1 and declined["virt_s"] > 5 * 0.0008
+    assert declined["hits"] + declined["misses"] >= 5
+
+
+def test_replay_over_a_dirty_directory_block(walked):
+    """A just-written, unflushed directory block is pinned, not queued
+    for eviction: a replay stamps it most recent and queues nothing."""
+    def prepare(fs, app):
+        fs.create("/a/b/c/new")       # /a/b/c rewritten, not flushed
+        fs.lookup(LEAF)
+
+    (replay, n_replay), (loop, n_loop) = both_ways(walked, prepare)
+    assert (n_replay, n_loop) == (0, 5)
+    assert replay == loop
+    c_block = replay["lru"][-1]
+    assert c_block in replay["dirty"]
+    assert c_block not in replay["clean_queue"]
+    assert replay["clean_queue"][-4:] == replay["lru"][-5:-1]
+
+
+def test_replay_on_a_free_cpu_charges_nothing(walked):
+    (replay, n_replay), (loop, n_loop) = both_ways(
+        walked, cpu=FreeCPU(), repeat=3)
+    assert (n_replay, n_loop) == (0, 15)
+    assert replay == loop
+    assert replay["virt_s"] == 0.0 and replay["hits"] == 15
+
+
+def test_mutations_revoke_resolved_paths(lfs):
+    fs = lfs
+    fs.mkdir("/d")
+    fs.mkdir("/d/sub")
+    fs.write_path("/d/f", b"f")
+    for _ in range(2):                # a failed lookup is never remembered
+        with pytest.raises(FileNotFound):
+            fs.lookup("/d/new")
+    assert "/d/new" not in fs._walks
+    new = fs.create("/d/new")
+    assert fs.lookup("/d/new") == new and "/d/new" in fs._walks
+
+    f = fs.lookup("/d/f")
+    fs.rename("/d/f", "/d/sub/g")
+    assert fs.lookup("/d/sub/g") == f
+    with pytest.raises(FileNotFound):
+        fs.lookup("/d/f")
+
+    fs.unlink("/d/sub/g")
+    with pytest.raises(FileNotFound):
+        fs.lookup("/d/sub/g")
+    assert fs.lookup("/d/sub") and fs.lookup("/d/sub/.") == fs.lookup("/d/sub")
+    fs.rmdir("/d/sub")
+    for gone in ("/d/sub", "/d/sub/."):
+        with pytest.raises(FileNotFound):
+            fs.lookup(gone)
+
+    # A create leaves every other name in place but may grow the
+    # directory by a block: the walk of a sibling is a block longer.
+    d = fs.lookup("/d")
+    assert fs.lookup("/d/new") == new
+    assert fs._walks["/d/new"][2] == ((ROOT_INUM, 1), (d, 1))
+    for i in range(30):
+        fs.create("/d/" + "n%02d" % i + "z" * 150)
+    assert fs.get_inode(d).size > BLOCK_SIZE
+    assert fs.lookup("/d/new") == new
+    assert fs._walks["/d/new"][2] == ((ROOT_INUM, 1), (d, 2))
+    assert_coherent(fs)
+
+    # Resizing a directory by hand changes the blocks a walk reads.
+    fs.truncate("/d", 3 * BLOCK_SIZE)
+    assert d not in fs._dirs and not fs._walks
+    assert fs.lookup("/d/new") == new
+    assert fs._walks["/d/new"][2] == ((ROOT_INUM, 1), (d, 3))
+    assert_coherent(fs)
+
+
 # -- (c) a migrated directory still demand-fetches under a warm parse ------------
 
 def test_migrated_directory_demand_fetches_on_warm_parse(parses):
@@ -299,7 +535,7 @@ def test_migrated_directory_demand_fetches_on_warm_parse(parses):
         fs.drop_caches()              # ... and the buffers; parses stay
         assert dir_inum in fs._dirs
         if not keep_parses:
-            fs._dirs.clear()
+            fs._forget_names()
         del parses[:]
         records.append(observe(fs, app, lambda: fs.lookup("/dir/f7")))
         assert len(parses) == (0 if keep_parses else 2)
@@ -308,6 +544,36 @@ def test_migrated_directory_demand_fetches_on_warm_parse(parses):
     assert warm["demand_fetches"] == 1
     assert [e["type"] for e in warm["events"]].count(
         obs.EV_SEGMENT_FETCH) == 1
+
+
+def test_resolved_path_through_a_migrated_directory_still_demand_fetches(
+        walked):
+    """As above with ``/dir/f7`` resolved beforehand: the replay finds
+    the ejected directory's block unbuffered, declines, and the loop
+    fetches the segment back — once, as if nothing had been resolved."""
+    records = []
+    for keep_walk in (True, False):
+        obs.reset()
+        bed = HLBed()
+        fs, app = bed.fs, bed.app
+        fs.mkdir("/dir")
+        for i in range(30):
+            fs.write_path(f"/dir/f{i}", b"x")
+        fs.checkpoint()
+        bed.migrator.migrate_file(fs.lookup("/dir"))
+        bed.migrator.flush()
+        fs.lookup("/dir/f7")
+        fs.service.flush_cache(app)
+        fs.drop_caches()
+        assert "/dir/f7" in fs._walks
+        if not keep_walk:
+            fs._forget_names()
+        del walked[:]
+        records.append(observe(fs, app, lambda: fs.lookup("/dir/f7")))
+        assert len(walked) == 2
+    kept, forgotten = records
+    assert kept == forgotten
+    assert kept["demand_fetches"] == 1 and kept["misses"] >= 1
 
 
 # -- (d) a failed directory write leaves no parse that differs from the log ------
