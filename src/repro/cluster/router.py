@@ -4,9 +4,10 @@ A :class:`ClusterRouter` is the thin layer Lustre clients and
 openvstorage storage routers put between applications and the storage
 pool: it owns the cluster namespace (path -> size), stripes every file
 into fixed-size extents, places each extent on the
-:class:`~repro.cluster.ring.HashRing`, and exposes the same
-open/read/write/close session surface the ROADMAP's heavy-traffic item
-asks of ``core.service``.  All data I/O lands on
+:class:`~repro.cluster.ring.HashRing`, and exposes path-level
+``read_path``/``write_path``/``size_of``; sessions and handles belong to
+:class:`repro.frontend.session.Client`, which drives those through
+``ClusterBackend``.  All data I/O lands on
 :class:`~repro.cluster.node.ClusterNode` object methods — the router is
 the single component allowed to address a foreign shard (rule HL014).
 
@@ -30,7 +31,6 @@ from repro import obs
 from repro.cluster.node import ClusterNode
 from repro.cluster.ring import HashRing
 from repro.errors import FileNotFound, InvalidArgument
-from repro.frontend.session import FileSession, SessionTable
 from repro.sim.actor import Actor
 from repro.util.units import MB
 
@@ -50,7 +50,7 @@ def extent_key(path: str, index: int) -> str:
 
 
 class ClusterRouter:
-    """Routes the open/read/write/close surface across the shard set."""
+    """Routes path-level reads and writes across the shard set."""
 
     def __init__(self, nodes: Sequence[ClusterNode],
                  seed: int = 0, vnodes: Optional[int] = None,
@@ -75,9 +75,6 @@ class ClusterRouter:
         #: ``rebalance`` diffs this against the ring after membership
         #: changes; between changes it always agrees with the ring.
         self.placement: Dict[str, int] = {}
-        #: Same session objects the tenant front end uses — one session
-        #: implementation, two backends (repro.frontend.session).
-        self.sessions = SessionTable(first_fd=3)
         self._opens = obs.counter(
             "cluster_opens_total",
             "cluster files opened through the router").labels()
@@ -107,69 +104,35 @@ class ClusterRouter:
             pos += take
         return out
 
-    # -- the session surface -----------------------------------------------------
-
-    def _open(self, client: Actor, path: str, create: bool = False) -> int:
-        if path not in self.namespace:
-            if not create:
-                raise FileNotFound(f"no such cluster file: {path}")
-            self.namespace[path] = 0
-        sess = self.sessions.open(path, owner=client.name)
-        self._opens.inc()
-        return sess.fd
-
-    def close(self, client: Actor, fd: int) -> None:
-        """Close a descriptor (HandleClosed on double close)."""
-        self.sessions.close(fd)
+    # -- the path surface (what ClusterBackend and the generators drive) ----------
 
     def size_of(self, path: str) -> int:
         if path not in self.namespace:
             raise FileNotFound(f"no such cluster file: {path}")
         return self.namespace[path]
 
-    def _session(self, fd: int) -> FileSession:
-        return self.sessions.get(fd)
-
-    def write(self, client: Actor, fd: int, offset: int, data: bytes) -> int:
-        """Write ``data`` at ``offset``, striped across the owning shards."""
-        sess = self._session(fd)
-        sess.writes += 1
-        written = self._write_extents(client, sess.path, offset, data)
-        self.namespace[sess.path] = max(self.namespace[sess.path],
-                                        offset + len(data))
+    def write_path(self, client: Actor, path: str, data: bytes,
+                   offset: int = 0) -> int:
+        """Write ``data`` at ``offset`` (creating ``path``), striped
+        across the owning shards."""
+        self.namespace.setdefault(path, 0)
+        self._opens.inc()
+        written = self._write_extents(client, path, offset, data)
+        self.namespace[path] = max(self.namespace[path], offset + len(data))
         return written
 
-    def read(self, client: Actor, fd: int, offset: int,
-             nbytes: int = -1) -> bytes:
+    def read_path(self, client: Actor, path: str, offset: int = 0,
+                  nbytes: int = -1) -> bytes:
         """Read ``nbytes`` at ``offset``; fans out across owning shards
         and completes when the slowest involved shard finishes."""
-        sess = self._session(fd)
-        sess.reads += 1
-        size = self.namespace[sess.path]
+        size = self.size_of(path)
+        self._opens.inc()
         if nbytes < 0:
             nbytes = size - offset
         nbytes = max(0, min(nbytes, size - offset))
         if nbytes == 0:
             return b""
-        return self._read_extents(client, sess.path, offset, nbytes)
-
-    # Path-level conveniences (what the workload generators drive).
-
-    def write_path(self, client: Actor, path: str, data: bytes,
-                   offset: int = 0) -> int:
-        fd = self._open(client, path, create=True)
-        try:
-            return self.write(client, fd, offset, data)
-        finally:
-            self.close(client, fd)
-
-    def read_path(self, client: Actor, path: str, offset: int = 0,
-                  nbytes: int = -1) -> bytes:
-        fd = self._open(client, path)
-        try:
-            return self.read(client, fd, offset, nbytes)
-        finally:
-            self.close(client, fd)
+        return self._read_extents(client, path, offset, nbytes)
 
     # -- dispatch ----------------------------------------------------------------
 

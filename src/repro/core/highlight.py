@@ -28,6 +28,11 @@ from repro.lfs.ifile import SegUse
 from repro.sim.actor import Actor
 
 
+#: Share of the disk's segments usable as cache lines when mkfs is not
+#: given ``ncachesegs`` (the paper's static split, §6.4).
+CACHE_FRACTION = 0.25
+
+
 @dataclass
 class HighLightConfig(LFSConfig):
     """HighLight tunables on top of the base LFS knobs."""
@@ -35,17 +40,13 @@ class HighLightConfig(LFSConfig):
     #: HighLight must use 4 KB summary blocks (its pointers address 4 KB
     #: blocks, paper §6.3).
     summary_size: int = SUMMARY_SIZE_HIGHLIGHT
-    #: Static cap on disk segments usable as cache lines, as a fraction of
-    #: the disk (chosen at mkfs, paper §6.4); ncachesegs overrides if set.
-    cache_fraction: float = 0.25
+    #: Static cap on disk segments usable as cache lines (chosen at
+    #: mkfs, paper §6.4); None means CACHE_FRACTION of the disk.
     ncachesegs: Optional[int] = None
     #: Chunk size (blocks) of the I/O server's raw disk transfers.
     #: Small chunks expose the read path to migrator arm contention the
     #: way the paper's I/O server was (Tables 4 and 6).
     io_chunk_blocks: int = 4
-    #: Per-I/O CPU cost of the block-map indirection (the "slightly
-    #: modified system structures", §7.1).
-    driver_lookup_overhead: float = 0.0002
     #: Size tertiary volumes by their expected ("nominal") or actual
     #: ("effective") capacity; nominal exercises the end-of-medium path.
     expected_capacity: str = "effective"
@@ -72,24 +73,13 @@ class HighLightConfig(LFSConfig):
     sched_writeout_queue_limit: int = 8
     sched_cleaner_queue_limit: int = 32
     #: Fault-recovery knobs (docs/FAULTS.md), consumed by
-    #: :class:`repro.faults.FaultManager`: observed device errors a
-    #: volume may accumulate before it is quarantined, …
-    fault_error_budget: int = 3
-    #: … seed for the retry policy's backoff-jitter RNG, …
+    #: :class:`repro.faults.FaultManager`: seed for the retry policy's
+    #: backoff-jitter RNG, …
     fault_retry_seed: int = 0
     #: … and optional uniform overrides of the per-class retry table
     #: (None keeps repro.faults.retry.DEFAULT_CLASS_POLICIES).
     fault_max_attempts: Optional[int] = None
     fault_backoff_base: Optional[float] = None
-    fault_retry_deadline: Optional[float] = None
-    #: Scrub-daemon knobs (docs/RECOVERY.md), consumed by
-    #: :meth:`repro.persist.PersistManager.make_scrubber`: virtual
-    #: seconds charged between segment verifications (the configurable
-    #: scrub rate), …
-    scrub_pacing_seconds: float = 0.25
-    #: … and whether sealed disk cache lines are scrubbed too (tertiary
-    #: segments always are).
-    scrub_include_cache: bool = True
 
 
 class HighLightFS(LFS):
@@ -143,7 +133,7 @@ class HighLightFS(LFS):
         if ncache is None:
             bps = config.blocks_per_seg
             disk_segs = device.capacity_blocks // bps
-            ncache = max(1, int(disk_segs * config.cache_fraction))
+            ncache = max(1, int(disk_segs * CACHE_FRACTION))
         fs = LFS.mkfs.__func__(cls, device, config, cpu, actor,
                                ncachesegs=ncache)
         fs.attach_tertiary(footprint)
@@ -203,9 +193,7 @@ class HighLightFS(LFS):
         self.cache = SegmentCache(self, max_lines=self.sb.ncachesegs)
         if existing:
             self.cache.rebuild_from_ifile()
-        self.driver = BlockMapDriver(
-            self.aspace, self.disk, cpu=self.cpu,
-            lookup_overhead=config.driver_lookup_overhead)
+        self.driver = BlockMapDriver(self.aspace, self.disk, cpu=self.cpu)
         self.driver.cache = self.cache
         self.ioserver = IOServer(self.aspace, self.tsegfile, self.disk,
                                  footprint,

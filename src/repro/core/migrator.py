@@ -123,17 +123,24 @@ class Migrator:
             self.hint_table[tsegno] = self._unit_tag
         return builder
 
-    def _finalize_builder(self, actor: Actor) -> Optional[int]:
-        """Seal the open staging segment and schedule its copy-out."""
-        if self.builder is None or not self.builder.blocks:
-            return None
+    def _finalize_builder(self, actor: Actor,
+                          writeout: bool = True) -> Optional[int]:
+        """Seal the open staging segment and schedule its copy-out.
+
+        ``writeout=False`` is the restage path: the service process
+        re-issues the write-out itself, and needs a valid segment to
+        write even when nothing in the failed one was still live.
+        """
         builder = self.builder
+        if builder is None or (writeout and not builder.blocks):
+            return None
         self.builder = None
         builder.finalize(actor)
         tseg = self.fs.tseg_use(builder.tsegno)
         tseg.lastmod = actor.time
         self.stats.add_segment(builder.used_bytes())
-        self.writeout(actor, builder.tsegno)
+        if writeout:
+            self.writeout(actor, builder.tsegno)
         return builder.tsegno
 
     def flush(self, actor: Optional[Actor] = None) -> Optional[int]:
@@ -147,8 +154,7 @@ class Migrator:
         if not self.builder.room_for_block(inum):
             self._finalize_builder(actor)
             self.builder = self._open_builder(actor)
-        daddr = self.builder.add_block(inum, lbn, data, lastlength)
-        return daddr
+        return self.builder.add_block(inum, lbn, data, lastlength)
 
     def _stage_span(self, actor: Actor, ino: Inode,
                     span: List[Tuple[int, int]], blocks: List) -> None:
@@ -233,10 +239,10 @@ class Migrator:
                      unit_tag: object = None) -> int:
         """Migrate a file (or a block range of it); returns blocks moved."""
         actor = actor or self.actor
-        moved = 0
+        before = self.stats.blocks_migrated
         for _ in self.migrate_file_steps(target, actor, lbn_range, unit_tag):
             pass
-        return self.stats.blocks_migrated
+        return self.stats.blocks_migrated - before
 
     def migrate_file_steps(self, target, actor: Actor,
                            lbn_range: Optional[Tuple[int, int]] = None,
@@ -350,7 +356,50 @@ class Migrator:
         self.flush(actor)
         return self.stats
 
-    # -- end-of-medium restaging ------------------------------------------------------------
+    # -- forwarding a tertiary segment's live contents ----------------------------------------
+
+    def forward_segment(self, actor: Actor, tsegno: int,
+                        summary: SegmentSummary, image: bytes) -> int:
+        """Re-stage whatever is still live in tertiary segment ``tsegno``.
+
+        ``image`` holds the segment from its summary block on (as far as
+        the last block ``summary`` describes).  Live file blocks, then
+        live inodes, go into the staging stream and every index
+        structure is re-pointed; returns how many were forwarded.  The
+        tertiary cleaner, the rearranger and end-of-medium restaging all
+        forward through here; obtaining the image and releasing the old
+        segment and its cache line stay with them.
+        """
+        fs = self.fs
+        base = fs.aspace.seg_base(tsegno)
+
+        def block(daddr: int) -> bytes:
+            start = (daddr - base) * BLOCK_SIZE
+            return image[start:start + BLOCK_SIZE]
+
+        forwarded = 0
+        # One lfs_bmapv item at a time, in place: its inode and indirect
+        # block reads interleave with the staging spills, and an inode
+        # that vanished since migration is simply "not live".
+        for fi, lbn, daddr in summary.entries(base):
+            if not fs.lfs_bmapv([(fi.ino, lbn, daddr)], actor)[0]:
+                continue
+            new_daddr = self._stage_block(
+                actor, fi.ino, lbn, block(daddr),
+                fi.lastlength if lbn == fi.blocks[-1] else BLOCK_SIZE)
+            fs.set_bmap(fs.get_inode(fi.ino, actor), lbn, new_daddr, actor)
+            fs.account_block_moved(daddr, new_daddr)
+            forwarded += 1
+        for ino_daddr in summary.inode_daddrs:
+            for ino in unpack_inode_block(block(ino_daddr)):
+                if not fs.lfs_bmapv([(ino.inum, None, ino_daddr)], actor)[0]:
+                    continue
+                new_daddr = self._stage_inode(
+                    actor, fs.get_inode(ino.inum, actor))
+                fs.account_block_moved(ino_daddr, new_daddr, nbytes=128)
+                fs.ifile.imap_entry(ino.inum).daddr = new_daddr
+                forwarded += 1
+        return forwarded
 
     def restage_line(self, actor: Actor, old_tsegno: int) -> int:
         """Re-stage a segment whose volume hit end-of-medium (§6.3).
@@ -366,65 +415,25 @@ class Migrator:
         if self.builder is not None and self.builder.tsegno == old_tsegno:
             self.builder = None
         line_base = fs.aspace.seg_base(disk_segno)
-        raw = line_read(fs.disk, actor, line_base, 1, fs.aspace)
-        summary = SegmentSummary.try_unpack(raw, fs.config.summary_size)
+        image = line_read(fs.disk, actor, line_base, 1, fs.aspace)
+        summary = SegmentSummary.try_unpack(image, fs.config.summary_size)
         if summary is None:
             raise MigrationError(
                 f"staging line for segment {old_tsegno} has no summary")
-        old_base = fs.aspace.seg_base(old_tsegno)
-        ndata = summary.ndata_blocks()
-        image = (line_read(fs.disk, actor, line_base + 1, ndata, fs.aspace)
-                 if ndata else b"")
-        # Re-stage live payload blocks.
-        index = 0
-        for fi in summary.finfos:
-            ino = fs.get_inode(fi.ino, actor)
-            for lbn in fi.blocks:
-                old_daddr = old_base + 1 + index
-                data = image[index * BLOCK_SIZE:(index + 1) * BLOCK_SIZE]
-                index += 1
-                if fs.bmap(ino, lbn, actor) != old_daddr:
-                    continue
-                new_daddr = self._stage_block(actor, fi.ino, lbn, data,
-                                              fi.lastlength)
-                fs.set_bmap(ino, lbn, new_daddr, actor)
-                fs.account_block_moved(old_daddr, new_daddr)
-        # Re-stage inodes that lived in the failed segment.
-        for ino_daddr in summary.inode_daddrs:
-            offset = ino_daddr - old_base - 1
-            blk_raw = line_read(fs.disk, actor, line_base + 1 + offset, 1,
-                                fs.aspace)
-            for ino in unpack_inode_block(blk_raw):
-                entry = fs.ifile.imap_lookup(ino.inum)
-                if entry is None or entry.daddr != ino_daddr:
-                    continue
-                live = fs.get_inode(ino.inum, actor)
-                new_daddr = self._stage_inode(actor, live)
-                fs.account_block_moved(entry.daddr, new_daddr, nbytes=128)
-                entry.daddr = new_daddr
+        npayload = summary.ndata_blocks() + len(summary.inode_daddrs)
+        if npayload:
+            image += line_read(fs.disk, actor, line_base + 1, npayload,
+                               fs.aspace)
+        self.forward_segment(actor, old_tsegno, summary, image)
         # Release the failed tertiary segment and its line.
         vol, seg_in_vol = fs.aspace.volume_of(old_tsegno)
         fs.tsegfile.release_segment(vol, seg_in_vol)
-        fs.cache.discard_staging(old_tsegno)
+        fs.cache.drop(old_tsegno)
         if self.builder is None:
             # Nothing in the failed segment was still live; stage an empty
             # segment so the caller's retry has something valid to write.
             self.builder = self._open_builder(actor)
-        new_tsegno = self.builder.tsegno
-        self._finalize_builder_quiet(actor)
-        return new_tsegno
-
-    def _finalize_builder_quiet(self, actor: Actor) -> None:
-        """Finalize without triggering a writeout (restage path: the
-        service process re-issues the writeout itself)."""
-        builder = self.builder
-        if builder is None:
-            return
-        self.builder = None
-        builder.finalize(actor)
-        tseg = self.fs.tseg_use(builder.tsegno)
-        tseg.lastmod = actor.time
-        self.stats.add_segment(builder.used_bytes())
+        return self._finalize_builder(actor, writeout=False)
 
 
 class MigrationPipeline:

@@ -27,9 +27,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.addressing import line_read
-from repro.errors import AddressError, FileNotFound, TertiaryExhausted
+from repro.errors import AddressError, TertiaryExhausted
 from repro.lfs.constants import BLOCK_SIZE
-from repro.lfs.inode import unpack_inode_block
 from repro.lfs.summary import SegmentSummary
 from repro.sim.actor import Actor
 
@@ -172,47 +171,11 @@ class SegmentRearranger:
                                             fs.config.summary_size)
         if summary is None:
             return 0
-        base = fs.aspace.seg_base(tsegno)
-        moved = 0
-        index = 0
-        for fi in summary.finfos:
-            try:
-                ino = fs.get_inode(fi.ino, actor)
-            except FileNotFound:
-                index += len(fi.blocks)
-                continue
-            for lbn in fi.blocks:
-                daddr = base + 1 + index
-                start = (1 + index) * BLOCK_SIZE
-                data = image[start:start + BLOCK_SIZE]
-                index += 1
-                if fs.bmap(ino, lbn, actor) != daddr:
-                    continue
-                new_daddr = self.migrator._stage_block(
-                    actor, fi.ino, lbn, data,
-                    fi.lastlength if lbn == fi.blocks[-1] else BLOCK_SIZE)
-                fs.set_bmap(ino, lbn, new_daddr, actor)
-                fs.account_block_moved(daddr, new_daddr)
-                moved += 1
-        for ino_daddr in summary.inode_daddrs:
-            offset = ino_daddr - base
-            blk = image[offset * BLOCK_SIZE:(offset + 1) * BLOCK_SIZE]
-            for ino in unpack_inode_block(blk):
-                entry = fs.ifile.imap_lookup(ino.inum)
-                if entry is None or entry.daddr != ino_daddr:
-                    continue
-                live = fs.get_inode(ino.inum, actor)
-                new_daddr = self.migrator._stage_inode(actor, live)
-                fs.account_block_moved(entry.daddr, new_daddr, nbytes=128)
-                entry.daddr = new_daddr
-                moved += 1
+        moved = self.migrator.forward_segment(actor, tsegno, summary, image)
         # Release the vacated tertiary segment and its stale cache line.
         vol, seg_in_vol = fs.aspace.volume_of(tsegno)
         fs.tsegfile.release_segment(vol, seg_in_vol)
-        if fs.cache.is_staging(tsegno):
-            fs.cache.discard_staging(tsegno)
-        else:
-            fs.cache.eject(tsegno)
+        fs.cache.drop(tsegno)
         return moved
 
     def run_once(self, actor: Optional[Actor] = None) -> int:

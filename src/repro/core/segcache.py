@@ -21,6 +21,10 @@ from repro.lfs.constants import UNASSIGNED
 from repro.lfs.ifile import SEG_CACHED, SEG_CLEAN, SEG_STAGING
 from repro.sim.actor import Actor
 
+#: Clean segments a new cache line may never consume: the log's own
+#: headroom (the cleaner needs somewhere to write).
+MIN_FREE_SEGS = 2
+
 
 class SegmentCache:
     """Cache directory + line lifecycle for tertiary segments on disk."""
@@ -165,7 +169,7 @@ class SegmentCache:
                 continue
             best = segno if best is None else pick(best, segno)
         # Leave headroom for the log itself.
-        if best is None or fs.ifile.clean_count() <= fs.config.min_free_segs:
+        if best is None or fs.ifile.clean_count() <= MIN_FREE_SEGS:
             return None
         return best
 
@@ -185,6 +189,13 @@ class SegmentCache:
         seg.live_bytes = 0
         self.policy.on_evict(tsegno)
         return disk_segno
+
+    def drop(self, tsegno: int) -> Optional[int]:
+        """Drop whichever kind of line holds ``tsegno``, if any: for
+        callers that re-staged its live blocks or know it has none."""
+        if self.is_staging(tsegno):
+            return self.discard_staging(tsegno)
+        return self.eject(tsegno)
 
     def surrender_line(self) -> Optional[int]:
         """Give one read-only line back to the log (clean-segment famine)."""

@@ -18,7 +18,7 @@ from repro.core.addressing import line_write, line_write_refs
 from repro.errors import InvalidArgument
 from repro.lfs.constants import BLOCK_SIZE
 from repro.lfs.inode import Inode, pack_inode_block
-from repro.lfs.summary import FileInfo, SegmentSummary
+from repro.lfs.summary import SegmentSummary
 from repro.sim.actor import Actor
 
 
@@ -41,7 +41,6 @@ class StagingBuilder:
         self._buf = bytearray(
             (fs.config.blocks_per_seg - 1) * BLOCK_SIZE)
         self._nblocks = 0                    # payload blocks accumulated
-        self.inode_daddr_slots: List[int] = []
         self._spilled = 0                    # payload blocks already on disk
         self.finalized = False
 
@@ -89,10 +88,8 @@ class StagingBuilder:
         """Would ``nblocks`` more blocks of file ``inum`` fit?"""
         if self._nblocks + nblocks > self.payload_capacity():
             return False
-        new_file = (not self.summary.finfos
-                    or self.summary.finfos[-1].ino != inum)
-        return self.summary.fits(self.fs.config.summary_size,
-                                 extra_file=new_file, extra_blocks=nblocks)
+        return self.summary.fits_blocks(self.fs.config.summary_size,
+                                        inum, nblocks)
 
     def room_for_inode_block(self) -> bool:
         if self.is_full():
@@ -102,64 +99,20 @@ class StagingBuilder:
 
     # -- adders -------------------------------------------------------------------
 
-    def add_block(self, inum: int, lbn: int, data: bytes,
+    def add_block(self, inum: int, lbn: int, data: Buffer,
                   lastlength: int = BLOCK_SIZE) -> int:
         """Append a file/indirect block; returns its *tertiary* address."""
-        if self.finalized:
-            raise InvalidArgument("staging segment already finalized")
-        if not self.room_for_block(inum):
-            raise InvalidArgument("staging segment is full")
-        daddr = self.tseg_base + 1 + self._nblocks
-        self._append(data)  # validates size; summary untouched on failure
-        if self.summary.finfos and self.summary.finfos[-1].ino == inum:
-            fi = self.summary.finfos[-1]
-            fi.blocks.append(lbn)
-            fi.lastlength = lastlength
-        else:
-            self.summary.finfos.append(FileInfo(inum, lastlength, [lbn]))
-        return daddr
-
-    def add_block_run(self, inum: int, lbns: List[int], data: Buffer,
-                      lastlength: int = BLOCK_SIZE) -> int:
-        """Append a contiguous run of one file's blocks in a single gather
-        copy; returns the tertiary address of the first block.
-
-        Equivalent to ``add_block`` per block (same summary content, same
-        addresses — ``lastlength`` describes the run's *final* block, as
-        repeated per-block appends would leave it), but the payload lands
-        with one slice assignment instead of ``len(lbns)`` per-block
-        copies: the run stays O(runs) through the whole staging path.
-        """
-        if self.finalized:
-            raise InvalidArgument("staging segment already finalized")
-        k = len(lbns)
-        if len(data) != k * BLOCK_SIZE:
-            raise InvalidArgument(
-                f"run payload must be {k} x {BLOCK_SIZE} bytes, "
-                f"got {len(data)}")
-        if not self.room_for_blocks(inum, k):
-            raise InvalidArgument("staging segment is full")
-        daddr = self.tseg_base + 1 + self._nblocks
-        off = self._nblocks * BLOCK_SIZE
-        self._buf[off:off + k * BLOCK_SIZE] = data
-        count_copy(k * BLOCK_SIZE)
-        self._nblocks += k
-        if self.summary.finfos and self.summary.finfos[-1].ino == inum:
-            fi = self.summary.finfos[-1]
-            fi.blocks.extend(lbns)
-            fi.lastlength = lastlength
-        else:
-            self.summary.finfos.append(
-                FileInfo(inum, lastlength, list(lbns)))
-        return daddr
+        return self.add_block_views(inum, [lbn], [data], lastlength)
 
     def add_block_views(self, inum: int, lbns: List[int],
                         views: List[Buffer],
                         lastlength: int = BLOCK_SIZE) -> int:
-        """As :meth:`add_block_run`, but gathering from per-block buffers
-        (the shape ``block_views`` hands back when the source range is
-        fragmented).  Still one summary update and one room check for
-        the whole batch; only the k slice copies are per-block.
+        """Append blocks ``lbns`` of one file from per-block buffers (the
+        shape ``block_views`` hands back); returns the tertiary address
+        of the first.  One room check and one summary update for the
+        whole batch; ``lastlength`` describes its *final* block.  Every
+        check runs before the first byte is copied, so a refused batch
+        leaves the builder untouched.
         """
         if self.finalized:
             raise InvalidArgument("staging segment already finalized")
@@ -167,26 +120,21 @@ class StagingBuilder:
         if len(views) != k:
             raise InvalidArgument(
                 f"{k} lbns but {len(views)} block buffers")
-        if not self.room_for_blocks(inum, k):
-            raise InvalidArgument("staging segment is full")
-        daddr = self.tseg_base + 1 + self._nblocks
-        off = self._nblocks * BLOCK_SIZE
         for v in views:
             if len(v) != BLOCK_SIZE:
                 raise InvalidArgument(
                     f"staged block must be exactly {BLOCK_SIZE} bytes, "
                     f"got {len(v)}")
+        if not self.room_for_blocks(inum, k):
+            raise InvalidArgument("staging segment is full")
+        daddr = self.tseg_base + 1 + self._nblocks
+        off = self._nblocks * BLOCK_SIZE
+        for v in views:
             self._buf[off:off + BLOCK_SIZE] = v
             off += BLOCK_SIZE
         count_copy(k * BLOCK_SIZE)
         self._nblocks += k
-        if self.summary.finfos and self.summary.finfos[-1].ino == inum:
-            fi = self.summary.finfos[-1]
-            fi.blocks.extend(lbns)
-            fi.lastlength = lastlength
-        else:
-            self.summary.finfos.append(
-                FileInfo(inum, lastlength, list(lbns)))
+        self.summary.add_blocks(inum, lbns, lastlength)
         return daddr
 
     def add_inode_block(self, inodes: List[Inode]) -> int:
@@ -198,7 +146,6 @@ class StagingBuilder:
         daddr = self.tseg_base + 1 + self._nblocks
         self._append(pack_inode_block(inodes))
         self.summary.inode_daddrs.append(daddr)
-        self.inode_daddr_slots.append(self._nblocks - 1)
         return daddr
 
     # -- spilling to the disk line ---------------------------------------------------

@@ -19,9 +19,8 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.core.addressing import line_read
-from repro.errors import FileNotFound, InvalidArgument
+from repro.errors import InvalidArgument
 from repro.lfs.constants import BLOCK_SIZE
-from repro.lfs.inode import unpack_inode_block
 from repro.lfs.summary import SegmentSummary
 from repro.sim.actor import Actor
 
@@ -88,18 +87,13 @@ class TertiaryCleaner:
             tsegno = fs.aspace.tertiary_segno(vol, seg_in_vol)
             if use.live_bytes <= 0:
                 # Dead segment: drop any stale cache line with it.
-                if fs.cache.contains(tsegno):
-                    if fs.cache.is_staging(tsegno):
-                        fs.cache.discard_staging(tsegno)
-                    else:
-                        fs.cache.eject(tsegno)
+                fs.cache.drop(tsegno)
                 tseg.release_segment(vol, seg_in_vol)
                 continue
             forwarded += self._clean_segment(vol, seg_in_vol)
             tseg.release_segment(vol, seg_in_vol)
         self.migrator.flush(self.actor)
         tseg.reset_volume(vol)
-        self.fs.footprint.volume_info  # noqa: B018 (interface presence)
         self.volumes_cleaned += 1
         self.blocks_forwarded += forwarded
         return forwarded
@@ -124,47 +118,10 @@ class TertiaryCleaner:
                                             fs.config.summary_size)
         if summary is None:
             return 0
-        base = fs.aspace.seg_base(tsegno)
-        forwarded = 0
-        index = 0
-        for fi in summary.finfos:
-            try:
-                ino = fs.get_inode(fi.ino, self.actor)
-            except FileNotFound:
-                index += len(fi.blocks)
-                continue
-            for lbn in fi.blocks:
-                daddr = base + 1 + index
-                start = (1 + index) * BLOCK_SIZE
-                data = image[start:start + BLOCK_SIZE]
-                index += 1
-                if fs.bmap(ino, lbn, self.actor) != daddr:
-                    continue  # dead
-                new_daddr = self.migrator._stage_block(
-                    self.actor, fi.ino, lbn, data,
-                    fi.lastlength if lbn == fi.blocks[-1] else BLOCK_SIZE)
-                fs.set_bmap(ino, lbn, new_daddr, self.actor)
-                fs.account_block_moved(daddr, new_daddr)
-                forwarded += 1
-        # Inodes that migrated into this segment are forwarded too.
-        for ino_daddr in summary.inode_daddrs:
-            offset = ino_daddr - base
-            blk = image[offset * BLOCK_SIZE:(offset + 1) * BLOCK_SIZE]
-            for ino in unpack_inode_block(blk):
-                entry = fs.ifile.imap_lookup(ino.inum)
-                if entry is None or entry.daddr != ino_daddr:
-                    continue
-                live = fs.get_inode(ino.inum, self.actor)
-                new_daddr = self.migrator._stage_inode(self.actor, live)
-                fs.account_block_moved(entry.daddr, new_daddr, nbytes=128)
-                entry.daddr = new_daddr
-                forwarded += 1
+        forwarded = self.migrator.forward_segment(self.actor, tsegno,
+                                                  summary, image)
         # Drop any stale cache line for the cleaned segment.
-        if fs.cache.contains(tsegno):
-            if fs.cache.is_staging(tsegno):
-                fs.cache.discard_staging(tsegno)
-            else:
-                fs.cache.eject(tsegno)
+        fs.cache.drop(tsegno)
         return forwarded
 
     def run_once(self) -> int:

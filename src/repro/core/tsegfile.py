@@ -53,15 +53,6 @@ class TSegFile:
         ]
         self.cur_volume = 0
 
-    @classmethod
-    def for_footprint(cls, footprint, blocks_per_seg: int) -> "TSegFile":
-        """Size volume tables from Footprint's published capacities."""
-        metas = []
-        for info in footprint.volumes():
-            nsegs = info.effective_capacity_blocks // blocks_per_seg
-            metas.append(VolumeMeta(volume_id=info.volume_id, nsegs=nsegs))
-        return cls(metas)
-
     # -- usage table -----------------------------------------------------------
 
     def seguse(self, vol: int, seg_in_vol: int) -> SegUse:

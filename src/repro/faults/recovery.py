@@ -142,9 +142,8 @@ class FaultManager:
                  error_budget: Optional[int] = None) -> None:
         self.fs = fs
         config = fs.config
-        budget = error_budget if error_budget is not None else \
-            getattr(config, "fault_error_budget", 3)
-        self.health = HealthRegistry(error_budget=budget)
+        self.health = (HealthRegistry() if error_budget is None
+                       else HealthRegistry(error_budget=error_budget))
         jukebox = getattr(fs.footprint, "jukebox", None)
         if jukebox is not None:
             self.health.attach(jukebox)
@@ -171,9 +170,6 @@ class FaultManager:
         base = getattr(config, "fault_backoff_base", None)
         if base is not None:
             overrides["base_backoff"] = base
-        deadline = getattr(config, "fault_retry_deadline", None)
-        if deadline is not None:
-            overrides["deadline"] = deadline
         if not overrides:
             return None
         return {rclass: replace(pol, **overrides)

@@ -27,11 +27,10 @@ Three admission mechanisms, in order of severity:
 
 Handles are plain capabilities: ``Client.open`` returns a
 :class:`Handle` bound to one :class:`FileSession`; double close or use
-after close raises the typed :class:`~repro.errors.HandleClosed`.  The
-same ``FileSession``/``SessionTable`` objects back
-:class:`~repro.cluster.router.ClusterRouter`'s legacy fd surface — one
-session implementation, two backends (rule HL015 makes the ``Client``
-the sanctioned data-plane entry point).
+after close raises the typed :class:`~repro.errors.HandleClosed`.
+``FileSession``/``SessionTable`` are the only session implementation:
+the node and cluster backends expose paths, not descriptors (rule HL015
+makes the ``Client`` the sanctioned data-plane entry point).
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ EV_FRONTEND_REQUEST = obs.register_event_type("frontend_request")
 
 
 # --------------------------------------------------------------------------
-# Sessions (shared with repro.cluster.router)
+# Sessions
 # --------------------------------------------------------------------------
 
 @dataclass
@@ -67,14 +66,13 @@ class FileSession:
     """One open file handle.
 
     This is the single session record of the repo: ``Client`` handles
-    wrap it and :class:`~repro.cluster.router.ClusterRouter`'s legacy
-    fd surface stores the same objects, so per-session accounting
-    (``reads``/``writes``) means the same thing on every surface.
+    wrap it on both backends, so per-session accounting
+    (``reads``/``writes``) means the same thing on every topology.
     """
 
     fd: int
     path: str
-    #: Actor (or legacy router client) name that opened the handle.
+    #: Name of the actor that opened the handle.
     owner: str = ""
     tenant: str = DEFAULT_TENANT
     reads: int = 0
@@ -95,9 +93,9 @@ class SessionTable:
     silently aliasing a newer handle.
     """
 
-    def __init__(self, first_fd: int = 3) -> None:
+    def __init__(self) -> None:
         self._sessions: Dict[int, FileSession] = {}
-        self._next_fd = first_fd
+        self._next_fd = 3
 
     def open(self, path: str, owner: str = "",
              tenant: str = DEFAULT_TENANT) -> FileSession:

@@ -90,14 +90,8 @@ def walk_segment(fs, actor: Actor, segno: int):
         ninode = len(summary.inode_daddrs)
         if offset + 1 + ndata + ninode > bps:
             break  # corrupt catalogue; stop walking
-        entries: List[Tuple[int, int, int, bytes]] = []
-        index = 0
-        for fi in summary.finfos:
-            for lbn in fi.blocks:
-                daddr = base + offset + 1 + index
-                entries.append((fi.ino, lbn,
-                                daddr, image[offset + 1 + index]))
-                index += 1
+        entries = [(fi.ino, lbn, daddr, image[daddr - base])
+                   for fi, lbn, daddr in summary.entries(base + offset)]
         inode_blocks = []
         for j in range(ninode):
             blk = image[offset + 1 + ndata + j]

@@ -60,8 +60,3 @@ SUMMARY_MAGIC = 0x53554D4D     # "SUMM"
 def double_child_lbn(j: int) -> int:
     """Logical block number of the j-th child of the double-indirect root."""
     return -(3 + j)
-
-
-def is_indirect_lbn(lbn: int) -> bool:
-    """True if ``lbn`` names an indirect block rather than file data."""
-    return lbn < 0

@@ -58,8 +58,6 @@ class LFSConfig:
     atime_updates: bool = True
     #: Flush the log when this fraction of the buffer cache is dirty.
     flush_fraction: float = 0.5
-    #: Refuse to allocate the last few clean segments (cleaner headroom).
-    min_free_segs: int = 2
 
     @property
     def blocks_per_seg(self) -> int:
@@ -767,9 +765,6 @@ class LFS:
             raise NoSpace("no clean segments left")
         return best
 
-    def clean_headroom(self) -> int:
-        return self.ifile.clean_count()
-
     def sync(self, actor: Optional[Actor] = None) -> None:
         """Flush all dirty data and metadata to the log (no checkpoint)."""
         self.segwriter.flush(actor or self.actor)
@@ -809,10 +804,6 @@ class LFS:
             raise InvalidArgument(f"log position {daddr} not on disk")
         self.cur_segno = segno
         self.cur_offset = daddr - self.seg_base(segno)
-
-    def unmount(self, actor: Optional[Actor] = None) -> None:
-        self.checkpoint(actor)
-        self._mounted = False
 
     # ------------------------------------------------------------------
     # Cleaner/migrator support calls (the lfs_bmapv / lfs_markv analogues)

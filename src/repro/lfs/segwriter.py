@@ -22,7 +22,7 @@ from repro.errors import InvalidArgument
 from repro.lfs.constants import BLOCK_SIZE, INODES_PER_BLOCK, UNASSIGNED
 from repro.lfs.ifile import SEG_ACTIVE, SEG_CLEAN, SEG_DIRTY
 from repro.lfs.inode import Inode, pack_inode_block
-from repro.lfs.summary import FileInfo, SegmentSummary, SS_DIROP
+from repro.lfs.summary import SegmentSummary, SS_DIROP
 from repro.sim.actor import Actor
 
 
@@ -53,14 +53,14 @@ class _PartialBuilder:
         used = self._used() or 1  # a fresh partial still needs its summary
         return self.fs.cur_offset + used + nblocks <= self._bps
 
-    def _make_room(self, nblocks: int, new_file: bool,
-                   inoblk: bool) -> None:
-        """Emit/advance until the next item fits in segment and summary."""
-        if (self._room_for(nblocks)
-                and self.summary.fits(self.fs.config.summary_size,
-                                      extra_file=new_file,
-                                      extra_blocks=0 if inoblk else nblocks,
-                                      extra_inoblk=inoblk)):
+    def _make_room(self, nblocks: int, inum: Optional[int]) -> None:
+        """Emit/advance until the next item — ``nblocks`` blocks of file
+        ``inum``, or one inode block when ``inum`` is None — fits in
+        segment and summary."""
+        size = self.fs.config.summary_size
+        if self._room_for(nblocks) and (
+                self.summary.fits(size, extra_inoblk=True) if inum is None
+                else self.summary.fits_blocks(size, inum, nblocks)):
             return
         self.emit()
         if self.fs.cur_offset + 1 + nblocks > self._bps:
@@ -86,25 +86,16 @@ class _PartialBuilder:
             # Phases guarantee data precedes inodes; a stray interleave
             # would corrupt the layout recovery expects, so split.
             self.emit()
-        new_file = (not self.summary.finfos
-                    or self.summary.finfos[-1].ino != inum)
-        self._make_room(1, new_file=new_file, inoblk=False)
-        new_file = (not self.summary.finfos
-                    or self.summary.finfos[-1].ino != inum)
+        self._make_room(1, inum)
         daddr = (self.fs.seg_base(self.fs.cur_segno) + self.fs.cur_offset
                  + 1 + len(self.blocks))
-        if new_file:
-            self.summary.finfos.append(FileInfo(inum, lastlength, [lbn]))
-        else:
-            fi = self.summary.finfos[-1]
-            fi.blocks.append(lbn)
-            fi.lastlength = lastlength
+        self.summary.add_blocks(inum, (lbn,), lastlength)
         self.blocks.append(data)
         return daddr
 
     def add_inode_block(self, inodes: List[Inode]) -> int:
         """Place one inode block; returns its assigned address."""
-        self._make_room(1, new_file=False, inoblk=True)
+        self._make_room(1, None)
         daddr = (self.fs.seg_base(self.fs.cur_segno) + self.fs.cur_offset
                  + 1 + len(self.blocks) + len(self.inode_blocks))
         self.inode_blocks.append(pack_inode_block(inodes))

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import ChecksumError, InvalidArgument
 from repro.lfs.constants import SUMMARY_MAGIC, UNASSIGNED
@@ -93,8 +93,40 @@ class SegmentSummary:
             need += PER_INOBLK
         return need <= summary_size
 
+    def fits_blocks(self, summary_size: int, ino: int, n: int) -> bool:
+        """Would ``n`` more blocks of file ``ino`` fit?  The one place
+        that decides "new FINFO or continuation" for a room check."""
+        new_file = not self.finfos or self.finfos[-1].ino != ino
+        return self.fits(summary_size, extra_file=new_file, extra_blocks=n)
+
     def ndata_blocks(self) -> int:
         return sum(len(fi.blocks) for fi in self.finfos)
+
+    # -- the catalogue: one writer, one reader ------------------------------
+
+    def add_blocks(self, ino: int, lbns: Iterable[int],
+                   lastlength: int) -> None:
+        """Describe the next blocks of the partial as ``lbns`` of ``ino``.
+
+        Continues the last FINFO when it is the same file's, else opens
+        one; ``lastlength`` is that of the batch's final block.  Nothing
+        else appends to or constructs a FINFO.
+        """
+        if self.finfos and self.finfos[-1].ino == ino:
+            fi = self.finfos[-1]
+            fi.blocks.extend(lbns)
+            fi.lastlength = lastlength
+        else:
+            self.finfos.append(FileInfo(ino, lastlength, list(lbns)))
+
+    def entries(self, base: int) -> Iterator[Tuple[FileInfo, int, int]]:
+        """``(finfo, lbn, daddr)`` per described block, in layout order,
+        for a partial whose summary block sits at address ``base``."""
+        daddr = base + 1
+        for fi in self.finfos:
+            for lbn in fi.blocks:
+                yield fi, lbn, daddr
+                daddr += 1
 
     # -- content checksums ---------------------------------------------------
 

@@ -81,8 +81,7 @@ class PersistManager:
             base = base.inner
         self._base_footprint = base
         if health is None:
-            health = HealthRegistry(
-                error_budget=getattr(fs.config, "fault_error_budget", 3))
+            health = HealthRegistry()
             health.attach(base.jukebox)
         self.health = health
         self.replicas = replicas
@@ -105,11 +104,7 @@ class PersistManager:
         return self
 
     def make_scrubber(self) -> Scrubber:
-        cfg = self.fs.config
-        return Scrubber(self.fs, self.ledger, self.health,
-                        pacing=getattr(cfg, "scrub_pacing_seconds", 0.25),
-                        include_cache=getattr(cfg, "scrub_include_cache",
-                                              True))
+        return Scrubber(self.fs, self.ledger, self.health)
 
     # -- capture (the checkpoint mark: pure, no state mutation) -------------
 

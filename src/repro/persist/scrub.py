@@ -85,11 +85,6 @@ class SegmentCRCLedger:
         for s in range(seg, last_seg + 1):
             self._crcs.pop((volume_id, s), None)
 
-    def drop_volume(self, volume_id: int) -> None:
-        """Forget every entry on ``volume_id`` (retired media)."""
-        for key in [k for k in self._crcs if k[0] == volume_id]:
-            del self._crcs[key]
-
     # -- persistence --------------------------------------------------------
 
     def entries(self) -> List[List[int]]:

@@ -105,13 +105,6 @@ class Actor:
         _OWNERS[obj] = weakref.ref(self)
         return obj
 
-    def disown(self, obj: object) -> None:
-        """Drop this actor's ownership tag on ``obj`` (no-op if another
-        actor owns it or it was never tagged)."""
-        ref = _OWNERS.get(obj)
-        if ref is not None and ref() is self:
-            del _OWNERS[obj]
-
     @property
     def time(self) -> float:
         """The actor's local virtual time."""

@@ -7,11 +7,19 @@ justification — and suppressions are budgeted, not free: the count here
 is pinned so silent accretion shows up in review.
 """
 
+import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 from repro.analysis import run_paths
 
-SRC = Path(__file__).parent.parent / "src" / "repro"
+ROOT = Path(__file__).parent.parent
+SRC = ROOT / "src" / "repro"
+
+#: Public names allowed to occur only at their definition.  Add one with
+#: the reason it must stay; the default answer to a hit is deletion.
+UNREFERENCED_OK: set = set()
 
 
 def test_src_tree_is_clean():
@@ -45,3 +53,28 @@ def test_no_suppressions_in_core_or_lfs():
         path = Path(f.path)
         assert "core" not in path.parts and "lfs" not in path.parts, \
             f"suppression in protected package: {f.format()}"
+
+
+def test_every_public_name_is_referenced_somewhere():
+    """ROADMAP 9(a), the cheap form: a public def/class in ``src`` whose
+    name occurs exactly once — its own definition — across the code,
+    the docs and the top-level notes is dead.  (ISSUE.md and CHANGES.md
+    record what a PR did, deletions included, so they do not count.)"""
+    texts = [p.read_text(encoding="utf-8")
+             for d in ("src", "tests", "benchmarks", "bench_e2e",
+                       "examples", "docs")
+             for p in sorted((ROOT / d).rglob("*"))
+             if p.suffix in (".py", ".md")]
+    texts += [p.read_text(encoding="utf-8") for p in sorted(ROOT.glob("*.md"))
+              if p.name not in ("ISSUE.md", "CHANGES.md")]
+    words = Counter(w for t in texts for w in re.findall(r"[A-Za-z_]\w*", t))
+    dead = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and words[node.name] == 1
+                    and node.name not in UNREFERENCED_OK):
+                dead.append(f"{path.relative_to(ROOT)}:{node.lineno} "
+                            f"{node.name}")
+    assert dead == [], "defined but never referenced:\n" + "\n".join(dead)

@@ -70,10 +70,6 @@ class TestRouterRoundTrip:
         client = Actor("client")
         with pytest.raises(FileNotFound):
             router.read_path(client, "/missing")
-        # Sessions are the shared frontend implementation now: a stale
-        # fd raises the typed HandleClosed, not EINVAL.
-        with pytest.raises(HandleClosed):
-            router.read(client, 99, 0)
         with pytest.raises(InvalidArgument):
             ClusterRouter([], seed=0)
 

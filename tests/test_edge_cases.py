@@ -83,8 +83,13 @@ class TestZeroAndTiny:
     def test_zero_byte_migration_is_noop(self, hl):
         hl.fs.create("/empty")
         hl.fs.checkpoint()
+        hl.fs.write_path("/first", os.urandom(3 * BLOCK_SIZE))
+        hl.fs.checkpoint()
+        # "Returns blocks moved" means by this call, not since creation.
+        assert hl.migrator.migrate_file("/first") == 3
         moved = hl.migrator.migrate_file("/empty")
         hl.migrator.flush()
+        assert moved == 0
         assert hl.fs.stat("/empty").size == 0
 
 

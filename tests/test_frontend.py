@@ -463,16 +463,15 @@ def test_snapshot_without_header_unchanged(tmp_path):
 
 
 def test_router_uses_frontend_session_objects():
-    """One session implementation: the router's path-level calls and a
-    cluster ``Client`` are both backed by the same ``FileSession``/
-    ``SessionTable`` machinery, so lifecycle errors are the same typed
-    exceptions."""
+    """One session implementation: a cluster ``Client`` is backed by
+    the same ``FileSession``/``SessionTable`` machinery as a node one
+    (the router itself has no descriptors), so lifecycle errors are the
+    same typed exceptions."""
     from repro.frontend.session import FileSession, SessionTable
 
     nodes = [ClusterNode(0, n_platters=4, platter_bytes=4 * MB)]
     router = ClusterRouter(nodes, seed=3)
     actor = Actor("legacy")
-    assert isinstance(router.sessions, SessionTable)
     client = open_cluster(router)
     assert isinstance(client.table, SessionTable)
     handle = client.open(actor, "/legacy2.bin", create=True)

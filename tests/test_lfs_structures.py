@@ -145,6 +145,39 @@ class TestSegmentSummary:
         out = SegmentSummary.unpack(summary.pack(4096), 4096)
         assert [(fi.ino, fi.blocks) for fi in out.finfos] == files
 
+    @given(st.lists(
+        st.tuples(st.integers(1, 4),      # few inos: continuations happen
+                  st.lists(st.integers(-2000, 1 << 20), min_size=1,
+                           max_size=6),
+                  st.integers(1, 4096)),
+        max_size=12), st.integers(0, 1 << 20))
+    @settings(max_examples=60, deadline=None)
+    def test_catalogue_one_writer_one_reader(self, batches, base):
+        """``add_blocks`` → pack → unpack → ``entries``: same blocks, in
+        order, at consecutive addresses; ``fits_blocks`` predicts the
+        size; batch adds equal per-block adds."""
+        size, room = 4096, 160    # ``room``: small enough to overflow
+        batched, single = SegmentSummary(), SegmentSummary()
+        for ino, lbns, lastlength in batches:
+            fits = batched.fits_blocks(room, ino, len(lbns))
+            batched.add_blocks(ino, lbns, lastlength)
+            assert fits == (batched.bytes_needed() <= room)
+            for lbn in lbns:
+                single.add_blocks(ino, [lbn], lastlength)
+        assert batched == single
+        described = [(ino, lbn) for ino, lbns, _ in batches for lbn in lbns]
+        out = SegmentSummary.unpack(batched.pack(size), size)
+        assert out.finfos == batched.finfos
+        assert [(fi.ino, lbn, daddr) for fi, lbn, daddr in out.entries(base)] \
+            == [(ino, lbn, base + 1 + i)
+                for i, (ino, lbn) in enumerate(described)]
+        # One FINFO per run of same-file batches, closed by the last
+        # batch's lastlength.
+        runs = [b for i, b in enumerate(batches)
+                if i + 1 == len(batches) or batches[i + 1][0] != b[0]]
+        assert [(fi.ino, fi.lastlength) for fi in out.finfos] \
+            == [(ino, lastlength) for ino, _, lastlength in runs]
+
 
 class TestInode:
     def test_pack_size(self):

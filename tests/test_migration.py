@@ -206,6 +206,30 @@ class TestEndOfMedium:
         bed.fs.drop_caches(drop_inodes=True)
         assert bed.fs.read_path("/big") == payload
 
+    def test_restage_skips_a_since_unlinked_file(self):
+        from repro.core.highlight import HighLightConfig
+        # Write-outs queue (scheduled mode), one file is unlinked while
+        # its blocks still sit in staged lines, and the third line —
+        # naming both files — is the one that hits end-of-medium: the
+        # restage must treat the vanished inode as "not live", not die.
+        bed = HLBed(platter_bytes=8 * MB, config=HighLightConfig(
+            expected_capacity="nominal", sched_mode="scheduled"))
+        for vol in bed.jukebox.volumes.values():
+            vol.effective_capacity_blocks = (2 * MB) // 4096
+        keep = os.urandom(MB)
+        bed.fs.write_path("/gone", os.urandom(2 * MB))
+        bed.fs.write_path("/keep", keep)
+        bed.fs.checkpoint()
+        bed.migrator.migrate_file("/gone")
+        bed.migrator.migrate_file("/keep")
+        bed.migrator.flush()
+        bed.fs.unlink("/gone")
+        bed.fs.sched.pump(bed.app)
+        assert bed.fs.tsegfile.volumes[0].marked_full
+        bed.fs.service.flush_cache(bed.app)
+        bed.fs.drop_caches(drop_inodes=True)
+        assert bed.fs.read_path("/keep") == keep
+
 
 class TestPipeline:
     def test_pipeline_migrates_and_overlaps(self, hl):

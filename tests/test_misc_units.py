@@ -81,6 +81,29 @@ class TestStagingAppendStrict:
         # The failed appends consumed no payload slot.
         assert len(b.blocks) == 1
 
+    def test_bad_buffer_anywhere_in_a_batch_changes_nothing(self):
+        from repro.blockdev import datapath
+        from repro.errors import InvalidArgument
+        b = self._builder()
+        b.add_block(1, 0, b"\xaa" * BLOCK_SIZE)
+        good = b"\xbb" * BLOCK_SIZE
+        catalogue = b.summary.pack(512)
+        copied = datapath.bytes_copied_total()
+        for bad_at in range(3):
+            views = [good] * 3
+            views[bad_at] = good[:-1]
+            with pytest.raises(InvalidArgument):
+                b.add_block_views(1, [1, 2, 3], views)
+        with pytest.raises(InvalidArgument):
+            b.add_block_views(1, [1, 2, 3], [good] * 2)
+        # Every check ran before the first byte moved.
+        assert b.summary.pack(512) == catalogue
+        assert len(b.blocks) == 1
+        assert datapath.bytes_copied_total() == copied
+        assert b.add_block_views(1, [1, 2, 3], [good] * 3) == 200 * 32 + 2
+        assert b.summary.finfos[0].blocks == [0, 1, 2, 3]
+        assert datapath.bytes_copied_total() == copied + 3 * BLOCK_SIZE
+
 
 class TestBmapCached:
     def test_direct_pointers_always_resolve(self, lfs):

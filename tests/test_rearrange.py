@@ -5,8 +5,12 @@ import os
 import pytest
 
 from tests.conftest import HLBed
+from repro.core.addressing import line_read
 from repro.core.rearrange import SegmentRearranger
+from repro.core.tcleaner import TertiaryCleaner
 from repro.lfs.check import check_filesystem
+from repro.lfs.constants import BLOCK_SIZE
+from repro.lfs.summary import SegmentSummary
 from repro.sim.actor import Actor
 from repro.util.units import KB, MB
 
@@ -149,3 +153,98 @@ class TestRearrangement:
         _co_access(bed, ["/a", "/b"])
         _co_access(bed, ["/a", "/b"])
         assert rearranger.candidates() == []
+
+
+# -- the one forwarder ---------------------------------------------------------
+
+def _forward(bed, tsegno, how):
+    """Forward ``tsegno`` through one of ``Migrator.forward_segment``'s
+    three callers; returns the tertiary segment the live blocks landed in."""
+    fs = bed.fs
+    if how == "restage_line":
+        return bed.migrator.restage_line(bed.app, tsegno)
+    if how == "tcleaner":
+        vol, seg_in_vol = fs.aspace.volume_of(tsegno)
+        TertiaryCleaner(fs, bed.migrator, actor=bed.app)._clean_segment(
+            vol, seg_in_vol)
+        fs.tsegfile.release_segment(vol, seg_in_vol)
+    else:
+        SegmentRearranger(fs, bed.migrator)._restage_cached_segment(
+            bed.app, tsegno)
+    return bed.migrator.flush(bed.app)
+
+
+def _catalogue(bed, tsegno):
+    fs = bed.fs
+    raw = line_read(fs.disk, bed.app,
+                    fs.aspace.seg_base(fs.cache.lookup(tsegno)), 1, fs.aspace)
+    summary = SegmentSummary.unpack(raw, fs.config.summary_size)
+    return ([(fi.ino, fi.blocks, fi.lastlength) for fi in summary.finfos],
+            len(summary.inode_daddrs))
+
+
+@pytest.mark.parametrize("how", ["tcleaner", "rearranger", "restage_line"])
+class TestForwardSegment:
+    def _staged(self):
+        """One sealed, cached tertiary segment: /a (short last block),
+        then /b with its inode — inode block last, as Table 1 lays a
+        partial out."""
+        bed = HLBed()
+        data = {"/a": os.urandom(3 * BLOCK_SIZE + 100),
+                "/b": os.urandom(2 * BLOCK_SIZE)}
+        for path, payload in data.items():
+            bed.fs.write_path(path, payload)
+        bed.fs.checkpoint()
+        bed.migrator.migrate_file("/a")
+        bed.migrator.migrate_inodes = True
+        bed.migrator.migrate_file("/b")
+        tsegno = bed.migrator.flush()
+        return bed, data, tsegno, bed.fs.lookup("/a"), bed.fs.lookup("/b")
+
+    def _reads_back(self, bed, data):
+        bed.fs.checkpoint()
+        bed.fs.service.flush_cache(bed.app)
+        bed.fs.drop_caches(drop_inodes=True)
+        return all(bed.fs.read_path(p) == payload
+                   for p, payload in data.items())
+
+    def test_every_caller_forwards_the_same_catalogue(self, how):
+        bed, data, tsegno, a, b = self._staged()
+        staged = ([(a, [0, 1, 2, 3], 100), (b, [0, 1], BLOCK_SIZE)], 1)
+        assert _catalogue(bed, tsegno) == staged
+        new = _forward(bed, tsegno, how)
+        assert new != tsegno and not bed.fs.cache.contains(tsegno)
+        assert _catalogue(bed, new) == staged
+        assert self._reads_back(bed, data)
+
+    def test_dead_final_block_leaves_no_short_lastlength(self, how):
+        bed, data, tsegno, a, b = self._staged()
+        # Rewrite /a's short tail and all of /b on disk: the FINFO's
+        # final block is dead, so the surviving (interior) blocks are
+        # all full ones; /b and its inode are not forwarded at all.
+        data["/a"] = data["/a"][:3 * BLOCK_SIZE] + os.urandom(100)
+        bed.fs.write(a, 3 * BLOCK_SIZE, data["/a"][3 * BLOCK_SIZE:])
+        data["/b"] = os.urandom(2 * BLOCK_SIZE)
+        bed.fs.write(b, 0, data["/b"])
+        bed.fs.sync()
+        new = _forward(bed, tsegno, how)
+        assert _catalogue(bed, new) == ([(a, [0, 1, 2], BLOCK_SIZE)], 0)
+        assert self._reads_back(bed, data)
+
+    def test_liveness_is_tested_in_place(self, how):
+        """Each block's liveness check runs after the previous live
+        block was staged (not over the whole segment up front), so its
+        inode/indirect reads interleave with staging I/O as they always
+        have."""
+        bed, _data, tsegno, _a, _b = self._staged()
+        staged_at_check = []
+        real = bed.fs.lfs_bmapv
+
+        def spy(items, actor=None):
+            builder = bed.migrator.builder
+            staged_at_check.append(len(builder.blocks) if builder else 0)
+            return real(items, actor)
+
+        bed.fs.lfs_bmapv = spy
+        _forward(bed, tsegno, how)
+        assert staged_at_check == [0, 1, 2, 3, 4, 5, 6]
