@@ -8,6 +8,11 @@ with a migration; with immediate write-out the I/O server's raw-disk
 chunk reads fight the application for the arm, with delayed write-out
 that traffic moves to the idle period after the burst.
 
+The delayed policy is the tertiary scheduler's write-out queue
+(``sched_mode="scheduled"``): staged segments wait, pinned in their cache
+lines, up to a queue depth of 16 (overflow force-drains the oldest), and
+``pump`` is the idle-period drain.
+
 Metric: the application's mean read latency during the migration.
 """
 
@@ -17,24 +22,23 @@ import random
 import pytest
 
 from tests.conftest import HLBed
-from repro.core.writeout import DelayedWriteout
+from repro.core.highlight import HighLightConfig
 from repro.sim.actor import Actor
 from repro.sim.scheduler import Scheduler
 from repro.util.units import KB, MB
 
 
 def _run(mode: str) -> float:
-    bed = HLBed(disk_bytes=192 * MB, n_platters=8)
+    config = None
+    if mode == "delayed":
+        config = HighLightConfig(sched_mode="scheduled",
+                                 sched_writeout_queue_limit=16)
+    bed = HLBed(disk_bytes=192 * MB, n_platters=8, config=config)
     fs = bed.fs
     fs.write_path("/active.db", os.urandom(2 * MB))
     fs.write_path("/to-migrate", os.urandom(6 * MB))
     fs.checkpoint()
     bed.app.sleep(100)
-
-    scheduler_obj = None
-    if mode == "delayed":
-        scheduler_obj = DelayedWriteout(fs, max_pending=16)
-        bed.migrator.writeout = scheduler_obj.enqueue
 
     mig_actor = Actor("mig")
     app_actor = Actor("reader")
@@ -65,8 +69,7 @@ def _run(mode: str) -> float:
     sched.add(app_actor, reader_task())
     sched.run()
 
-    if scheduler_obj is not None:
-        scheduler_obj.drain(mig_actor)  # the idle period
+    fs.sched.pump(mig_actor)  # the idle period (no-op when immediate)
     assert fs.read_path("/to-migrate")
     return state["latency"] / max(1, state["reads"])
 

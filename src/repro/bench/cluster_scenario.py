@@ -197,12 +197,12 @@ def _quarantine_leg(files: Dict[str, bytes], requests: Sequence[str],
         "victim_degraded": 1.0 if node.degraded() else 0.0,
         "other_shards_degraded": float(others_degraded),
         # Fetches the victim shard served from a replica copy after the
-        # quarantine: the replica-aware fetch routes around the fenced
-        # volume up front, so the error-path ``degraded_reads`` counter
-        # can legitimately stay 0.
+        # quarantine: the closest-copy ranking skips the fenced volume up
+        # front, so the error-path ``degraded_reads`` counter can
+        # legitimately stay 0.
         "replica_reads": float(node.replicas.replica_reads
                                - replica_reads_before),
-        "degraded_reads": float(node.faults.degraded_reads),
+        "degraded_reads": float(node.replicas.degraded_reads),
         "before_p99_seconds": _p99(lat1),
         "after_p99_seconds": _p99(lat2),
     }

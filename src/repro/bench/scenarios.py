@@ -189,7 +189,6 @@ def _chaos_build(files: Dict[str, bytes], seed: int = _CHAOS_SEED):
                                  platter_constraint=4 * MB, config=config)
     harness.preload_write_volume(bed)
     replicas = ReplicaManager(bed.fs, copies=1)
-    replicas.install(bed.migrator)
     fs, app = bed.fs, bed.app
     fs.mkdir("/archive")
     for path, payload in files.items():
@@ -264,8 +263,7 @@ def run_chaos(quick: bool = False,
 
     # The storm, then the repair daemon, then a full re-read.
     bed, replicas = _chaos_build(files, seed)
-    fm = FaultManager(bed.fs, plan=_chaos_plan(bed, seed),
-                      replicas=replicas).install()
+    fm = FaultManager(bed.fs, plan=_chaos_plan(bed, seed)).install()
     storm_lat, storm_bad = _chaos_read_back(bed, files)
     rehomed = fm.repair.run_once(bed.app)
     after_lat, after_bad = _chaos_read_back(bed, files)
@@ -280,7 +278,7 @@ def run_chaos(quick: bool = False,
         "corrupt_chunks": float(base_bad + storm_bad + after_bad),
         "faults_injected": float(fm.injector.injected),
         "retry_attempts": float(fm.retry.attempts),
-        "degraded_reads": float(fm.degraded_reads),
+        "degraded_reads": float(replicas.degraded_reads),
         "quarantined_volumes": float(quarantined),
         "segments_rehomed": float(rehomed),
         "volumes_retired": float(fm.repair.volumes_retired),

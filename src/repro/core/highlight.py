@@ -102,6 +102,7 @@ class HighLightFS(LFS):
         self.sched = None             # TertiaryScheduler, set on attach
         self.service: Optional[ServiceProcess] = None
         self.migrator = None          # set by Migrator.__init__
+        self.replicas = None          # set by ReplicaManager.__init__
         self.range_tracker = None     # optional AccessRangeTracker
         self.tsegfile_inum: Optional[int] = None
         #: Set by :meth:`repro.persist.PersistManager.install`; when
@@ -195,9 +196,7 @@ class HighLightFS(LFS):
             self.cache.rebuild_from_ifile()
         self.driver = BlockMapDriver(self.aspace, self.disk, cpu=self.cpu)
         self.driver.cache = self.cache
-        self.ioserver = IOServer(self.aspace, self.tsegfile, self.disk,
-                                 footprint,
-                                 io_chunk_blocks=config.io_chunk_blocks)
+        self.ioserver = IOServer(self, io_chunk_blocks=config.io_chunk_blocks)
         # Local import: repro.sched pulls category constants from this
         # package, so the dependency must stay one-way at import time.
         from repro.sched import (CLASS_CLEANER, CLASS_PREFETCH,

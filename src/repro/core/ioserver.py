@@ -4,12 +4,13 @@
 Footprint interface, and the on-disk cache directly via a character (raw)
 pseudo-device.  Direct access avoids memory-memory copies" (paper §6.7).
 
-Demand fetch path: Footprint read (tertiary -> memory), raw disk write
-(memory -> cache line).  Write-out path: raw disk read of the staging
-line, Footprint write.  Raw disk transfers are issued in configurable
-chunks; while the migrator is simultaneously gathering blocks and filling
-fresh staging lines, every chunk pays arm repositioning — Table 6's
-"disk arm contention" phase is exactly this interleaving.
+Demand fetch path: Footprint read (tertiary -> memory) of the closest
+healthy copy the replica catalogue offers, raw disk write (memory ->
+cache line).  Write-out path: raw disk read of the staging line,
+Footprint write.  Raw disk transfers are issued in configurable chunks;
+while the migrator is simultaneously gathering blocks and filling fresh
+staging lines, every chunk pays arm repositioning — Table 6's "disk arm
+contention" phase is exactly this interleaving.
 
 All phase durations are recorded in a :class:`~repro.sim.TimeAccount`
 using the paper's Table 4 categories.
@@ -26,9 +27,9 @@ from __future__ import annotations
 from typing import Optional
 
 from repro import obs
-from repro.blockdev.base import BlockDevice
 from repro.blockdev.datapath import refs_nbytes
 from repro.core.addressing import line_read_refs, line_write_refs
+from repro.errors import PermanentDeviceError
 from repro.footprint.interface import FootprintInterface
 from repro.sim.actor import Actor, TimeAccount
 
@@ -51,13 +52,11 @@ TABLE4_CATEGORIES = (CAT_FOOTPRINT_WRITE, CAT_IOSERVER_READ,
 class IOServer:
     """Executes segment copies between the disk farm and tertiary media."""
 
-    def __init__(self, aspace, tsegfile, disk: BlockDevice,
-                 footprint: FootprintInterface,
-                 io_chunk_blocks: int = 16) -> None:
-        self.aspace = aspace
-        self.tsegfile = tsegfile
-        self.disk = disk
-        self.footprint = footprint
+    def __init__(self, fs, io_chunk_blocks: int = 16) -> None:
+        self.fs = fs
+        self.aspace = fs.aspace
+        self.tsegfile = fs.tsegfile
+        self.disk = fs.disk
         self.io_chunk_blocks = io_chunk_blocks
         self.account = TimeAccount()
         self.segments_fetched = 0
@@ -66,13 +65,19 @@ class IOServer:
         self.writeout_log: list = []
         self._pinned_volume: Optional[int] = None
 
+    @property
+    def footprint(self) -> FootprintInterface:
+        """The filesystem's Footprint (the recovery layer may wrap it)."""
+        return self.fs.footprint
+
     # -- address helpers ---------------------------------------------------------
 
-    def _volume_blkno(self, tsegno: int):
-        """Map a tertiary segment to (volume_id, first block on volume)."""
-        vol, seg_in_vol = self.aspace.volume_of(tsegno)
-        vol_id = self.tsegfile.volumes[vol].volume_id
-        return vol, vol_id, seg_in_vol * self.aspace.blocks_per_seg
+    def _volume_blkno(self, location):
+        """Map a ``(volume index, seg in volume)`` copy location to
+        (volume_id, first block on volume)."""
+        vol, seg_in_vol = location
+        return (self.tsegfile.volumes[vol].volume_id,
+                seg_in_vol * self.aspace.blocks_per_seg)
 
     # -- demand fetch -------------------------------------------------------------
 
@@ -83,12 +88,8 @@ class IOServer:
         notes the eventual third copy (re-read through the buffer cache)
         as the measured inefficiency of the fetch path (§7.2).
         """
-        _vol, vol_id, blkno = self._volume_blkno(tsegno)
-        bps = self.aspace.blocks_per_seg
         start = actor.time
-        t0 = actor.time
-        image = self.footprint.read_refs(actor, vol_id, blkno, bps)
-        self.account.charge(CAT_FOOTPRINT_READ, actor.time - t0)
+        image, vol_id = self.read_closest(actor, tsegno)
         t0 = actor.time
         line_write_refs(self.disk, actor, self.aspace.seg_base(disk_segno),
                         image, self.aspace)
@@ -105,6 +106,49 @@ class IOServer:
         obs.event(obs.EV_SEGMENT_FETCH, actor.time, tsegno=tsegno,
                   disk_segno=disk_segno, volume=vol_id, bytes=nbytes,
                   seconds=actor.time - start, actor=actor.name)
+
+    def read_closest(self, actor: Actor, tsegno: int):
+        """Read ``tsegno`` from its closest healthy copy (paper §5.4).
+
+        Returns ``(borrowed image refs, volume_id)``.  The replica
+        catalogue (``fs.replicas``) ranks the copies; without one, or
+        with no healthy copy left, the primary is read (and raises
+        ``MediaFailure`` if its medium is gone).  A permanent failure
+        earns one degraded retry on the next healthy copy not yet tried
+        — by then the recovery layer has fenced the failed volume.
+        Reads a non-primary copy served count in
+        ``replicas.replica_reads``; every attempt's Footprint time is
+        charged to ``footprint_read``.
+        """
+        replicas = self.fs.replicas
+        primary = self.aspace.volume_of(tsegno)
+        ranked = replicas.copies_of(tsegno) if replicas is not None else []
+        tried = ranked[0] if ranked else primary
+        try:
+            image = self._read_copy(actor, tried)
+        except PermanentDeviceError:
+            spare = [] if replicas is None else [
+                c for c in replicas.copies_of(tsegno) if c != tried]
+            if not spare:
+                raise
+            tried = spare[0]
+            image = self._read_copy(actor, tried)
+            replicas.degraded_reads += 1
+            obs.counter("degraded_reads_total",
+                        "segment reads re-served from another copy after "
+                        "a permanent failure").inc()
+        if tried != primary:
+            replicas.replica_reads += 1
+        return image, self._volume_blkno(tried)[0]
+
+    def _read_copy(self, actor: Actor, location):
+        vol_id, blkno = self._volume_blkno(location)
+        t0 = actor.time
+        try:
+            return self.footprint.read_refs(actor, vol_id, blkno,
+                                            self.aspace.blocks_per_seg)
+        finally:
+            self.account.charge(CAT_FOOTPRINT_READ, actor.time - t0)
 
     # -- write-out ---------------------------------------------------------------
 
@@ -139,7 +183,7 @@ class IOServer:
             yield
         nbytes = refs_nbytes(image)
 
-        _vol, vol_id, blkno = self._volume_blkno(tsegno)
+        vol_id, blkno = self._volume_blkno(self.aspace.volume_of(tsegno))
         if vol_id != self._pinned_volume:
             # Dedicate one drive to the currently-active writing volume
             # (the paper's test-drive allocation, §7).
@@ -165,6 +209,6 @@ class IOServer:
 
     def read_segment_image(self, actor: Actor, tsegno: int) -> bytes:
         """Read a whole tertiary segment (tertiary cleaner's bulk path)."""
-        _vol, vol_id, blkno = self._volume_blkno(tsegno)
+        vol_id, blkno = self._volume_blkno(self.aspace.volume_of(tsegno))
         return self.footprint.read(actor, vol_id, blkno,
                                    self.aspace.blocks_per_seg)

@@ -442,8 +442,9 @@ class MigrationPipeline:
     This is the configuration the paper measures in §7.3: the migrator
     fills staging segments (reading file blocks and writing cache lines on
     the staging disk) while the I/O server concurrently drains completed
-    segments to the MO drive.  Phase boundaries (arm contention while the
-    migrator runs; none after) are captured per Table 6.
+    segments to the MO drive.  Table 6's phase boundary (arm contention
+    while the migrator runs; none after) is :attr:`migrator_finish_time`;
+    the run ends at :attr:`finish_time`.
     """
 
     def __init__(self, fs, migrator: Migrator, targets: List,

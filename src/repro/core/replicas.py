@@ -7,24 +7,34 @@ volume already in a drive, or selecting a volume that will incur a
 shorter seek ... This problem [of liveness bookkeeping] could be
 sidestepped simply by not counting the replicas as live data."
 
-:class:`ReplicaManager` keeps the catalogue the paper calls for (tsegno ->
-replica locations), writes a replica after every primary copy-out, and
-answers "which copy is closest?" by preferring volumes already loaded in
-a drive.  Replica segments are allocated through the ordinary tsegfile
-stream but their usage entries carry no live bytes.
+:class:`ReplicaManager` is the one replica catalogue (tsegno -> replica
+locations).  Constructing it attaches it as ``fs.replicas``; from then on
+it *locates* every copy (:meth:`copies_of`, the healthy ones closest
+first — the I/O server's demand fetch reads through that ranking),
+*reads* a segment's image for copying (:meth:`read_image`: the cache
+line, else the closest healthy copy) and *mints* every copy
+(:meth:`mint`, called by :meth:`replicate` after each primary copy-out
+and by the repair daemon when it re-homes a segment).  Replica segments
+are allocated from the ordinary tsegfile volumes but their usage entries
+carry no live bytes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.addressing import line_read, line_write
-from repro.errors import PermanentDeviceError, TertiaryExhausted
+from repro.blockdev.datapath import materialize_refs
+from repro.core.addressing import line_read
+from repro.core.ioserver import CAT_FOOTPRINT_WRITE, CAT_IOSERVER_READ
+from repro.errors import DeviceError, EndOfMedium, PermanentDeviceError
 from repro.sim.actor import Actor
+
+#: (volume index, segment within the volume) of one copy.
+Location = Tuple[int, int]
 
 
 class ReplicaManager:
-    """Maintains and serves tertiary segment replicas."""
+    """The replica catalogue: locates, reads and mints segment copies."""
 
     def __init__(self, fs, copies: int = 1) -> None:
         if copies < 1:
@@ -32,146 +42,130 @@ class ReplicaManager:
         self.fs = fs
         self.copies = copies
         #: primary tsegno -> [(volume index, seg in volume), ...]
-        self.catalog: Dict[int, List[Tuple[int, int]]] = {}
+        self.catalog: Dict[int, List[Location]] = {}
         self.replicas_written = 0
+        #: Segment reads (demand fetches, repair sources) that a
+        #: non-primary copy served.
         self.replica_reads = 0
+        #: Segment reads re-served from another copy after a permanent
+        #: failure of the first one tried.
+        self.degraded_reads = 0
+        fs.replicas = self
 
-    # -- write side -------------------------------------------------------------
+    # -- locate and read ----------------------------------------------------------
 
-    def replicate(self, actor: Actor, tsegno: int) -> int:
-        """Write replica copies of a (sealed) cached segment.
-
-        Returns the number of copies written; runs after the primary
-        copy-out so the line content is final.  Exhausted tertiary space
-        simply stops replication (replicas are an optimisation).
-        """
-        fs = self.fs
-        disk_segno = fs.cache.lookup(tsegno)
-        if disk_segno is None:
-            return 0
-        image = line_read(fs.disk, actor, fs.aspace.seg_base(disk_segno),
-                          fs.config.blocks_per_seg, fs.aspace)
-        written = 0
-        locations = self.catalog.setdefault(tsegno, [])
-        primary_vol, _ = fs.aspace.volume_of(tsegno)
-        used_vols = {primary_vol} | {vol for vol, _seg in locations}
-        needed = self.copies - len(locations)
-        while written < needed:
-            target = self._pick_replica_volume(used_vols)
-            if target is None:
-                break
-            try:
-                vol, seg_in_vol = fs.tsegfile.alloc_segment_on(target)
-            except TertiaryExhausted:
-                break
-            used_vols.add(vol)
-            vol_id = fs.tsegfile.volumes[vol].volume_id
-            blkno = seg_in_vol * fs.aspace.blocks_per_seg
-            # "Not counting the replicas as live data": release the
-            # liveness the allocator assumed.
-            use = fs.tsegfile.seguse(vol, seg_in_vol)
-            use.live_bytes = 0
-            try:
-                fs.footprint.write(actor, vol_id, blkno, image)
-            except PermanentDeviceError:
-                # Replicas are an optimisation: a dead target costs us
-                # this copy attempt, not the write-out.  The recovery
-                # layer has quarantined the volume; try another.
-                continue
-            locations.append((vol, seg_in_vol))
-            written += 1
-            self.replicas_written += 1
-        return written
-
-    def _pick_replica_volume(self, exclude) -> Optional[int]:
-        """A volume with room, different from the primary's and from
-        existing copies; search from the far end so replicas stay away
-        from the migration stream's consuming volume."""
-        tseg = self.fs.tsegfile
-        for vol in range(len(tseg.volumes) - 1, -1, -1):
-            if vol in exclude or self._failed(vol):
-                continue
-            meta = tseg.volumes[vol]
-            if not meta.marked_full and meta.next_free < meta.nsegs:
-                return vol
-        return None
-
-    # -- read side ---------------------------------------------------------------
-
-    def closest_copy(self, tsegno: int) -> Optional[Tuple[int, int]]:
-        """The quickest-to-access *healthy* location holding ``tsegno``.
-
-        Preference order: the primary or any replica whose volume is
-        already loaded in a drive; otherwise the primary (or, if its
-        medium has failed, the first healthy replica — replicas are also
-        the paper's §10 answer to media-failure robustness).
-        """
-        fs = self.fs
-        primary = fs.aspace.volume_of(tsegno)
-        candidates = [primary] + self.catalog.get(tsegno, [])
-        healthy = [c for c in candidates if not self._failed(c[0])]
-        if not healthy:
-            return primary  # let the I/O raise MediaFailure
-        for vol, seg_in_vol in healthy:
-            vol_id = fs.tsegfile.volumes[vol].volume_id
-            if self._loaded(vol_id):
-                return vol, seg_in_vol
-        return healthy[0]
-
-    def _failed(self, vol: int) -> bool:
-        jukebox = getattr(self.fs.footprint, "jukebox", None)
-        if jukebox is None:
-            return False
-        vol_id = self.fs.tsegfile.volumes[vol].volume_id
-        volume = jukebox.volumes.get(vol_id)
-        if volume is None:
-            return False
+    def _serving(self, vol: int) -> bool:
         # A fenced volume (quarantined by the health registry — e.g. the
         # scrubber caught a checksum mismatch on it) is as unusable as
-        # failed media: serving "healthy" reads from it would hand back
-        # the very bytes the quarantine distrusts.
-        return not volume.health.serving
+        # failed media: serving reads from it would hand back the very
+        # bytes the quarantine distrusts.
+        volume = self.fs.footprint.jukebox.volumes.get(
+            self.fs.tsegfile.volumes[vol].volume_id)
+        return volume is None or volume.health.serving
 
-    def _loaded(self, vol_id: int) -> bool:
-        jukebox = getattr(self.fs.footprint, "jukebox", None)
-        if jukebox is None:
-            return False
-        return jukebox.drive_holding(vol_id) is not None
+    def copies_of(self, tsegno: int) -> List[Location]:
+        """Every *healthy* location holding ``tsegno``, closest first.
 
-    def fetch_closest(self, actor: Actor, tsegno: int,
-                      disk_segno: int) -> None:
-        """Fetch ``tsegno`` into a cache line from its closest copy."""
+        Copies on a volume already loaded in a drive come first (no robot
+        exchange); otherwise the primary precedes its replicas in
+        catalogue order.  Replicas are also the paper's §10 answer to
+        media failure, so a copy on a fenced volume is never offered.
+        """
         fs = self.fs
-        vol, seg_in_vol = self.closest_copy(tsegno)
-        vol_id = fs.tsegfile.volumes[vol].volume_id
-        blkno = seg_in_vol * fs.aspace.blocks_per_seg
-        image = fs.footprint.read(actor, vol_id, blkno,
-                                  fs.aspace.blocks_per_seg)
-        line_write(fs.disk, actor, fs.aspace.seg_base(disk_segno), image,
-                   fs.aspace)
-        if (vol, seg_in_vol) != fs.aspace.volume_of(tsegno):
-            self.replica_reads += 1
+        jukebox = fs.footprint.jukebox
+        candidates = [fs.aspace.volume_of(tsegno)] + \
+            self.catalog.get(tsegno, [])
+        healthy = [c for c in candidates if self._serving(c[0])]
+        return sorted(healthy, key=lambda c: jukebox.drive_holding(
+            fs.tsegfile.volumes[c[0]].volume_id) is None)
 
-    def install(self, migrator) -> None:
-        """Hook into the pipeline: replicate after each sync writeout and
-        serve demand fetches from the closest copy."""
+    def read_image(self, actor: Actor, tsegno: int) -> Optional[bytes]:
+        """The whole-segment image of ``tsegno``: from its cache line if
+        resident (charged to ``ioserver_read``), else from the closest
+        healthy copy through :meth:`IOServer.read_closest`; None when no
+        healthy copy is left or every read failed."""
         fs = self.fs
-        service = fs.service
-        original_writeout = migrator.writeout
+        disk_segno = fs.cache.lookup(tsegno)
+        if disk_segno is not None:
+            t0 = actor.time
+            image = line_read(fs.disk, actor, fs.aspace.seg_base(disk_segno),
+                              fs.config.blocks_per_seg, fs.aspace)
+            fs.ioserver.account.charge(CAT_IOSERVER_READ, actor.time - t0)
+            return image
+        if not self.copies_of(tsegno):
+            return None  # every copy sits on fenced media
+        try:
+            refs, _vol_id = fs.ioserver.read_closest(actor, tsegno)
+        except DeviceError:
+            return None
+        return materialize_refs(refs)
 
-        def replicated_writeout(actor: Actor, tsegno: int) -> None:
-            original_writeout(actor, tsegno)
-            self.replicate(actor, tsegno)
+    # -- mint ---------------------------------------------------------------------
 
-        migrator.writeout = replicated_writeout
-        original_fetch = fs.ioserver.fetch
+    def _pick_volume(self, exclude: Set[int]) -> Optional[int]:
+        """A healthy volume with room, away from ``exclude``; search from
+        the far end so copies stay away from the migration stream's
+        consuming volume."""
+        tseg = self.fs.tsegfile
+        for vol in range(len(tseg.volumes) - 1, -1, -1):
+            meta = tseg.volumes[vol]
+            if vol in exclude or meta.marked_full \
+                    or meta.next_free >= meta.nsegs \
+                    or not self._serving(vol):
+                continue
+            return vol
+        return None
 
-        def closest_fetch(actor: Actor, tsegno: int,
-                          disk_segno: int) -> None:
-            if tsegno in self.catalog:
-                self.fetch_closest(actor, tsegno, disk_segno)
-                fs.ioserver.segments_fetched += 1
-            else:
-                original_fetch(actor, tsegno, disk_segno)
+    def mint(self, actor: Actor, tsegno: int, image) -> bool:
+        """Write one more copy of ``tsegno`` (its whole-segment ``image``)
+        and catalogue it; False when no volume can take it.
 
-        fs.ioserver.fetch = closest_fetch
+        End-of-medium is handled the way the primary write-out path does
+        (§6.3): the volume is marked full and the next one is tried; a
+        permanently failed target costs this attempt, not the caller.
+        The Footprint write is charged to Table 4's ``footprint_write``.
+        """
+        fs = self.fs
+        locations = self.catalog.setdefault(tsegno, [])
+        tried = {fs.aspace.volume_of(tsegno)[0]} | {v for v, _s in locations}
+        account = fs.ioserver.account
+        while True:
+            vol = self._pick_volume(tried)
+            if vol is None:
+                return False
+            tried.add(vol)
+            vol, seg_in_vol = fs.tsegfile.alloc_segment_on(vol)
+            # "Not counting the replicas as live data": release the
+            # liveness the allocator assumed.
+            fs.tsegfile.seguse(vol, seg_in_vol).live_bytes = 0
+            vol_id = fs.tsegfile.volumes[vol].volume_id
+            t0 = actor.time
+            try:
+                fs.footprint.write(actor, vol_id,
+                                   seg_in_vol * fs.aspace.blocks_per_seg,
+                                   image)
+            except EndOfMedium:
+                fs.tsegfile.mark_volume_full(vol)
+                fs.footprint.mark_full(vol_id)
+                continue
+            except PermanentDeviceError:
+                continue  # the recovery layer has fenced the volume
+            finally:
+                account.charge(CAT_FOOTPRINT_WRITE, actor.time - t0)
+            locations.append((vol, seg_in_vol))
+            self.replicas_written += 1
+            return True
+
+    def replicate(self, actor: Actor, tsegno: int) -> None:
+        """Mint copies of a segment whose primary just reached tertiary
+        storage (its sealed cache line is the image's source).
+
+        Running out of volumes simply stops replication (replicas are an
+        optimisation).
+        """
+        image = self.read_image(actor, tsegno)
+        if image is None:
+            return
+        for _ in range(self.copies - len(self.catalog.get(tsegno, ()))):
+            if not self.mint(actor, tsegno, image):
+                break

@@ -113,6 +113,10 @@ class ServiceProcess:
             self._handle_dead_volume(actor, tsegno, exc)
             return
         self.cache.seal_staging(tsegno)
+        # The primary landed: now (and only now) the segment gets its
+        # replicas, whichever path — first try or restage — wrote it.
+        if self.fs.replicas is not None:
+            self.fs.replicas.replicate(actor, tsegno)
 
     def _handle_end_of_medium(self, actor: Actor, tsegno: int) -> None:
         """Volume filled early: mark it full, restage on the next volume.

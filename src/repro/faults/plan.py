@@ -194,10 +194,12 @@ class FaultInjector:
                     volume_id=volume_id, blkno=blkno)
             elif spec.kind == KIND_MEDIA_DEAD:
                 self._fire(spec, actor.time, volume_id)
+                # The medium itself is gone: fence it under that reason.
+                # The error is charged once, by whoever observes the
+                # MediaFailure below (the recovery layer), not here too.
                 if self.health is not None and volume_id is not None:
-                    self.health.record_error(volume_id, actor.time,
-                                             permanent=True,
-                                             kind=KIND_MEDIA_DEAD)
+                    self.health.quarantine(volume_id, actor.time,
+                                           reason=KIND_MEDIA_DEAD)
                 raise MediaFailure(
                     f"medium destroyed during {op}",
                     volume_id=volume_id, blkno=blkno)

@@ -4,22 +4,24 @@
 read/write runs under the :class:`~repro.faults.retry.RetryPolicy` for
 the request class currently executing in the
 :class:`~repro.sched.TertiaryScheduler` (demand fetches give up fast,
-write-outs grind), and every permanent fault is reported to the
+write-outs grind), and every permanent fault is charged once to the
 :class:`~repro.faults.health.HealthRegistry` so the volume's error
 budget and quarantine state stay current.  Because *all* tertiary I/O —
-the I/O server's, the replica manager's closest-copy reads, the repair
-daemon's — flows through ``fs.footprint``, wrapping here covers every
-path with one decorator.
+the I/O server's fetches and write-outs, replica and repair copies —
+flows through ``fs.footprint``, wrapping here covers every path with
+one decorator.
 
 :class:`FaultManager` assembles the whole subsystem onto a
 :class:`~repro.core.highlight.HighLightFS`: health registry, retry
 policy (knobs from ``HighLightConfig``), optional injector from a
-:class:`~repro.faults.plan.FaultPlan`, the repair daemon, and the
-degraded-read fallback — a demand fetch that fails permanently
-quarantines the primary's volume and is re-served from the closest
-replica before the caller ever sees ``MediaFailure``.  With no plan and
-no faults occurring, none of this adds virtual time or trace events:
-the golden quickstart trace is byte-identical.
+:class:`~repro.faults.plan.FaultPlan`, and the repair daemon.  It
+patches no method: the degraded-read fallback — a demand fetch whose
+copy fails permanently is re-served from the next healthy replica
+before the caller ever sees ``MediaFailure`` — lives in
+:meth:`repro.core.ioserver.IOServer.read_closest`, which sees the
+quarantine this layer records.  With no plan and no faults occurring,
+none of this adds virtual time or trace events: the golden quickstart
+trace is byte-identical.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from contextlib import contextmanager
 from dataclasses import replace
 from typing import Callable, List, Optional
 
-from repro import obs
 from repro.errors import PermanentDeviceError
 from repro.faults.health import HealthRegistry
 from repro.faults.plan import FaultInjector, FaultPlan
@@ -128,17 +129,10 @@ class RecoveringFootprint:
 
 
 class FaultManager:
-    """Wires injection + recovery into an assembled ``HighLightFS``.
-
-    Construction order matters only for replicas: install the
-    :class:`~repro.core.replicas.ReplicaManager` first (it patches
-    ``fs.ioserver.fetch``), then ``FaultManager.install()`` wraps the
-    patched fetch with the degraded-read fallback.
-    """
+    """Wires injection + recovery into an assembled ``HighLightFS``."""
 
     def __init__(self, fs, plan: Optional[FaultPlan] = None,
                  retry: Optional[RetryPolicy] = None,
-                 replicas=None,
                  error_budget: Optional[int] = None) -> None:
         self.fs = fs
         config = fs.config
@@ -155,9 +149,7 @@ class FaultManager:
         self.retry = retry
         self.injector = (FaultInjector(plan, health=self.health)
                          if plan is not None else None)
-        self.replicas = replicas
-        self.repair = RepairDaemon(fs, self.health, replicas=replicas)
-        self.degraded_reads = 0
+        self.repair = RepairDaemon(fs, self.health)
         self.installed = False
 
     @staticmethod
@@ -191,36 +183,8 @@ class FaultManager:
         def active_class() -> str:
             return sched.active_class if sched is not None else "demand"
 
-        wrapped = RecoveringFootprint(fs.footprint, self.retry,
-                                      health=self.health,
-                                      class_provider=active_class)
-        fs.footprint = wrapped
-        fs.ioserver.footprint = wrapped
-        self.repair.footprint = wrapped
-
-        inner_fetch = fs.ioserver.fetch  # replicas may have patched it
-
-        def recovering_fetch(actor, tsegno: int, disk_segno: int) -> None:
-            try:
-                inner_fetch(actor, tsegno, disk_segno)
-                return
-            except PermanentDeviceError as exc:
-                if exc.volume_id is not None:
-                    self.health.record_error(
-                        exc.volume_id, actor.time, permanent=True,
-                        kind=type(exc).__name__)
-                if self.replicas is None:
-                    raise
-            # The quarantine above changed the replica manager's view of
-            # the world: the closest *healthy* copy now excludes the
-            # volume that just failed.  One degraded attempt, then EIO.
-            self.replicas.fetch_closest(actor, tsegno, disk_segno)
-            fs.ioserver.segments_fetched += 1
-            self.degraded_reads += 1
-            obs.counter("degraded_reads_total",
-                        "demand fetches served from a replica after a "
-                        "permanent primary failure").inc()
-
-        fs.ioserver.fetch = recovering_fetch
+        fs.footprint = RecoveringFootprint(fs.footprint, self.retry,
+                                           health=self.health,
+                                           class_provider=active_class)
         self.installed = True
         return self

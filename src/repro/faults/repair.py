@@ -6,24 +6,23 @@ I/O to it.  The repair daemon restores redundancy in the background
 machinery that re-establishes them):
 
 1. every replica location on the quarantined volume is dropped from the
-   :class:`~repro.core.replicas.ReplicaManager` catalogue;
-2. every *live* primary segment on it is re-homed — the segment image is
-   sourced from the disk cache if present, else from the closest healthy
-   copy, and written to a fresh segment on a healthy volume that is
-   registered as a replica (closest-copy reads then serve it without
-   ever touching the dead medium);
+   replica catalogue (``fs.replicas``);
+2. every *live* primary segment on it is re-homed — the catalogue reads
+   its image (``ReplicaManager.read_image``: the disk cache if present,
+   else the closest healthy copy) and mints a fresh copy on a healthy
+   volume (closest-copy reads then serve it without ever touching the
+   dead medium);
 3. the volume is marked full (the allocator skips it) and RETIRED.
 
-All repair I/O runs under the ``repair`` retry class.
+All repair I/O runs under the ``repair`` retry class and is charged to
+the Table 4 categories it spends time in.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from repro import obs
-from repro.core.addressing import line_read
-from repro.errors import DeviceError, TertiaryExhausted
 from repro.faults.health import HealthRegistry
 from repro.faults.retry import CLASS_REPAIR
 
@@ -31,27 +30,18 @@ from repro.faults.retry import CLASS_REPAIR
 class RepairDaemon:
     """Re-replicates segments off quarantined volumes and retires them."""
 
-    def __init__(self, fs, health: HealthRegistry, replicas=None) -> None:
+    def __init__(self, fs, health: HealthRegistry) -> None:
         self.fs = fs
         self.health = health
-        self.replicas = replicas
-        #: Footprint used for repair I/O; FaultManager points this at the
-        #: recovering wrapper.  Falls back to ``fs.footprint``.
-        self.footprint = None
         self.segments_rehomed = 0
         self.replicas_dropped = 0
         self.unrecoverable = 0
         self.volumes_retired = 0
 
-    def _footprint(self):
-        return self.footprint if self.footprint is not None \
-            else self.fs.footprint
-
     def run_once(self, actor) -> int:
         """One repair sweep; returns the number of segments re-homed."""
         before = self.segments_rehomed
-        fp = self._footprint()
-        ctx = getattr(fp, "request_class", None)
+        ctx = getattr(self.fs.footprint, "request_class", None)
         for vol_id in self.health.quarantined():
             vol_idx = self._vol_index(vol_id)
             if vol_idx is None:
@@ -95,9 +85,9 @@ class RepairDaemon:
                             "repair from").inc()
 
     def _drop_replicas_on(self, vol_idx: int) -> None:
-        if self.replicas is None:
+        if self.fs.replicas is None:
             return
-        for locations in self.replicas.catalog.values():
+        for locations in self.fs.replicas.catalog.values():
             stale = [loc for loc in locations if loc[0] == vol_idx]
             for loc in stale:
                 locations.remove(loc)
@@ -105,71 +95,10 @@ class RepairDaemon:
 
     # -- one segment ---------------------------------------------------------
 
-    def _healthy_sources(self, tsegno: int) -> List[Tuple[int, int]]:
-        """Locations of ``tsegno`` on serving volumes (primary first)."""
-        fs = self.fs
-        candidates = [fs.aspace.volume_of(tsegno)]
-        if self.replicas is not None:
-            candidates += self.replicas.catalog.get(tsegno, [])
-        out = []
-        for vol, seg_in_vol in candidates:
-            vol_id = fs.tsegfile.volumes[vol].volume_id
-            if self.health.health_of(vol_id).serving:
-                out.append((vol, seg_in_vol))
-        return out
-
-    def _read_image(self, actor, tsegno: int) -> Optional[bytes]:
-        fs = self.fs
-        disk_segno = fs.cache.lookup(tsegno)
-        if disk_segno is not None:
-            return line_read(fs.disk, actor, fs.aspace.seg_base(disk_segno),
-                             fs.config.blocks_per_seg, fs.aspace)
-        fp = self._footprint()
-        for vol, seg_in_vol in self._healthy_sources(tsegno):
-            vol_id = fs.tsegfile.volumes[vol].volume_id
-            blkno = seg_in_vol * fs.aspace.blocks_per_seg
-            try:
-                return fp.read(actor, vol_id, blkno,
-                               fs.aspace.blocks_per_seg)
-            except DeviceError:
-                continue  # source degraded under us; try the next copy
-        return None
-
     def _rehome(self, actor, tsegno: int) -> bool:
         """Mint one fresh healthy copy of ``tsegno``; True on success."""
-        fs = self.fs
-        image = self._read_image(actor, tsegno)
-        if image is None:
-            return False
-        locations = [] if self.replicas is None else \
-            self.replicas.catalog.setdefault(tsegno, [])
-        primary_vol, _seg = fs.aspace.volume_of(tsegno)
-        used = {primary_vol} | {vol for vol, _s in locations}
-        target = self._pick_target(used)
-        if target is None:
-            return False
-        try:
-            vol, seg_in_vol = fs.tsegfile.alloc_segment_on(target)
-        except TertiaryExhausted:
-            return False
-        vol_id = fs.tsegfile.volumes[vol].volume_id
-        blkno = seg_in_vol * fs.aspace.blocks_per_seg
-        self._footprint().write(actor, vol_id, blkno, image)
-        # Replica convention: copies carry no live bytes (§5.4).
-        fs.tsegfile.seguse(vol, seg_in_vol).live_bytes = 0
-        locations.append((vol, seg_in_vol))
-        return True
-
-    def _pick_target(self, exclude) -> Optional[int]:
-        """A healthy volume with room, far from the migration stream."""
-        tseg = self.fs.tsegfile
-        for vol in range(len(tseg.volumes) - 1, -1, -1):
-            if vol in exclude:
-                continue
-            meta = tseg.volumes[vol]
-            if meta.marked_full or meta.next_free >= meta.nsegs:
-                continue
-            if not self.health.health_of(meta.volume_id).serving:
-                continue
-            return vol
-        return None
+        replicas = self.fs.replicas
+        if replicas is None:
+            return False  # no catalogue to record a new copy in
+        image = replicas.read_image(actor, tsegno)
+        return image is not None and replicas.mint(actor, tsegno, image)

@@ -4,9 +4,9 @@ One process-wide :class:`~repro.obs.registry.MetricsRegistry` and one
 :class:`~repro.obs.trace.TraceRecorder` observe the whole stack — block
 devices, the buffer cache, the cleaner, the migrator, the I/O server,
 the service process, and the jukebox robot all record through the
-module-level helpers here.  ``TimeAccount``, ``RateMeter``, and
-``PhaseTimer`` mirror their charges into the same registry, so one
-snapshot (:mod:`repro.obs.report`) covers everything a run did.
+module-level helpers here.  ``TimeAccount`` mirrors its charges into
+the same registry, so one snapshot (:mod:`repro.obs.report`) covers
+everything a run did.
 
 Usage from a hot path — resolve the series once, keep it, record on
 it (the child ``.labels(...)`` returns stays *the* series for those

@@ -2,11 +2,12 @@
 
 :class:`PersistManager` is wired over an assembled HighLight stack the
 same way :class:`repro.faults.recovery.FaultManager` is: construct it
-with the filesystem (plus whatever health registry / replica manager the
-deployment already has) and :meth:`install` it.  From then on every
-``fs.checkpoint()`` appends a persistence checkpoint right after the LFS
-superblock write, and ``fs.recover()`` after a remount replays the
-newest valid image and reconciles it with what roll-forward rebuilt.
+with the filesystem (plus whatever health registry the deployment
+already has; the replica catalogue is read from ``fs.replicas``) and
+:meth:`install` it.  From then on every ``fs.checkpoint()`` appends a
+persistence checkpoint right after the LFS superblock write, and
+``fs.recover()`` after a remount replays the newest valid image and
+reconciles it with what roll-forward rebuilt.
 
 The capture/commit split is deliberate and statically enforced (HL010):
 :meth:`checkpoint_mark` is a pure capture — it reads system state into a
@@ -73,8 +74,8 @@ class RecoveryReport:
 class PersistManager:
     """Owns the persistence checkpoint area of one HighLight filesystem."""
 
-    def __init__(self, fs, *, health: Optional[HealthRegistry] = None,
-                 replicas=None) -> None:
+    def __init__(self, fs, *,
+                 health: Optional[HealthRegistry] = None) -> None:
         self.fs = fs
         base = fs.footprint
         while hasattr(base, "inner"):
@@ -84,7 +85,6 @@ class PersistManager:
             health = HealthRegistry()
             health.attach(base.jukebox)
         self.health = health
-        self.replicas = replicas
         self.ledger = SegmentCRCLedger(fs.sb.blocks_per_seg, BLOCK_SIZE)
         self._writes = obs.counter(
             "checkpoint_writes_total", "persistence checkpoints written")
@@ -119,10 +119,10 @@ class PersistManager:
                        for vid in sorted(self._base_footprint
                                          .jukebox.volumes)]
         catalog = []
-        if self.replicas is not None:
+        if fs.replicas is not None:
             catalog = [[tsegno, sorted(map(list, places))]
                        for tsegno, places
-                       in sorted(self.replicas.catalog.items())]
+                       in sorted(fs.replicas.catalog.items())]
         sections = {
             SEC_EPOCH: {"serial": ckpt.serial,
                         "timestamp": ckpt.timestamp,
@@ -270,10 +270,11 @@ class PersistManager:
                 self.health.quarantine_reasons[vid] = reason
 
     def _restore_replicas(self, rows: List[list]) -> int:
-        if self.replicas is None or not rows:
+        replicas = self.fs.replicas
+        if replicas is None or not rows:
             return 0
         for tsegno, places in rows:
-            self.replicas.catalog[tsegno] = [tuple(p) for p in places]
+            replicas.catalog[tsegno] = [tuple(p) for p in places]
         return len(rows)
 
     def _check_cachemap(self, rows: List[list],

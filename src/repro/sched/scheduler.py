@@ -109,7 +109,7 @@ class TertiaryScheduler:
     """Schedules all traffic between request producers and the I/O server.
 
     Producers — the service process (demand fetches, write-outs), the
-    prefetcher, the migrator/delayed-writeout pipeline, and the tertiary
+    prefetcher, the migrator and its pipeline, and the tertiary
     cleaner — submit through this object; nothing else may touch the
     :class:`~repro.core.ioserver.IOServer` (rule HL007).
     """
@@ -214,8 +214,6 @@ class TertiaryScheduler:
         self._begin(rclass)
         start = actor.time
         try:
-            # Attribute lookup at call time: segment replicas patch
-            # ``fs.ioserver.fetch`` for closest-copy reads.
             self.ioserver.fetch(actor, tsegno, disk_segno)
         finally:
             self._end(rclass)

@@ -18,7 +18,6 @@ from repro.sim.clock import VirtualClock
 from repro.sim.resources import TimelineResource, occupy_all
 from repro.sim.actor import Actor, TimeAccount, owner_of
 from repro.sim.scheduler import Scheduler, WAIT, TimedQueue
-from repro.sim.stats import RateMeter, PhaseTimer
 
 __all__ = [
     "VirtualClock",
@@ -30,6 +29,4 @@ __all__ = [
     "Scheduler",
     "WAIT",
     "TimedQueue",
-    "RateMeter",
-    "PhaseTimer",
 ]

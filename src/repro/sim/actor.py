@@ -1,4 +1,4 @@
-"""Actors: logical processes with local virtual clocks and time accounts."""
+"""Actors: logical processes with local virtual clocks."""
 
 from __future__ import annotations
 
@@ -75,7 +75,7 @@ class TimeAccount:
 
 
 class Actor:
-    """A logical process: a name, a local clock, and a time account.
+    """A logical process: a name and a local clock.
 
     The service process, I/O server, migrator, cleaner, and the benchmark's
     foreground "application" are each one actor.  Device operations advance
@@ -87,11 +87,8 @@ class Actor:
     def __init__(self, name: str, clock: VirtualClock | None = None) -> None:
         self.name = name
         self.clock = clock if clock is not None else VirtualClock()
-        self.account = TimeAccount()
-        # The account is always freshly built, so it is unambiguously
-        # ours; an explicitly passed clock may be shared with another
-        # actor, so only a self-constructed clock is tagged.
-        self.own(self.account)
+        # An explicitly passed clock may be shared with another actor,
+        # so only a self-constructed clock is tagged as ours.
         if clock is None:
             self.own(self.clock)
 

@@ -70,11 +70,9 @@ class CrashHarness:
             self.disk, self.footprint, self.config, actor=self.app)
         self.replicas = (ReplicaManager(self.fs, copies=copies)
                          if copies > 1 else None)
-        self.persist = PersistManager(self.fs, replicas=self.replicas)
+        self.persist = PersistManager(self.fs)
         self.persist.install()
         self.migrator = Migrator(self.fs)
-        if self.replicas is not None:
-            self.replicas.install(self.migrator)
         self.oracle: Dict[str, bytes] = {}
         self.trap = CrashTrap()
         install_trap([self.disk] + [self.jukebox.volumes[v]
@@ -155,8 +153,7 @@ class CrashHarness:
         victim = entries[0][0]  # volume_id of the first ledgered segment
         self.persist.health.quarantine(victim, self.app.time,
                                        reason="crash-harness")
-        daemon = RepairDaemon(self.fs, self.persist.health,
-                              replicas=self.replicas)
+        daemon = RepairDaemon(self.fs, self.persist.health)
         self.arm(*self._pending_arm)  # setup done: the repair writes start
         daemon.run_once(self.app)
         self.fs.checkpoint(self.app)
@@ -174,7 +171,7 @@ class CrashHarness:
         self.app = fs.actor
         self.replicas = (ReplicaManager(fs, copies=2)
                          if self.replicas is not None else None)
-        self.persist = PersistManager(fs, replicas=self.replicas)
+        self.persist = PersistManager(fs)
         self.persist.install()
         self.migrator = Migrator(fs)
         self.report = fs.recover()

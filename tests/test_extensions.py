@@ -1,15 +1,17 @@
 """Tests for the Future-Work extensions: tertiary cleaner, delayed
-write-out, segment replicas, adaptive cache sizing."""
+write-out (the scheduler's write-out queue), segment replicas, adaptive
+cache sizing."""
 
 import os
 
 import pytest
 
 from tests.conftest import HLBed
+from repro import obs
 from repro.core.cachesizer import AdaptiveCacheSizer
+from repro.core.highlight import HighLightConfig
 from repro.core.replicas import ReplicaManager
 from repro.core.tcleaner import TertiaryCleaner
-from repro.core.writeout import DelayedWriteout
 from repro.util.units import KB, MB
 
 
@@ -89,59 +91,49 @@ class TestTertiaryCleaner:
 
 
 class TestDelayedWriteout:
+    """The §5.4 delayed write-out policy, as the scheduler's write-out
+    queue implements it: segments wait for an idle-period drain, and a
+    full queue forces its oldest entry out."""
+
+    @staticmethod
+    def _delayed_bed(queue_limit):
+        return HLBed(config=HighLightConfig(
+            sched_mode="scheduled", sched_writeout_queue_limit=queue_limit))
+
     def test_segments_accumulate_until_drain(self):
-        bed = HLBed()
-        scheduler = DelayedWriteout(bed.fs, max_pending=8)
-        bed.migrator.writeout = scheduler.enqueue
+        bed = self._delayed_bed(queue_limit=8)
+        sched = bed.fs.sched
         payload = os.urandom(2 * MB)
         bed.fs.write_path("/d", payload)
         bed.fs.checkpoint()
         bed.migrator.migrate_file("/d")
         bed.migrator.flush()
-        assert scheduler.pending >= 2
+        pending = sched.queued()
+        assert pending >= 2
         assert bed.fs.ioserver.segments_written == 0
         # idle period arrives
-        drained = scheduler.drain(bed.app)
-        assert drained == scheduler.idle_writeouts
+        drained = sched.pump(bed.app)
+        assert drained == pending
+        assert sched.queued() == 0
         assert bed.fs.ioserver.segments_written >= 2
         assert bed.fs.read_path("/d") == payload
 
     def test_overflow_forces_oldest_out(self):
-        bed = HLBed()
-        scheduler = DelayedWriteout(bed.fs, max_pending=1)
-        bed.migrator.writeout = scheduler.enqueue
+        bed = self._delayed_bed(queue_limit=1)
+        sched = bed.fs.sched
         bed.fs.write_path("/d", os.urandom(3 * MB))
         bed.fs.checkpoint()
         bed.migrator.migrate_file("/d")
         bed.migrator.flush()
-        assert scheduler.forced_writeouts >= 1
-        assert scheduler.pending <= 1
-
-    def test_pending_lines_stay_staging(self):
-        bed = HLBed()
-        scheduler = DelayedWriteout(bed.fs, max_pending=8)
-        bed.migrator.writeout = scheduler.enqueue
-        bed.fs.write_path("/d", os.urandom(MB))
-        bed.fs.checkpoint()
-        bed.migrator.migrate_file("/d")
-        bed.migrator.flush()
-        for tsegno in scheduler.pending_segments():
-            assert bed.fs.cache.is_staging(tsegno)
-        scheduler.drain(bed.app)
-        for tsegno in scheduler.pending_segments():
-            assert False, "queue should be empty"
-
-    def test_validation(self):
-        bed = HLBed()
-        with pytest.raises(ValueError):
-            DelayedWriteout(bed.fs, max_pending=0)
+        assert sched.forced_writeouts >= 1
+        assert sched.queued() <= 1
+        assert bed.fs.ioserver.segments_written >= 1
 
 
 class TestReplicaManager:
     def _replicated_bed(self):
         bed = HLBed(n_platters=6, platter_bytes=8 * MB)
         manager = ReplicaManager(bed.fs, copies=1)
-        manager.install(bed.migrator)
         data = _migrate_some(bed, {"/r": MB}, flush_cache=False)
         return bed, manager, data
 
@@ -193,6 +185,62 @@ class TestReplicaManager:
         bed = HLBed()
         with pytest.raises(ValueError):
             ReplicaManager(bed.fs, copies=0)
+
+    @staticmethod
+    def _read_back(copies):
+        """Migrate, eject and demand-read one 1 MB file; returns the
+        read's (elapsed, Table 4 charges, ``segment_fetch`` events)."""
+        bed = HLBed(n_platters=6, platter_bytes=8 * MB)
+        manager = ReplicaManager(bed.fs, copies=copies) if copies else None
+        data = _migrate_some(bed, {"/r": MB})
+        assert manager is None or manager.catalog
+        account = bed.fs.ioserver.account
+        before = account.breakdown()
+
+        def fetch_events():
+            return sum(1 for e in obs.trace().events()
+                       if e.etype == obs.EV_SEGMENT_FETCH)
+
+        events = fetch_events()
+        t0 = bed.app.time
+        assert bed.fs.read_path("/r") == data["/r"]
+        charged = {cat: secs - before.get(cat, 0.0)
+                   for cat, secs in account.breakdown().items()
+                   if secs != before.get(cat, 0.0)}
+        return bed.app.time - t0, charged, fetch_events() - events
+
+    def test_replicated_fetch_is_charged_like_a_single_copy_fetch(self):
+        # The closest-copy read is IOServer.fetch itself, so Table 4 and
+        # the trace see a replicated bed's demand fetch exactly as they
+        # see a single-copy one (same elapsed time, same categories).
+        elapsed, charged, events = self._read_back(copies=0)
+        r_elapsed, r_charged, r_events = self._read_back(copies=1)
+        assert events == r_events == 2
+        assert r_elapsed == pytest.approx(elapsed, rel=1e-9)
+        assert r_charged == pytest.approx(charged, rel=1e-9)
+        assert set(charged) == {"queuing", "footprint_read", "disk_write"}
+        assert sum(charged.values()) == pytest.approx(6.7829, abs=1e-4)
+
+    def test_scheduled_writeout_replicates_inside_its_dispatch(self):
+        bed = HLBed(n_platters=6, platter_bytes=8 * MB,
+                    config=HighLightConfig(sched_mode="scheduled"))
+        manager = ReplicaManager(bed.fs, copies=1)
+        bed.fs.write_path("/s", os.urandom(2 * MB))
+        bed.fs.checkpoint()
+        bed.app.sleep(100)
+        bed.migrator.migrate_file("/s")
+        bed.migrator.flush()
+        # Queued, not yet on tertiary storage: nothing to copy yet.
+        assert bed.fs.sched.queued() and not manager.catalog
+        # Strict accounting raises if the replica's line read or
+        # Footprint write escaped the Table 4 categories.
+        bed.fs.sched.pump(bed.app)
+        log = bed.fs.sched.dispatch_log
+        assert log and all(abs(r.charged - (r.wait + r.service)) <= 1e-6
+                           for r in log)
+        written = [t for t, _when, _nbytes in bed.fs.ioserver.writeout_log]
+        assert written and all(manager.catalog.get(t) for t in written)
+        assert manager.replicas_written == len(written)
 
 
 class TestAdaptiveCacheSizer:

@@ -343,10 +343,7 @@ def _bed(copies=None, plan=None, install_before_migrate=False,
          **fm_kwargs):
     """A migrated bed with every byte acknowledged tertiary-side."""
     bed = HLBed(n_platters=6, platter_bytes=8 * MB)
-    replicas = None
-    if copies:
-        replicas = ReplicaManager(bed.fs, copies=copies)
-        replicas.install(bed.migrator)
+    replicas = ReplicaManager(bed.fs, copies=copies) if copies else None
     bed.fs.mkdir("/keep")
     for path, payload in _FILES.items():
         bed.fs.write_path(path, payload)
@@ -354,16 +351,14 @@ def _bed(copies=None, plan=None, install_before_migrate=False,
     bed.app.sleep(60)
     fm = None
     if install_before_migrate:
-        fm = FaultManager(bed.fs, plan=plan, replicas=replicas,
-                          **fm_kwargs).install()
+        fm = FaultManager(bed.fs, plan=plan, **fm_kwargs).install()
     for path in _FILES:
         bed.migrator.migrate_file(path)
     bed.migrator.flush()
     bed.fs.service.flush_cache(bed.app)
     bed.fs.drop_caches(drop_inodes=True)
     if fm is None:
-        fm = FaultManager(bed.fs, plan=plan, replicas=replicas,
-                          **fm_kwargs).install()
+        fm = FaultManager(bed.fs, plan=plan, **fm_kwargs).install()
     return bed, fm, replicas
 
 
@@ -380,7 +375,7 @@ class TestRecoveryIntegration:
         _read_all(bed)
         assert fm.retry.attempts == 2
         assert fm.injector.injected == 2
-        assert fm.degraded_reads == 0
+        assert obs.metrics().get("degraded_reads_total") == 0
 
     def test_dead_primary_served_from_replica(self):
         bed_probe = HLBed(n_platters=6, platter_bytes=8 * MB)
@@ -389,9 +384,13 @@ class TestRecoveryIntegration:
                                          volume_id=victim))
         bed, fm, replicas = _bed(copies=1, plan=plan)
         _read_all(bed)
-        assert fm.degraded_reads >= 1
+        assert replicas.degraded_reads >= 1
         assert fm.health.health_of(victim) is VolumeHealth.QUARANTINED
         assert replicas.replica_reads >= 1
+        # One destroyed medium, one charge — not one per layer that saw
+        # the MediaFailure go by — and the quarantine keeps its cause.
+        assert fm.health.errors[victim] == 1
+        assert fm.health.quarantine_reasons[victim] == KIND_MEDIA_DEAD
 
     def test_error_budget_quarantines_flapping_volume(self):
         bed_probe = HLBed(n_platters=6, platter_bytes=8 * MB)
@@ -412,6 +411,19 @@ class TestRecoveryIntegration:
         # The first copy-out died mid-write; the data was re-staged onto
         # a healthy volume and every byte is still readable.
         assert bed.fs.tsegfile.volumes[0].marked_full
+        _read_all(bed)
+
+    def test_restaged_segment_gets_its_replica(self):
+        bed_probe = HLBed(n_platters=6, platter_bytes=8 * MB)
+        victim = bed_probe.fs.tsegfile.volumes[0].volume_id
+        plan = FaultPlan().add(FaultSpec(KIND_MEDIA_DEAD, op="write",
+                                         volume_id=victim))
+        bed, _fm, replicas = _bed(copies=1, plan=plan,
+                                  install_before_migrate=True)
+        # Replication follows the segment that actually landed — the
+        # re-staged one included — not the tsegno first submitted.
+        written = [t for t, _when, _n in bed.fs.ioserver.writeout_log]
+        assert written and all(replicas.catalog.get(t) for t in written)
         _read_all(bed)
 
     def test_repair_daemon_rehomes_and_retires(self):
@@ -475,7 +487,6 @@ class TestMediaFailure:
     def test_replica_survives_primary_failure(self):
         bed, payload = self._migrated_bed()
         manager = ReplicaManager(bed.fs, copies=1)
-        manager.install(bed.migrator)
         bed.migrator.migrate_file("/precious")
         bed.migrator.flush()
         bed.fs.service.flush_cache(bed.app)

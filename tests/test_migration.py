@@ -231,6 +231,30 @@ class TestEndOfMedium:
         assert bed.fs.read_path("/keep") == keep
 
 
+    def test_replicas_on_nominal_capacity_volumes(self):
+        from repro.core.highlight import HighLightConfig
+        from repro.core.replicas import ReplicaManager
+        # Replica writes meet the same early end-of-medium as primaries:
+        # the volume is marked full and the copy lands on the next one.
+        bed = HLBed(n_platters=6, platter_bytes=8 * MB,
+                    config=HighLightConfig(expected_capacity="nominal"))
+        for vol in bed.jukebox.volumes.values():
+            vol.effective_capacity_blocks = (2 * MB) // 4096
+        replicas = ReplicaManager(bed.fs, copies=1)
+        payload = os.urandom(4 * MB)
+        bed.fs.write_path("/big", payload)
+        bed.fs.checkpoint()
+        bed.migrator.migrate_file("/big")
+        bed.migrator.flush()
+        assert bed.fs.tsegfile.volumes[0].marked_full
+        assert bed.fs.tsegfile.volumes[-1].marked_full  # replicas' first
+        written = [t for t, _when, _n in bed.fs.ioserver.writeout_log]
+        assert all(replicas.catalog.get(t) for t in written)
+        bed.fs.service.flush_cache(bed.app)
+        bed.fs.drop_caches(drop_inodes=True)
+        assert bed.fs.read_path("/big") == payload
+
+
 class TestPipeline:
     def test_pipeline_migrates_and_overlaps(self, hl):
         payload = os.urandom(3 * MB)

@@ -288,6 +288,18 @@ class TestScheduledModeIntegration:
         assert fs.read_path("/d/f.bin") == payload
         assert fs.stats.demand_fetches > 0
 
+    def test_queued_writeout_lines_stay_staging(self):
+        """The §5.4 delayed write-out: a queued segment stays pinned in
+        its staging line until the idle-period drain copies it out."""
+        bed, _payload = self._migrated_bed()
+        fs, app = bed.fs, bed.app
+        queued = [tag for _rclass, tag, _vol, _t
+                  in fs.sched.queued_descriptors()]
+        assert queued and fs.ioserver.segments_written == 0
+        assert all(fs.cache.is_staging(t) for t in queued)
+        fs.sched.pump(app)
+        assert not any(fs.cache.is_staging(t) for t in queued)
+
     def test_prefetch_routes_through_scheduler_queue(self):
         bed, _payload = self._migrated_bed()
         fs, app = bed.fs, bed.app

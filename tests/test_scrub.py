@@ -70,7 +70,7 @@ def test_bitrot_detected_within_one_cycle(seed, target):
 def test_bitrot_repaired_with_zero_loss(seed, target):
     h, scrub, vol_id = _rotted_bed(seed, target)
     scrub.run_cycle(h.app)
-    daemon = RepairDaemon(h.fs, h.persist.health, replicas=h.replicas)
+    daemon = RepairDaemon(h.fs, h.persist.health)
     daemon.run_once(h.app)
     assert h.persist.health.health_of(vol_id) is VolumeHealth.RETIRED
     # Zero acknowledged-byte loss: every committed path reads back

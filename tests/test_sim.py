@@ -6,7 +6,6 @@ from repro.sim.actor import Actor, TimeAccount
 from repro.sim.clock import VirtualClock
 from repro.sim.resources import TimelineResource, occupy_all
 from repro.sim.scheduler import DeadlockError, Scheduler, TimedQueue, WAIT
-from repro.sim.stats import PhaseTimer, RateMeter
 
 
 class TestClock:
@@ -259,34 +258,3 @@ class TestTimedQueue:
         p.sleep(2.0)
         q.put(p, "x")
         assert q.peek_ready_time() == 2.0
-
-
-class TestStats:
-    def test_rate_meter(self):
-        meter = RateMeter()
-        meter.add(1000, 2.0)
-        meter.add(1000, 2.0)
-        assert meter.rate() == 500.0
-
-    def test_rate_meter_empty(self):
-        assert RateMeter().rate() == 0.0
-
-    def test_rate_meter_validation(self):
-        with pytest.raises(ValueError):
-            RateMeter().add(-1, 1.0)
-
-    def test_phase_timer(self):
-        actor = Actor("a")
-        timer = PhaseTimer(actor)
-        timer.begin("work")
-        actor.sleep(4.0)
-        assert timer.end("work") == 4.0
-        assert timer.duration("work") == 4.0
-
-    def test_phase_timer_errors(self):
-        timer = PhaseTimer(Actor("a"))
-        with pytest.raises(ValueError):
-            timer.end("never")
-        timer.begin("x")
-        with pytest.raises(ValueError):
-            timer.begin("x")

@@ -1,13 +1,12 @@
 """Direct unit tests for the simulation measurement primitives:
-VirtualClock, TimeAccount, RateMeter, and PhaseTimer — plus their
-mirroring into the process-wide metrics registry."""
+VirtualClock and TimeAccount — plus the account's mirroring into the
+process-wide metrics registry."""
 
 import pytest
 
 from repro import obs
-from repro.sim.actor import Actor, TimeAccount
+from repro.sim.actor import TimeAccount
 from repro.sim.clock import VirtualClock
-from repro.sim.stats import PhaseTimer, RateMeter
 
 
 class TestVirtualClock:
@@ -104,76 +103,3 @@ class TestTimeAccount:
                                      category="io") == 0.0
         finally:
             obs.enable()
-
-
-class TestRateMeter:
-    def test_rate_is_bytes_over_seconds(self):
-        meter = RateMeter("xfer")
-        meter.add(1000, 2.0)
-        meter.add(500, 1.0)
-        assert meter.bytes == 1500
-        assert meter.seconds == 3.0
-        assert meter.rate() == pytest.approx(500.0)
-
-    def test_zero_time_rate_is_zero(self):
-        assert RateMeter().rate() == 0.0
-
-    def test_negative_measurement_raises(self):
-        with pytest.raises(ValueError):
-            RateMeter().add(-1, 1.0)
-        with pytest.raises(ValueError):
-            RateMeter().add(1, -1.0)
-
-    def test_named_meter_mirrors_into_registry(self):
-        RateMeter("unit_test_meter").add(4096, 0.5)
-        reg = obs.metrics()
-        assert reg.get("rate_meter_bytes_total",
-                       meter="unit_test_meter") == 4096
-        assert reg.get("rate_meter_seconds_total",
-                       meter="unit_test_meter") == 0.5
-
-    def test_anonymous_meter_does_not_mirror(self):
-        RateMeter().add(4096, 0.5)
-        assert obs.metrics().get("rate_meter_bytes_total", meter="") == 0.0
-
-
-class TestPhaseTimer:
-    def test_begin_end_windows(self):
-        actor = Actor("bench")
-        timer = PhaseTimer(actor)
-        timer.begin("warm")
-        actor.sleep(2.0)
-        assert timer.end("warm") == pytest.approx(2.0)
-        assert timer.phases == [("warm", 0.0, 2.0)]
-
-    def test_double_begin_raises(self):
-        timer = PhaseTimer(Actor("bench"))
-        timer.begin("p")
-        with pytest.raises(ValueError):
-            timer.begin("p")
-
-    def test_end_without_begin_raises(self):
-        with pytest.raises(ValueError):
-            PhaseTimer(Actor("bench")).end("p")
-
-    def test_duration_sums_repeated_phases(self):
-        actor = Actor("bench")
-        timer = PhaseTimer(actor)
-        for _ in range(2):
-            timer.begin("p")
-            actor.sleep(1.5)
-            timer.end("p")
-        assert timer.duration("p") == pytest.approx(3.0)
-        assert timer.duration("missing") == 0.0
-
-    def test_end_observes_phase_histogram(self):
-        actor = Actor("bench")
-        timer = PhaseTimer(actor)
-        timer.begin("unit_test_phase")
-        actor.sleep(0.75)
-        timer.end("unit_test_phase")
-        fam = obs.metrics().histogram("phase_seconds",
-                                      labelnames=("phase",))
-        child = fam.labels(phase="unit_test_phase")
-        assert child.count == 1
-        assert child.sum == pytest.approx(0.75)
