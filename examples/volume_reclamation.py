@@ -86,7 +86,6 @@ def main() -> None:
     # Season 3: two sets that were archived months apart are now analysed
     # together; the rearranger co-locates them.
     rearranger = SegmentRearranger(fs, migrator, affinity_window=120.0)
-    rearranger.install()
     pair = ["/archive/set01", "/archive/set09"]
     for _round in range(2):
         fs.service.flush_cache(app)

@@ -263,7 +263,7 @@ def run_chaos(quick: bool = False,
 
     # The storm, then the repair daemon, then a full re-read.
     bed, replicas = _chaos_build(files, seed)
-    fm = FaultManager(bed.fs, plan=_chaos_plan(bed, seed)).install()
+    fm = FaultManager(bed.fs, plan=_chaos_plan(bed, seed))
     storm_lat, storm_bad = _chaos_read_back(bed, files)
     rehomed = fm.repair.run_once(bed.app)
     after_lat, after_bad = _chaos_read_back(bed, files)
@@ -355,7 +355,6 @@ def _crash_build():
     fs = HighLightFS.mkfs_highlight(disk, footprint, HighLightConfig(),
                                     actor=app)
     persist = PersistManager(fs)
-    persist.install()
     migrator = Migrator(fs)
     trap = CrashTrap()
     install_trap([disk] + [jukebox.volumes[v]
@@ -408,8 +407,7 @@ def _crash_one_point(phase: str, after_writes: int) -> Dict[str, float]:
     fs2, _d2, _j2, _fp2 = restart_highlight(
         images, disk_bytes=_CRASH_DISK, n_platters=_CRASH_PLATTERS,
         platter_bytes=_CRASH_PLATTER_MB)
-    persist2 = PersistManager(fs2)
-    persist2.install()
+    PersistManager(fs2)
     report = fs2.recover()
     check = check_filesystem(fs2, fs2.actor, oracle=oracle)
     return {

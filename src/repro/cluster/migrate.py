@@ -16,7 +16,7 @@ whole-object transfer between two shared-nothing stacks:
 3. the source unlinks its copy.
 
 All device I/O on both sides runs under the PR 5 ``repair`` request
-class when the shard has the fault-recovery stack installed, so a move
+class when the shard has the fault-recovery stack attached, so a move
 never competes with demand traffic at demand priority and inherits the
 repair retry budget.  The coordinator journals every move as a
 ``shard_migrate`` trace event and reports ring-vs-catalog deltas, moved

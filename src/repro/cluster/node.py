@@ -88,7 +88,7 @@ class ClusterNode:
         self.faults: Optional[FaultManager] = None
         if replicate:
             self.replicas = ReplicaManager(self.fs, copies=1)
-            self.faults = FaultManager(self.fs).install()
+            self.faults = FaultManager(self.fs)
         # Start with the first platter loaded and the write drive pinned,
         # the same drive allocation every bench bed uses.
         first = self.fs.tsegfile.volumes[0].volume_id

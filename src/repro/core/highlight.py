@@ -101,16 +101,19 @@ class HighLightFS(LFS):
         self.ioserver: Optional[IOServer] = None
         self.sched = None             # TertiaryScheduler, set on attach
         self.service: Optional[ServiceProcess] = None
+        # Optional components: each constructor fills its own slot and
+        # the owning layer reads the slot where it acts (DESIGN.md
+        # "Assembling a stack").  ``None`` keeps the stack byte-identical
+        # to the pipeline without that component.
         self.migrator = None          # set by Migrator.__init__
         self.replicas = None          # set by ReplicaManager.__init__
+        self.rearranger = None        # set by SegmentRearranger.__init__
+        self.faults = None            # set by FaultManager.__init__
+        #: Set by PersistManager.__init__: every checkpoint also writes a
+        #: persistence image, and :meth:`recover` replays one.
+        self.persist = None
         self.range_tracker = None     # optional AccessRangeTracker
         self.tsegfile_inum: Optional[int] = None
-        #: Set by :meth:`repro.persist.PersistManager.install`; when
-        #: present, every checkpoint also writes a persistence image and
-        #: :meth:`recover` can replay one after a remount.  ``None``
-        #: keeps the stack byte-identical to the persistence-free
-        #: pipeline (the golden-trace invariant).
-        self.persist = None
         routed = obs.counter("highlight_dev_blocks_total",
                              "blocks routed through the block-map driver",
                              ("op",))
@@ -317,8 +320,6 @@ class HighLightFS(LFS):
 
     def checkpoint(self, actor: Optional[Actor] = None) -> None:
         actor = actor or self.actor
-        if self.migrator is not None:
-            self.migrator.flush(actor)
         if self.tsegfile is not None and self.tsegfile_inum is not None:
             content = self.tsegfile.serialize()
             ino = self.get_inode(self.tsegfile_inum, actor)
@@ -341,14 +342,15 @@ class HighLightFS(LFS):
         checkpoint + roll-forward to the last durable epoch); this
         restores what the log does not record — health registry, scrub
         ledger, replica catalog, preserved counters — and reconciles
-        staging lines and in-doubt volumes.  Requires an installed
-        :class:`repro.persist.PersistManager`; returns its
+        staging lines and in-doubt volumes.  Requires a
+        :class:`repro.persist.PersistManager` constructed over this
+        filesystem; returns its
         :class:`~repro.persist.manager.RecoveryReport`.
         """
         if self.persist is None:
             raise InvalidArgument(
-                "no PersistManager installed; construct one over this "
-                "filesystem and call .install() before recover()")
+                "no PersistManager; construct one over this filesystem "
+                "before recover()")
         return self.persist.recover(actor or self.actor)
 
     # ------------------------------------------------------------------

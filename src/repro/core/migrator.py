@@ -99,18 +99,13 @@ class Migrator:
         #: tsegno -> unit tag; migration-time hints the prefetcher reads.
         self.hint_table: Dict[int, object] = {}
         self._unit_tag: object = None
-        #: How finished staging segments reach tertiary storage; the
-        #: pipeline replaces this with a queue put.
-        self.writeout = self._submit_writeout
-        if fs.service is not None:
-            fs.service.restage_handler = self.restage_line
+        #: While a :class:`MigrationPipeline` runs, the queue its I/O
+        #: server drains; otherwise sealed segments go to the scheduler.
+        self.outbox: Optional[TimedQueue] = None
+        # The service process restages end-of-medium lines through here.
+        fs.migrator = self
 
     # -- staging-segment lifecycle ---------------------------------------------------
-
-    def _submit_writeout(self, actor: Actor, tsegno: int) -> None:
-        # Background-class scheduler submission: synchronous in the
-        # default pass-through mode, volume-batched when scheduled.
-        self.fs.sched.submit_writeout(actor, tsegno)
 
     def _open_builder(self, actor: Actor) -> StagingBuilder:
         vol, seg_in_vol = self.fs.tsegfile.alloc_segment()
@@ -139,8 +134,12 @@ class Migrator:
         tseg = self.fs.tseg_use(builder.tsegno)
         tseg.lastmod = actor.time
         self.stats.add_segment(builder.used_bytes())
-        if writeout:
-            self.writeout(actor, builder.tsegno)
+        if writeout and self.outbox is not None:
+            self.outbox.put(actor, builder.tsegno)
+        elif writeout:
+            # Background-class scheduler submission: synchronous in the
+            # default pass-through mode, volume-batched when scheduled.
+            self.fs.sched.submit_writeout(actor, builder.tsegno)
         return builder.tsegno
 
     def flush(self, actor: Optional[Actor] = None) -> Optional[int]:
@@ -461,13 +460,14 @@ class MigrationPipeline:
         self.finish_time = 0.0
 
     def run(self) -> None:
-        self.migrator.writeout = (
-            lambda actor, tsegno: self.queue.put(actor, tsegno))
-        scheduler = Scheduler()
-        scheduler.add(self.migrator_actor, self._migrator_task())
-        scheduler.add(self.ioserver_actor, self._ioserver_task())
-        scheduler.run()
-        self.migrator.writeout = self.migrator._submit_writeout
+        self.migrator.outbox = self.queue
+        try:
+            scheduler = Scheduler()
+            scheduler.add(self.migrator_actor, self._migrator_task())
+            scheduler.add(self.ioserver_actor, self._ioserver_task())
+            scheduler.run()
+        finally:
+            self.migrator.outbox = None
 
     def _migrator_task(self):
         actor = self.migrator_actor

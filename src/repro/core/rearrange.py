@@ -58,22 +58,9 @@ class SegmentRearranger:
         self.annotations: Dict[int, FetchAnnotation] = {}
         self._fetch_log: List[Tuple[float, int]] = []
         self.segments_rearranged = 0
+        fs.rearranger = self
 
-    # -- annotation (hooked from the service process) -------------------------
-
-    def install(self) -> None:
-        """Hook the service process's demand-fetch path."""
-        service = self.fs.service
-        original = service.demand_fetch
-
-        def annotated(actor: Actor, tsegno: int) -> int:
-            known = self.fs.cache.lookup(tsegno) is not None
-            disk_segno = original(actor, tsegno)
-            if not known:
-                self.note_fetch(actor, tsegno)
-            return disk_segno
-
-        service.demand_fetch = annotated
+    # -- annotation (called on the service process's demand-fetch miss) -------
 
     def note_fetch(self, actor: Actor, tsegno: int) -> None:
         ann = self.annotations.get(tsegno)

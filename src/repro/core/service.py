@@ -21,8 +21,6 @@ classes the scheduler may batch per volume.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
 from repro import obs
 from repro.core.ioserver import CAT_QUEUING
 from repro.errors import EndOfMedium, MigrationError, PermanentDeviceError
@@ -42,8 +40,6 @@ class ServiceProcess:
         #: wakeup on the paper's host).
         self.request_overhead = request_overhead
         self.prefetcher = prefetcher
-        #: Installed by the Migrator: re-stages a line after EndOfMedium.
-        self.restage_handler: Optional[Callable[[Actor, int], int]] = None
         self.sched = sched
 
     @property
@@ -70,6 +66,8 @@ class ServiceProcess:
         self.fs.stats.demand_fetches += 1
         obs.counter("service_demand_fetches_total",
                     "synchronous fetches triggered by block faults").inc()
+        if self.fs.rearranger is not None:
+            self.fs.rearranger.note_fetch(actor, tsegno)
         return disk_segno
 
     def after_miss(self, actor: Actor, tsegno: int) -> None:
@@ -148,14 +146,14 @@ class ServiceProcess:
 
     def _restage_and_retry(self, actor: Actor, tsegno: int,
                            vol_id, why: str) -> None:
-        if self.restage_handler is None:
+        if self.fs.migrator is None:
             raise MigrationError(
                 f"volume {vol_id} {why} and no migrator is "
                 "available to restage the segment")
         # Restaging is requeue work: charge it to the queuing category so
         # the write-out's elapsed time still partitions into Table 4.
         t0 = actor.time
-        new_tsegno = self.restage_handler(actor, tsegno)
+        new_tsegno = self.fs.migrator.restage_line(actor, tsegno)
         self.ioserver.account.charge(CAT_QUEUING, actor.time - t0)
         self.writeout_line(actor, new_tsegno)
 

@@ -117,7 +117,8 @@ class FaultPlan:
 class FaultInjector:
     """Evaluates a :class:`FaultPlan` at the device layer's hook points.
 
-    Installed by setting ``jukebox.fault_injector`` (mount hook) and
+    :class:`~repro.faults.recovery.FaultManager`'s constructor places it
+    in ``jukebox.fault_injector`` (mount hook) and
     ``footprint.fault_injector`` (I/O hook); a ``FaultyDevice`` wrapper
     carries the same injector around any plain :class:`BlockDevice`.
     Disabled injectors (``enabled = False``) are inert, and an absent

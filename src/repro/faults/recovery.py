@@ -129,17 +129,28 @@ class RecoveringFootprint:
 
 
 class FaultManager:
-    """Wires injection + recovery into an assembled ``HighLightFS``."""
+    """Wires injection + recovery into an assembled ``HighLightFS``.
+
+    Constructing it attaches it: the injector goes into the jukebox's
+    and the Footprint's ``fault_injector`` slots, ``fs.footprint`` is
+    wrapped in a :class:`RecoveringFootprint`, and ``fs.faults`` is set.
+    A :class:`~repro.persist.PersistManager` already on the stack lends
+    its health registry, so the stack keeps one.
+    """
 
     def __init__(self, fs, plan: Optional[FaultPlan] = None,
                  retry: Optional[RetryPolicy] = None,
                  error_budget: Optional[int] = None) -> None:
         self.fs = fs
         config = fs.config
-        self.health = (HealthRegistry() if error_budget is None
-                       else HealthRegistry(error_budget=error_budget))
         jukebox = getattr(fs.footprint, "jukebox", None)
-        if jukebox is not None:
+        if fs.persist is not None:
+            self.health = fs.persist.health
+            if error_budget is not None:
+                self.health.error_budget = error_budget
+        else:
+            self.health = (HealthRegistry() if error_budget is None
+                           else HealthRegistry(error_budget=error_budget))
             self.health.attach(jukebox)
         if retry is None:
             retry = RetryPolicy(
@@ -150,7 +161,20 @@ class FaultManager:
         self.injector = (FaultInjector(plan, health=self.health)
                          if plan is not None else None)
         self.repair = RepairDaemon(fs, self.health)
-        self.installed = False
+        if self.injector is not None:
+            if jukebox is not None:
+                jukebox.fault_injector = self.injector
+            if hasattr(fs.footprint, "fault_injector"):
+                fs.footprint.fault_injector = self.injector
+        sched = fs.sched
+
+        def active_class() -> str:
+            return sched.active_class if sched is not None else "demand"
+
+        fs.footprint = RecoveringFootprint(fs.footprint, self.retry,
+                                           health=self.health,
+                                           class_provider=active_class)
+        fs.faults = self
 
     @staticmethod
     def _policies_from_config(config):
@@ -166,25 +190,3 @@ class FaultManager:
             return None
         return {rclass: replace(pol, **overrides)
                 for rclass, pol in DEFAULT_CLASS_POLICIES.items()}
-
-    def install(self) -> "FaultManager":
-        """Hook the injector and wrap the recovery layer around the fs."""
-        fs = self.fs
-        if self.installed:
-            return self
-        if self.injector is not None:
-            jukebox = getattr(fs.footprint, "jukebox", None)
-            if jukebox is not None:
-                jukebox.fault_injector = self.injector
-            if hasattr(fs.footprint, "fault_injector"):
-                fs.footprint.fault_injector = self.injector
-        sched = fs.sched
-
-        def active_class() -> str:
-            return sched.active_class if sched is not None else "demand"
-
-        fs.footprint = RecoveringFootprint(fs.footprint, self.retry,
-                                           health=self.health,
-                                           class_provider=active_class)
-        self.installed = True
-        return self

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro import obs
 from repro.blockdev.datapath import (Buffer, ExtentRef, ref_of,
@@ -31,13 +31,14 @@ class JukeboxFootprint(FootprintInterface):
         #: Optional :class:`repro.faults.FaultInjector` consulted before
         #: each I/O reaches a drive (media/timeout/slow-I/O injection).
         self.fault_injector = None
-        #: Optional ``(volume_id, blkno, refs)`` callback fired after each
-        #: *successful* write — ``repro.persist`` folds the scrub CRC
-        #: ledger over the data as it goes by.  A failed or torn write
-        #: never reaches the observer, so a stale ledger entry is exactly
-        #: the scrubber's detection signal.  Pure host computation: no
-        #: virtual time, no events.
-        self.write_observer = None
+        #: ``(volume_id, blkno, refs)`` callbacks fired after each
+        #: *successful* write — ``repro.persist`` appends its scrub CRC
+        #: ledger here.  A failed or torn write never reaches an
+        #: observer, so a stale ledger entry is exactly the scrubber's
+        #: detection signal.  Pure host computation: no virtual time, no
+        #: events.
+        self.write_observers: List[Callable[[int, int, List[ExtentRef]],
+                                            None]] = []
 
     # -- inventory ----------------------------------------------------------
 
@@ -105,8 +106,8 @@ class JukeboxFootprint(FootprintInterface):
                                    or 1))
         self.jukebox.drives[idx].write(actor, blkno, data)
         self._account("write", len(data), actor.time - t0)
-        if self.write_observer is not None:
-            self.write_observer(volume_id, blkno, [ref_of(data)])
+        for observe in self.write_observers:
+            observe(volume_id, blkno, [ref_of(data)])
 
     def read_refs(self, actor: Actor, volume_id: int, blkno: int,
                   nblocks: int) -> List[ExtentRef]:
@@ -125,7 +126,7 @@ class JukeboxFootprint(FootprintInterface):
                      refs_nbytes(refs)
                      // (self.jukebox.volume(volume_id).block_size or 1))
         observed = None
-        if self.write_observer is not None:
+        if self.write_observers:
             # Capture windows while the borrow is still live: the drive's
             # write_refs adopts (moves) the refs, and viewing a moved ref
             # is a borrow-sanitizer trap.  Views taken now stay valid —
@@ -134,8 +135,8 @@ class JukeboxFootprint(FootprintInterface):
             observed = [ExtentRef(r.view(), 0, r.nbytes) for r in refs]
         self.jukebox.drives[idx].write_refs(actor, blkno, refs)
         self._account("write", refs_nbytes(refs), actor.time - t0)
-        if self.write_observer is not None:
-            self.write_observer(volume_id, blkno, observed)
+        for observe in self.write_observers:
+            observe(volume_id, blkno, observed)
 
     @staticmethod
     def _account(op: str, nbytes: int, seconds: float) -> None:

@@ -121,10 +121,16 @@ class SegmentSummary:
 
     def entries(self, base: int) -> Iterator[Tuple[FileInfo, int, int]]:
         """``(finfo, lbn, daddr)`` per described block, in layout order,
-        for a partial whose summary block sits at address ``base``."""
+        for a partial whose summary block sits at address ``base``.
+        Inode blocks may sit between data blocks (a staging segment
+        migrating inodes appends each after its file), so their
+        addresses are stepped over."""
+        inode_daddrs = set(self.inode_daddrs)
         daddr = base + 1
         for fi in self.finfos:
             for lbn in fi.blocks:
+                while daddr in inode_daddrs:
+                    daddr += 1
                 yield fi, lbn, daddr
                 daddr += 1
 

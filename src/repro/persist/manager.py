@@ -1,11 +1,13 @@
 """Checkpoint capture, dual-slot commit, and recovery replay.
 
-:class:`PersistManager` is wired over an assembled HighLight stack the
-same way :class:`repro.faults.recovery.FaultManager` is: construct it
-with the filesystem (plus whatever health registry the deployment
-already has; the replica catalogue is read from ``fs.replicas``) and
-:meth:`install` it.  From then on every ``fs.checkpoint()`` appends a
-persistence checkpoint right after the LFS superblock write, and
+:class:`PersistManager` attaches to an assembled HighLight stack the
+same way :class:`repro.faults.recovery.FaultManager` does: constructing
+it over the filesystem sets ``fs.persist``, anchors the slot area and
+starts the CRC ledger (the replica catalogue is read from
+``fs.replicas``, the health registry shared with ``fs.faults`` when a
+FaultManager is already attached).  From then on every
+``fs.checkpoint()`` appends a persistence checkpoint right after the
+LFS superblock write, and
 ``fs.recover()`` after a remount replays the newest valid image and
 reconciles it with what roll-forward rebuilt.
 
@@ -74,17 +76,17 @@ class RecoveryReport:
 class PersistManager:
     """Owns the persistence checkpoint area of one HighLight filesystem."""
 
-    def __init__(self, fs, *,
-                 health: Optional[HealthRegistry] = None) -> None:
+    def __init__(self, fs) -> None:
         self.fs = fs
         base = fs.footprint
         while hasattr(base, "inner"):
             base = base.inner
         self._base_footprint = base
-        if health is None:
-            health = HealthRegistry()
-            health.attach(base.jukebox)
-        self.health = health
+        if fs.faults is not None:
+            self.health = fs.faults.health
+        else:
+            self.health = HealthRegistry()
+            self.health.attach(base.jukebox)
         self.ledger = SegmentCRCLedger(fs.sb.blocks_per_seg, BLOCK_SIZE)
         self._writes = obs.counter(
             "checkpoint_writes_total", "persistence checkpoints written")
@@ -94,14 +96,9 @@ class PersistManager:
         self._invalid = obs.counter(
             "persist_slot_invalid_total",
             "persistence slots rejected by validation")
-
-    def install(self) -> "PersistManager":
-        """Hook into the filesystem: anchor the slot area and start
-        folding Footprint writes into the CRC ledger."""
-        self.fs.persist = self
-        self.fs.sb.persist_root = SLOT_BASES[0]
-        self._base_footprint.write_observer = self.ledger.observe_write
-        return self
+        fs.persist = self
+        fs.sb.persist_root = SLOT_BASES[0]
+        base.write_observers.append(self.ledger.observe_write)
 
     def make_scrubber(self) -> Scrubber:
         return Scrubber(self.fs, self.ledger, self.health)

@@ -45,8 +45,8 @@ class SegmentCRCLedger:
     """Full-image CRC32 per written tertiary segment location.
 
     Keyed by ``(volume_id, seg_in_vol)`` — replica copies get their own
-    entries.  Fed by the Footprint write observer hook
-    (:attr:`repro.footprint.robot.JukeboxFootprint.write_observer`):
+    entries.  Fed as a Footprint write observer
+    (:attr:`repro.footprint.robot.JukeboxFootprint.write_observers`):
     every successful whole-segment write records its CRC; a torn or
     failed write records nothing, which is exactly what lets the
     scrubber find the damage later.

@@ -57,6 +57,7 @@ class CrashHarness:
         self.disk_bytes = disk_bytes
         self.n_platters = n_platters
         self.platter_bytes = platter_bytes
+        self.copies = copies
         self.config = config or HighLightConfig()
         self.bus = SCSIBus()
         self.disk = profiles.make_disk(profiles.RZ57, bus=self.bus,
@@ -71,7 +72,6 @@ class CrashHarness:
         self.replicas = (ReplicaManager(self.fs, copies=copies)
                          if copies > 1 else None)
         self.persist = PersistManager(self.fs)
-        self.persist.install()
         self.migrator = Migrator(self.fs)
         self.oracle: Dict[str, bytes] = {}
         self.trap = CrashTrap()
@@ -169,10 +169,9 @@ class CrashHarness:
         self.fs, self.disk, self.jukebox = fs, disk, jukebox
         self.footprint = footprint
         self.app = fs.actor
-        self.replicas = (ReplicaManager(fs, copies=2)
-                         if self.replicas is not None else None)
+        self.replicas = (ReplicaManager(fs, copies=self.copies)
+                         if self.copies > 1 else None)
         self.persist = PersistManager(fs)
-        self.persist.install()
         self.migrator = Migrator(fs)
         self.report = fs.recover()
         return self.report

@@ -78,3 +78,58 @@ def test_every_public_name_is_referenced_somewhere():
                 dead.append(f"{path.relative_to(ROOT)}:{node.lineno} "
                             f"{node.name}")
     assert dead == [], "defined but never referenced:\n" + "\n".join(dead)
+
+
+#: ``path:line`` sites allowed to hand a callable to another object's
+#: attribute.  Add one with the reason it must stay; the default answer
+#: is a constructor that fills an ``fs`` slot the owner calls.
+CALLABLE_ASSIGN_OK: set = set()
+
+
+def _is_method(node) -> bool:
+    return not any(isinstance(d, ast.Name) and d.id == "property"
+                   for d in node.decorator_list)
+
+
+def test_no_callable_is_assigned_to_another_objects_attribute():
+    """Components attach by construction, never by swapping a method or
+    planting a hook: no ``x.attr = <callable>`` in ``src`` where ``x`` is
+    not bare ``self`` and the value is a lambda, a nested ``def``, or a
+    ``self.``-rooted chain ending in a method name (a bound method)."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.rglob("*.py"))}
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    methods = {n.name for tree in trees.values() for n in ast.walk(tree)
+               if isinstance(n, defs) and _is_method(n)}
+
+    def bound_method(value) -> bool:
+        if not isinstance(value, ast.Attribute) or value.attr not in methods:
+            return False
+        while isinstance(value, ast.Attribute):
+            value = value.value
+        return isinstance(value, ast.Name) and value.id == "self"
+
+    hits = set()
+    for path, tree in trees.items():
+        scopes = [(tree, set())] + [
+            (fn, {n.name for n in ast.walk(fn)
+                  if isinstance(n, defs) and n is not fn})
+            for fn in ast.walk(tree) if isinstance(fn, defs)]
+        for scope, nested in scopes:
+            for node in ast.walk(scope):
+                if not isinstance(node, ast.Assign):
+                    continue
+                value = node.value
+                if not (isinstance(value, ast.Lambda) or bound_method(value)
+                        or (isinstance(value, ast.Name)
+                            and value.id in nested)):
+                    continue
+                if any(isinstance(t, ast.Attribute)
+                       and not (isinstance(t.value, ast.Name)
+                                and t.value.id == "self")
+                       for t in node.targets):
+                    site = f"{path.relative_to(ROOT)}:{node.lineno}"
+                    if site not in CALLABLE_ASSIGN_OK:
+                        hits.add(f"{site}: {ast.unparse(node)}")
+    assert not hits, ("callable assigned to another object's attribute:\n"
+                      + "\n".join(sorted(hits)))

@@ -15,6 +15,10 @@ import os
 
 import pytest
 
+from repro.faults import FaultManager
+from repro.faults.plan import KIND_MEDIA_DEAD, FaultPlan, FaultSpec
+from repro.persist import PersistManager
+from repro.persist.crashsim import restart_highlight, snapshot_media
 from tests.crashkit import PHASES, CrashHarness, payload
 
 #: Store-write indices to tear, counted from each phase's arm point.
@@ -106,3 +110,35 @@ class TestCrashSemantics:
         h.assert_acknowledged()
         assert report is not None
         del fired  # either outcome is legal; the invariant is the test
+
+
+def test_fault_and_persist_layers_share_one_health_registry():
+    """A stack with both a FaultManager and a PersistManager keeps one
+    health registry, in either construction order: the quarantine the
+    fault layer records is the one persisted and restored."""
+    h = CrashHarness(copies=2)
+    h.commit("/d.dat", payload(23, 256 * 1024))
+    h.migrator.migrate_file("/d.dat")
+    h.migrator.flush()
+    h.fs.service.flush_cache(h.app)
+    h.fs.drop_caches(drop_inodes=True)
+    victim = h.fs.tsegfile.volumes[0].volume_id
+    plan = FaultPlan().add(FaultSpec(KIND_MEDIA_DEAD, op="read",
+                                     volume_id=victim))
+    fm = FaultManager(h.fs, plan=plan)  # built after the PersistManager
+    assert h.fs.read_path("/d.dat") == h.oracle["/d.dat"]  # via a replica
+    errors = fm.health.errors[victim]
+    assert errors >= 1
+    h.fs.checkpoint(h.app)
+
+    images = snapshot_media(h.disk, h.jukebox)
+    fs, _disk, _jukebox, _footprint = restart_highlight(
+        images, disk_bytes=h.disk_bytes, n_platters=h.n_platters,
+        platter_bytes=h.platter_bytes)
+    fm2 = FaultManager(fs)  # built before the PersistManager
+    PersistManager(fs)
+    fs.recover()
+    assert fs.persist.health is fm2.health
+    assert fm2.health.quarantine_reasons[victim] == KIND_MEDIA_DEAD
+    assert fm2.health.errors[victim] == errors
+    assert not fm2.health.health_of(victim).serving

@@ -325,7 +325,7 @@ class TestRetryPolicy:
         fs = SimpleNamespace(
             config=HighLightConfig(fault_max_attempts=2,
                                    fault_backoff_base=0.125),
-            footprint=None)
+            footprint=None, sched=None, persist=None)
         fm = FaultManager(fs)
         for rclass in DEFAULT_CLASS_POLICIES:
             assert fm.retry.policy_for(rclass).max_attempts == 2
@@ -339,7 +339,7 @@ class TestRetryPolicy:
 _FILES = {f"/keep/f{i}": _payload(i + 1) for i in range(3)}
 
 
-def _bed(copies=None, plan=None, install_before_migrate=False,
+def _bed(copies=None, plan=None, faults_before_migrate=False,
          **fm_kwargs):
     """A migrated bed with every byte acknowledged tertiary-side."""
     bed = HLBed(n_platters=6, platter_bytes=8 * MB)
@@ -350,15 +350,15 @@ def _bed(copies=None, plan=None, install_before_migrate=False,
     bed.fs.checkpoint()
     bed.app.sleep(60)
     fm = None
-    if install_before_migrate:
-        fm = FaultManager(bed.fs, plan=plan, **fm_kwargs).install()
+    if faults_before_migrate:
+        fm = FaultManager(bed.fs, plan=plan, **fm_kwargs)
     for path in _FILES:
         bed.migrator.migrate_file(path)
     bed.migrator.flush()
     bed.fs.service.flush_cache(bed.app)
     bed.fs.drop_caches(drop_inodes=True)
     if fm is None:
-        fm = FaultManager(bed.fs, plan=plan, **fm_kwargs).install()
+        fm = FaultManager(bed.fs, plan=plan, **fm_kwargs)
     return bed, fm, replicas
 
 
@@ -407,7 +407,7 @@ class TestRecoveryIntegration:
         victim = bed_probe.fs.tsegfile.volumes[0].volume_id
         plan = FaultPlan().add(FaultSpec(KIND_MEDIA_DEAD, op="write",
                                          volume_id=victim))
-        bed, fm, _ = _bed(plan=plan, install_before_migrate=True)
+        bed, fm, _ = _bed(plan=plan, faults_before_migrate=True)
         # The first copy-out died mid-write; the data was re-staged onto
         # a healthy volume and every byte is still readable.
         assert bed.fs.tsegfile.volumes[0].marked_full
@@ -419,7 +419,7 @@ class TestRecoveryIntegration:
         plan = FaultPlan().add(FaultSpec(KIND_MEDIA_DEAD, op="write",
                                          volume_id=victim))
         bed, _fm, replicas = _bed(copies=1, plan=plan,
-                                  install_before_migrate=True)
+                                  faults_before_migrate=True)
         # Replication follows the segment that actually landed — the
         # re-staged one included — not the tsegno first submitted.
         written = [t for t, _when, _n in bed.fs.ioserver.writeout_log]

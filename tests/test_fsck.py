@@ -132,9 +132,7 @@ class TestCheckerPersistSlots:
     def _persist_bed():
         from repro.persist import PersistManager
         bed = HLBed()
-        pm = PersistManager(bed.fs)
-        pm.install()
-        return bed, pm
+        return bed, PersistManager(bed.fs)
 
     def test_no_persist_root_skips_validation(self, hl):
         assert hl.fs.sb.persist_root == 0

@@ -35,7 +35,6 @@ def _scattered_bed():
     rearranger = SegmentRearranger(fs, bed.migrator,
                                    affinity_window=30.0,
                                    refetch_threshold=1)
-    rearranger.install()
     return bed, data, rearranger
 
 

@@ -7,6 +7,7 @@ import pytest
 from tests.conftest import HLBed
 from repro.core.ioserver import (CAT_DISK_WRITE, CAT_FOOTPRINT_READ,
                                  CAT_FOOTPRINT_WRITE, CAT_IOSERVER_READ)
+from repro.sim.scheduler import TimedQueue
 from repro.util.units import KB, MB
 
 
@@ -113,13 +114,12 @@ class TestEjectSemantics:
     def test_eject_staging_forces_copyout(self, hl):
         hl.fs.write_path("/st", os.urandom(200 * KB))
         hl.fs.checkpoint()
-        # Stage without finalizing the writeout path.
-        captured = []
-        hl.migrator.writeout = lambda actor, t: captured.append(t)
+        # Stage into an outbox nobody drains: no write-out is issued.
+        hl.migrator.outbox = TimedQueue()
         hl.migrator.migrate_file("/st")
         hl.migrator.flush()
-        assert captured
-        tsegno = captured[0]
+        tsegno = hl.migrator.outbox.get(hl.app)
+        assert tsegno is not None
         assert hl.fs.cache.is_staging(tsegno)
         writes = hl.fs.ioserver.segments_written
         hl.fs.service.eject(hl.app, tsegno)  # must copy out first
