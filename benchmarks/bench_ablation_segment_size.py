@@ -16,12 +16,8 @@ import os
 
 import pytest
 
-from repro.blockdev import profiles
-from repro.blockdev.bus import SCSIBus
-from repro.core.highlight import HighLightConfig, HighLightFS
-from repro.core.migrator import Migrator
-from repro.footprint.robot import JukeboxFootprint
-from repro.sim.actor import Actor
+from repro.bench import harness
+from repro.core.highlight import HighLightConfig
 from repro.util.units import KB, MB
 
 SIZES = [512 * KB, 1 * MB]
@@ -29,18 +25,11 @@ PAYLOAD = 8 * MB
 
 
 def _run(segment_size: int):
-    bus = SCSIBus()
-    disk = profiles.make_disk(profiles.RZ57, bus=bus,
-                              capacity_bytes=128 * MB)
-    jukebox = profiles.make_hp6300(n_platters=4, bus=bus,
-                                   effective_platter_bytes=40 * MB)
-    fp = JukeboxFootprint(jukebox)
-    app = Actor("app")
-    config = HighLightConfig(segment_size=segment_size)
-    fs = HighLightFS.mkfs_highlight(disk, fp, config, actor=app)
-    fp.pin_write_drive(0)
-    jukebox.load(app, 0)
-    migrator = Migrator(fs)
+    bed = harness.make_highlight(
+        partition_bytes=128 * MB, n_platters=4,
+        config=HighLightConfig(segment_size=segment_size))
+    harness.preload_write_volume(bed)
+    fs, app, migrator = bed.fs, bed.app, bed.migrator
 
     payload = os.urandom(PAYLOAD)
     fs.write_path("/obj", payload)

@@ -25,15 +25,10 @@ Run:  python3 examples/bakeoff.py
 import os
 import random
 
-from repro.blockdev import profiles
-from repro.blockdev.bus import SCSIBus
+from repro.bench import harness
 from repro.core.daemon import AutoMigrationDaemon
-from repro import HighLightFS
 from repro import Migrator
 from repro import STPPolicy
-from repro.ffs.filesystem import FFS, FFSConfig
-from repro.footprint.robot import JukeboxFootprint
-from repro.lfs.filesystem import LFS
 from repro.sim.actor import Actor
 from repro.util.units import KB, MB, fmt_time
 
@@ -42,26 +37,15 @@ SMALL_DISK = 96 * MB       # HighLight's disk is ~5x smaller
 
 
 def build(kind):
-    bus = SCSIBus()
-    app = Actor("app")
     if kind == "ffs":
-        disk = profiles.make_disk(profiles.RZ57, bus=bus,
-                                  capacity_bytes=BIG_DISK)
-        return FFS.mkfs(disk, FFSConfig(), profiles.make_cpu(),
-                        actor=app), app, None
+        bed = harness.make_ffs(BIG_DISK)
+        return bed.fs, bed.app, None
     if kind == "lfs":
-        disk = profiles.make_disk(profiles.RZ57, bus=bus,
-                                  capacity_bytes=BIG_DISK)
-        return LFS.mkfs(disk, None, profiles.make_cpu(), actor=app), \
-            app, None
-    disk = profiles.make_disk(profiles.RZ57, bus=bus,
-                              capacity_bytes=SMALL_DISK)
-    jukebox = profiles.make_hp6300(n_platters=8, bus=bus,
-                                   effective_platter_bytes=40 * MB)
-    fs = HighLightFS.mkfs_highlight(disk, JukeboxFootprint(jukebox),
-                                    cpu=profiles.make_cpu(), actor=app)
-    fs.footprint.pin_write_drive(0)
-    jukebox.load(app, 0)
+        bed = harness.make_lfs(BIG_DISK)
+        return bed.fs, bed.app, None
+    bed = harness.make_highlight(partition_bytes=SMALL_DISK, n_platters=8)
+    harness.preload_write_volume(bed)
+    fs, app = bed.fs, bed.app
     # The daemon's migrator runs on its own clock: its work overlaps the
     # application's think time, contending only for shared devices.
     daemon_actor = Actor("migrator-daemon")

@@ -21,6 +21,7 @@ import os
 
 from repro import TenantBudget, open_node
 from repro.bench import harness
+from repro.core.stack import remount
 from repro.util.units import MB, fmt_rate, fmt_time
 
 
@@ -77,16 +78,13 @@ def main() -> None:
     # 5. Crash and remount: everything (including the cache directory)
     #    is rebuilt from the media.
     fs.checkpoint()
-    from repro import HighLightFS, open_node as reopen
-    fs2 = HighLightFS.mount_highlight(
-        bed.disks[0] if len(bed.disks) == 1 else bed.disks,
-        bed.footprint)
-    client2 = reopen(fs2)
+    bed2 = remount(bed)
+    client2 = open_node(bed2)
     h2 = client2.open(app, "/data/results.bin")
     assert h2.read(app) == payload
     h2.close(app)
     print(f"remount after crash: file intact, "
-          f"{len(fs2.cache)} cache lines rebuilt")
+          f"{len(bed2.fs.cache)} cache lines rebuilt")
     print("quickstart complete.")
 
 

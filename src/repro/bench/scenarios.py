@@ -37,9 +37,10 @@ from repro.faults import (FaultManager, FaultPlan, FaultSpec,
                           KIND_DRIVE_TIMEOUT, KIND_MEDIA_DEAD,
                           KIND_MEDIA_ERROR, KIND_MOUNT_FAILURE,
                           KIND_SLOW_IO)
+from repro.persist.crashsim import CrashHarness, payload
 from repro.sched import CLASS_CLEANER, MODE_PASSTHROUGH, MODE_SCHEDULED
 from repro.sim.actor import Actor
-from repro.util.units import MB
+from repro.util.units import KB, MB
 
 #: Hot / cold file sizes (segments are 1 MB: eight demand fetches, eight
 #: cleaner reads, eight write-outs per run).  At 4 MB per platter the
@@ -324,124 +325,23 @@ def run_chaos(quick: bool = False,
 # -- the crashes scenario -------------------------------------------------
 
 _CRASH_SEED = 4242
-_CRASH_DISK = 64 * MB
-_CRASH_PLATTERS = 3
-_CRASH_PLATTER_MB = 24 * MB
 
 
-def _crash_payload(tag: int, nbytes: int) -> bytes:
-    word = (f"crash-scenario payload {tag:04d} ".encode() * 64)[:256]
-    return (word * (nbytes // 256 + 1))[:nbytes]
-
-
-def _crash_build():
-    """A compact persistence-enabled bed with every store trapped."""
-    from repro.blockdev import profiles
-    from repro.blockdev.bus import SCSIBus
-    from repro.core.highlight import HighLightFS
-    from repro.core.migrator import Migrator
-    from repro.footprint.robot import JukeboxFootprint
-    from repro.persist import PersistManager
-    from repro.persist.crashsim import CrashTrap, install_trap
-
-    bus = SCSIBus()
-    disk = profiles.make_disk(profiles.RZ57, bus=bus,
-                              capacity_bytes=_CRASH_DISK)
-    jukebox = profiles.make_hp6300(
-        n_platters=_CRASH_PLATTERS, bus=bus,
-        effective_platter_bytes=_CRASH_PLATTER_MB)
-    footprint = JukeboxFootprint(jukebox)
-    app = Actor("app")
-    fs = HighLightFS.mkfs_highlight(disk, footprint, HighLightConfig(),
-                                    actor=app)
-    persist = PersistManager(fs)
-    migrator = Migrator(fs)
-    trap = CrashTrap()
-    install_trap([disk] + [jukebox.volumes[v]
-                           for v in sorted(jukebox.volumes)], trap)
-    return fs, app, disk, jukebox, migrator, persist, trap
-
-
-def _crash_one_point(phase: str, after_writes: int) -> Dict[str, float]:
-    """Run one (phase, write-index) crash point; returns its outcome."""
-    from repro.lfs.check import check_filesystem
-    from repro.persist import PersistManager
-    from repro.persist.crashsim import (SimulatedCrash, restart_highlight,
-                                        snapshot_media)
-
-    fs, app, disk, jukebox, migrator, persist, trap = _crash_build()
-    oracle: Dict[str, bytes] = {}
-
-    def commit(path: str, data: bytes) -> None:
-        fs.write_path(path, data, actor=app)
-        fs.checkpoint(app)
-        oracle[path] = data
-
-    fired = 0.0
-    try:
-        if phase == "segwrite":
-            commit("/base", _crash_payload(1, 256 * 1024))
-            trap.arm(after_writes, tear_blocks=after_writes % 3)
-            fs.write_path("/unacked", _crash_payload(2, MB), actor=app)
-            fs.checkpoint(app)
-            oracle["/unacked"] = _crash_payload(2, MB)
-        elif phase == "checkpoint":
-            commit("/pre", _crash_payload(3, 256 * 1024))
-            trap.arm(after_writes, tear_blocks=after_writes % 3)
-            fs.write_path("/during", _crash_payload(4, 128 * 1024),
-                          actor=app)
-            fs.checkpoint(app)
-            oracle["/during"] = _crash_payload(4, 128 * 1024)
-        else:  # migration
-            commit("/mig", _crash_payload(5, 512 * 1024))
-            trap.arm(after_writes, tear_blocks=after_writes % 3)
-            migrator.migrate_file("/mig")
-            migrator.flush()
-            fs.sched.pump(app)
-            fs.checkpoint(app)
-    except SimulatedCrash:
-        fired = 1.0
-    trap.disarm()
-
-    images = snapshot_media(disk, jukebox)
-    fs2, _d2, _j2, _fp2 = restart_highlight(
-        images, disk_bytes=_CRASH_DISK, n_platters=_CRASH_PLATTERS,
-        platter_bytes=_CRASH_PLATTER_MB)
-    PersistManager(fs2)
-    report = fs2.recover()
-    check = check_filesystem(fs2, fs2.actor, oracle=oracle)
+def _crash_point(phase: str, after_writes: int, seed: int
+                 ) -> Dict[str, float]:
+    """Run one (phase, write-index) crash point on the crash matrix's
+    harness; returns its outcome."""
+    h = CrashHarness()
+    fired = h.run_phase(phase, after_writes, tear_blocks=after_writes % 3,
+                        seed=seed)
+    report = h.crash_and_recover()
+    check = h.check()
     return {
-        "fired": fired,
+        "fired": float(fired),
         "ok": 1.0 if check.ok else 0.0,
         "requeued": float(report.requeued_writeouts),
         "errors": float(len(check.errors)),
     }
-
-
-def _crash_scrub_leg() -> Dict[str, float]:
-    """Bit-rot one tertiary copy; the scrubber must catch it in one
-    cycle and quarantine the volume."""
-    fs, app, disk, jukebox, migrator, persist, trap = _crash_build()
-    fs.write_path("/rot", _crash_payload(9, 512 * 1024), actor=app)
-    fs.checkpoint(app)
-    migrator.migrate_file("/rot")
-    migrator.flush()
-    fs.sched.pump(app)
-    fs.checkpoint(app)
-    entries = persist.ledger.entries()
-    if not entries:
-        return {"rot_detected": 0.0, "rot_entries": 0.0}
-    vol_id, seg_in_vol, _crc = entries[0]
-    volume = jukebox.volumes[vol_id]
-    base = seg_in_vol * fs.sb.blocks_per_seg
-    raw = bytearray(volume.store.read(base, 1))
-    raw[7] ^= 0x10
-    volume.store.write(base, bytes(raw))
-    scrub = persist.make_scrubber()
-    result = scrub.run_cycle(app)
-    detected = 1.0 if (result["mismatches"] >= 1 and not
-                       persist.health.health_of(vol_id).serving) else 0.0
-    return {"rot_detected": detected, "rot_entries": float(len(entries))}
 
 
 def run_crashes(quick: bool = False,
@@ -450,9 +350,11 @@ def run_crashes(quick: bool = False,
     store-write points across pipeline phases, restart from the media,
     and demand zero acknowledged-byte loss plus a clean fsck at every
     point; then one scrub leg proving injected bit-rot is caught within
-    a single cycle.  Raises on any violated guarantee.  The kill matrix
-    itself is exhaustive (every phase x point), so ``seed`` is recorded
-    for snapshot provenance rather than drawn from."""
+    a single cycle.  Every leg runs on the crash matrix's
+    :class:`~repro.persist.crashsim.CrashHarness`.  Raises on any
+    violated guarantee.  The kill matrix itself is exhaustive (every
+    phase x point); ``seed`` picks the payload bytes and the rotted
+    bit."""
     seed = _CRASH_SEED if seed is None else int(seed)
     phases = ("segwrite", "checkpoint", "migration")
     points = (0, 2, 5) if quick else (0, 1, 2, 3, 5, 7)
@@ -461,20 +363,28 @@ def run_crashes(quick: bool = False,
     failures = []
     for phase in phases:
         for after_writes in points:
-            out = _crash_one_point(phase, after_writes)
+            out = _crash_point(phase, after_writes, seed)
             outcomes.append(out)
             if not out["ok"]:
                 failures.append(f"{phase}@{after_writes} "
                                 f"({out['errors']:.0f} fsck errors)")
-    scrub = _crash_scrub_leg()
+    # The scrub leg: bit-rot one tertiary copy; the scrubber must catch
+    # it in one cycle and quarantine the volume.
+    h = CrashHarness()
+    h.commit("/rot.dat", payload(seed, 512 * KB))
+    h.migrate("/rot.dat")
+    vol_id = h.rot(seed)
+    rot = h.persist.make_scrubber().run_cycle(h.app)
+    rot_detected = (rot["mismatches"] >= 1
+                    and not h.persist.health.health_of(vol_id).serving)
 
     data = {
         "crash_points": float(len(outcomes)),
         "crashes_fired": sum(o["fired"] for o in outcomes),
         "recoveries_clean": sum(o["ok"] for o in outcomes),
         "writeouts_requeued": sum(o["requeued"] for o in outcomes),
-        "scrub_rot_detected": scrub["rot_detected"],
-        "scrub_ledger_entries": scrub["rot_entries"],
+        "scrub_rot_detected": float(rot_detected),
+        "scrub_ledger_entries": float(len(h.persist.ledger)),
         "seed": float(seed),
     }
     for name, value in data.items():

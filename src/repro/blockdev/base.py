@@ -13,36 +13,21 @@ from repro.sim.actor import Actor
 
 
 class DeviceStats:
-    """I/O accounting a device keeps about itself.
+    """The I/O series a device publishes about itself.
 
-    Per-op totals live on the instance (cheap, always available); when
-    the stats object carries a device name, every :meth:`record` also
-    publishes to the process-wide registry — per-device byte/op counters
-    and a latency histogram — so one snapshot covers the whole farm.
-    The three series of an op are bound on its first I/O and kept.
+    Every :meth:`record` lands in the process-wide registry — per-device
+    byte/op counters and a latency histogram — so one snapshot covers
+    the whole farm.  The three series of an op are bound on its first
+    I/O and kept.
     """
 
     def __init__(self, device: str = "") -> None:
         self.device = device
         self._series: Dict[str, tuple] = {}  # op -> (ops, bytes, seconds)
-        self.read_ops = 0
-        self.write_ops = 0
-        self.bytes_read = 0
-        self.bytes_written = 0
-        self.seek_seconds = 0.0
-        self.transfer_seconds = 0.0
 
     def record(self, op: str, nbytes: int, seek_seconds: float = 0.0,
                transfer_seconds: float = 0.0) -> None:
         """Account one completed I/O (``op`` is ``"read"`` or ``"write"``)."""
-        if op == "read":
-            self.read_ops += 1
-            self.bytes_read += nbytes
-        else:
-            self.write_ops += 1
-            self.bytes_written += nbytes
-        self.seek_seconds += seek_seconds
-        self.transfer_seconds += transfer_seconds
         if self.device:
             ops, moved, seconds = self._series.get(op) or self._bind(op)
             ops.inc()
@@ -61,20 +46,6 @@ class DeviceStats:
                           "virtual seconds per I/O (positioning + transfer)",
                           ("device", "op")).labels(device=self.device, op=op))
         return series
-
-    def snapshot(self) -> Dict[str, float]:
-        """A plain-dict copy, for reports."""
-        return {
-            "read_ops": self.read_ops,
-            "write_ops": self.write_ops,
-            "bytes_read": self.bytes_read,
-            "bytes_written": self.bytes_written,
-            "seek_seconds": self.seek_seconds,
-            "transfer_seconds": self.transfer_seconds,
-        }
-
-    def reset(self) -> None:
-        self.__init__(self.device)
 
 
 class BlockDevice(ABC):

@@ -27,14 +27,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
-from repro.blockdev import profiles
-from repro.blockdev.bus import SCSIBus
-from repro.core.highlight import HighLightConfig, HighLightFS
-from repro.core.migrator import Migrator
+from repro.core.highlight import HighLightConfig
 from repro.core.replicas import ReplicaManager
+from repro.core.stack import make_highlight, preload_write_volume
 from repro.faults import FaultManager
 from repro.faults.health import VolumeHealth
-from repro.footprint.robot import JukeboxFootprint
 from repro.sim.actor import Actor
 from repro.util.units import MB
 
@@ -70,20 +67,13 @@ class ClusterNode:
                  config: Optional[HighLightConfig] = None,
                  replicate: bool = False) -> None:
         self.shard_id = shard_id
-        #: The shard's service timeline.  Starts at 0 like every other
-        #: shard: the cluster shares one virtual time axis.
-        self.actor = Actor(f"shard{shard_id}")
-        self.bus = SCSIBus(f"scsi-shard{shard_id}")
-        self.disk = profiles.make_disk(profiles.RZ57, bus=self.bus,
-                                       capacity_bytes=partition_bytes)
-        self.jukebox = profiles.make_hp6300(
-            n_platters=n_platters, bus=self.bus,
-            effective_platter_bytes=platter_bytes)
-        footprint = JukeboxFootprint(self.jukebox)
-        self.fs = HighLightFS.mkfs_highlight(
-            self.disk, footprint, config or HighLightConfig(),
-            profiles.make_cpu(), actor=self.actor)
-        self.migrator = Migrator(self.fs)
+        # ``actor`` is the shard's service timeline.  It starts at 0 like
+        # every other shard's: the cluster shares one virtual time axis.
+        bed = make_highlight(partition_bytes, n_platters=n_platters,
+                             platter_constraint=platter_bytes,
+                             config=config, actor=Actor(f"shard{shard_id}"))
+        self.actor, self.disk, self.jukebox = bed.app, bed.disk, bed.jukebox
+        self.fs, self.migrator = bed.fs, bed.migrator
         self.replicas: Optional[ReplicaManager] = None
         self.faults: Optional[FaultManager] = None
         if replicate:
@@ -91,9 +81,7 @@ class ClusterNode:
             self.faults = FaultManager(self.fs)
         # Start with the first platter loaded and the write drive pinned,
         # the same drive allocation every bench bed uses.
-        first = self.fs.tsegfile.volumes[0].volume_id
-        self.fs.footprint.pin_write_drive(first)
-        self.jukebox.load(self.actor, first)
+        preload_write_volume(bed)
         self.fs.mkdir(OBJ_DIR, actor=self.actor)
         #: key -> byte size of every extent object this shard holds.
         self.objects: Dict[str, int] = {}

@@ -320,6 +320,11 @@ class HighLightFS(LFS):
 
     def checkpoint(self, actor: Optional[Actor] = None) -> None:
         actor = actor or self.actor
+        if self.migrator is not None:
+            # Seal a half-built staging segment: its summary block is
+            # written only at sealing, and a crash must not leave
+            # checkpointed pointers into a line that describes nothing.
+            self.migrator.flush(actor)
         if self.tsegfile is not None and self.tsegfile_inum is not None:
             content = self.tsegfile.serialize()
             ino = self.get_inode(self.tsegfile_inum, actor)

@@ -176,18 +176,3 @@ class ServiceProcess:
             self.eject(actor, tsegno)
             count += 1
         return count
-
-    def quiesce(self, actor: Actor) -> int:
-        """Drain all queued tertiary requests; returns how many ran.
-
-        Callers that want a checkpoint to describe a settled system (no
-        in-flight writeouts or fetches hiding in the scheduler queue)
-        quiesce first.  Staging lines may still exist afterwards — they
-        only disappear when their volume can accept the copy-out — but
-        every *submitted* request has executed or failed by the time this
-        returns.
-        """
-        sched = getattr(self.fs, "sched", None)
-        if sched is None:
-            return 0
-        return sched.pump(actor)

@@ -20,7 +20,7 @@ both topologies (the `frontend` bench gate).  This module is the
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.errors import FileNotFound, InvalidArgument
 from repro.sched import CLASS_WRITEOUT
@@ -65,10 +65,12 @@ class Backend:
         """Seal partial staging so queued write-outs cover everything."""
         raise NotImplementedError
 
-    def prefetch(self, actor: Actor, path: str) -> Tuple[int, int]:
+    def prefetch(self, actor: Actor, path: str,
+                 cap: Optional[int] = None) -> Tuple[int, int, int]:
         """Submit background prefetches for ``path``'s migrated
-        segments; returns ``(submitted, attempted)``."""
-        return (0, 0)
+        segments, each refused once ``cap`` prefetches are queued ahead
+        of it; returns ``(submitted, attempted, capped)``."""
+        return (0, 0, 0)
 
     def queued_writeouts(self) -> int:
         return 0
@@ -81,11 +83,6 @@ class Backend:
 
     def drop_caches(self, actor: Actor) -> None:
         raise NotImplementedError
-
-    def schedulers(self) -> List[object]:
-        """Every TertiaryScheduler behind this backend (admission hooks
-        are installed on each)."""
-        return []
 
 
 class NodeBackend(Backend):
@@ -145,25 +142,22 @@ class NodeBackend(Backend):
         if self.migrator is not None:
             self.migrator.flush(actor)
 
-    def prefetch(self, actor: Actor, path: str) -> Tuple[int, int]:
-        if self.migrator is None or self.fs.sched is None:
-            return (0, 0)
+    def prefetch(self, actor: Actor, path: str,
+                 cap: Optional[int] = None) -> Tuple[int, int, int]:
+        if self.migrator is None:
+            return (0, 0, 0)
+        sched = self.fs.sched
         tsegnos = sorted(t for t, tag in self.migrator.hint_table.items()
                          if tag == path)
-        submitted = 0
-        for tsegno in tsegnos:
-            if self.fs.sched.submit_prefetch(actor, tsegno):
-                submitted += 1
-        return (submitted, len(tsegnos))
+        capped = sched.capped_rejects
+        submitted = sum(1 for tsegno in tsegnos
+                        if sched.submit_prefetch(actor, tsegno, cap))
+        return (submitted, len(tsegnos), sched.capped_rejects - capped)
 
     def queued_writeouts(self) -> int:
-        if self.fs.sched is None:
-            return 0
         return self.fs.sched.queued(CLASS_WRITEOUT)
 
     def pump(self, actor: Actor, limit: Optional[int] = None) -> int:
-        if self.fs.sched is None:
-            return 0
         return self.fs.sched.pump(actor, limit)
 
     def flush(self, actor: Actor) -> None:
@@ -172,12 +166,8 @@ class NodeBackend(Backend):
         self.fs.checkpoint(actor)
 
     def drop_caches(self, actor: Actor) -> None:
-        if self.fs.service is not None:
-            self.fs.service.flush_cache(actor)
+        self.fs.service.flush_cache(actor)
         self.fs.drop_caches(actor, drop_inodes=True)
-
-    def schedulers(self) -> List[object]:
-        return [self.fs.sched] if self.fs.sched is not None else []
 
 
 class ClusterBackend(Backend):
@@ -223,32 +213,30 @@ class ClusterBackend(Backend):
         for node in self._nodes():
             node.seal(node.actor)
 
-    def prefetch(self, actor: Actor, path: str) -> Tuple[int, int]:
-        submitted = attempted = 0
+    def prefetch(self, actor: Actor, path: str,
+                 cap: Optional[int] = None) -> Tuple[int, int, int]:
+        submitted = attempted = capped = 0
         for key in self.router.extents_of(path):
             node = self.router.nodes[self.router.shard_of(key)]
             sched = node.fs.sched
-            if sched is None:
-                continue
             tsegnos = sorted(t for t, tag in node.migrator.hint_table.items()
                              if tag == key)
             attempted += len(tsegnos)
+            before = sched.capped_rejects
             for tsegno in tsegnos:
                 node.actor.sleep_until(actor.time)
-                if sched.submit_prefetch(node.actor, tsegno):
+                if sched.submit_prefetch(node.actor, tsegno, cap):
                     submitted += 1
-        return (submitted, attempted)
+            capped += sched.capped_rejects - before
+        return (submitted, attempted, capped)
 
     def queued_writeouts(self) -> int:
         return sum(node.fs.sched.queued(CLASS_WRITEOUT)
-                   for node in self._nodes()
-                   if node.fs.sched is not None)
+                   for node in self._nodes())
 
     def pump(self, actor: Actor, limit: Optional[int] = None) -> int:
         count = 0
         for node in self._nodes():
-            if node.fs.sched is None:
-                continue
             room = None if limit is None else limit - count
             if room is not None and room <= 0:
                 break
@@ -262,10 +250,6 @@ class ClusterBackend(Backend):
     def drop_caches(self, actor: Actor) -> None:
         for node in self._nodes():
             node.drop_caches(node.actor)
-
-    def schedulers(self) -> List[object]:
-        return [node.fs.sched for node in self._nodes()
-                if node.fs.sched is not None]
 
 
 def open_node(fs, migrator=None, default_budget=None):

@@ -16,10 +16,10 @@ Three admission mechanisms, in order of severity:
   bulk tenant's sustained throughput converges to its configured rate.
 * **hard caps** (``max_open_handles``) — exceeding one raises
   :class:`~repro.errors.AdmissionRejected` immediately.
-* **queue-depth caps** (``max_queued``) — fed into
-  :class:`~repro.sched.TertiaryScheduler` as an admission hook: a
-  tenant's droppable background submissions (prefetch) are rejected
-  while the class queue is deeper than the tenant tolerates, and its
+* **queue-depth caps** (``max_queued``) — passed down with each of the
+  tenant's droppable background submissions (prefetch) to
+  :class:`~repro.sched.TertiaryScheduler`, which rejects one while the
+  class queue is as deep as the tenant tolerates; the tenant's
   write-outs — which may never drop data — are drained *on the
   submitting tenant's own actor* until the queue is back under its cap,
   so a flooding batch tenant pays for its own backlog instead of taxing
@@ -363,12 +363,7 @@ class Client:
         self.backend = backend
         self.table = SessionTable()
         self._tenants: Dict[str, Tenant] = {}
-        #: Tenant on whose behalf a background submission is in flight;
-        #: read by the scheduler admission hook installed below.
-        self._submitting: Optional[Tenant] = None
         self.tenant(DEFAULT_TENANT, default_budget or TenantBudget())
-        for sched in backend.schedulers():
-            sched.admission_hooks.append(self._admit_background)
 
     # -- tenants -----------------------------------------------------------------
 
@@ -510,12 +505,8 @@ class Client:
         size = self.backend.size_of(path)
         wait = ten.admit_bytes(actor, size)
         t0 = actor.time
-        self._submitting = ten
-        try:
-            self.backend.migrate(actor, path)
-            self.backend.seal(actor)
-        finally:
-            self._submitting = None
+        self.backend.migrate(actor, path)
+        self.backend.seal(actor)
         cap = ten.budget.max_queued
         if cap is not None:
             while self.backend.queued_writeouts() > cap:
@@ -536,11 +527,14 @@ class Client:
             tenant if tenant is not None
             else (target.tenant if isinstance(target, Handle) else None))
         t0 = actor.time
-        self._submitting = ten
-        try:
-            submitted, attempted = self.backend.prefetch(actor, path)
-        finally:
-            self._submitting = None
+        submitted, attempted, capped = self.backend.prefetch(
+            actor, path, ten.budget.max_queued)
+        if capped:
+            obs.counter("frontend_admission_gated_total",
+                        "background submissions rejected by a tenant "
+                        "queue-depth cap", ("tenant", "rclass")).labels(
+                            tenant=ten.name,
+                            rclass=CLASS_PREFETCH).inc(capped)
         if attempted and not submitted:
             ten.rejects += 1
             obs.counter("frontend_rejects_total",
@@ -564,24 +558,6 @@ class Client:
     def drop_caches(self, actor: Actor) -> None:
         """Force future reads to hit tertiary (bench/demo control)."""
         self.backend.drop_caches(actor)
-
-    # -- admission hook (installed on every backend scheduler) -------------------
-
-    def _admit_background(self, sched, request) -> bool:
-        """Scheduler admission hook: enforce the submitting tenant's
-        queue-depth tolerance.  Requests not submitted through this
-        client (cleaner, repair, recovery) are never gated."""
-        ten = self._submitting
-        if ten is None:
-            return True
-        cap = ten.budget.max_queued
-        if cap is None or sched.queued(request.rclass) < cap:
-            return True
-        obs.counter("frontend_admission_gated_total",
-                    "background submissions rejected by a tenant "
-                    "queue-depth cap", ("tenant", "rclass")).labels(
-                        tenant=ten.name, rclass=request.rclass).inc()
-        return False
 
     # -- accounting --------------------------------------------------------------
 

@@ -13,7 +13,13 @@ Checks, for plain LFS:
 * directory tree connectivity: every allocated inode is reachable from
   the root (the ifile and other pinned files excepted);
 * per-segment live-byte counts never exceed the segment size, clean
-  segments hold no live pointers, and exactly one segment is active.
+  segments hold no live pointers, and exactly one segment is active;
+* every segment describes itself: each live file block appears with its
+  ``(inode, lbn)`` in the summary catalogue of the segment holding it,
+  and each imap inode block among that catalogue's inode addresses —
+  the catalogue the cleaner and migrator trust (paper §5, Table 1).
+  The walk reads the medium itself (disk log, cache line, or a
+  tertiary segment's primary copy) and charges no virtual time.
 
 For HighLight, additionally:
 
@@ -39,7 +45,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.blockdev.datapath import block_views
 from repro.errors import AddressError
+from repro.lfs.cleaner import partials
 from repro.lfs.constants import (BLOCK_SIZE, IFILE_INUM, ROOT_INUM,
                                  UNASSIGNED)
 from repro.lfs.inode import find_inode_in_block
@@ -166,6 +174,7 @@ def check_filesystem(fs, actor: Actor | None = None,
         if fs.is_disk_segno(segno) and fs.ifile.seguse(segno).is_clean()]
     for segno in clean_with_live:
         report.error(f"segment {segno}: clean but holds live blocks")
+    _check_summaries(fs, seen_daddrs, report)
 
     if getattr(fs, "cache", None) is not None:
         _check_highlight(fs, report)
@@ -254,6 +263,64 @@ def _live_per_segment(fs, seen_daddrs) -> Dict[int, int]:
             continue
         per_seg[segno] = per_seg.get(segno, 0) + 1
     return per_seg
+
+
+def _check_summaries(fs, seen_daddrs, report: CheckReport) -> None:
+    """Every live block appears in its own segment's summary catalogue."""
+    live: Dict[int, Dict[int, Optional[Tuple[int, int]]]] = {}
+    for daddr, owner in seen_daddrs.items():
+        live.setdefault(fs.segno_of(daddr), {})[daddr] = owner
+    for entry in fs.ifile.imap.values():
+        if entry.daddr != UNASSIGNED and _segment_valid(fs, entry.daddr):
+            live.setdefault(fs.segno_of(entry.daddr), {})[entry.daddr] = None
+    for segno in sorted(live):
+        described: Dict[int, Tuple[int, int]] = {}
+        inode_daddrs: Set[int] = set()
+        for base, summary in _catalogue(fs, segno):
+            for fi, lbn, daddr in summary.entries(base):
+                described[daddr] = (fi.ino, lbn)
+            inode_daddrs.update(summary.inode_daddrs)
+        for daddr, owner in sorted(live[segno].items()):
+            if owner is None and daddr not in inode_daddrs:
+                report.error(f"segment {segno}: inode block {daddr} is "
+                             "missing from its summary")
+            elif owner is not None and described.get(daddr) != owner:
+                report.error(f"segment {segno}: block {daddr} (inode "
+                             f"{owner[0]} lbn {owner[1]}) is not described "
+                             "by its summary")
+
+
+def _catalogue(fs, segno: int):
+    """``(base, summary)`` per partial segment of ``segno`` as the medium
+    holds it: the disk log, the segment's cache line, or its primary
+    tertiary copy.  A staging segment still being filled is described
+    by its open builder's in-memory summary."""
+    base, bps = fs.seg_base(segno), fs.config.blocks_per_seg
+    if fs.is_disk_segno(segno):
+        image = _raw_image(fs.device, base, bps)
+    else:
+        builder = getattr(fs.migrator, "builder", None)
+        if builder is not None and builder.tsegno == segno:
+            return [(base, builder.summary)]
+        line = fs.cache.lookup(segno)
+        if line is not None:
+            image = _raw_image(fs.device, fs.seg_base(line), bps)
+        else:
+            vol, seg_in_vol = fs.aspace.volume_of(segno)
+            volume = fs.footprint.jukebox.volumes[
+                fs.tsegfile.volumes[vol].volume_id]
+            image = _raw_image(volume, seg_in_vol * bps, bps)
+    return [(base + offset, summary)
+            for offset, summary in partials(fs, segno, image)]
+
+
+def _raw_image(device, blkno: int, nblocks: int):
+    """Blocks straight from the medium's store, bypassing the timed
+    device model: fsck inspects the platters, it does no I/O."""
+    if hasattr(device, "components"):  # a concatenated disk farm
+        idx, blkno = device.locate(blkno)
+        device = device.components[idx]
+    return block_views(device.store.read_refs(blkno, nblocks), BLOCK_SIZE)
 
 
 def _check_highlight(fs, report: CheckReport) -> None:

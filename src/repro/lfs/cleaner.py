@@ -16,7 +16,7 @@ tail.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro import obs
 from repro.blockdev.datapath import block_views
@@ -63,6 +63,33 @@ class CostBenefitPolicy(CleaningPolicy):
         return (1.0 - u) * age / (1.0 + u)
 
 
+def partials(fs, segno: int, image) -> Iterator[Tuple[int, SegmentSummary]]:
+    """``(offset, summary)`` per partial segment of segment ``segno``,
+    whose blocks ``image`` holds (one buffer per block).
+
+    Partials sit back to back and chain through ``next_daddr``; the walk
+    stops at the first block that is not a valid summary, at a catalogue
+    that overruns the segment, and where the chain leaves the segment.
+    """
+    bps = fs.config.blocks_per_seg
+    offset = 0
+    while offset < bps:
+        raw = image[offset]
+        summary = SegmentSummary.try_unpack(
+            raw if isinstance(raw, bytes) else bytes(raw),
+            fs.config.summary_size)
+        if summary is None:
+            return
+        size = 1 + summary.ndata_blocks() + len(summary.inode_daddrs)
+        if offset + size > bps:
+            return  # corrupt catalogue; stop walking
+        yield offset, summary
+        offset += size
+        nxt = summary.next_daddr
+        if nxt == UNASSIGNED or fs.segno_of(nxt) != segno:
+            return
+
+
 def walk_segment(fs, actor: Actor, segno: int):
     """Parse a dirty segment's partial segments from one full-segment read.
 
@@ -71,38 +98,22 @@ def walk_segment(fs, actor: Actor, segno: int):
     reads the whole segment in a single large transfer, like the real one.
     """
     base = fs.seg_base(segno)
-    bps = fs.config.blocks_per_seg
     # Borrowed per-block buffers instead of a joined image: the extent
     # store hands back each whole-block extent untouched, so walking a
     # dead segment copies nothing (block data is only materialised for
     # the live blocks the caller actually forwards).
-    refs = fs.dev_read_refs(actor, base, bps)
+    refs = fs.dev_read_refs(actor, base, fs.config.blocks_per_seg)
     image = block_views(refs, BLOCK_SIZE)
-    offset = 0
-    while offset < bps:
-        raw = image[offset]
-        summary = SegmentSummary.try_unpack(
-            raw if isinstance(raw, bytes) else bytes(raw),
-            fs.config.summary_size)
-        if summary is None:
-            break
+    for offset, summary in partials(fs, segno, image):
         ndata = summary.ndata_blocks()
-        ninode = len(summary.inode_daddrs)
-        if offset + 1 + ndata + ninode > bps:
-            break  # corrupt catalogue; stop walking
         entries = [(fi.ino, lbn, daddr, image[daddr - base])
                    for fi, lbn, daddr in summary.entries(base + offset)]
         inode_blocks = []
-        for j in range(ninode):
+        for j in range(len(summary.inode_daddrs)):
             blk = image[offset + 1 + ndata + j]
             inode_blocks.append(blk if isinstance(blk, bytes)
                                 else bytes(blk))
         yield summary, entries, summary.inode_daddrs, inode_blocks
-        # Partials are laid out back to back within a segment.
-        offset += 1 + ndata + ninode
-        nxt = summary.next_daddr
-        if nxt == UNASSIGNED or fs.segno_of(nxt) != segno:
-            break
 
 
 class Cleaner:

@@ -1,12 +1,12 @@
-"""Process-death simulation: write traps and media imaging.
+"""Process-death simulation and the crash harness built on it.
 
 A crash in this simulator is modelled honestly: every in-memory object —
 filesystem, cache directory, health registry, scheduler, clocks — is
 abandoned, and the only state that survives is what had reached the
 device stores.  :func:`snapshot_media` freezes those stores as images;
-a fresh device farm built over :func:`restore_media` is "the same
-platters in a new machine", ready for ``mount_highlight`` +
-``fs.recover()``.
+a fresh device farm (:func:`repro.core.stack.make_farm`) loaded with
+:func:`restore_media` is "the same platters in a new machine", ready for
+:func:`repro.core.stack.remount` + ``fs.recover()``.
 
 :class:`CrashTrap` + :class:`TrappedStore` inject the kill point: the
 trap counts store-level writes across *all* trapped devices and, on the
@@ -15,13 +15,38 @@ before raising :class:`SimulatedCrash`.  Wrapping at the store layer —
 below the timed device models — means disk, MO, and tape writes are all
 crashable through one mechanism, the same delegation idiom as the torn-
 write tests' ``TornWriteDisk``.
+
+:class:`CrashHarness` is the one crash/restart loop: the tier-1 crash
+matrix, the recovery golden trace, the scrub tests and
+``--scenario crashes`` all drive it.  It builds a persistence-enabled
+bed with every store trapped, runs a scripted workload phase with the
+trap armed at a seeded store write, then kills the process model and
+restarts from the media.  The invariant under test is the
+**acknowledged-write contract**: every byte whose ``checkpoint()``
+returned before the crash reads back intact afterwards, and the
+recovered filesystem passes fsck.  Acknowledged content is tracked in a
+dict-model oracle (path -> bytes) handed to ``check_filesystem``.  Crash
+points are store-write indices counted from the moment the phase starts,
+so the same (phase, index, seed) triple always tears the same write.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+import random
+from typing import Dict, Optional
 
+from repro.core.highlight import HighLightConfig
+from repro.core.replicas import ReplicaManager
+from repro.core.stack import Testbed, make_farm, make_highlight, remount
 from repro.errors import ReproError
+from repro.faults.repair import RepairDaemon
+from repro.lfs.check import CheckReport, check_filesystem
+from repro.persist.manager import PersistManager
+from repro.util.units import KB, MB
+
+#: The crash-point matrix: each phase arms the trap and then drives one
+#: distinct pipeline through its writes.
+PHASES = ("segwrite", "checkpoint", "migration", "repair")
 
 
 class SimulatedCrash(ReproError):
@@ -104,49 +129,174 @@ def _unwrap(store):
     return store
 
 
-def install_trap(devices: Iterable, trap: CrashTrap) -> None:
-    """Wrap each device's store (disk devices and removable volumes both
-    carry ``.store``) so the shared trap sees every write."""
-    for dev in devices:
-        dev.store = TrappedStore(dev.store, trap)
-
-
-def snapshot_media(disk, jukebox) -> Dict[str, object]:
+def snapshot_media(bed: Testbed) -> Dict[str, object]:
     """Freeze every medium's current contents (the post-crash state)."""
     return {
-        "disk": _unwrap(disk.store).snapshot(),
+        "disks": [_unwrap(disk.store).snapshot() for disk in bed.disks],
         "volumes": {vid: _unwrap(vol.store).snapshot()
-                    for vid, vol in jukebox.volumes.items()},
+                    for vid, vol in bed.jukebox.volumes.items()},
     }
 
 
-def restore_media(images: Dict[str, object], disk, jukebox) -> None:
+def restore_media(images: Dict[str, object], bed: Testbed) -> None:
     """Load snapshotted media into a freshly built device farm."""
-    _unwrap(disk.store).restore(images["disk"])
+    for disk, image in zip(bed.disks, images["disks"]):
+        _unwrap(disk.store).restore(image)
     for vid, image in images["volumes"].items():
-        _unwrap(jukebox.volumes[vid].store).restore(image)
+        _unwrap(bed.jukebox.volumes[vid].store).restore(image)
 
 
-def restart_highlight(images: Dict[str, object], *, disk_bytes: int,
-                      n_platters: int, platter_bytes: int, config=None):
-    """Build a fresh device farm, load the crashed media, and remount.
+def payload(seed: int, nbytes: int) -> bytes:
+    """Deterministic pseudo-random content (never ``os.urandom`` here:
+    a replayed crash point must see identical bytes)."""
+    return random.Random(seed).randbytes(nbytes)
 
-    Returns ``(fs, disk, jukebox, footprint)``.  The caller wires its own
-    :class:`~repro.persist.manager.PersistManager` (and health/replica
-    registries) over the mounted filesystem and calls ``fs.recover()`` —
-    exactly the sequence a real restart performs.
+
+class CrashHarness:
+    """One crashable bed + oracle + trap, with scripted workload phases.
+
+    ``copies`` > 1 attaches a :class:`ReplicaManager` with that many
+    copies; every bed carries a :class:`PersistManager`.
     """
-    from repro.blockdev import profiles
-    from repro.blockdev.bus import SCSIBus
-    from repro.core.highlight import HighLightFS
-    from repro.footprint.robot import JukeboxFootprint
 
-    bus = SCSIBus()
-    disk = profiles.make_disk(profiles.RZ57, bus=bus,
-                              capacity_bytes=disk_bytes)
-    jukebox = profiles.make_hp6300(n_platters=n_platters, bus=bus,
-                                   effective_platter_bytes=platter_bytes)
-    restore_media(images, disk, jukebox)
-    footprint = JukeboxFootprint(jukebox)
-    fs = HighLightFS.mount_highlight(disk, footprint, config)
-    return fs, disk, jukebox, footprint
+    def __init__(self, *, partition_bytes: int = 64 * MB,
+                 n_platters: int = 3, platter_constraint: int = 24 * MB,
+                 copies: int = 1,
+                 config: Optional[HighLightConfig] = None) -> None:
+        self.geometry = dict(partition_bytes=partition_bytes,
+                             n_platters=n_platters,
+                             platter_constraint=platter_constraint)
+        self.copies = copies
+        self.config = config or HighLightConfig()
+        self.oracle: Dict[str, bytes] = {}
+        self.trap = CrashTrap()
+        self._adopt(make_highlight(**self.geometry, config=self.config))
+        jukebox = self.bed.jukebox
+        for dev in self.bed.disks + [jukebox.volumes[v]
+                                     for v in sorted(jukebox.volumes)]:
+            dev.store = TrappedStore(dev.store, self.trap)
+        self.crashed = False
+        self.report = None  # RecoveryReport after crash_and_recover()
+        self._pending_arm = (0, 0)
+
+    def _adopt(self, bed: Testbed) -> None:
+        """Make ``bed`` the live stack and attach the optional layers."""
+        self.bed, self.fs, self.app = bed, bed.fs, bed.app
+        self.migrator = bed.migrator
+        self.replicas = (ReplicaManager(bed.fs, copies=self.copies)
+                         if self.copies > 1 else None)
+        self.persist = PersistManager(bed.fs)
+
+    # -- workload vocabulary ------------------------------------------------
+
+    def commit(self, path: str, data: bytes) -> None:
+        """Write + checkpoint; the bytes are acknowledged once this
+        returns, so they enter the oracle only on success."""
+        self.fs.write_path(path, data, actor=self.app)
+        self.fs.checkpoint(self.app)
+        self.oracle[path] = data
+
+    def migrate(self, path: str) -> None:
+        """Migrate ``path``, drain its copy-out, and checkpoint."""
+        self.migrator.migrate_file(path)
+        self.migrator.flush()
+        self.fs.sched.pump(self.app)
+        self.fs.checkpoint(self.app)
+
+    def rot(self, seed: int, replica: bool = False) -> int:
+        """Silent bit-rot: flip one seeded bit of the first segment a
+        fresh bed migrates (its primary copy, or with ``replica`` its
+        first replica) straight on the medium.  The volume still reads
+        fine and the CRC ledger never hears of it.  Returns the rotted
+        volume id."""
+        fs = self.fs
+        first = fs.aspace.tertiary_segno(0, 0)
+        vol, seg_in_vol = (fs.replicas.catalog[first][0] if replica
+                           else fs.aspace.volume_of(first))
+        vol_id = fs.tsegfile.volumes[vol].volume_id
+        volume = self.bed.jukebox.volumes[vol_id]
+        rng = random.Random(seed)
+        blkno = seg_in_vol * fs.sb.blocks_per_seg + rng.randrange(
+            fs.sb.blocks_per_seg)
+        raw = bytearray(volume.store.read(blkno, 1))
+        raw[rng.randrange(volume.block_size)] ^= 0x40
+        volume.store.write(blkno, bytes(raw))
+        return vol_id
+
+    def run_phase(self, phase: str, after_writes: int,
+                  tear_blocks: int = 0, seed: int = 1) -> bool:
+        """Arm the trap, drive one phase, and report whether it fired.
+
+        An index beyond the phase's write count simply never fires — the
+        subsequent :meth:`crash_and_recover` then models a kill between
+        operations rather than mid-write, which is equally legal.
+        """
+        driver = getattr(self, "_phase_" + phase)
+        self._pending_arm = (after_writes, tear_blocks)
+        if phase != "repair":  # repair arms itself after its setup writes
+            self.trap.arm(after_writes, tear_blocks=tear_blocks)
+        try:
+            driver(seed)
+        except SimulatedCrash:
+            self.crashed = True
+            return True
+        finally:
+            self.trap.disarm()
+        return False
+
+    def _phase_segwrite(self, seed: int) -> None:
+        """Plain log writes: a large unacknowledged file mid-flight."""
+        self.commit("/base.dat", payload(seed, 256 * KB))
+        self.commit("/unacked.dat", payload(seed + 1, MB))
+
+    def _phase_checkpoint(self, seed: int) -> None:
+        """Crash inside checkpoint(): ifile flush, superblock slots, or
+        the persistence image write itself."""
+        self.commit("/pre.dat", payload(seed, 256 * KB))
+        self.commit("/during.dat", payload(seed + 1, 128 * KB))
+
+    def _phase_migration(self, seed: int) -> None:
+        """Crash during stage + copy-out of a committed file."""
+        self.commit("/mig.dat", payload(seed, 512 * KB))
+        self.migrate("/mig.dat")
+
+    def _phase_repair(self, seed: int) -> None:
+        """Crash while the repair daemon re-homes a quarantined volume."""
+        self.commit("/rep.dat", payload(seed, 512 * KB))
+        self.migrate("/rep.dat")
+        entries = self.persist.ledger.entries()
+        if not entries:
+            return
+        victim = entries[0][0]  # volume_id of the first ledgered segment
+        self.persist.health.quarantine(victim, self.app.time,
+                                       reason="crash-harness")
+        daemon = RepairDaemon(self.fs, self.persist.health)
+        self.trap.arm(*self._pending_arm)  # setup done: repair writes start
+        daemon.run_once(self.app)
+        self.fs.checkpoint(self.app)
+
+    # -- crash / restart ----------------------------------------------------
+
+    def restart(self) -> Testbed:
+        """Kill the process model and mount a fresh farm of the same
+        geometry over its media; nothing beyond the migrator is attached
+        and nothing is recovered yet."""
+        farm = make_farm(**self.geometry)
+        restore_media(snapshot_media(self.bed), farm)
+        return remount(farm, self.config)
+
+    def crash_and_recover(self):
+        """Kill the process model, restart from the media, recover."""
+        self._adopt(self.restart())
+        self.report = self.fs.recover()
+        return self.report
+
+    # -- the invariant ------------------------------------------------------
+
+    def check(self) -> CheckReport:
+        return check_filesystem(self.fs, self.app, oracle=self.oracle)
+
+    def assert_acknowledged(self) -> None:
+        """Every acknowledged byte reads back and fsck is clean."""
+        report = self.check()
+        assert report.ok, report.render()

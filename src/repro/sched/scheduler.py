@@ -161,17 +161,11 @@ class TertiaryScheduler:
         self.volume_switches = 0
         self.aged_promotions = 0
         self.forced_writeouts = 0
-        #: Admission hooks, consulted (in order) before a *droppable*
-        #: background request is queued; any hook returning False
-        #: rejects it, counted with the queue-limit rejects.  Write-outs
-        #: bypass the hooks the same way they bypass the queue limit —
-        #: a staged line may never drop data.  The tenant front end
-        #: (``repro.frontend``) installs per-tenant queue-depth caps
-        #: here; see docs/SCHEDULING.md.
-        self.admission_hooks: List[
-            Callable[["TertiaryScheduler", Request], bool]] = []
         self.admission_rejects: Dict[str, int] = {c: 0
                                                   for c in REQUEST_CLASSES}
+        #: Those of the admission rejects due to a submitter's own
+        #: ``cap`` rather than the class limit (see submit_prefetch).
+        self.capped_rejects = 0
 
     # -- introspection -----------------------------------------------------------
 
@@ -265,13 +259,18 @@ class TertiaryScheduler:
 
     # -- submission --------------------------------------------------------------
 
-    def submit_prefetch(self, actor: Actor, tsegno: int) -> bool:
+    def submit_prefetch(self, actor: Actor, tsegno: int,
+                        cap: Optional[int] = None) -> bool:
         """Prefetch ``tsegno`` as a background request.
 
         Returns False when the caller should stop issuing prefetches
         (cache famine in passthrough mode, admission reject when
-        scheduled).  In passthrough mode this reproduces the service
-        process's historical inline behaviour on the prefetch actor.
+        scheduled).  ``cap`` is the submitter's own queue-depth
+        tolerance (a front-end tenant's ``max_queued``): when scheduled,
+        a prefetch that would queue behind ``cap`` others is rejected
+        like one over the class limit.  In passthrough mode this
+        reproduces the service process's historical inline behaviour on
+        the prefetch actor.
         """
         if self.mode == MODE_PASSTHROUGH:
             worker = self.prefetch_actor
@@ -283,7 +282,8 @@ class TertiaryScheduler:
 
         return self._enqueue(Request(
             CLASS_PREFETCH, execute, actor.time, self._next_seq(),
-            volume=self.volume_id(tsegno), tag=tsegno, table4=True))
+            volume=self.volume_id(tsegno), tag=tsegno, table4=True),
+            cap=cap)
 
     def _prefetch_now(self, worker: Actor, tsegno: int,
                       drop_on_famine: bool) -> bool:
@@ -367,18 +367,21 @@ class TertiaryScheduler:
         self._seq += 1
         return self._seq
 
-    def _enqueue(self, req: Request, admitted: bool = False) -> bool:
-        limit = self.queue_limits.get(req.rclass)
-        if not admitted and ((limit is not None
-                              and self.queued(req.rclass) >= limit)
-                             or not all(hook(self, req)
-                                        for hook in self.admission_hooks)):
-            self.admission_rejects[req.rclass] += 1
-            obs.counter("sched_admission_rejects_total",
-                        "background requests rejected by queue-depth "
-                        "limits", ("rclass",)).labels(
-                            rclass=req.rclass).inc()
-            return False
+    def _enqueue(self, req: Request, admitted: bool = False,
+                 cap: Optional[int] = None) -> bool:
+        if not admitted:
+            depth = self.queued(req.rclass)
+            limit = self.queue_limits.get(req.rclass)
+            over_limit = limit is not None and depth >= limit
+            capped = not over_limit and cap is not None and depth >= cap
+            if over_limit or capped:
+                self.admission_rejects[req.rclass] += 1
+                self.capped_rejects += capped
+                obs.counter("sched_admission_rejects_total",
+                            "background requests rejected by queue-depth "
+                            "limits", ("rclass",)).labels(
+                                rclass=req.rclass).inc()
+                return False
         self._queue.append(req)
         obs.counter("sched_requests_total",
                     "requests accepted into the scheduler queue",

@@ -16,7 +16,7 @@ All times are float seconds of virtual time.
 
 from repro.sim.clock import VirtualClock
 from repro.sim.resources import TimelineResource, occupy_all
-from repro.sim.actor import Actor, TimeAccount, owner_of
+from repro.sim.actor import Actor, TimeAccount
 from repro.sim.scheduler import Scheduler, WAIT, TimedQueue
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "occupy_all",
     "Actor",
     "TimeAccount",
-    "owner_of",
     "Scheduler",
     "WAIT",
     "TimedQueue",

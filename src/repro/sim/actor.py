@@ -2,22 +2,9 @@
 
 from __future__ import annotations
 
-import weakref
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.sim.clock import VirtualClock
-
-#: obj -> owning Actor.  The runtime counterpart of the HL012 static
-#: rule: one actor's code must not mutate objects another actor owns.
-#: Weak on both sides so tagging never extends a lifetime.
-_OWNERS: "weakref.WeakKeyDictionary[object, weakref.ReferenceType]" = \
-    weakref.WeakKeyDictionary()
-
-
-def owner_of(obj: object) -> "Optional[Actor]":
-    """The actor that owns ``obj``, or None if untagged (or dead)."""
-    ref = _OWNERS.get(obj)
-    return ref() if ref is not None else None
 
 
 class TimeAccount:
@@ -87,20 +74,6 @@ class Actor:
     def __init__(self, name: str, clock: VirtualClock | None = None) -> None:
         self.name = name
         self.clock = clock if clock is not None else VirtualClock()
-        # An explicitly passed clock may be shared with another actor,
-        # so only a self-constructed clock is tagged as ours.
-        if clock is None:
-            self.own(self.clock)
-
-    def own(self, obj: object) -> object:
-        """Tag ``obj`` as owned by this actor; returns ``obj``.
-
-        Ownership is advisory bookkeeping for sanitizers and debug
-        assertions (see HL012 in docs/ANALYSIS.md for the static rule it
-        mirrors); re-tagging transfers ownership.
-        """
-        _OWNERS[obj] = weakref.ref(self)
-        return obj
 
     @property
     def time(self) -> float:

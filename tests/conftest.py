@@ -3,10 +3,8 @@
 import pytest
 
 from repro.blockdev import profiles
-from repro.blockdev.bus import SCSIBus
-from repro.core.highlight import HighLightConfig, HighLightFS
 from repro.core.migrator import Migrator
-from repro.footprint.robot import JukeboxFootprint
+from repro.core.stack import make_highlight, remount
 from repro.lfs.filesystem import LFS, LFSConfig
 from repro.sim.actor import Actor
 from repro.util.units import MB
@@ -63,25 +61,20 @@ class HLBed:
 
     def __init__(self, disk_bytes=96 * MB, n_platters=4,
                  platter_bytes=40 * MB, config=None, **migrator_kwargs):
-        self.bus = SCSIBus()
-        self.disk = profiles.make_disk(profiles.RZ57, bus=self.bus,
-                                       capacity_bytes=disk_bytes)
-        self.jukebox = profiles.make_hp6300(
-            n_platters=n_platters, bus=self.bus,
-            effective_platter_bytes=platter_bytes)
-        self.footprint = JukeboxFootprint(self.jukebox)
-        self.app = Actor("app")
-        self.fs = HighLightFS.mkfs_highlight(
-            self.disk, self.footprint, config or HighLightConfig(),
-            actor=self.app)
-        self.migrator = Migrator(self.fs, **migrator_kwargs)
+        self.bed = make_highlight(disk_bytes, n_platters=n_platters,
+                                  platter_constraint=platter_bytes,
+                                  config=config)
+        self.disk, self.jukebox = self.bed.disk, self.bed.jukebox
+        self.footprint, self.app = self.bed.footprint, self.bed.app
+        self.fs, self.migrator = self.bed.fs, self.bed.migrator
+        if migrator_kwargs:
+            self.migrator = Migrator(self.fs, **migrator_kwargs)
 
     def remount(self):
         """Crash: rebuild everything reachable from the media."""
-        fs = HighLightFS.mount_highlight(self.disk, self.footprint)
-        self.fs = fs
-        self.migrator = Migrator(fs, **{})
-        return fs
+        bed = remount(self.bed)
+        self.fs, self.migrator = bed.fs, bed.migrator
+        return bed.fs
 
 
 @pytest.fixture

@@ -133,3 +133,34 @@ def test_no_callable_is_assigned_to_another_objects_attribute():
                         hits.add(f"{site}: {ast.unparse(node)}")
     assert not hits, ("callable assigned to another object's attribute:\n"
                       + "\n".join(sorted(hits)))
+
+
+#: The one module that assembles a HighLight stack.
+STACK_BUILDER = SRC / "core" / "stack.py"
+
+#: ``path:line`` sites outside the builder allowed to make or mount a
+#: HighLight filesystem.  Add one with the reason it must stay; the
+#: default answer is a call to ``make_highlight`` or ``remount``.
+STACK_ASSEMBLY_OK: set = set()
+
+
+def test_one_module_builds_a_highlight_stack():
+    """Every single-node bed comes from ``repro.core.stack``: no
+    ``mkfs_highlight``/``mount_highlight`` call in ``src``,
+    ``benchmarks`` or ``examples`` outside the builder module."""
+    hits = []
+    for d in ("src", "benchmarks", "examples"):
+        for path in sorted((ROOT / d).rglob("*.py")):
+            if path == STACK_BUILDER:
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "attr",
+                               getattr(node.func, "id", None))
+                site = f"{path.relative_to(ROOT)}:{node.lineno}"
+                if (name in ("mkfs_highlight", "mount_highlight")
+                        and site not in STACK_ASSEMBLY_OK):
+                    hits.append(f"{site}: {ast.unparse(node)}")
+    assert hits == [], ("HighLight stack assembled outside "
+                        "repro.core.stack:\n" + "\n".join(hits))

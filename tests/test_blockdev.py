@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro import obs
 from repro.blockdev.base import CPUModel, FreeCPU
 from repro.blockdev.bus import SCSIBus
 from repro.blockdev.disk import DiskDevice
@@ -189,10 +190,12 @@ class TestDiskDevice:
         actor = Actor("a")
         disk.write(actor, 0, bytes(4096))
         disk.read(actor, 0, 1)
-        assert disk.stats.read_ops == 1
-        assert disk.stats.write_ops == 1
-        assert disk.stats.bytes_read == 4096
-        assert disk.stats.bytes_written == 4096
+        reg = obs.metrics()
+        for op in ("read", "write"):
+            assert reg.get("device_io_ops_total", device=disk.name,
+                           op=op) == 1
+            assert reg.get("device_io_bytes_total", device=disk.name,
+                           op=op) == 4096
 
     def test_bus_shared_with_transfer_only(self):
         bus = SCSIBus("scsi", bandwidth=100 * MB)

@@ -15,11 +15,12 @@ import os
 
 import pytest
 
+from repro.core.highlight import HighLightConfig
 from repro.faults import FaultManager
 from repro.faults.plan import KIND_MEDIA_DEAD, FaultPlan, FaultSpec
 from repro.persist import PersistManager
-from repro.persist.crashsim import restart_highlight, snapshot_media
-from tests.crashkit import PHASES, CrashHarness, payload
+from repro.persist.crashsim import PHASES, CrashHarness, payload
+from repro.sched import MODE_SCHEDULED
 
 #: Store-write indices to tear, counted from each phase's arm point.
 #: Low indices land in the phase's first log/segment writes; higher ones
@@ -88,14 +89,18 @@ class TestCrashSemantics:
     def test_recovery_requeues_staging_writeouts(self):
         """A crash with a staging line pending re-submits its write-out
         and marks the target volume in-doubt."""
-        h = CrashHarness()
+        h = CrashHarness(config=HighLightConfig(sched_mode=MODE_SCHEDULED))
         h.commit("/m.dat", payload(13, 512 * 1024))
         h.migrator.migrate_file("/m.dat")
-        # Crash before flush(): the staging line exists, unsynced.
+        # The checkpoint seals the staging segment and queues its
+        # write-out; the crash lands before the queue drains.
         h.fs.checkpoint(h.app)
         report = h.crash_and_recover()
         h.assert_acknowledged()
-        assert report.found
+        assert report.found and report.requeued_writeouts == 1
+        h.fs.sched.pump(h.app)
+        h.fs.checkpoint(h.app)
+        h.assert_acknowledged()
 
     def test_mid_checkpoint_crash_keeps_previous_epoch(self):
         """Tearing the persistence-slot write itself leaves the prior
@@ -131,10 +136,7 @@ def test_fault_and_persist_layers_share_one_health_registry():
     assert errors >= 1
     h.fs.checkpoint(h.app)
 
-    images = snapshot_media(h.disk, h.jukebox)
-    fs, _disk, _jukebox, _footprint = restart_highlight(
-        images, disk_bytes=h.disk_bytes, n_platters=h.n_platters,
-        platter_bytes=h.platter_bytes)
+    fs = h.restart().fs
     fm2 = FaultManager(fs)  # built before the PersistManager
     PersistManager(fs)
     fs.recover()

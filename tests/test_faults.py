@@ -563,7 +563,8 @@ class TestAlternateJukeboxes:
         assert fs.read_path("/tape-bound") == payload
         drive = metrum.drives[metrum.drive_holding(
             fs.tsegfile.volumes[0].volume_id)]
-        assert drive.stats.bytes_written >= MB
+        assert obs.metrics().get("device_io_bytes_total", device=drive.name,
+                                 op="write") >= MB
 
     def test_worm_jukebox_rejects_overwrite_of_segment(self):
         """Sony WORM platters: a tertiary segment can be written once;

@@ -12,6 +12,7 @@ from repro.core.migrator import Migrator
 from repro.core.policies import (AccessRangeTracker, BlockRangePolicy,
                                  NamespacePolicy, STPPolicy)
 from repro.core.prefetch import NoPrefetch, SequentialPrefetch, UnitPrefetch
+from repro.lfs.check import check_filesystem
 from repro.lfs.cleaner import Cleaner, GreedyPolicy
 from repro.lfs.constants import BLOCK_SIZE, SEGMENT_SIZE
 from repro.util.units import KB, MB
@@ -144,6 +145,8 @@ class TestCrashRecovery:
         bed.migrator.migrate_file("/small")  # staging segment still open
         bed.fs.checkpoint()                  # must flush it
         fs2 = bed.remount()
+        report = check_filesystem(fs2)       # every segment describes itself
+        assert report.ok, report.render()
         assert fs2.read_path("/small")
         fs2.service.flush_cache(fs2.actor)
         fs2.drop_caches(drop_inodes=True)

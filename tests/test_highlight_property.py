@@ -9,30 +9,17 @@ the end, and a crash/remount must preserve everything.
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.blockdev import profiles
-from repro.blockdev.bus import SCSIBus
-from repro.core.highlight import HighLightFS
-from repro.core.migrator import Migrator
+from repro.core.stack import make_highlight, remount
 from repro.errors import ReproError
-from repro.footprint.robot import JukeboxFootprint
 from repro.lfs.check import check_filesystem
 from repro.lfs.cleaner import Cleaner, GreedyPolicy
-from repro.sim.actor import Actor
 from repro.util.units import KB, MB
 
 FILES = ["/p0", "/p1", "/p2"]
 
 
 def fresh_bed():
-    bus = SCSIBus()
-    disk = profiles.make_disk(profiles.RZ57, bus=bus,
-                              capacity_bytes=64 * MB)
-    jukebox = profiles.make_hp6300(n_platters=4, bus=bus,
-                                   effective_platter_bytes=20 * MB)
-    footprint = JukeboxFootprint(jukebox)
-    app = Actor("app")
-    fs = HighLightFS.mkfs_highlight(disk, footprint, actor=app)
-    return fs, Migrator(fs), disk, footprint, app
+    return make_highlight(64 * MB, n_platters=4, platter_constraint=20 * MB)
 
 
 op_write = st.tuples(st.just("write"), st.sampled_from(FILES),
@@ -100,19 +87,19 @@ def verify_model(fs, model):
 @settings(max_examples=15, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_hierarchy_read_your_writes(ops):
-    fs, migrator, _disk, _fp, app = fresh_bed()
-    model = apply_ops(fs, migrator, app, ops)
-    verify_model(fs, model)
+    bed = fresh_bed()
+    model = apply_ops(bed.fs, bed.migrator, bed.app, ops)
+    verify_model(bed.fs, model)
 
 
 @given(ops_strategy)
 @settings(max_examples=10, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_hierarchy_consistency_invariants(ops):
-    fs, migrator, _disk, _fp, app = fresh_bed()
-    apply_ops(fs, migrator, app, ops)
-    fs.checkpoint(app)
-    report = check_filesystem(fs)
+    bed = fresh_bed()
+    apply_ops(bed.fs, bed.migrator, bed.app, ops)
+    bed.fs.checkpoint(bed.app)
+    report = check_filesystem(bed.fs)
     assert report.ok, report.render()
 
 
@@ -120,10 +107,10 @@ def test_hierarchy_consistency_invariants(ops):
 @settings(max_examples=10, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_hierarchy_survives_crash(ops):
-    fs, migrator, disk, footprint, app = fresh_bed()
-    model = apply_ops(fs, migrator, app, ops)
-    fs.checkpoint(app)
-    fs2 = HighLightFS.mount_highlight(disk, footprint)
+    bed = fresh_bed()
+    model = apply_ops(bed.fs, bed.migrator, bed.app, ops)
+    bed.fs.checkpoint(bed.app)
+    fs2 = remount(bed).fs
     verify_model(fs2, model)
     report = check_filesystem(fs2)
     assert report.ok, report.render()

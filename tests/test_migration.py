@@ -8,6 +8,7 @@ from tests.conftest import HLBed
 from repro.core.migrator import MigrationPipeline, Migrator
 from repro.core.tcleaner import TertiaryCleaner
 from repro.errors import MigrationError
+from repro.lfs.check import check_filesystem
 from repro.lfs.constants import BLOCK_SIZE, NDADDR, UNASSIGNED
 from repro.sim.actor import Actor
 from repro.util.units import KB, MB
@@ -74,9 +75,20 @@ class TestWholeFileMigration:
 
     def test_tertiary_clean_keeps_blocks_staged_after_an_inode(self):
         # With inodes migrating, /a's inode block lands between /a's and
-        # /b's data in one staging segment; every segment walker must
-        # still find /b's blocks at their real addresses.
-        bed = HLBed(migrate_inodes=True)
+        # /b's data in one staging segment; every segment walker — fsck's
+        # summary check among them — must still find /b's blocks at their
+        # real addresses.
+        self._stage_clean_restage(migrate_inodes=True)
+
+    def test_tertiary_clean_with_inodes_left_on_disk(self):
+        self._stage_clean_restage(migrate_inodes=False)
+
+    @staticmethod
+    def _stage_clean_restage(migrate_inodes):
+        """Migrate two files, tertiary-clean their volume, migrate a
+        third over it; fsck (every segment describing itself) must be
+        clean after the migration and at the end."""
+        bed = HLBed(migrate_inodes=migrate_inodes)
         data = {"/a": os.urandom(40 * KB), "/b": os.urandom(40 * KB)}
         for path, payload in data.items():
             bed.fs.write_path(path, payload)
@@ -84,6 +96,8 @@ class TestWholeFileMigration:
         for path in data:
             bed.migrator.migrate_file(path)
         bed.migrator.flush()
+        report = check_filesystem(bed.fs)
+        assert report.ok, report.render()
         bed.fs.tsegfile.mark_volume_full(0)
         TertiaryCleaner(bed.fs, bed.migrator, actor=bed.app).clean_volume(0)
         # The cleaned volume is consumed again, overwriting what it held.
@@ -97,6 +111,8 @@ class TestWholeFileMigration:
         bed.fs.drop_caches(drop_inodes=True)
         for path, payload in data.items():
             assert bed.fs.read_path(path) == payload, path
+        report = check_filesystem(bed.fs)
+        assert report.ok, report.render()
 
     def test_unstable_file_flushed_first(self, hl):
         inum = hl.fs.create("/dirty")

@@ -17,10 +17,11 @@ from repro.util.units import KB, MB
 SEG_PAYLOAD = 254 * 4096  # one tertiary segment per file
 
 
-def _scattered_bed():
+def _scattered_bed(migrate_inodes=False):
     """Two files fetched together, deliberately scattered on tape by
     interleaving an unrelated file between their migrations."""
-    bed = HLBed(disk_bytes=192 * MB, n_platters=6, platter_bytes=12 * MB)
+    bed = HLBed(disk_bytes=192 * MB, n_platters=6, platter_bytes=12 * MB,
+                migrate_inodes=migrate_inodes)
     fs, app = bed.fs, bed.app
     data = {}
     for name in ("/a", "/noise", "/b"):
@@ -105,7 +106,16 @@ class TestRearrangement:
         assert len(vols) == 1
 
     def test_rearrangement_preserves_content(self):
-        bed, data, rearranger = _scattered_bed()
+        self._rearrange_and_verify(migrate_inodes=False)
+
+    def test_rearrangement_preserves_migrated_inodes(self):
+        self._rearrange_and_verify(migrate_inodes=True)
+
+    @staticmethod
+    def _rearrange_and_verify(migrate_inodes):
+        """Rearrange, eject, read every byte back, and fsck (every
+        segment describing itself) the result."""
+        bed, data, rearranger = _scattered_bed(migrate_inodes)
         _co_access(bed, ["/a", "/b"])
         _co_access(bed, ["/a", "/b"])
         rearranger.run_once(bed.app)
@@ -204,8 +214,9 @@ class TestForwardSegment:
         bed.fs.checkpoint()
         bed.fs.service.flush_cache(bed.app)
         bed.fs.drop_caches(drop_inodes=True)
-        return all(bed.fs.read_path(p) == payload
-                   for p, payload in data.items())
+        return (all(bed.fs.read_path(p) == payload
+                    for p, payload in data.items())
+                and check_filesystem(bed.fs).ok)
 
     def test_every_caller_forwards_the_same_catalogue(self, how):
         bed, data, tsegno, a, b = self._staged()

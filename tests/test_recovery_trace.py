@@ -22,7 +22,7 @@ import pytest
 from repro import obs
 from repro.persist import (EV_CHECKPOINT_MARK, EV_CHECKPOINT_WRITE,
                            EV_RECOVERY_REPLAY)
-from tests.crashkit import CrashHarness, payload
+from repro.persist.crashsim import CrashHarness, payload
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
                            "recovery_trace.json")
@@ -36,10 +36,7 @@ def run_workload():
     # A completed migration first, so the golden stream also pins the
     # copy-out (segment_writeout / volume_switch) events and the scrub
     # ledger is non-empty at the crash epoch.
-    h.migrator.migrate_file("/pinned.dat")
-    h.migrator.flush()
-    h.fs.sched.pump(h.app)
-    h.fs.checkpoint(h.app)
+    h.migrate("/pinned.dat")
     h.run_phase("migration", 4, tear_blocks=1, seed=101)
     report = h.crash_and_recover()
     h.assert_acknowledged()
