@@ -110,7 +110,7 @@ class DiskDevice(BlockDevice):
 
     def writev(self, actor: Actor, blkno: int,
                parts: Sequence[Buffer]) -> None:
-        nbytes = sum(len(p) for p in parts)
+        nbytes = sum(map(len, parts))
         self.store.check_range(blkno, nbytes // self.block_size)
         self.store.writev(blkno, parts)
         pos, xfer = self._do_io(actor, blkno, nbytes, is_write=True)

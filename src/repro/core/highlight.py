@@ -246,11 +246,14 @@ class HighLightFS(LFS):
             return super().segno_of(daddr)
         return self.aspace.segno_of(daddr)
 
-    def _seg_tracked(self, segno: int) -> bool:
+    def _usage(self, segno: int) -> Optional[SegUse]:
         if self.aspace is None:
-            return super()._seg_tracked(segno)
-        return (self.aspace.is_disk_segno(segno)
-                or self.aspace.is_tertiary_segno(segno))
+            return super()._usage(segno)
+        if self.aspace.is_tertiary_segno(segno):
+            return self.tseg_use(segno)
+        if self.aspace.is_disk_segno(segno):
+            return self.ifile.seguse(segno)
+        return None
 
     def seguse_for(self, segno: int) -> SegUse:
         if self.aspace is not None and self.aspace.is_tertiary_segno(segno):
@@ -293,7 +296,7 @@ class HighLightFS(LFS):
         if self.driver is None:
             super().dev_writev(actor, daddr, parts)
             return
-        nblocks = sum(len(p) for p in parts) // BLOCK_SIZE
+        nblocks = sum(map(len, parts)) // BLOCK_SIZE
         self.stats.blocks_written += nblocks
         self._routed_write.inc(nblocks)
         self.driver.writev(actor, daddr, parts)

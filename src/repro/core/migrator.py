@@ -20,6 +20,7 @@ arm-contended) execution measured in Tables 4 and 6.
 
 from __future__ import annotations
 
+import struct
 from typing import Dict, Generator, List, Optional, Tuple
 
 from repro import obs
@@ -150,7 +151,7 @@ class Migrator:
                      lastlength: int = BLOCK_SIZE) -> int:
         if self.builder is None:
             self.builder = self._open_builder(actor)
-        if not self.builder.room_for_block(inum):
+        if not self.builder.blocks_that_fit(inum):
             self._finalize_builder(actor)
             self.builder = self._open_builder(actor)
         return self.builder.add_block(inum, lbn, data, lastlength)
@@ -162,8 +163,9 @@ class Migrator:
         ``blocks`` holds one buffer per block.  Blocks land in batched
         gather copies (``add_block_views``), splitting exactly where
         per-block staging would have sealed the segment: the batch size
-        is the largest prefix the open builder still has room for, which
-        is precisely how many per-block adds would have succeeded.
+        is how many blocks the open builder still has room for, which is
+        precisely how many per-block adds would have succeeded.  Each
+        batch is re-pointed a pointer-block run at a time.
         """
         fs = self.fs
         inum = ino.inum
@@ -172,20 +174,19 @@ class Migrator:
         while pos < total:
             if self.builder is None:
                 self.builder = self._open_builder(actor)
-            take = total - pos
-            while take and not self.builder.room_for_blocks(inum, take):
-                take -= 1
+            take = min(total - pos, self.builder.blocks_that_fit(inum))
             if not take:
                 self._finalize_builder(actor)
                 self.builder = self._open_builder(actor)
                 continue
-            lbns = [lbn for lbn, _ in span[pos:pos + take]]
+            batch = span[pos:pos + take]
+            lbns = [lbn for lbn, _ in batch]
             first = self.builder.add_block_views(
-                inum, lbns, blocks[pos:pos + take],
-                self._lastlength(ino, lbns[-1]))
-            for i, (lbn, old_daddr) in enumerate(span[pos:pos + take]):
-                fs.set_bmap(ino, lbn, first + i, actor)
-                fs.account_block_moved(old_daddr, first + i)
+                inum, lbns, blocks[pos:pos + take], ino.lastlength(lbns[-1]))
+            news = range(first, first + take)
+            for i, j in fs.pointer_runs(lbns):
+                fs.set_bmap_run(ino, lbns[i], news[i:j], actor)
+            fs.account_blocks_moved([old for _, old in batch], news)
             self.stats.add_blocks(take)
             pos += take
 
@@ -206,12 +207,13 @@ class Migrator:
         fs = self.fs
         nblocks = (ino.size + BLOCK_SIZE - 1) // BLOCK_SIZE
         lo, hi = (0, nblocks) if lbn_range is None else lbn_range
-        hi = min(hi, nblocks)
+        lbns = range(lo, min(hi, nblocks))
         out = []
-        for lbn in range(lo, hi):
-            daddr = fs.bmap(ino, lbn, actor)
-            if daddr != UNASSIGNED and fs.aspace.is_disk_daddr(daddr):
-                out.append((lbn, daddr))
+        for i, j in fs.pointer_runs(lbns):
+            for lbn, daddr in zip(lbns[i:j],
+                                  fs.bmap_run(ino, lbns[i], j - i, actor)):
+                if daddr != UNASSIGNED and fs.aspace.is_disk_daddr(daddr):
+                    out.append((lbn, daddr))
         return out
 
     def _indirect_lbns(self, ino: Inode, actor: Actor) -> List[int]:
@@ -221,8 +223,9 @@ class Migrator:
         if ino.ib[1] != UNASSIGNED or fs.bcache.peek(
                 (ino.inum, DOUBLE_ROOT_LBN)) is not None:
             root = fs._read_indirect(ino, DOUBLE_ROOT_LBN, ino.ib[1], actor)
-            for j in range(PTRS_PER_BLOCK):
-                if fs._ptr_of(root, j) != UNASSIGNED or fs.bcache.peek(
+            children = struct.unpack(f"<{PTRS_PER_BLOCK}I", root)
+            for j, child in enumerate(children):
+                if child != UNASSIGNED or fs.bcache.peek(
                         (ino.inum, double_child_lbn(j))) is not None:
                     out.append(double_child_lbn(j))
             out.append(DOUBLE_ROOT_LBN)
@@ -327,12 +330,6 @@ class Migrator:
             yield
         self.stats.add_file()
         self._unit_tag = None
-
-    def _lastlength(self, ino: Inode, lbn: int) -> int:
-        end = (lbn + 1) * BLOCK_SIZE
-        if end <= ino.size:
-            return BLOCK_SIZE
-        return max(1, ino.size - lbn * BLOCK_SIZE)
 
     # -- policy-driven operation ----------------------------------------------------------
 

@@ -81,15 +81,12 @@ class StagingBuilder:
     def is_full(self) -> bool:
         return self._nblocks >= self.payload_capacity()
 
-    def room_for_block(self, inum: int) -> bool:
-        return self.room_for_blocks(inum, 1)
-
-    def room_for_blocks(self, inum: int, nblocks: int) -> bool:
-        """Would ``nblocks`` more blocks of file ``inum`` fit?"""
-        if self._nblocks + nblocks > self.payload_capacity():
-            return False
-        return self.summary.fits_blocks(self.fs.config.summary_size,
-                                        inum, nblocks)
+    def blocks_that_fit(self, inum: int) -> int:
+        """How many more blocks of file ``inum`` fit, in payload and in
+        the summary."""
+        return min(self.payload_capacity() - self._nblocks,
+                   self.summary.blocks_that_fit(self.fs.config.summary_size,
+                                                inum))
 
     def room_for_inode_block(self) -> bool:
         if self.is_full():
@@ -125,7 +122,7 @@ class StagingBuilder:
                 raise InvalidArgument(
                     f"staged block must be exactly {BLOCK_SIZE} bytes, "
                     f"got {len(v)}")
-        if not self.room_for_blocks(inum, k):
+        if k > self.blocks_that_fit(inum):
             raise InvalidArgument("staging segment is full")
         daddr = self.tseg_base + 1 + self._nblocks
         off = self._nblocks * BLOCK_SIZE

@@ -21,6 +21,7 @@ from repro.util.units import MB
 BufKey = Tuple[int, int]  # (inum, logical block number)
 
 _by_seq = attrgetter("seq")
+_by_key = attrgetter("key")
 
 
 class Buffer:
@@ -44,7 +45,9 @@ class BufferCache:
     def __init__(self, capacity_bytes: int = int(3.2 * MB)) -> None:
         self.capacity_blocks = max(8, capacity_bytes // BLOCK_SIZE)
         self._bufs: Dict[BufKey, Buffer] = {}
-        self._dirty = 0
+        #: The dirty buffers, so the writer's scans and needs_flush() cost
+        #: O(dirty), not O(cache).
+        self._dirty: Dict[BufKey, Buffer] = {}
         self.hits = 0
         self.misses = 0
         # Recency is the touch sequence stamped on each buffer; the
@@ -69,9 +72,7 @@ class BufferCache:
         return len(self._bufs)
 
     def dirty_count(self) -> int:
-        # Maintained incrementally: needs_flush() runs on every write, so
-        # an O(cache) scan here dominates large sequential-write phases.
-        return self._dirty
+        return len(self._dirty)
 
     # -- lookup/insert -----------------------------------------------------
 
@@ -108,6 +109,34 @@ class BufferCache:
             self._hit_series.inc(len(found))
         return True
 
+    def repeat(self, keys: Sequence[BufKey], times: int,
+               reput: bool = False) -> None:
+        """:meth:`get` on each of ``keys`` in order, ``times`` rounds over
+        — each round closed, with ``reput``, by a :meth:`put` of the last
+        key's own data (which must be cached and dirty) — as one update.
+
+        Every get is counted, a hit on a cached key and a miss on an
+        absent one, and recency ends as the last round leaves it.
+        Nothing is inserted, so nothing is evicted.
+        """
+        found = [buf for buf in map(self._bufs.get, keys) if buf is not None]
+        seq = self._seq + (times - 1) * (len(found) + reput)
+        touch_clean = self._clean.move_to_end
+        for buf in found:
+            buf.seq = seq = seq + 1
+            if not buf.dirty:
+                touch_clean(buf.key)
+        if reput:
+            self._bufs[keys[-1]].seq = seq = seq + 1
+        self._seq = seq
+        hits, misses = len(found) * times, (len(keys) - len(found)) * times
+        if hits:
+            self.hits += hits
+            self._hit_series.inc(hits)
+        if misses:
+            self.misses += misses
+            self._miss_series.inc(misses)
+
     def peek(self, key: BufKey) -> Optional[bytes]:
         """Lookup without recency update or hit accounting."""
         buf = self._bufs.get(key)
@@ -120,27 +149,28 @@ class BufferCache:
             self._evict_for_room()
             buf = self._bufs[key] = Buffer(key, data, dirty)
             if dirty:
-                self._dirty += 1
+                self._dirty[key] = buf
         else:
             buf.data = data
             if dirty and not buf.dirty:
                 buf.dirty = True
-                self._dirty += 1
+                self._dirty[key] = buf
                 del self._clean[key]
         self._seq = buf.seq = self._seq + 1
         if not buf.dirty:
             self._clean[key] = None
             self._clean.move_to_end(key)
 
-    def mark_clean(self, key: BufKey) -> None:
-        buf = self._bufs.get(key)
-        if buf is not None and buf.dirty:
-            self._dirty -= 1
-            buf.dirty = False
-            # Now evictable at its *existing* recency: mark_clean is not
-            # a use, so ``seq`` stays and the queue is sorted by it later.
-            self._clean[key] = None
-            self._clean_sorted = False
+    def mark_clean(self, *keys: BufKey) -> None:
+        for key in keys:
+            buf = self._dirty.pop(key, None)
+            if buf is not None:
+                buf.dirty = False
+                # Now evictable at its *existing* recency: mark_clean is
+                # not a use, so ``seq`` stays and the queue is sorted by
+                # it later.
+                self._clean[key] = None
+                self._clean_sorted = False
 
     def is_dirty(self, key: BufKey) -> bool:
         buf = self._bufs.get(key)
@@ -170,19 +200,21 @@ class BufferCache:
 
     def dirty_buffers(self) -> List[Buffer]:
         """All dirty buffers (segment-writer input), LRU-first."""
-        return sorted((b for b in self._bufs.values() if b.dirty),
-                      key=_by_seq)
+        return sorted(self._dirty.values(), key=_by_seq)
+
+    def dirty_by_key(self) -> List[Buffer]:
+        """All dirty buffers in key order: file by file, by lbn."""
+        return sorted(self._dirty.values(), key=_by_key)
 
     def dirty_for_inode(self, inum: int) -> List[Buffer]:
-        return [b for b in self._bufs.values()
-                if b.dirty and b.key[0] == inum]
+        return [b for b in self._dirty.values() if b.key[0] == inum]
 
     def invalidate(self, key: BufKey) -> None:
         """Drop one block regardless of state (truncate/unlink path)."""
         buf = self._bufs.pop(key, None)
         if buf is not None:
             if buf.dirty:
-                self._dirty -= 1
+                del self._dirty[key]
             else:
                 del self._clean[key]
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.blockdev.base import BlockDevice, CPUModel
 from repro.blockdev.datapath import block_views
@@ -34,7 +34,7 @@ from repro.lfs.constants import (BLOCK_SIZE, DOUBLE_ROOT_LBN, IFILE_INUM,
                                  SINGLE_ROOT_LBN, SUMMARY_SIZE_LFS, UNASSIGNED,
                                  double_child_lbn)
 from repro.lfs.directory import Directory
-from repro.lfs.ifile import IFile, IMapEntry, SEG_ACTIVE, SEG_DIRTY
+from repro.lfs.ifile import IFile, IMapEntry, SEG_ACTIVE, SEG_DIRTY, SegUse
 from repro.lfs.inode import (Inode, S_IFDIR, S_IFREG, find_inode_in_block)
 from repro.lfs.superblock import Checkpoint, Superblock
 from repro.sim.actor import Actor
@@ -43,6 +43,48 @@ _PTR = struct.Struct("<I")
 
 #: Indirect blocks start life holding all-UNASSIGNED pointers.
 _EMPTY_INDIRECT = b"\xff" * BLOCK_SIZE
+
+
+def _consecutive(values: Sequence[int], i: int, limit: int) -> int:
+    """The end of the run ``values[i], values[i] + 1, …`` within
+    ``values[i:limit]``, grown by slice comparisons four times longer
+    each time, then block by block inside the slice that failed."""
+    first, j, step = values[i], i + 1, 16
+    while j < limit:
+        k = j + step if j + step < limit else limit
+        if (values[k - 1] - first != k - 1 - i
+                or list(values[j:k]) != list(range(first + j - i,
+                                                   first + k - i))):
+            while values[j] == first + j - i:  # a mismatch lies before k
+                j += 1
+            return j
+        j, step = k, step * 4
+    return j
+
+
+def _locate(lbn: int) -> Tuple[Optional[int], int, int]:
+    """Where the pointer to logical block ``lbn`` lives: ``(pointer-block
+    lbn, index, end)``.
+
+    A pointer-block lbn of None names the inode itself (``index`` counts
+    ``db`` then ``ib``).  Logical blocks ``lbn .. end - 1`` keep their
+    pointers in that same block, so a run of them is one walk; an
+    indirect block is a run of one.  Negative ``lbn`` values name
+    indirect blocks, following the 4.4BSD convention.
+    """
+    if lbn >= 0:
+        if lbn < NDADDR:
+            return None, lbn, NDADDR
+        rel = lbn - NDADDR
+        if rel < PTRS_PER_BLOCK:
+            return SINGLE_ROOT_LBN, rel, NDADDR + PTRS_PER_BLOCK
+        if lbn > MAX_LBN:
+            raise InvalidArgument(f"lbn {lbn} exceeds max file size")
+        j, k = divmod(rel - PTRS_PER_BLOCK, PTRS_PER_BLOCK)
+        return double_child_lbn(j), k, lbn - k + PTRS_PER_BLOCK
+    if lbn >= DOUBLE_ROOT_LBN:  # a root: its pointer is ib[0] or ib[1]
+        return None, NDADDR - 1 - lbn, lbn + 1
+    return DOUBLE_ROOT_LBN, -lbn - 3, lbn + 1  # a double child
 
 
 @dataclass
@@ -194,7 +236,7 @@ class LFS:
 
     def dev_writev(self, actor: Actor, daddr: int, parts) -> None:
         """Gather-write a list of block buffers as one device op."""
-        self.stats.blocks_written += sum(len(p) for p in parts) // BLOCK_SIZE
+        self.stats.blocks_written += sum(map(len, parts)) // BLOCK_SIZE
         self.device.writev(actor, daddr, parts)
 
     # ------------------------------------------------------------------
@@ -235,50 +277,73 @@ class LFS:
     # Block mapping: logical block -> device address
     # ------------------------------------------------------------------
 
-    def _read_indirect(self, ino: Inode, ind_lbn: int, daddr: int,
-                       actor: Actor) -> bytes:
-        """Read an indirect block through the buffer cache."""
-        key = (ino.inum, ind_lbn)
-        cached = self.bcache.get(key)
-        if cached is not None:
-            return cached
-        if daddr == UNASSIGNED:
-            return _EMPTY_INDIRECT
-        data = self.dev_read(actor, daddr, 1)
-        self.cpu.block_ops(actor, 1)
-        self.bcache.put(key, data, dirty=False)
-        return data
-
-    def _ensure_indirect(self, ino: Inode, ind_lbn: int, daddr: int,
-                         actor: Actor) -> bytes:
-        """Like _read_indirect, but materialises a fresh block for holes."""
-        key = (ino.inum, ind_lbn)
-        cached = self.bcache.get(key)
-        if cached is not None:
-            return cached
-        if daddr == UNASSIGNED:
-            self.bcache.put(key, _EMPTY_INDIRECT, dirty=True)
-            ino.blocks += 1
-            return _EMPTY_INDIRECT
-        data = self.dev_read(actor, daddr, 1)
-        self.cpu.block_ops(actor, 1)
-        self.bcache.put(key, data, dirty=False)
-        return data
+    @staticmethod
+    def _inode_ptrs(ino: Inode, index: int) -> Tuple[List[int], int]:
+        """The inode's pointer list holding :func:`_locate`'s ``index``, and
+        the position in it."""
+        if index < NDADDR:
+            return ino.db, index
+        return ino.ib, index - NDADDR
 
     @staticmethod
-    def _ptr_of(block: bytes, index: int) -> int:
-        return _PTR.unpack_from(block, index * 4)[0]
+    def _path(inum: int, plbn: int) -> List[Tuple[int, int]]:
+        """Buffer keys a walk to pointer block ``plbn`` gets, in order:
+        a double child is reached through the double root."""
+        if plbn < DOUBLE_ROOT_LBN:
+            return [(inum, DOUBLE_ROOT_LBN), (inum, plbn)]
+        return [(inum, plbn)]
 
-    def _patch_indirect(self, ino: Inode, ind_lbn: int, index: int,
-                        daddr: int) -> None:
+    def _read_indirect(self, ino: Inode, ind_lbn: int, daddr: int,
+                       actor: Actor, create: bool = False) -> bytes:
+        """Read an indirect block through the buffer cache.  A hole reads
+        as all-UNASSIGNED pointers, or with ``create`` is materialised as
+        a fresh dirty block."""
         key = (ino.inum, ind_lbn)
-        data = self.bcache.peek(key)
-        if data is None:
-            raise InvalidArgument(
-                f"indirect block {ind_lbn} of inode {ino.inum} not cached")
-        patched = bytearray(data)
-        _PTR.pack_into(patched, index * 4, daddr)
-        self.bcache.put(key, bytes(patched), dirty=True)
+        cached = self.bcache.get(key)
+        if cached is not None:
+            return cached
+        if daddr == UNASSIGNED:
+            if create:
+                self.bcache.put(key, _EMPTY_INDIRECT, dirty=True)
+                ino.blocks += 1
+            return _EMPTY_INDIRECT
+        data = self.dev_read(actor, daddr, 1)
+        self.cpu.block_ops(actor, 1)
+        self.bcache.put(key, data, dirty=False)
+        return data
+
+    def _pointer_block(self, ino: Inode, plbn: int, actor: Actor,
+                       create: bool = False) -> bytes:
+        """Pointer block ``plbn`` reached the way one bmap (or, with
+        ``create``, one set_bmap) reaches it: its own pointer first —
+        which gets the root for a double child — then the block."""
+        if plbn >= DOUBLE_ROOT_LBN:  # a root: its pointer is in the inode
+            daddr = ino.ib[-1 - plbn]
+        else:  # a double child: its pointer is in the root
+            root = self._pointer_block(ino, DOUBLE_ROOT_LBN, actor, create)
+            daddr = _PTR.unpack_from(root, (-3 - plbn) * 4)[0]
+        return self._read_indirect(ino, plbn, daddr, actor, create)
+
+    def _walk(self, ino: Inode, plbn: int, n: int, actor: Actor,
+              create: bool) -> Tuple[bytes, List[Tuple[int, int]], int]:
+        """One walk to pointer block ``plbn``, and how many of the next
+        ``n`` identical walks it stands for.
+
+        All ``n``, when the walk leaves every block on its path buffered
+        or a hole (a bmap re-reads no hole): the others then only touch,
+        which :meth:`BufferCache.repeat` counts.  Just this one, when a
+        deeper block's insertion evicted the root it had read — the next
+        walk reads the root again.  Returns ``(block, path, count)``.
+        """
+        misses = self.bcache.misses
+        block = self._pointer_block(ino, plbn, actor, create)
+        path = self._path(ino.inum, plbn)
+        root = path[0]
+        # A walk that missed nothing left its path as it found it.
+        if (self.bcache.misses != misses and self.bcache.peek(root) is None
+                and self.bmap_cached(ino, root[1]) != UNASSIGNED):
+            return block, path, 1
+        return block, path, n
 
     def bmap(self, ino: Inode, lbn: int, actor: Optional[Actor] = None) -> int:
         """Current device address of logical block ``lbn`` (may be a hole).
@@ -286,29 +351,35 @@ class LFS:
         Negative ``lbn`` values name indirect blocks, following the
         4.4BSD convention.
         """
-        actor = actor or self.actor
-        if lbn == SINGLE_ROOT_LBN:
-            return ino.ib[0]
-        if lbn == DOUBLE_ROOT_LBN:
-            return ino.ib[1]
-        if lbn < 0:  # a double-indirect child: pointer lives in the root
-            j = (-lbn) - 3
-            root = self._read_indirect(ino, DOUBLE_ROOT_LBN, ino.ib[1], actor)
-            return self._ptr_of(root, j)
-        if lbn < NDADDR:
+        if 0 <= lbn < NDADDR:
             return ino.db[lbn]
-        if lbn < NDADDR + PTRS_PER_BLOCK:
-            single = self._read_indirect(ino, SINGLE_ROOT_LBN, ino.ib[0], actor)
-            return self._ptr_of(single, lbn - NDADDR)
-        if lbn > MAX_LBN:
-            raise InvalidArgument(f"lbn {lbn} exceeds max file size")
-        rel = lbn - NDADDR - PTRS_PER_BLOCK
-        j, k = divmod(rel, PTRS_PER_BLOCK)
-        root = self._read_indirect(ino, DOUBLE_ROOT_LBN, ino.ib[1], actor)
-        child_daddr = self._ptr_of(root, j)
-        child = self._read_indirect(ino, double_child_lbn(j), child_daddr,
-                                    actor)
-        return self._ptr_of(child, k)
+        plbn, index, _ = _locate(lbn)
+        if plbn is None:
+            return ino.ib[index - NDADDR]
+        block = self._pointer_block(ino, plbn, actor or self.actor)
+        return _PTR.unpack_from(block, index * 4)[0]
+
+    def bmap_run(self, ino: Inode, lbn: int, n: int,
+                 actor: Optional[Actor] = None) -> List[int]:
+        """:meth:`bmap` of ``lbn .. lbn + n - 1``, which must share one
+        pointer block: one walk to it, the other walks' touches counted
+        (DESIGN.md "Segment writer runs")."""
+        plbn, index, end = _locate(lbn)
+        if lbn + n > end:
+            raise InvalidArgument(f"run {lbn}+{n} crosses a pointer block")
+        if plbn is None:
+            ptrs, i = self._inode_ptrs(ino, index)
+            return ptrs[i:i + n]
+        actor = actor or self.actor
+        out: List[int] = []
+        while n:
+            block, path, k = self._walk(ino, plbn, n, actor, create=False)
+            if k > 1:
+                self.bcache.repeat(path, k - 1)
+            out += struct.unpack_from(f"<{k}I", block, index * 4)
+            index += k
+            n -= k
+        return out
 
     def bmap_cached(self, ino: Inode, lbn: int) -> Optional[int]:
         """Like bmap, but consults only in-core state: returns None when
@@ -318,30 +389,37 @@ class LFS:
         to read ahead can never itself fault in metadata (e.g. a
         tertiary-resident indirect block).
         """
-        if lbn == SINGLE_ROOT_LBN:
-            return ino.ib[0]
-        if lbn == DOUBLE_ROOT_LBN:
-            return ino.ib[1]
-        if lbn < 0:
-            root = self.bcache.peek((ino.inum, DOUBLE_ROOT_LBN))
-            if root is None:
-                return None
-            return self._ptr_of(root, (-lbn) - 3)
-        if lbn < NDADDR:
+        if 0 <= lbn < NDADDR:
             return ino.db[lbn]
-        if lbn < NDADDR + PTRS_PER_BLOCK:
-            single = self.bcache.peek((ino.inum, SINGLE_ROOT_LBN))
-            if single is None:
-                return None
-            return self._ptr_of(single, lbn - NDADDR)
         if lbn > MAX_LBN:
             return None
-        rel = lbn - NDADDR - PTRS_PER_BLOCK
-        j, k = divmod(rel, PTRS_PER_BLOCK)
-        child = self.bcache.peek((ino.inum, double_child_lbn(j)))
-        if child is None:
+        plbn, index, _ = _locate(lbn)
+        if plbn is None:
+            return ino.ib[index - NDADDR]
+        block = self.bcache.peek((ino.inum, plbn))
+        if block is None:
             return None
-        return self._ptr_of(child, k)
+        return _PTR.unpack_from(block, index * 4)[0]
+
+    def pointers_buffered(self, ino: Inode, lbn: int) -> bool:
+        """Whether every pointer block on the way to ``lbn`` is buffered,
+        so that bmaps and set_bmaps of its run only touch."""
+        plbn = _locate(lbn)[0]
+        return plbn is None or all(map(self.bcache.peek,
+                                       self._path(ino.inum, plbn)))
+
+    def pointer_runs(self, lbns: Sequence[int]) -> Iterator[Tuple[int, int]]:
+        """Cut ``lbns`` into what the run primitives take: ``(i, j)`` for
+        each run ``lbns[i:j]`` of consecutive logical blocks whose
+        pointers share one pointer block."""
+        i, total = 0, len(lbns)
+        while i < total:
+            first, j = lbns[i], i + 1
+            if j < total and lbns[j] == first + 1:
+                j = _consecutive(lbns, i,
+                                 min(total, i + _locate(first)[2] - first))
+            yield i, j
+            i = j
 
     def set_bmap(self, ino: Inode, lbn: int, daddr: int,
                  actor: Optional[Actor] = None) -> int:
@@ -351,44 +429,41 @@ class LFS:
         indirect blocks as needed — those dirty indirect blocks are then
         appended to the log by the segment writer, exactly as in LFS.
         """
+        return self.set_bmap_run(ino, lbn, (daddr,), actor)[0]
+
+    def set_bmap_run(self, ino: Inode, lbn: int, daddrs: Sequence[int],
+                     actor: Optional[Actor] = None) -> List[int]:
+        """:meth:`set_bmap` of ``lbn, lbn + 1, …`` to ``daddrs``, which
+        must share one pointer block; returns the old addresses.  One
+        walk and one copy of the pointer block; the other walks' touches
+        and re-puts are counted (DESIGN.md "Segment writer runs")."""
+        n = len(daddrs)
+        plbn, index, end = _locate(lbn)
+        if lbn + n > end:
+            raise InvalidArgument(f"run {lbn}+{n} crosses a pointer block")
+        if plbn is None:
+            ptrs, i = self._inode_ptrs(ino, index)
+            olds = ptrs[i:i + n]
+            ptrs[i:i + n] = daddrs
+            self.mark_inode_dirty(ino.inum)
+            return olds
         actor = actor or self.actor
-        if lbn == SINGLE_ROOT_LBN:
-            old, ino.ib[0] = ino.ib[0], daddr
-            self.mark_inode_dirty(ino.inum)
-            return old
-        if lbn == DOUBLE_ROOT_LBN:
-            old, ino.ib[1] = ino.ib[1], daddr
-            self.mark_inode_dirty(ino.inum)
-            return old
-        if lbn < 0:  # double child
-            j = (-lbn) - 3
-            root = self._ensure_indirect(ino, DOUBLE_ROOT_LBN, ino.ib[1], actor)
-            old = self._ptr_of(root, j)
-            self._patch_indirect(ino, DOUBLE_ROOT_LBN, j, daddr)
-            return old
-        if lbn < NDADDR:
-            old, ino.db[lbn] = ino.db[lbn], daddr
-            self.mark_inode_dirty(ino.inum)
-            return old
-        if lbn < NDADDR + PTRS_PER_BLOCK:
-            self._ensure_indirect(ino, SINGLE_ROOT_LBN, ino.ib[0], actor)
-            idx = lbn - NDADDR
-            single = self.bcache.peek((ino.inum, SINGLE_ROOT_LBN))
-            old = self._ptr_of(single, idx)
-            self._patch_indirect(ino, SINGLE_ROOT_LBN, idx, daddr)
-            return old
-        if lbn > MAX_LBN:
-            raise InvalidArgument(f"lbn {lbn} exceeds max file size")
-        rel = lbn - NDADDR - PTRS_PER_BLOCK
-        j, k = divmod(rel, PTRS_PER_BLOCK)
-        root = self._ensure_indirect(ino, DOUBLE_ROOT_LBN, ino.ib[1], actor)
-        child_daddr = self._ptr_of(root, j)
-        child_lbn = double_child_lbn(j)
-        self._ensure_indirect(ino, child_lbn, child_daddr, actor)
-        child = self.bcache.peek((ino.inum, child_lbn))
-        old = self._ptr_of(child, k)
-        self._patch_indirect(ino, child_lbn, k, daddr)
-        return old
+        olds: List[int] = []
+        pos = 0
+        while pos < n:
+            block, path, k = self._walk(ino, plbn, n - pos, actor,
+                                        create=True)
+            fmt = f"<{k}I"
+            off = (index + pos) * 4
+            olds += struct.unpack_from(fmt, block, off)
+            view = memoryview(block)
+            self.bcache.put(path[-1], b"".join(
+                (view[:off], struct.pack(fmt, *daddrs[pos:pos + k]),
+                 view[off + 4 * k:])), dirty=True)
+            if k > 1:
+                self.bcache.repeat(path, k - 1, reput=True)
+            pos += k
+        return olds
 
     # ------------------------------------------------------------------
     # Live-bytes accounting
@@ -397,18 +472,79 @@ class LFS:
     def account_block_moved(self, old_daddr: int, new_daddr: int,
                             nbytes: int = BLOCK_SIZE) -> None:
         """Move ``nbytes`` of liveness from old_daddr's segment to new's."""
-        if old_daddr != UNASSIGNED:
-            segno = self.segno_of(old_daddr)
-            if self._seg_tracked(segno):
-                seg = self.seguse_for(segno)
-                seg.live_bytes = max(0, seg.live_bytes - nbytes)
-        if new_daddr != UNASSIGNED:
-            segno = self.segno_of(new_daddr)
-            if self._seg_tracked(segno):
-                self.seguse_for(segno).live_bytes += nbytes
+        self.account_blocks_moved((old_daddr,), (new_daddr,), nbytes)
 
-    def _seg_tracked(self, segno: int) -> bool:
-        return 0 <= segno < self.ifile.nsegs
+    def account_blocks_moved(self, olds: Sequence[int], news: Sequence[int],
+                             nbytes: int = BLOCK_SIZE) -> None:
+        """:meth:`account_block_moved` of each ``(old, new)`` pair, in
+        order, with one update per segment.
+
+        ``k`` clamped subtractions are one subtraction of ``k * nbytes``
+        clamped, so a segment blocks only leave (or only enter) settles
+        at once.  A segment blocks both leave and enter — old copies in
+        the current log segment — replays its steps in pair order, so
+        the clamp at 0 falls where per-block accounting puts it.
+        """
+        moved: Dict[Optional[int], List[int]] = {}
+        for segno, count in self._stretches(olds):
+            moved.setdefault(segno, [0, 0])[0] += count
+        for segno, count in self._stretches(news):
+            moved.setdefault(segno, [0, 0])[1] += count
+        for segno, (out, into) in moved.items():
+            seg = None if segno is None else self._usage(segno)
+            if seg is None:
+                continue
+            if out and into:
+                live = seg.live_bytes
+                for old, new in zip(self._segnos(olds), self._segnos(news)):
+                    if old == segno:
+                        live = max(0, live - nbytes)
+                    if new == segno:
+                        live += nbytes
+                seg.live_bytes = live
+            else:
+                seg.live_bytes = (max(0, seg.live_bytes - out * nbytes)
+                                  + into * nbytes)
+
+    def _segnos(self, daddrs: Sequence[int]) -> List[Optional[int]]:
+        """:meth:`segno_of` of each address (None for UNASSIGNED)."""
+        return [segno for segno, count in self._stretches(daddrs)
+                for _ in range(count)]
+
+    def _stretches(self, daddrs: Sequence[int]
+                   ) -> List[Tuple[Optional[int], int]]:
+        """``(segno, count)`` per stretch of consecutive (or repeated)
+        addresses in one segment, in order (segno None for UNASSIGNED)."""
+        total = len(daddrs)
+        out: List[Tuple[Optional[int], int]] = []
+        i = 0
+        while i < total:
+            first = daddrs[i]
+            if first == UNASSIGNED:  # new blocks: no old copy anywhere
+                j = i + 1
+                while j < total and daddrs[j] == UNASSIGNED:
+                    j += 1
+                out.append((None, j - i))
+            else:
+                j = i + 1
+                if j < total and daddrs[j] == first + 1:
+                    j = _consecutive(daddrs, i, total)
+                else:  # or one address repeated: an inode block's inodes
+                    while j < total and daddrs[j] == first:
+                        j += 1
+                segno = self.segno_of(first)
+                if j - i == 1 or self.segno_of(daddrs[j - 1]) == segno:
+                    out.append((segno, j - i))
+                else:  # the stretch crosses a segment boundary
+                    out += [(self.segno_of(d), 1) for d in daddrs[i:j]]
+            i = j
+        return out
+
+    def _usage(self, segno: int) -> Optional[SegUse]:
+        """The usage entry live bytes are kept in for segment ``segno``,
+        or None for a segment no entry tracks."""
+        return self.ifile.segs[segno] if 0 <= segno < self.ifile.nsegs \
+            else None
 
     def seguse_for(self, segno: int):
         """Usage entry for a segment (HighLight extends to tertiary)."""
@@ -484,7 +620,7 @@ class LFS:
         actor = actor or self.actor
         ino = self.get_inode(inum, actor)
         pos = offset
-        remaining = memoryview(bytes(data))
+        remaining = memoryview(data)
         while remaining.nbytes:
             lbn = pos // BLOCK_SIZE
             in_block = pos % BLOCK_SIZE
@@ -696,9 +832,8 @@ class LFS:
         self._dirty_inodes.discard(ino.inum)
         entry = self.ifile.imap_lookup(ino.inum)
         if entry is not None and entry.daddr != UNASSIGNED:
-            segno = self.segno_of(entry.daddr)
-            if self._seg_tracked(segno):
-                seg = self.seguse_for(segno)
+            seg = self._usage(self.segno_of(entry.daddr))
+            if seg is not None:
                 seg.live_bytes = max(0, seg.live_bytes - 128)
         self.ifile.free_inum(ino.inum)
 
@@ -816,10 +951,15 @@ class LFS:
         ``lbn is None`` asks about the *inode* itself (live if the imap
         still points at ``daddr``).  This is the call both the cleaner and
         the migrator use to validate candidate blocks (paper §6.7).
+        Items that follow at ``lbn + 1, lbn + 2, …`` of the same file,
+        under the same pointer block, are answered by one :meth:`bmap_run`.
         """
         actor = actor or self.actor
-        out = []
-        for inum, lbn, daddr in items:
+        out: List[bool] = []
+        i, total = 0, len(items)
+        while i < total:
+            inum, lbn, daddr = items[i]
+            i += 1
             if inum == IFILE_INUM:
                 ino = self.ifile_inode
             else:
@@ -839,7 +979,12 @@ class LFS:
                 out.append(self.ifile.imap_lookup(inum) is not None
                            and self.ifile.imap_entry(inum).daddr == daddr)
                 continue
-            out.append(self.bmap(ino, lbn, actor) == daddr)
+            first, end = i - 1, _locate(lbn)[2]
+            while (i < total and items[i][0] == inum
+                   and items[i][1] == lbn + i - first and items[i][1] < end):
+                i += 1
+            ptrs = self.bmap_run(ino, lbn, i - first, actor)
+            out += [ptr == item[2] for ptr, item in zip(ptrs, items[first:i])]
         return out
 
     def lfs_markv(self, items: List[Tuple[int, int, bytes]],

@@ -54,6 +54,12 @@ class Inode:
     def is_reg(self) -> bool:
         return (self.mode & S_IFMT) == S_IFREG
 
+    def lastlength(self, lbn: int) -> int:
+        """Valid bytes of block ``lbn`` (a FINFO's ``fi_lastlength`` when
+        it ends there): short only for the file's last block."""
+        rem = self.size - lbn * BLOCK_SIZE
+        return rem if 0 < rem < BLOCK_SIZE else BLOCK_SIZE
+
     # -- serialisation ---------------------------------------------------------
 
     def pack(self) -> bytes:

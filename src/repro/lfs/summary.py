@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import ChecksumError, InvalidArgument
@@ -43,13 +44,7 @@ PER_BLOCK = 4         # one 32-bit logical block number per described block
 PER_INOBLK = 4        # one 32-bit disk address per inode block
 
 
-def _lbn_to_u32(lbn: int) -> int:
-    """Logical block numbers may be negative (indirect blocks)."""
-    return lbn & 0xFFFFFFFF
-
-
-def _u32_to_lbn(value: int) -> int:
-    return value - (1 << 32) if value >= (1 << 31) else value
+_blocks_of = attrgetter("blocks")
 
 
 @dataclass
@@ -59,9 +54,6 @@ class FileInfo:
     ino: int
     lastlength: int              # bytes valid in the final described block
     blocks: List[int] = field(default_factory=list)   # logical block numbers
-
-    def nbytes(self) -> int:
-        return FINFO_FIXED + PER_BLOCK * len(self.blocks)
 
 
 @dataclass
@@ -79,8 +71,8 @@ class SegmentSummary:
 
     def bytes_needed(self) -> int:
         """Summary bytes this catalogue occupies."""
-        return (HEADER_SIZE
-                + sum(fi.nbytes() for fi in self.finfos)
+        return (HEADER_SIZE + FINFO_FIXED * len(self.finfos)
+                + PER_BLOCK * self.ndata_blocks()
                 + PER_INOBLK * len(self.inode_daddrs))
 
     def fits(self, summary_size: int, extra_file: bool = False,
@@ -93,14 +85,15 @@ class SegmentSummary:
             need += PER_INOBLK
         return need <= summary_size
 
-    def fits_blocks(self, summary_size: int, ino: int, n: int) -> bool:
-        """Would ``n`` more blocks of file ``ino`` fit?  The one place
-        that decides "new FINFO or continuation" for a room check."""
+    def blocks_that_fit(self, summary_size: int, ino: int) -> int:
+        """How many more blocks of file ``ino`` fit: the one place that
+        decides "new FINFO or continuation" for a room check."""
         new_file = not self.finfos or self.finfos[-1].ino != ino
-        return self.fits(summary_size, extra_file=new_file, extra_blocks=n)
+        room = summary_size - self.bytes_needed() - new_file * FINFO_FIXED
+        return max(0, room // PER_BLOCK)
 
     def ndata_blocks(self) -> int:
-        return sum(len(fi.blocks) for fi in self.finfos)
+        return sum(map(len, map(_blocks_of, self.finfos)))
 
     # -- the catalogue: one writer, one reader ------------------------------
 
@@ -161,16 +154,17 @@ class SegmentSummary:
             struct.pack_into("<III", body, offset, len(fi.blocks),
                              fi.ino, fi.lastlength)
             offset += FINFO_FIXED
-            for lbn in fi.blocks:
-                struct.pack_into("<I", body, offset, _lbn_to_u32(lbn))
-                offset += PER_BLOCK
+            # Signed on the host side: negative lbns are indirect blocks,
+            # stored as their 32-bit two's complement.
+            struct.pack_into(f"<{len(fi.blocks)}i", body, offset, *fi.blocks)
+            offset += PER_BLOCK * len(fi.blocks)
         # Inode block addresses grow backward from the end of the summary.
         tail = summary_size
         for daddr in self.inode_daddrs:
             tail -= PER_INOBLK
             struct.pack_into("<I", body, tail, daddr)
         # ss_sumsum covers everything except itself.
-        sumsum = cksum32(bytes(body[4:]))
+        sumsum = cksum32(memoryview(body)[4:])
         struct.pack_into("<I", body, 0, sumsum)
         return bytes(body)
 
@@ -193,11 +187,8 @@ class SegmentSummary:
         for _ in range(nfinfo):
             nblocks, ino, lastlength = struct.unpack_from("<III", data, offset)
             offset += FINFO_FIXED
-            blocks = []
-            for _b in range(nblocks):
-                (raw,) = struct.unpack_from("<I", data, offset)
-                blocks.append(_u32_to_lbn(raw))
-                offset += PER_BLOCK
+            blocks = list(struct.unpack_from(f"<{nblocks}i", data, offset))
+            offset += PER_BLOCK * nblocks
             summary.finfos.append(FileInfo(ino, lastlength, blocks))
         tail = summary_size
         for _ in range(ninoblk):

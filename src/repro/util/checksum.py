@@ -11,6 +11,7 @@ roll-forward.
 from __future__ import annotations
 
 import zlib
+from operator import itemgetter
 from typing import Iterable
 
 
@@ -27,7 +28,7 @@ def cksum_blocks(blocks: Iterable[bytes], probe: int = 4) -> int:
     reached the medium.  ``probe`` is the number of leading bytes sampled
     from each block.
     """
-    crc = 0
-    for block in blocks:
-        crc = zlib.crc32(block[:probe], crc)
-    return crc & 0xFFFFFFFF
+    # The CRC of the probes' concatenation is the CRC chained through
+    # each probe in turn; one C-level gather replaces the per-block loop.
+    return zlib.crc32(b"".join(map(itemgetter(slice(0, probe)), blocks))) \
+        & 0xFFFFFFFF

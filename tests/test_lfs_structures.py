@@ -154,12 +154,12 @@ class TestSegmentSummary:
     @settings(max_examples=60, deadline=None)
     def test_catalogue_one_writer_one_reader(self, batches, base):
         """``add_blocks`` → pack → unpack → ``entries``: same blocks, in
-        order, at consecutive addresses; ``fits_blocks`` predicts the
-        size; batch adds equal per-block adds."""
+        order, at consecutive addresses; ``blocks_that_fit`` predicts
+        the size; batch adds equal per-block adds."""
         size, room = 4096, 160    # ``room``: small enough to overflow
         batched, single = SegmentSummary(), SegmentSummary()
         for ino, lbns, lastlength in batches:
-            fits = batched.fits_blocks(room, ino, len(lbns))
+            fits = len(lbns) <= batched.blocks_that_fit(room, ino)
             batched.add_blocks(ino, lbns, lastlength)
             assert fits == (batched.bytes_needed() <= room)
             for lbn in lbns:
