@@ -3,7 +3,7 @@
 The zero-copy data path keeps segment images as extent runs end to end:
 ``read_refs``/``write_refs``/``readv``/``writev`` move whole images as
 borrowed byte ranges, and the stores coalesce contiguous writes back
-into single extents.  Two patterns silently reintroduce the per-block
+into single extents.  Three patterns silently reintroduce the per-block
 copies that path removed:
 
 * a ``for``-loop over ``range(...)`` whose body issues block I/O
@@ -16,8 +16,8 @@ copies that path removed:
 
 * reaching into a store's internals (``_blocks``, ``_extents``,
   ``_exts``, ``_starts``) outside ``repro.blockdev`` — code that walks
-  the representation directly both copies per block and breaks when the
-  store flips between the extent and block-dict layouts;
+  the extent runs directly copies per block and depends on a layout
+  only :class:`~repro.blockdev.extent.ExtentStore` may know;
 
 * a ``for`` loop that constructs one :class:`ExtentRef` per iteration
   while also issuing store/device block I/O — the run-based helpers

@@ -15,17 +15,15 @@ whole-object transfer between two shared-nothing stacks:
    staging-copy a local migrate does);
 3. the source unlinks its copy.
 
-All device I/O on both sides runs under the PR 5 ``repair`` request
-class when the shard has the fault-recovery stack attached, so a move
-never competes with demand traffic at demand priority and inherits the
-repair retry budget.  The coordinator journals every move as a
+All device I/O on both sides runs under the ``repair`` request class
+(each shard's scheduler names it), so on a shard with a retry policy
+attached a move inherits the repair retry budget rather than demand's.  The coordinator journals every move as a
 ``shard_migrate`` trace event and reports ring-vs-catalog deltas, moved
 bytes, and the datapath copy-ledger cost.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -59,12 +57,6 @@ class RebalanceReport:
     @property
     def moved(self) -> int:
         return len(self.moved_keys)
-
-
-def _repair_context(node: ClusterNode):
-    """The shard's repair-class accounting context, if it has one."""
-    ctx = getattr(node.fs.footprint, "request_class", None)
-    return ctx(CLASS_REPAIR) if ctx is not None else nullcontext()
 
 
 class MigrationCoordinator:
@@ -143,15 +135,15 @@ class MigrationCoordinator:
         # The move's device time is paid on the involved shards'
         # timelines; the coordinating actor joins both at the end.
         src.actor.sleep_until(actor.time)
-        with _repair_context(src):
+        with src.fs.sched.running(CLASS_REPAIR):
             data = src.read_object(src.actor, key)
         dst.actor.sleep_until(src.actor.time)
-        with _repair_context(dst):
+        with dst.fs.sched.running(CLASS_REPAIR):
             dst.write_object(dst.actor, key, data)
             if was_tertiary:
                 dst.migrate_object(dst.actor, key)
                 dst.flush(dst.actor)
-        with _repair_context(src):
+        with src.fs.sched.running(CLASS_REPAIR):
             src.delete_object(src.actor, key)
         actor.sleep_until(max(src.actor.time, dst.actor.time))
         router.placement[key] = dst_id

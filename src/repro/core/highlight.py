@@ -21,6 +21,7 @@ from repro.core.segcache import SegmentCache
 from repro.core.service import ServiceProcess
 from repro.core.tsegfile import TSegFile
 from repro.errors import InvalidArgument, NoSpace
+from repro.faults.health import HealthRegistry
 from repro.footprint.interface import FootprintInterface
 from repro.lfs.constants import BLOCK_SIZE, SUMMARY_SIZE_HIGHLIGHT
 from repro.lfs.filesystem import LFS, LFSConfig
@@ -43,10 +44,6 @@ class HighLightConfig(LFSConfig):
     #: Static cap on disk segments usable as cache lines (chosen at
     #: mkfs, paper §6.4); None means CACHE_FRACTION of the disk.
     ncachesegs: Optional[int] = None
-    #: Chunk size (blocks) of the I/O server's raw disk transfers.
-    #: Small chunks expose the read path to migrator arm contention the
-    #: way the paper's I/O server was (Tables 4 and 6).
-    io_chunk_blocks: int = 4
     #: Size tertiary volumes by their expected ("nominal") or actual
     #: ("effective") capacity; nominal exercises the end-of-medium path.
     expected_capacity: str = "effective"
@@ -72,14 +69,9 @@ class HighLightConfig(LFSConfig):
     sched_prefetch_queue_limit: int = 16
     sched_writeout_queue_limit: int = 8
     sched_cleaner_queue_limit: int = 32
-    #: Fault-recovery knobs (docs/FAULTS.md), consumed by
-    #: :class:`repro.faults.FaultManager`: seed for the retry policy's
-    #: backoff-jitter RNG, …
+    #: Seed for the backoff-jitter RNG of the retry policy
+    #: :class:`repro.faults.FaultManager` attaches (docs/FAULTS.md).
     fault_retry_seed: int = 0
-    #: … and optional uniform overrides of the per-class retry table
-    #: (None keeps repro.faults.retry.DEFAULT_CLASS_POLICIES).
-    fault_max_attempts: Optional[int] = None
-    fault_backoff_base: Optional[float] = None
 
 
 class HighLightFS(LFS):
@@ -94,6 +86,10 @@ class HighLightFS(LFS):
         #: what the I/O server and migrator use for their direct access.
         self.disk = device
         self.footprint: Optional[FootprintInterface] = None
+        #: The stack's one volume-health registry (set on attach); the
+        #: retry policy, injector, repair daemon, scrubber and
+        #: persistence all charge and read this one.
+        self.health: Optional[HealthRegistry] = None
         self.aspace: Optional[AddressSpace] = None
         self.tsegfile: Optional[TSegFile] = None
         self.cache: Optional[SegmentCache] = None
@@ -170,6 +166,10 @@ class HighLightFS(LFS):
         """Wire up the tertiary side (Fig. 5's lower layers)."""
         config: HighLightConfig = self.config
         self.footprint = footprint
+        # A mount starts without the retry layer of whichever stack last
+        # ran over this Footprint; a FaultManager over this one refills it.
+        footprint.retry = None
+        self.health = HealthRegistry(footprint.jukebox)
         if existing:
             self.tsegfile_inum = self.sb.flags or None
             if self.tsegfile_inum is None:
@@ -199,7 +199,7 @@ class HighLightFS(LFS):
             self.cache.rebuild_from_ifile()
         self.driver = BlockMapDriver(self.aspace, self.disk, cpu=self.cpu)
         self.driver.cache = self.cache
-        self.ioserver = IOServer(self, io_chunk_blocks=config.io_chunk_blocks)
+        self.ioserver = IOServer(self)
         # Local import: repro.sched pulls category constants from this
         # package, so the dependency must stay one-way at import time.
         from repro.sched import (CLASS_CLEANER, CLASS_PREFETCH,

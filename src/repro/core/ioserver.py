@@ -7,7 +7,7 @@ pseudo-device.  Direct access avoids memory-memory copies" (paper §6.7).
 Demand fetch path: Footprint read (tertiary -> memory) of the closest
 healthy copy the replica catalogue offers, raw disk write (memory ->
 cache line).  Write-out path: raw disk read of the staging line,
-Footprint write.  Raw disk transfers are issued in configurable chunks;
+Footprint write.  Raw disk transfers are issued in 4-block chunks;
 while the migrator is simultaneously gathering blocks and filling fresh
 staging lines, every chunk pays arm repositioning — Table 6's "disk arm
 contention" phase is exactly this interleaving.
@@ -30,7 +30,6 @@ from repro import obs
 from repro.blockdev.datapath import refs_nbytes
 from repro.core.addressing import line_read_refs, line_write_refs
 from repro.errors import PermanentDeviceError
-from repro.footprint.interface import FootprintInterface
 from repro.sim.actor import Actor, TimeAccount
 
 #: Table 4 category names.
@@ -48,27 +47,26 @@ CAT_QUEUING = "queuing"
 TABLE4_CATEGORIES = (CAT_FOOTPRINT_WRITE, CAT_IOSERVER_READ,
                      CAT_FOOTPRINT_READ, CAT_DISK_WRITE, CAT_QUEUING)
 
+#: Chunk size (blocks) of the raw disk reads of a write-out.  Small
+#: chunks expose the read path to migrator arm contention the way the
+#: paper's I/O server was (Tables 4 and 6).
+IO_CHUNK_BLOCKS = 4
+
 
 class IOServer:
     """Executes segment copies between the disk farm and tertiary media."""
 
-    def __init__(self, fs, io_chunk_blocks: int = 16) -> None:
+    def __init__(self, fs) -> None:
         self.fs = fs
         self.aspace = fs.aspace
         self.tsegfile = fs.tsegfile
         self.disk = fs.disk
-        self.io_chunk_blocks = io_chunk_blocks
         self.account = TimeAccount()
         self.segments_fetched = 0
         self.segments_written = 0
         #: (tsegno, completion time, bytes) per write-out — phase analysis.
         self.writeout_log: list = []
         self._pinned_volume: Optional[int] = None
-
-    @property
-    def footprint(self) -> FootprintInterface:
-        """The filesystem's Footprint (the recovery layer may wrap it)."""
-        return self.fs.footprint
 
     # -- address helpers ---------------------------------------------------------
 
@@ -115,7 +113,7 @@ class IOServer:
         with no healthy copy left, the primary is read (and raises
         ``MediaFailure`` if its medium is gone).  A permanent failure
         earns one degraded retry on the next healthy copy not yet tried
-        — by then the recovery layer has fenced the failed volume.
+        — by then the retry policy has fenced the failed volume.
         Reads a non-primary copy served count in
         ``replicas.replica_reads``; every attempt's Footprint time is
         charged to ``footprint_read``.
@@ -145,7 +143,7 @@ class IOServer:
         vol_id, blkno = self._volume_blkno(location)
         t0 = actor.time
         try:
-            return self.footprint.read_refs(actor, vol_id, blkno,
+            return self.fs.footprint.read_refs(actor, vol_id, blkno,
                                             self.aspace.blocks_per_seg)
         finally:
             self.account.charge(CAT_FOOTPRINT_READ, actor.time - t0)
@@ -174,7 +172,7 @@ class IOServer:
         image = []  # borrowed ranges accumulated chunk by chunk
         offset = 0
         while offset < bps:
-            run = min(self.io_chunk_blocks, bps - offset)
+            run = min(IO_CHUNK_BLOCKS, bps - offset)
             t0 = actor.time
             image.extend(line_read_refs(self.disk, actor, line_base + offset,
                                         run, self.aspace))
@@ -187,11 +185,11 @@ class IOServer:
         if vol_id != self._pinned_volume:
             # Dedicate one drive to the currently-active writing volume
             # (the paper's test-drive allocation, §7).
-            self.footprint.pin_write_drive(vol_id)
+            self.fs.footprint.pin_write_drive(vol_id)
             self._pinned_volume = vol_id
         t0 = actor.time
         try:
-            self.footprint.write_refs(actor, vol_id, blkno, image)
+            self.fs.footprint.write_refs(actor, vol_id, blkno, image)
         finally:
             self.account.charge(CAT_FOOTPRINT_WRITE, actor.time - t0)
         self.segments_written += 1
@@ -210,5 +208,5 @@ class IOServer:
     def read_segment_image(self, actor: Actor, tsegno: int) -> bytes:
         """Read a whole tertiary segment (tertiary cleaner's bulk path)."""
         vol_id, blkno = self._volume_blkno(self.aspace.volume_of(tsegno))
-        return self.footprint.read(actor, vol_id, blkno,
+        return self.fs.footprint.read(actor, vol_id, blkno,
                                    self.aspace.blocks_per_seg)

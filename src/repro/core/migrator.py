@@ -31,7 +31,7 @@ from repro.lfs.constants import (BLOCK_SIZE, DOUBLE_ROOT_LBN, PTRS_PER_BLOCK,
                                  SINGLE_ROOT_LBN, UNASSIGNED, double_child_lbn)
 from repro.lfs.inode import Inode, unpack_inode_block
 from repro.lfs.summary import SegmentSummary
-from repro.core.staging import StagingBuilder
+from repro.core.staging import SPILL_CHUNK_BLOCKS, StagingBuilder
 from repro.sim.actor import Actor
 from repro.sim.scheduler import Scheduler, TimedQueue, WAIT
 
@@ -80,21 +80,16 @@ class Migrator:
     """Implements migration mechanism; policy decides what to feed it."""
 
     def __init__(self, fs, policy=None, actor: Optional[Actor] = None,
-                 migrate_metadata: bool = True,
-                 migrate_inodes: bool = False,
-                 spill_chunk_blocks: int = 16) -> None:
+                 migrate_inodes: bool = False) -> None:
         self.fs = fs
         self.policy = policy
         # The default migrator shares the filesystem clock (sync mode);
         # pipelined runs pass their own actor with an independent clock.
         self.actor = actor or Actor("migrator", clock=fs.actor.clock)
-        #: Stage indirect blocks onto tertiary storage with the data.
-        self.migrate_metadata = migrate_metadata
         #: Also stage the inode itself (HighLight can migrate *all*
         #: metadata, §4; off by default so first-byte access needs only
         #: the data's segment, matching the paper's measured prototype).
         self.migrate_inodes = migrate_inodes
-        self.spill_chunk_blocks = spill_chunk_blocks
         self.stats = MigrationStats()
         self.builder: Optional[StagingBuilder] = None
         #: tsegno -> unit tag; migration-time hints the prefetcher reads.
@@ -113,8 +108,7 @@ class Migrator:
         tsegno = self.fs.aspace.tertiary_segno(vol, seg_in_vol)
         disk_segno = self.fs.cache.acquire_line(actor)
         self.fs.cache.register(tsegno, disk_segno, actor, staging=True)
-        builder = StagingBuilder(self.fs, tsegno, disk_segno,
-                                 self.spill_chunk_blocks)
+        builder = StagingBuilder(self.fs, tsegno, disk_segno)
         if self._unit_tag is not None:
             self.hint_table[tsegno] = self._unit_tag
         return builder
@@ -274,7 +268,7 @@ class Migrator:
             run = [block_map[idx]]
             while (idx + len(run) < len(block_map)
                    and block_map[idx + len(run)][1] == run[0][1] + len(run)
-                   and len(run) < self.spill_chunk_blocks):
+                   and len(run) < SPILL_CHUNK_BLOCKS):
                 run.append(block_map[idx + len(run)])
             idx += len(run)
             # Borrowed ranges: staging copies each live block exactly
@@ -300,7 +294,7 @@ class Migrator:
             if self.builder is not None and self.builder.spill(actor):
                 yield
 
-        if whole_file and self.migrate_metadata:
+        if whole_file:
             # Indirect blocks now point at tertiary addresses; stage them
             # (children before roots) and finally the inode itself.
             for ind_lbn in self._indirect_lbns(ino, actor):

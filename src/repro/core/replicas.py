@@ -149,7 +149,7 @@ class ReplicaManager:
                 fs.footprint.mark_full(vol_id)
                 continue
             except PermanentDeviceError:
-                continue  # the recovery layer has fenced the volume
+                continue  # the retry policy has fenced the volume
             finally:
                 account.charge(CAT_FOOTPRINT_WRITE, actor.time - t0)
             locations.append((vol, seg_in_vol))

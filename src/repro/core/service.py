@@ -26,19 +26,18 @@ from repro.core.ioserver import CAT_QUEUING
 from repro.errors import EndOfMedium, MigrationError, PermanentDeviceError
 from repro.sim.actor import Actor
 
+#: Kernel<->service round trip cost per request, virtual seconds (ioctl +
+#: select wakeup on the paper's host).
+REQUEST_OVERHEAD = 0.04
+
 
 class ServiceProcess:
     """Coordinates the segment cache, the scheduler, and the I/O server."""
 
-    def __init__(self, fs, ioserver, cache, sched,
-                 request_overhead: float = 0.04,
-                 prefetcher=None) -> None:
+    def __init__(self, fs, ioserver, cache, sched, prefetcher=None) -> None:
         self.fs = fs
         self.ioserver = ioserver
         self.cache = cache
-        #: Kernel<->service round trip cost per request (ioctl + select
-        #: wakeup on the paper's host).
-        self.request_overhead = request_overhead
         self.prefetcher = prefetcher
         self.sched = sched
 
@@ -58,8 +57,8 @@ class ServiceProcess:
         existing = self.cache.lookup(tsegno)
         if existing is not None:
             return existing
-        actor.sleep(self.request_overhead)
-        self.ioserver.account.charge(CAT_QUEUING, self.request_overhead)
+        actor.sleep(REQUEST_OVERHEAD)
+        self.ioserver.account.charge(CAT_QUEUING, REQUEST_OVERHEAD)
         disk_segno = self.cache.acquire_line(actor)
         self.sched.fetch(actor, tsegno, disk_segno)
         self.cache.register(tsegno, disk_segno, actor)
@@ -100,8 +99,8 @@ class ServiceProcess:
         disk_segno = self.cache.lookup(tsegno)
         if disk_segno is None:
             raise MigrationError(f"tertiary segment {tsegno} has no line")
-        actor.sleep(self.request_overhead)
-        self.ioserver.account.charge(CAT_QUEUING, self.request_overhead)
+        actor.sleep(REQUEST_OVERHEAD)
+        self.ioserver.account.charge(CAT_QUEUING, REQUEST_OVERHEAD)
         try:
             yield from self.sched.writeout_steps(actor, disk_segno, tsegno)
         except EndOfMedium:
@@ -125,7 +124,7 @@ class ServiceProcess:
         vol, _seg = self.fs.aspace.volume_of(tsegno)
         vol_id = self.fs.tsegfile.volumes[vol].volume_id
         self.fs.tsegfile.mark_volume_full(vol)
-        self.ioserver.footprint.mark_full(vol_id)
+        self.fs.footprint.mark_full(vol_id)
         self._restage_and_retry(actor, tsegno, vol_id,
                                 "hit end-of-medium")
 
@@ -137,7 +136,7 @@ class ServiceProcess:
         vol, _seg = self.fs.aspace.volume_of(tsegno)
         vol_id = self.fs.tsegfile.volumes[vol].volume_id
         self.fs.tsegfile.mark_volume_full(vol)
-        self.ioserver.footprint.mark_full(vol_id)
+        self.fs.footprint.mark_full(vol_id)
         obs.counter("service_writeout_restages_total",
                     "write-outs re-staged onto a healthy volume after a "
                     "permanent device failure").inc()
@@ -166,7 +165,7 @@ class ServiceProcess:
                 raise MigrationError(
                     f"segment {tsegno} is staging and copy-out was refused")
             self.writeout_line(actor, tsegno)
-        actor.sleep(self.request_overhead)
+        actor.sleep(REQUEST_OVERHEAD)
         self.cache.eject(tsegno, actor=actor)
 
     def flush_cache(self, actor: Actor) -> int:

@@ -22,6 +22,11 @@ from repro.lfs.summary import SegmentSummary
 from repro.sim.actor import Actor
 
 
+#: Payload blocks per spill write to the disk line (and the longest run
+#: of contiguous blocks the migrator reads from the log in one go).
+SPILL_CHUNK_BLOCKS = 16
+
+
 class StagingBuilder:
     """Assembles one tertiary segment inside a disk cache line.
 
@@ -31,12 +36,10 @@ class StagingBuilder:
     by reference, and nothing ever mutates a handed-over region again.
     """
 
-    def __init__(self, fs, tsegno: int, disk_segno: int,
-                 spill_chunk_blocks: int = 16) -> None:
+    def __init__(self, fs, tsegno: int, disk_segno: int) -> None:
         self.fs = fs
         self.tsegno = tsegno
         self.disk_segno = disk_segno
-        self.spill_chunk_blocks = spill_chunk_blocks
         self.summary = SegmentSummary()
         self._buf = bytearray(
             (fs.config.blocks_per_seg - 1) * BLOCK_SIZE)
@@ -157,9 +160,9 @@ class StagingBuilder:
         a time unless ``all_pending`` forces a complete drain.
         """
         wrote = False
-        while (self.pending_spill_blocks() >= self.spill_chunk_blocks
+        while (self.pending_spill_blocks() >= SPILL_CHUNK_BLOCKS
                or (all_pending and self.pending_spill_blocks() > 0)):
-            take = min(self.spill_chunk_blocks, self.pending_spill_blocks())
+            take = min(SPILL_CHUNK_BLOCKS, self.pending_spill_blocks())
             nbytes = take * BLOCK_SIZE
             # The gather copy's virtual cost (paper's cleaner-style staging
             # charge); the host-side gather already happened at append time.

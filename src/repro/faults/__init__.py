@@ -6,11 +6,11 @@ The subsystem has two halves:
   (:mod:`repro.faults.plan`): seeded, virtual-time-scheduled transient
   and permanent faults hooked into the jukebox and Footprint layers;
 * **recovery** — the :class:`VolumeHealth` state machine and
-  :class:`HealthRegistry` (:mod:`repro.faults.health`),
-  :class:`RetryPolicy` (:mod:`repro.faults.retry`),
-  :class:`RecoveringFootprint` + :class:`FaultManager`
-  (:mod:`repro.faults.recovery`), and the :class:`RepairDaemon`
-  (:mod:`repro.faults.repair`).
+  :class:`HealthRegistry` (:mod:`repro.faults.health`; each stack owns
+  one, ``fs.health``), :class:`RetryPolicy` (:mod:`repro.faults.retry`;
+  the Footprint runs every I/O under it), the :class:`FaultManager`
+  that attaches both (:mod:`repro.faults.recovery`), and the
+  :class:`RepairDaemon` (:mod:`repro.faults.repair`).
 
 See docs/FAULTS.md for the fault model and the health state machine.
 
@@ -29,7 +29,6 @@ _EXPORTS = {
     "FaultSpec": "repro.faults.plan",
     "FaultPlan": "repro.faults.plan",
     "FaultInjector": "repro.faults.plan",
-    "FaultyDevice": "repro.faults.plan",
     "EV_FAULT_INJECT": "repro.faults.plan",
     "KIND_MEDIA_ERROR": "repro.faults.plan",
     "KIND_MEDIA_DEAD": "repro.faults.plan",
@@ -42,7 +41,6 @@ _EXPORTS = {
     "DEFAULT_CLASS_POLICIES": "repro.faults.retry",
     "CLASS_REPAIR": "repro.faults.retry",
     "EV_RETRY": "repro.faults.retry",
-    "RecoveringFootprint": "repro.faults.recovery",
     "FaultManager": "repro.faults.recovery",
     "RepairDaemon": "repro.faults.repair",
 }

@@ -54,28 +54,26 @@ class VolumeHealth(enum.Enum):
 class HealthRegistry:
     """Tracks per-volume error counts and drives health transitions.
 
-    One registry watches one jukebox (attached after construction so the
-    registry itself stays device-agnostic).  Every observed device error
+    One registry watches one jukebox (duck-typed: anything with a
+    ``volumes`` dict, so the registry itself stays device-agnostic).
+    :meth:`repro.core.highlight.HighLightFS.attach_tertiary` builds the
+    stack's only one, ``fs.health``.  Every observed device error
     charges the volume's error budget; a permanent error, or a budget
     overrun, quarantines the volume.
     """
 
-    def __init__(self, error_budget: int = 3) -> None:
+    def __init__(self, jukebox, error_budget: int = 3) -> None:
         if error_budget < 1:
             raise ValueError("error budget must be at least 1")
         self.error_budget = error_budget
         self.errors: Dict[int, int] = {}
         self.quarantine_reasons: Dict[int, str] = {}
-        self.jukebox = None  # duck-typed; set by attach()
-
-    def attach(self, jukebox) -> None:
-        """Bind the jukebox whose volumes this registry governs."""
         self.jukebox = jukebox
 
     # -- queries -------------------------------------------------------------
 
     def _volume(self, volume_id: Optional[int]):
-        if self.jukebox is None or volume_id is None:
+        if volume_id is None:
             return None
         return self.jukebox.volumes.get(volume_id)
 
@@ -85,8 +83,6 @@ class HealthRegistry:
 
     def quarantined(self) -> List[int]:
         """Volume ids currently quarantined (not yet retired)."""
-        if self.jukebox is None:
-            return []
         return sorted(vid for vid, vol in self.jukebox.volumes.items()
                       if vol.health is VolumeHealth.QUARANTINED)
 
@@ -98,8 +94,7 @@ class HealthRegistry:
         """Charge one observed error against ``volume_id``'s budget.
 
         Returns the volume's resulting health.  Unknown volumes (plain
-        disks, no jukebox attached) are reported as ONLINE and charge
-        nothing.
+        disks) are reported as ONLINE and charge nothing.
         """
         vol = self._volume(volume_id)
         if vol is None:

@@ -118,10 +118,8 @@ class FaultInjector:
     """Evaluates a :class:`FaultPlan` at the device layer's hook points.
 
     :class:`~repro.faults.recovery.FaultManager`'s constructor places it
-    in ``jukebox.fault_injector`` (mount hook) and
-    ``footprint.fault_injector`` (I/O hook); a ``FaultyDevice`` wrapper
-    carries the same injector around any plain :class:`BlockDevice`.
-    Disabled injectors (``enabled = False``) are inert, and an absent
+    in ``jukebox.fault_injector``, the one slot both the jukebox (mount
+    hook) and its Footprint (I/O hook) consult.  Disabled injectors (``enabled = False``) are inert, and an absent
     injector costs the hot path one attribute test — the golden trace
     with faults off is byte-identical.
     """
@@ -197,7 +195,7 @@ class FaultInjector:
                 self._fire(spec, actor.time, volume_id)
                 # The medium itself is gone: fence it under that reason.
                 # The error is charged once, by whoever observes the
-                # MediaFailure below (the recovery layer), not here too.
+                # MediaFailure below (the retry policy), not here too.
                 if self.health is not None and volume_id is not None:
                     self.health.quarantine(volume_id, actor.time,
                                            reason=KIND_MEDIA_DEAD)
@@ -205,38 +203,3 @@ class FaultInjector:
                     f"medium destroyed during {op}",
                     volume_id=volume_id, blkno=blkno)
 
-
-class FaultyDevice:
-    """Wraps any plain :class:`~repro.blockdev.base.BlockDevice` so the
-    injector sees its traffic (tertiary volumes are hooked through the
-    jukebox instead and don't need this)."""
-
-    def __init__(self, inner, injector: FaultInjector,
-                 volume_id: Optional[int] = None) -> None:
-        self.inner = inner
-        self.injector = injector
-        self.volume_id = volume_id
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
-
-    def read(self, actor, blkno: int, nblocks: int):
-        self.injector.on_io(actor, "read", self.volume_id, blkno, nblocks)
-        return self.inner.read(actor, blkno, nblocks)
-
-    def write(self, actor, blkno: int, data) -> None:
-        self.injector.on_io(actor, "write", self.volume_id, blkno,
-                            max(1, len(data) // self.inner.block_size))
-        self.inner.write(actor, blkno, data)
-
-    def read_refs(self, actor, blkno: int, nblocks: int):
-        self.injector.on_io(actor, "read", self.volume_id, blkno, nblocks)
-        return self.inner.read_refs(actor, blkno, nblocks)
-
-    def write_refs(self, actor, blkno: int, refs) -> None:
-        self.injector.on_io(actor, "write", self.volume_id, blkno, 0)
-        self.inner.write_refs(actor, blkno, refs)
-
-    def writev(self, actor, blkno: int, parts) -> None:
-        self.injector.on_io(actor, "write", self.volume_id, blkno, 0)
-        self.inner.writev(actor, blkno, parts)

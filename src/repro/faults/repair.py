@@ -23,16 +23,15 @@ from __future__ import annotations
 from typing import Optional
 
 from repro import obs
-from repro.faults.health import HealthRegistry
 from repro.faults.retry import CLASS_REPAIR
 
 
 class RepairDaemon:
     """Re-replicates segments off quarantined volumes and retires them."""
 
-    def __init__(self, fs, health: HealthRegistry) -> None:
+    def __init__(self, fs) -> None:
         self.fs = fs
-        self.health = health
+        self.health = fs.health
         self.segments_rehomed = 0
         self.replicas_dropped = 0
         self.unrecoverable = 0
@@ -41,16 +40,12 @@ class RepairDaemon:
     def run_once(self, actor) -> int:
         """One repair sweep; returns the number of segments re-homed."""
         before = self.segments_rehomed
-        ctx = getattr(self.fs.footprint, "request_class", None)
         for vol_id in self.health.quarantined():
             vol_idx = self._vol_index(vol_id)
             if vol_idx is None:
                 self.health.retire(vol_id, actor.time)
                 continue
-            if ctx is not None:
-                with ctx(CLASS_REPAIR):
-                    self._drain_volume(actor, vol_idx)
-            else:
+            with self.fs.sched.running(CLASS_REPAIR):
                 self._drain_volume(actor, vol_idx)
             self.fs.tsegfile.mark_volume_full(vol_idx)
             self.health.retire(vol_id, actor.time)

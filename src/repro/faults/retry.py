@@ -16,6 +16,13 @@ longer, because a staged segment pins its cache line until it lands.
 When a class's budget is exhausted the last transient error is
 escalated to :class:`~repro.errors.MediaFailure` (the EIO analogue) with
 the attempt count stamped on it.
+
+The policy also keeps the volume's error budget current: every failed
+attempt, and a permanent failure once more, is charged to the health
+registry, and a served operation clears the budget.  The Footprint runs
+each of its I/O calls through the stack's policy
+(:class:`~repro.footprint.robot.JukeboxFootprint`'s ``retry`` slot),
+under the class the scheduler names.
 """
 
 from __future__ import annotations
@@ -25,7 +32,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, TypeVar
 
 from repro import obs
-from repro.errors import MediaFailure, TransientDeviceError
+from repro.errors import (MediaFailure, PermanentDeviceError,
+                          TransientDeviceError)
 from repro.faults.health import HealthRegistry
 
 #: Emitted once per backoff (i.e. per failed attempt that will be retried).
@@ -73,6 +81,9 @@ class RetryPolicy:
         if policies:
             self.policies.update(policies)
         self.health = health
+        #: The :class:`~repro.sched.TertiaryScheduler` that names each
+        #: Footprint I/O's request class (set by ``FaultManager``).
+        self.sched = None
         self.attempts = 0
         self.escalations = 0
 
@@ -92,8 +103,26 @@ class RetryPolicy:
         Transient failures back off in virtual time and retry; on
         budget exhaustion the error escalates to ``MediaFailure``.
         Each failed attempt is reported to the health registry against
-        the erroring volume.
+        the erroring volume, a permanent failure (escalated or not) once
+        more as permanent, and success clears ``volume_id``'s budget.
         """
+        try:
+            result = self._attempts(actor, rclass, op, volume_id)
+        except PermanentDeviceError as exc:
+            if self.health is not None:
+                vid = exc.volume_id if exc.volume_id is not None \
+                    else volume_id
+                self.health.record_error(vid, actor.time, permanent=True,
+                                         kind=type(exc).__name__)
+            raise
+        # The error budget counts consecutive failures: a served I/O
+        # clears it (and un-degrades the volume).
+        if self.health is not None:
+            self.health.record_success(volume_id)
+        return result
+
+    def _attempts(self, actor, rclass: str, op: Callable[[], T],
+                  volume_id: Optional[int]) -> T:
         pol = self.policy_for(rclass)
         start = actor.time
         attempt = 1

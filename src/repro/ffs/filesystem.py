@@ -31,8 +31,6 @@ class FFSConfig:
     bcache_bytes: int = int(3.2 * 1024 * 1024)
     inode_table_blocks: int = 64      # 2048 inodes
     group_blocks: int = 2048
-    flush_fraction: float = 0.5
-    atime_updates: bool = True
 
 
 class FFS:
@@ -162,7 +160,7 @@ class FFS:
         while lbn <= end_lbn:
             out += self._read_block(ino, lbn, actor)
             lbn += 1
-        if self.config.atime_updates and update_atime:
+        if update_atime:
             ino.atime = actor.time
             self._dirty_inodes.add(inum)
         self.reads += 1
@@ -229,7 +227,7 @@ class FFS:
         ino.mtime = actor.time
         self._dirty_inodes.add(inum)
         self.writes += 1
-        if self.bcache.needs_flush(self.config.flush_fraction):
+        if self.bcache.needs_flush():
             self._flush_dirty(actor)
         return len(data)
 

@@ -22,15 +22,21 @@ class JukeboxFootprint(FootprintInterface):
     remaining drives, but reads that hit the writing volume are served by
     the writing drive itself ("the writing drive also fulfilled any read
     requests for its platter").
+
+    With a :class:`repro.faults.RetryPolicy` in the ``retry`` slot, every
+    attempt of each read and write runs under it, for the request class
+    the stack's scheduler names; an injector in the jukebox's
+    ``fault_injector`` slot is consulted before each I/O reaches a drive.
     """
 
     def __init__(self, jukebox: Jukebox) -> None:
         self.jukebox = jukebox
         self._write_drive: Optional[int] = None
         self._write_volume: Optional[int] = None
-        #: Optional :class:`repro.faults.FaultInjector` consulted before
-        #: each I/O reaches a drive (media/timeout/slow-I/O injection).
-        self.fault_injector = None
+        #: The stack's :class:`repro.faults.RetryPolicy`, set by
+        #: ``FaultManager`` (and cleared when a filesystem mounts over
+        #: this Footprint); ``None`` runs each I/O once.
+        self.retry = None
         #: ``(volume_id, blkno, refs)`` callbacks fired after each
         #: *successful* write — ``repro.persist`` appends its scrub CRC
         #: ledger here.  A failed or torn write never reaches an
@@ -83,13 +89,39 @@ class JukeboxFootprint(FootprintInterface):
 
     # -- I/O ----------------------------------------------------------------
 
+    def _run(self, actor: Actor, volume_id: int, io, *args):
+        """One Footprint call: ``io`` once, or under the retry policy."""
+        retry = self.retry
+        if retry is None:
+            return io(actor, volume_id, *args)
+        return retry.run(actor, retry.sched.active_class,
+                         lambda: io(actor, volume_id, *args),
+                         volume_id=volume_id)
+
     def _inject(self, actor: Actor, op: str, volume_id: int, blkno: int,
                 nblocks: int) -> None:
-        if self.fault_injector is not None:
-            self.fault_injector.on_io(actor, op, volume_id, blkno, nblocks)
+        injector = self.jukebox.fault_injector
+        if injector is not None:
+            injector.on_io(actor, op, volume_id, blkno, nblocks)
 
     def read(self, actor: Actor, volume_id: int, blkno: int,
              nblocks: int) -> bytes:
+        return self._run(actor, volume_id, self._read, blkno, nblocks)
+
+    def write(self, actor: Actor, volume_id: int, blkno: int,
+              data: Buffer) -> None:
+        self._run(actor, volume_id, self._write, blkno, data)
+
+    def read_refs(self, actor: Actor, volume_id: int, blkno: int,
+                  nblocks: int) -> List[ExtentRef]:
+        return self._run(actor, volume_id, self._read_refs, blkno, nblocks)
+
+    def write_refs(self, actor: Actor, volume_id: int, blkno: int,
+                   refs: List[ExtentRef]) -> None:
+        self._run(actor, volume_id, self._write_refs, blkno, refs)
+
+    def _read(self, actor: Actor, volume_id: int, blkno: int,
+              nblocks: int) -> bytes:
         t0 = actor.time
         idx = self._drive_for(actor, volume_id, is_write=False)
         self._inject(actor, "read", volume_id, blkno, nblocks)
@@ -97,8 +129,8 @@ class JukeboxFootprint(FootprintInterface):
         self._account("read", len(data), actor.time - t0)
         return data
 
-    def write(self, actor: Actor, volume_id: int, blkno: int,
-              data: Buffer) -> None:
+    def _write(self, actor: Actor, volume_id: int, blkno: int,
+               data: Buffer) -> None:
         t0 = actor.time
         idx = self._drive_for(actor, volume_id, is_write=True)
         self._inject(actor, "write", volume_id, blkno,
@@ -109,8 +141,8 @@ class JukeboxFootprint(FootprintInterface):
         for observe in self.write_observers:
             observe(volume_id, blkno, [ref_of(data)])
 
-    def read_refs(self, actor: Actor, volume_id: int, blkno: int,
-                  nblocks: int) -> List[ExtentRef]:
+    def _read_refs(self, actor: Actor, volume_id: int, blkno: int,
+                   nblocks: int) -> List[ExtentRef]:
         t0 = actor.time
         idx = self._drive_for(actor, volume_id, is_write=False)
         self._inject(actor, "read", volume_id, blkno, nblocks)
@@ -118,8 +150,8 @@ class JukeboxFootprint(FootprintInterface):
         self._account("read", refs_nbytes(refs), actor.time - t0)
         return refs
 
-    def write_refs(self, actor: Actor, volume_id: int, blkno: int,
-                   refs: List[ExtentRef]) -> None:
+    def _write_refs(self, actor: Actor, volume_id: int, blkno: int,
+                    refs: List[ExtentRef]) -> None:
         t0 = actor.time
         idx = self._drive_for(actor, volume_id, is_write=True)
         self._inject(actor, "write", volume_id, blkno,

@@ -128,9 +128,6 @@ class SessionTable:
         return sum(1 for s in self._sessions.values()
                    if s.tenant == tenant)
 
-    def sessions(self) -> List[FileSession]:
-        return list(self._sessions.values())
-
     def __len__(self) -> int:
         return len(self._sessions)
 

@@ -27,7 +27,7 @@ from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro.frontend.session import EV_FRONTEND_REQUEST
 
-__all__ = ["TenantReport", "SLOReport", "TenantSLO", "evaluate",
+__all__ = ["TenantReport", "SLOReport", "evaluate",
            "from_latencies", "percentile"]
 
 #: Ops whose latency counts toward the demand SLO (the interactive
@@ -90,31 +90,6 @@ class SLOReport:
                 f"goodput={r.goodput_bytes_per_s / 1024:9.1f} KB/s "
                 f"throttled={r.throttle_seconds:7.2f}s")
         return "\n".join(lines)
-
-
-@dataclass(frozen=True)
-class TenantSLO:
-    """A target to check a :class:`TenantReport` against."""
-
-    tenant: str
-    max_p99_seconds: Optional[float] = None
-    min_goodput_bytes_per_s: Optional[float] = None
-
-    def violations(self, report: SLOReport) -> List[str]:
-        out: List[str] = []
-        r = report.per_tenant.get(self.tenant)
-        if r is None:
-            return [f"tenant {self.tenant!r}: no traffic observed"]
-        if self.max_p99_seconds is not None \
-                and r.p99_seconds > self.max_p99_seconds:
-            out.append(f"tenant {self.tenant!r}: p99 {r.p99_seconds:.3f}s "
-                       f"exceeds {self.max_p99_seconds:.3f}s")
-        if self.min_goodput_bytes_per_s is not None \
-                and r.goodput_bytes_per_s < self.min_goodput_bytes_per_s:
-            out.append(f"tenant {self.tenant!r}: goodput "
-                       f"{r.goodput_bytes_per_s:.0f} B/s below "
-                       f"{self.min_goodput_bytes_per_s:.0f} B/s")
-        return out
 
 
 def _event_fields(event) -> Optional[Dict[str, object]]:

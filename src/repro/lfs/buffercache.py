@@ -233,6 +233,7 @@ class BufferCache:
     def keys(self) -> Iterator[BufKey]:
         return iter(list(self._bufs.keys()))
 
-    def needs_flush(self, fraction: float = 0.5) -> bool:
-        """True when dirty blocks crowd the cache (segment-write trigger)."""
-        return self.dirty_count() >= self.capacity_blocks * fraction
+    def needs_flush(self) -> bool:
+        """True when dirty blocks fill half the cache (the segment-write
+        trigger)."""
+        return self.dirty_count() >= self.capacity_blocks * 0.5

@@ -96,10 +96,6 @@ class LFSConfig:
     bcache_bytes: int = int(3.2 * 1024 * 1024)
     #: Max blocks coalesced into one device read (64 KB clustering).
     cluster_blocks: int = 16
-    #: Update atime on reads (the STP migration policy feeds on this).
-    atime_updates: bool = True
-    #: Flush the log when this fraction of the buffer cache is dirty.
-    flush_fraction: float = 0.5
 
     @property
     def blocks_per_seg(self) -> int:
@@ -566,7 +562,7 @@ class LFS:
         end_lbn = (offset + nbytes - 1) // BLOCK_SIZE
         blocks = [self._read_block(ino, lbn, actor)
                   for lbn in range(offset // BLOCK_SIZE, end_lbn + 1)]
-        if self.config.atime_updates and update_atime:
+        if update_atime:
             ino.atime = actor.time
             self.mark_inode_dirty(inum)
         self.stats.reads += 1
@@ -646,7 +642,7 @@ class LFS:
         ino.mtime = actor.time
         self.mark_inode_dirty(inum)
         self.stats.writes += 1
-        if self.bcache.needs_flush(self.config.flush_fraction):
+        if self.bcache.needs_flush():
             self.segwriter.flush(actor)
         return len(data)
 

@@ -56,7 +56,7 @@ __all__ = [
     "register_event_type",
     "EV_SEGMENT_FETCH", "EV_SEGMENT_WRITEOUT", "EV_CACHE_EJECT",
     "EV_CLEAN_PASS", "EV_MIGRATE_PICK", "EV_VOLUME_SWITCH",
-    "metrics", "trace", "set_trace",
+    "metrics", "trace",
     "counter", "gauge", "histogram", "event",
     "enable", "disable", "reset",
     "register_flusher", "flush",
@@ -78,13 +78,6 @@ def metrics() -> MetricsRegistry:
 def trace() -> TraceRecorder:
     """The process-wide trace recorder."""
     return _trace
-
-
-def set_trace(recorder: TraceRecorder) -> TraceRecorder:
-    """Swap the process-wide trace recorder (tests); returns the old one."""
-    global _trace
-    old, _trace = _trace, recorder
-    return old
 
 
 # -- recording shortcuts (what the hot paths call) --------------------------

@@ -268,9 +268,9 @@ class CrashHarness:
         if not entries:
             return
         victim = entries[0][0]  # volume_id of the first ledgered segment
-        self.persist.health.quarantine(victim, self.app.time,
-                                       reason="crash-harness")
-        daemon = RepairDaemon(self.fs, self.persist.health)
+        self.fs.health.quarantine(victim, self.app.time,
+                                  reason="crash-harness")
+        daemon = RepairDaemon(self.fs)
         self.trap.arm(*self._pending_arm)  # setup done: repair writes start
         daemon.run_once(self.app)
         self.fs.checkpoint(self.app)

@@ -4,8 +4,8 @@
 same way :class:`repro.faults.recovery.FaultManager` does: constructing
 it over the filesystem sets ``fs.persist``, anchors the slot area and
 starts the CRC ledger (the replica catalogue is read from
-``fs.replicas``, the health registry shared with ``fs.faults`` when a
-FaultManager is already attached).  From then on every
+``fs.replicas``, volume health from the stack's ``fs.health``).  From
+then on every
 ``fs.checkpoint()`` appends a persistence checkpoint right after the
 LFS superblock write, and
 ``fs.recover()`` after a remount replays the newest valid image and
@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro import obs
-from repro.faults.health import HealthRegistry
 from repro.lfs.constants import BLOCK_SIZE
 from repro.persist.format import (SEC_CACHEMAP, SEC_COUNTERS, SEC_CRC_LEDGER,
                                   SEC_EPOCH, SEC_HEALTH, SEC_REPLICAS,
@@ -78,15 +77,7 @@ class PersistManager:
 
     def __init__(self, fs) -> None:
         self.fs = fs
-        base = fs.footprint
-        while hasattr(base, "inner"):
-            base = base.inner
-        self._base_footprint = base
-        if fs.faults is not None:
-            self.health = fs.faults.health
-        else:
-            self.health = HealthRegistry()
-            self.health.attach(base.jukebox)
+        self.health = fs.health
         self.ledger = SegmentCRCLedger(fs.sb.blocks_per_seg, BLOCK_SIZE)
         self._writes = obs.counter(
             "checkpoint_writes_total", "persistence checkpoints written")
@@ -98,10 +89,10 @@ class PersistManager:
             "persistence slots rejected by validation")
         fs.persist = self
         fs.sb.persist_root = SLOT_BASES[0]
-        base.write_observers.append(self.ledger.observe_write)
+        fs.footprint.write_observers.append(self.ledger.observe_write)
 
     def make_scrubber(self) -> Scrubber:
-        return Scrubber(self.fs, self.ledger, self.health)
+        return Scrubber(self.fs, self.ledger)
 
     # -- capture (the checkpoint mark: pure, no state mutation) -------------
 
@@ -113,8 +104,7 @@ class PersistManager:
                         self.health.health_of(vid).value,
                         self.health.errors.get(vid, 0),
                         self.health.quarantine_reasons.get(vid, "")]
-                       for vid in sorted(self._base_footprint
-                                         .jukebox.volumes)]
+                       for vid in sorted(self.health.jukebox.volumes)]
         catalog = []
         if fs.replicas is not None:
             catalog = [[tsegno, sorted(map(list, places))]
@@ -255,7 +245,7 @@ class PersistManager:
         """Reinstate persisted health states without re-emitting the
         original quarantine events (history, not new transitions)."""
         from repro.faults.health import VolumeHealth
-        jukebox = self._base_footprint.jukebox
+        jukebox = self.health.jukebox
         for vid, state, errors, reason in rows:
             vol = jukebox.volumes.get(vid)
             if vol is None:
@@ -296,7 +286,7 @@ class PersistManager:
         onto the (freshly rebuilt, all-empty) volume objects."""
         for meta in self.fs.tsegfile.volumes:
             if meta.marked_full:
-                self._base_footprint.mark_full(meta.volume_id)
+                self.fs.footprint.mark_full(meta.volume_id)
 
     def _reconcile_staging(self, actor: Actor, report: RecoveryReport,
                            sched_rows: List[list]) -> List[int]:

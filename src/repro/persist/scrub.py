@@ -9,9 +9,9 @@ for years.  The scrubber closes that gap:
   segment, folded over the Footprint write path as the data goes by
   (writes on this stack are whole-segment images, so no reconstruction
   is ever needed) and persisted with every ``repro.persist`` checkpoint;
-* :class:`Scrubber` — a daemon that walks the ledger at a configurable
-  virtual-time rate, re-reads each segment from its volume (and,
-  optionally, each sealed cache line from the staging disk), and
+* :class:`Scrubber` — a daemon that walks the ledger at a fixed
+  virtual-time rate (:data:`SCRUB_PACING`), re-reads each segment from
+  its volume and each sealed cache line from the staging disk, and
   compares CRCs.  A tertiary mismatch feeds the PR 5 quarantine/repair
   path (``health.record_error(..., permanent=True)`` — the
   :class:`~repro.faults.repair.RepairDaemon` then re-homes the live
@@ -27,13 +27,15 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro import obs
 from repro.core.addressing import line_read
 from repro.errors import DeviceError
+from repro.faults.retry import CLASS_REPAIR
 from repro.sim.actor import Actor
 
 EV_SCRUB_PASS = obs.register_event_type("scrub_pass")
 EV_SCRUB_MISMATCH = obs.register_event_type("scrub_mismatch")
 
-#: Retry class used for scrub reads through a RecoveringFootprint.
-SCRUB_CLASS = "repair"
+#: Virtual seconds charged before each segment verification (the scrub
+#: rate); the medium reads themselves are charged by the devices.
+SCRUB_PACING = 0.25
 
 
 def image_crc(data) -> int:
@@ -97,21 +99,13 @@ class SegmentCRCLedger:
 
 
 class Scrubber:
-    """Walks the CRC ledger verifying live segments across all tiers.
+    """Walks the CRC ledger verifying live segments across all tiers,
+    charging volume health to the stack's ``fs.health``."""
 
-    ``pacing`` is the virtual-time cost charged between segment
-    verifications (the configurable scrub rate); the medium reads
-    themselves are charged by the devices as usual.
-    """
-
-    def __init__(self, fs, ledger: SegmentCRCLedger, health, *,
-                 pacing: float = 0.25, include_cache: bool = True) -> None:
+    def __init__(self, fs, ledger: SegmentCRCLedger) -> None:
         self.fs = fs
         self.ledger = ledger
-        self.health = health
-        self.pacing = pacing
-        self.include_cache = include_cache
-        self._cursor = 0
+        self.health = fs.health
         self._verified = obs.counter(
             "scrub_segments_verified_total",
             "segment images whose scrub CRC matched", ("tier",))
@@ -142,17 +136,13 @@ class Scrubber:
                          seg_in_vol: int, expected: int) -> bool:
         fs = self.fs
         bps = fs.aspace.blocks_per_seg
-        fp = fs.footprint
-        ctx = getattr(fp, "request_class", None)
         try:
-            if ctx is not None:
-                with ctx(SCRUB_CLASS):
-                    image = fp.read(actor, volume_id, seg_in_vol * bps, bps)
-            else:
-                image = fp.read(actor, volume_id, seg_in_vol * bps, bps)
+            with fs.sched.running(CLASS_REPAIR):
+                image = fs.footprint.read(actor, volume_id,
+                                          seg_in_vol * bps, bps)
         except DeviceError:
-            # The read itself failed; RecoveringFootprint already fed the
-            # health registry, nothing left for the scrubber to add.
+            # The read itself failed; with a retry policy attached it has
+            # already fed the health registry, nothing left to add here.
             self._skipped.inc()
             return False
         if image_crc(image) == expected:
@@ -201,27 +191,25 @@ class Scrubber:
                 report["skipped"] += 1
                 self._skipped.inc()
                 continue
-            actor.sleep(self.pacing)
+            actor.sleep(SCRUB_PACING)
             if self._verify_tertiary(actor, vid, seg_in_vol, expected):
                 report["verified"] += 1
             else:
                 report["mismatches"] += 1
-        if self.include_cache:
-            for tsegno, disk_segno, staging in fs.cache.entries():
-                if staging:
-                    continue  # not yet on tertiary: no reference CRC
-                vid, seg_in_vol = self._primary_location(tsegno)
-                expected = self.ledger.get(vid, seg_in_vol)
-                if expected is None:
-                    report["skipped"] += 1
-                    self._skipped.inc()
-                    continue
-                actor.sleep(self.pacing)
-                if self._verify_cache_line(actor, tsegno, disk_segno,
-                                           expected):
-                    report["verified"] += 1
-                else:
-                    report["mismatches"] += 1
+        for tsegno, disk_segno, staging in fs.cache.entries():
+            if staging:
+                continue  # not yet on tertiary: no reference CRC
+            vid, seg_in_vol = self._primary_location(tsegno)
+            expected = self.ledger.get(vid, seg_in_vol)
+            if expected is None:
+                report["skipped"] += 1
+                self._skipped.inc()
+                continue
+            actor.sleep(SCRUB_PACING)
+            if self._verify_cache_line(actor, tsegno, disk_segno, expected):
+                report["verified"] += 1
+            else:
+                report["mismatches"] += 1
         self._cycles.inc()
         obs.event(EV_SCRUB_PASS, actor.time, **report)
         return report

@@ -28,8 +28,12 @@ Accounting: queue wait is charged to the Table 4 ``queuing`` category at
 dispatch, and — because every back-end operation reached through this
 facade charges its own category — each scheduled request's wait+service
 time partitions into :data:`~repro.core.ioserver.TABLE4_CATEGORIES`.
-The partition is assert-checked per dispatch (``strict_accounting``);
-a violation raises :class:`~repro.errors.AccountingViolation`.
+The partition is assert-checked per dispatch; a violation raises
+:class:`~repro.errors.AccountingViolation`.
+
+The scheduler is also the one place that names a tertiary I/O's request
+class (:attr:`TertiaryScheduler.active_class`): the retry policy the
+Footprint runs each call under picks its per-class budget from it.
 
 This facade is the sanctioned choke point for tertiary I/O: rule HL007
 flags any ``ioserver.fetch/writeout/...`` call outside this package.
@@ -37,6 +41,7 @@ flags any ``ioserver.fetch/writeout/...`` call outside this package.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional
 
@@ -65,8 +70,8 @@ EV_SCHED_DISPATCH = obs.register_event_type("sched_dispatch")
 
 _DEFAULT_QUEUE_LIMITS = {CLASS_PREFETCH: 16, CLASS_WRITEOUT: 8,
                          CLASS_CLEANER: 32}
-_DEFAULT_INFLIGHT_LIMITS = {CLASS_PREFETCH: 2, CLASS_WRITEOUT: 1,
-                            CLASS_CLEANER: 1}
+#: Per-class bound on concurrently executing dispatches.
+INFLIGHT_LIMITS = {CLASS_PREFETCH: 2, CLASS_WRITEOUT: 1, CLASS_CLEANER: 1}
 
 #: Accounting tolerance: virtual-time arithmetic is float; anything
 #: beyond rounding noise is a genuine partition leak.
@@ -117,9 +122,7 @@ class TertiaryScheduler:
     def __init__(self, fs, ioserver, mode: str = MODE_PASSTHROUGH, *,
                  aging_threshold: float = 300.0,
                  max_batch_residency: int = 8,
-                 queue_limits: Optional[Dict[str, int]] = None,
-                 inflight_limits: Optional[Dict[str, int]] = None,
-                 strict_accounting: bool = True) -> None:
+                 queue_limits: Optional[Dict[str, int]] = None) -> None:
         if mode not in (MODE_PASSTHROUGH, MODE_SCHEDULED):
             raise ValueError(f"unknown scheduler mode {mode!r}")
         if max_batch_residency < 1:
@@ -137,10 +140,6 @@ class TertiaryScheduler:
         self.queue_limits = dict(_DEFAULT_QUEUE_LIMITS)
         if queue_limits:
             self.queue_limits.update(queue_limits)
-        self.inflight_limits = dict(_DEFAULT_INFLIGHT_LIMITS)
-        if inflight_limits:
-            self.inflight_limits.update(inflight_limits)
-        self.strict_accounting = strict_accounting
         #: Actor that pays for prefetch I/O in passthrough mode (it runs
         #: alongside the app, exactly as the service process's used to).
         self.prefetch_actor = Actor("prefetcher")
@@ -152,10 +151,11 @@ class TertiaryScheduler:
         self._batch_served = 0
         self.in_flight: Dict[str, int] = {c: 0 for c in REQUEST_CLASSES}
         self.max_in_flight: Dict[str, int] = {c: 0 for c in REQUEST_CLASSES}
-        #: Innermost-first stack of classes currently executing through
-        #: the facade; the recovery layer reads :attr:`active_class` to
-        #: pick the per-class retry policy for in-flight device I/O.
+        #: Classes currently executing through the facade, innermost
+        #: last, and the classes entered with :meth:`running`, which
+        #: outrank them (see :attr:`active_class`).
         self._active_classes: List[str] = []
+        self._running: List[str] = []
         #: One record per scheduled-mode dispatch.
         self.dispatch_log: List[DispatchRecord] = []
         self.volume_switches = 0
@@ -186,10 +186,26 @@ class TertiaryScheduler:
 
     @property
     def active_class(self) -> str:
-        """The request class currently executing through the facade
-        (``demand`` when idle — ad-hoc I/O is treated as demand)."""
+        """The request class of the tertiary I/O now in flight, which
+        picks its retry budget: the innermost class entered with
+        :meth:`running`, else the innermost one executing through the
+        facade, else ``demand`` (ad-hoc I/O is treated as demand)."""
+        if self._running:
+            return self._running[-1]
         return self._active_classes[-1] if self._active_classes \
             else CLASS_DEMAND
+
+    @contextmanager
+    def running(self, rclass: str) -> Iterator[None]:
+        """Run the enclosed work as ``rclass`` (repair, scrub and
+        cross-shard moves enter ``repair``).  The entered class wins over
+        the facade class of a demand fetch or write-out nested inside;
+        no in-flight count or gauge changes."""
+        self._running.append(rclass)
+        try:
+            yield
+        finally:
+            self._running.pop()
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -427,7 +443,7 @@ class TertiaryScheduler:
         return self.fs.tsegfile.volumes[vol].volume_id
 
     def _has_inflight_room(self, rclass: str) -> bool:
-        limit = self.inflight_limits.get(rclass)
+        limit = INFLIGHT_LIMITS.get(rclass)
         return limit is None or self.in_flight[rclass] < limit
 
     # -- dispatch ----------------------------------------------------------------
@@ -525,7 +541,7 @@ class TertiaryScheduler:
             obs.event(EV_SCHED_DISPATCH, actor.time, rclass=req.rclass,
                       tag=str(req.tag), volume=req.volume, wait=wait,
                       service=service, actor=actor.name)
-        if self.strict_accounting and req.table4 \
+        if req.table4 \
                 and abs(charged - (wait + service)) > _ACCT_EPSILON:
             raise AccountingViolation(
                 f"{req.rclass} request {req.tag!r}: charged {charged:.9f}s "

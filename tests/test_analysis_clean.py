@@ -8,7 +8,7 @@ is pinned so silent accretion shows up in review.
 """
 
 import ast
-import re
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -55,19 +55,25 @@ def test_no_suppressions_in_core_or_lfs():
             f"suppression in protected package: {f.format()}"
 
 
+def _code_identifiers(path: Path):
+    """Every identifier token of a Python file: names in strings,
+    comments and docstrings are not references."""
+    with open(path, "rb") as fh:
+        for tok in tokenize.tokenize(fh.readline):
+            if tok.type == tokenize.NAME:
+                yield tok.string
+
+
 def test_every_public_name_is_referenced_somewhere():
     """ROADMAP 9(a), the cheap form: a public def/class in ``src`` whose
-    name occurs exactly once — its own definition — across the code,
-    the docs and the top-level notes is dead.  (ISSUE.md and CHANGES.md
-    record what a PR did, deletions included, so they do not count.)"""
-    texts = [p.read_text(encoding="utf-8")
-             for d in ("src", "tests", "benchmarks", "bench_e2e",
-                       "examples", "docs")
-             for p in sorted((ROOT / d).rglob("*"))
-             if p.suffix in (".py", ".md")]
-    texts += [p.read_text(encoding="utf-8") for p in sorted(ROOT.glob("*.md"))
-              if p.name not in ("ISSUE.md", "CHANGES.md")]
-    words = Counter(w for t in texts for w in re.findall(r"[A-Za-z_]\w*", t))
+    name occurs exactly once as an identifier — its own definition —
+    across the code of ``src``, the tests, the benchmarks and the
+    examples is dead.  A mention in a lazy-export table, a docstring, a
+    ``getattr`` string or the docs is not a use."""
+    words = Counter(w for d in ("src", "tests", "benchmarks", "bench_e2e",
+                                "examples")
+                    for p in sorted((ROOT / d).rglob("*.py"))
+                    for w in _code_identifiers(p))
     dead = []
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -164,3 +170,61 @@ def test_one_module_builds_a_highlight_stack():
                     hits.append(f"{site}: {ast.unparse(node)}")
     assert hits == [], ("HighLight stack assembled outside "
                         "repro.core.stack:\n" + "\n".join(hits))
+
+
+#: The one scope that may set a filesystem's Footprint: the stack's own
+#: construction.
+FOOTPRINT_SETTERS = {("core/highlight.py", "__init__"),
+                     ("core/highlight.py", "attach_tertiary")}
+
+
+def _names_a_footprint(node, derived) -> bool:
+    if isinstance(node, ast.Name):
+        return "footprint" in node.id or node.id in derived
+    if isinstance(node, ast.Attribute):
+        return ("footprint" in node.attr
+                or (node.attr == "inner"
+                    and _names_a_footprint(node.value, derived)))
+    return False
+
+
+def test_the_footprint_is_never_replaced_or_unwrapped():
+    """``fs.footprint`` is the one door to tertiary storage (paper §6.7):
+    outside ``HighLightFS`` construction nothing in ``src`` assigns a
+    ``footprint`` attribute, and nothing reads ``.inner`` off a Footprint
+    (or a name bound to one) to get at a wrapped one."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    hits = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}  # node -> innermost enclosing function name
+        for fn in ast.walk(tree):  # outer functions first, inner overwrite
+            if isinstance(fn, defs):
+                owner.update((n, fn.name) for n in ast.walk(fn))
+        for node in ast.walk(tree):
+            if (not isinstance(node, (ast.Assign, ast.AnnAssign,
+                                      ast.AugAssign))
+                    or (rel, owner.get(node)) in FOOTPRINT_SETTERS):
+                continue
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            if any(isinstance(t, ast.Attribute) and t.attr == "footprint"
+                   for t in targets):
+                hits.append(f"{rel}:{node.lineno}: {ast.unparse(node)}")
+        for scope in [tree] + [fn for fn in ast.walk(tree)
+                               if isinstance(fn, defs)]:
+            derived: set = set()
+            for _ in range(3):  # `base = fs.footprint; base = base.inner`
+                for node in ast.walk(scope):
+                    if (isinstance(node, ast.Assign)
+                            and _names_a_footprint(node.value, derived)):
+                        derived |= {t.id for t in node.targets
+                                    if isinstance(t, ast.Name)}
+            hits += [f"{rel}:{node.lineno}: {ast.unparse(node)}"
+                     for node in ast.walk(scope)
+                     if isinstance(node, ast.Attribute)
+                     and node.attr == "inner"
+                     and _names_a_footprint(node.value, derived)]
+    assert hits == [], ("a Footprint replaced or unwrapped:\n"
+                        + "\n".join(sorted(set(hits))))

@@ -118,7 +118,9 @@ class TestBufferCache:
 
     def test_needs_flush(self):
         bc = BufferCache(capacity_bytes=10 * BLOCK_SIZE)
-        assert not bc.needs_flush(0.5)
-        for i in range(5):
+        assert not bc.needs_flush()
+        for i in range(4):
             bc.put((1, i), block(i), dirty=True)
-        assert bc.needs_flush(0.5)
+        assert not bc.needs_flush()
+        bc.put((1, 4), block(4), dirty=True)
+        assert bc.needs_flush()

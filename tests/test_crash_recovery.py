@@ -131,6 +131,7 @@ def test_fault_and_persist_layers_share_one_health_registry():
     plan = FaultPlan().add(FaultSpec(KIND_MEDIA_DEAD, op="read",
                                      volume_id=victim))
     fm = FaultManager(h.fs, plan=plan)  # built after the PersistManager
+    assert fm.health is h.persist.health is h.fs.health
     assert h.fs.read_path("/d.dat") == h.oracle["/d.dat"]  # via a replica
     errors = fm.health.errors[victim]
     assert errors >= 1
@@ -140,7 +141,7 @@ def test_fault_and_persist_layers_share_one_health_registry():
     fm2 = FaultManager(fs)  # built before the PersistManager
     PersistManager(fs)
     fs.recover()
-    assert fs.persist.health is fm2.health
+    assert fm2.health is fs.persist.health is fs.health
     assert fm2.health.quarantine_reasons[victim] == KIND_MEDIA_DEAD
     assert fm2.health.errors[victim] == errors
     assert not fm2.health.health_of(victim).serving

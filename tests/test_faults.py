@@ -19,6 +19,7 @@ import repro
 from repro import obs
 from repro.blockdev import profiles
 from repro.blockdev.bus import SCSIBus
+from repro.cluster import ClusterNode, ClusterRouter, MigrationCoordinator
 from repro.core.highlight import HighLightConfig, HighLightFS
 from repro.core.migrator import Migrator
 from repro.core.replicas import ReplicaManager
@@ -31,6 +32,8 @@ from repro.faults import (DEFAULT_CLASS_POLICIES, FaultInjector, FaultManager,
                           KIND_MOUNT_FAILURE, KIND_SLOW_IO, RetryClassPolicy,
                           RetryPolicy, VolumeHealth)
 from repro.footprint.robot import JukeboxFootprint
+from repro.persist.crashsim import CrashHarness
+from repro.sched import CLASS_WRITEOUT, MODE_SCHEDULED
 from repro.sim.actor import Actor
 from repro.util.units import KB, MB
 from tests.conftest import HLBed
@@ -97,9 +100,7 @@ class TestHealthRegistry:
     def _registry(self, budget=3, vols=(1, 2)):
         jukebox = SimpleNamespace(volumes={
             vid: SimpleNamespace(health=VolumeHealth.ONLINE) for vid in vols})
-        reg = HealthRegistry(error_budget=budget)
-        reg.attach(jukebox)
-        return reg, jukebox
+        return HealthRegistry(jukebox, error_budget=budget), jukebox
 
     def test_budget_walks_online_degraded_quarantined(self):
         reg, _ = self._registry(budget=3)
@@ -144,7 +145,7 @@ class TestHealthRegistry:
 
     def test_budget_must_be_positive(self):
         with pytest.raises(ValueError):
-            HealthRegistry(error_budget=0)
+            HealthRegistry(SimpleNamespace(volumes={}), error_budget=0)
 
 
 # ---------------------------------------------------------------------------
@@ -301,32 +302,48 @@ class TestRetryPolicy:
 
     def test_health_registry_sees_every_failed_attempt(self):
         jukebox = SimpleNamespace(volumes={
-            1: SimpleNamespace(health=VolumeHealth.ONLINE)})
-        reg = HealthRegistry(error_budget=5)
-        reg.attach(jukebox)
+            1: SimpleNamespace(health=VolumeHealth.ONLINE),
+            2: SimpleNamespace(health=VolumeHealth.ONLINE)})
+        reg = HealthRegistry(jukebox, error_budget=5)
         policy = RetryPolicy(seed=0, health=reg)
         state = {"left": 2}
+        seen = []
 
         def op():
             if state["left"] > 0:
                 state["left"] -= 1
                 raise TransientMediaError("flaky", volume_id=1)
+            seen.append((reg.errors[1], jukebox.volumes[1].health))
             return "ok"
 
-        policy.run(Actor("t"), "writeout", op)
-        assert reg.errors[1] == 2
-        assert jukebox.volumes[1].health is VolumeHealth.DEGRADED
+        policy.run(Actor("t"), "writeout", op, volume_id=1)
+        # Both failed attempts were charged before the third ran; the
+        # served operation then cleared the budget and the degradation.
+        assert seen == [(2, VolumeHealth.DEGRADED)]
+        assert reg.errors[1] == 0
+        assert jukebox.volumes[1].health is VolumeHealth.ONLINE
+
+        def dead():
+            raise MediaFailure("gone", volume_id=2)
+
+        with pytest.raises(MediaFailure):
+            policy.run(Actor("t"), "writeout", dead, volume_id=2)
+        assert reg.errors[2] == 1
+        assert reg.quarantine_reasons[2] == "MediaFailure"
 
     def test_class_table_and_config_overrides(self):
         policy = RetryPolicy()
         assert policy.policy_for("demand").max_attempts == \
             DEFAULT_CLASS_POLICIES["demand"].max_attempts
         assert policy.policy_for("no_such_class") == RetryClassPolicy()
-        fs = SimpleNamespace(
-            config=HighLightConfig(fault_max_attempts=2,
-                                   fault_backoff_base=0.125),
-            footprint=None, sched=None, persist=None)
-        fm = FaultManager(fs)
+        bed = HLBed()
+        uniform = RetryClassPolicy(max_attempts=2, base_backoff=0.125)
+        policy = RetryPolicy(policies={rclass: uniform for rclass
+                                       in DEFAULT_CLASS_POLICIES})
+        fm = FaultManager(bed.fs, retry=policy)
+        assert fm.retry is policy is bed.fs.footprint.retry
+        assert policy.health is bed.fs.health
+        assert policy.sched is bed.fs.sched
         for rclass in DEFAULT_CLASS_POLICIES:
             assert fm.retry.policy_for(rclass).max_attempts == 2
             assert fm.retry.policy_for(rclass).base_backoff == 0.125
@@ -397,7 +414,7 @@ class TestRecoveryIntegration:
         victim = bed_probe.fs.tsegfile.volumes[0].volume_id
         plan = FaultPlan().add(FaultSpec(KIND_MEDIA_ERROR, op="read",
                                          volume_id=victim, count=99))
-        bed, fm, _ = _bed(copies=1, plan=plan, error_budget=3)
+        bed, fm, _ = _bed(copies=1, plan=plan)
         _read_all(bed)
         assert fm.health.quarantine_reasons[victim] == "error_budget"
         assert not fm.health.health_of(victim).serving
@@ -441,6 +458,23 @@ class TestRecoveryIntegration:
         bed.fs.drop_caches(drop_inodes=True)
         _read_all(bed)  # served without ever touching the retired medium
 
+    def test_remount_starts_with_its_own_registry_and_no_retry(self):
+        """The retry policy and health registry belong to the running
+        stack, not the devices: a remount over the same Footprint gets a
+        fresh ``fs.health`` and runs I/O once until a FaultManager over
+        the new filesystem fills the slot again."""
+        bed = HLBed()
+        old = FaultManager(bed.fs)
+        assert bed.footprint.retry is old.retry
+        assert old.health is bed.fs.health is old.retry.health
+        fs = bed.remount()
+        assert fs.health is not old.health
+        assert fs.health.jukebox is bed.jukebox
+        assert bed.footprint.retry is None
+        fm = FaultManager(fs)
+        assert bed.footprint.retry is fm.retry
+        assert fm.retry.health is fs.health and fm.retry.sched is fs.sched
+
     def test_chaos_property_no_acknowledged_byte_lost(self):
         # Satellite: seeded chaos with copies=1 loses nothing.
         bed_probe = HLBed(n_platters=6, platter_bytes=8 * MB)
@@ -459,6 +493,89 @@ class TestRecoveryIntegration:
         bed.fs.drop_caches(drop_inodes=True)
         _read_all(bed)
         assert fm.injector.injected >= 1
+
+
+# ---------------------------------------------------------------------------
+# Which retry class each Footprint call runs under
+# ---------------------------------------------------------------------------
+
+def _repair_sweep():
+    bed, fm, _ = _bed(copies=1)
+    fm.health.quarantine(bed.fs.tsegfile.volumes[0].volume_id, bed.app.time)
+    return lambda: fm.repair.run_once(bed.app)
+
+
+def _scrub_cycle():
+    h = CrashHarness(copies=2)
+    h.commit("/s.dat", _payload(7, 256 * KB))
+    h.migrate("/s.dat")
+    FaultManager(h.fs)
+    scrub = h.persist.make_scrubber()
+    return lambda: scrub.run_cycle(h.app)
+
+
+def _cluster_move():
+    nodes = [ClusterNode(i, replicate=True) for i in range(2)]
+    router = ClusterRouter(nodes, seed=0, stripe_bytes=MB)
+    router.write_path(Actor("client"), "/m.bin", _payload(9, MB))
+    (key, src), = router.placement.items()
+    nodes[src].migrate_object(nodes[src].actor, key)
+    nodes[src].flush(nodes[src].actor)
+    nodes[src].drop_caches(nodes[src].actor)
+    op = Actor("operator")
+    op.sleep_until(router.makespan())
+    # The source read demand-fetches; the destination re-migrates and
+    # its flush writes the segment out.
+    return lambda: MigrationCoordinator(router)._move(op, key, src, 1 - src)
+
+
+def _demand_fetch():
+    bed, _fm, _ = _bed()
+    return lambda: _read_all(bed)
+
+
+def _pumped_writeout():
+    bed = HLBed(config=HighLightConfig(sched_mode=MODE_SCHEDULED))
+    FaultManager(bed.fs)
+    bed.fs.write_path("/w.dat", _payload(5, MB))
+    bed.fs.checkpoint()
+    bed.app.sleep(60)
+    bed.migrator.migrate_file("/w.dat", bed.app)
+    bed.migrator.flush(bed.app)
+    assert bed.fs.sched.queued(CLASS_WRITEOUT)
+    return lambda: bed.fs.sched.pump(bed.app)
+
+
+@pytest.mark.parametrize("setup, expected", [
+    (_repair_sweep, "repair"), (_scrub_cycle, "repair"),
+    (_cluster_move, "repair"), (_demand_fetch, "demand"),
+    (_pumped_writeout, "writeout")])
+def test_every_footprint_call_runs_under_the_named_class(
+        setup, expected, monkeypatch):
+    """Repair, scrub and cross-shard moves enter ``repair``, which wins
+    over the facade class (demand fetch, write-out) of anything nested
+    under them; plain traffic keeps its facade class."""
+    work = setup()
+    classes = []
+    run = RetryPolicy.run
+
+    def recording(self, actor, rclass, op, **kwargs):
+        classes.append(rclass)
+        return run(self, actor, rclass, op, **kwargs)
+
+    served = []
+    account = JukeboxFootprint._account
+
+    def counting(op, nbytes, seconds):
+        served.append(op)
+        account(op, nbytes, seconds)
+
+    monkeypatch.setattr(RetryPolicy, "run", recording)
+    monkeypatch.setattr(JukeboxFootprint, "_account", staticmethod(counting))
+    work()
+    # No faults fire, so each served Footprint call is one policy run.
+    assert classes and len(classes) == len(served)
+    assert set(classes) == {expected}
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +722,7 @@ class TestAlternateJukeboxes:
 
 class TestPublicAPI:
     def test_reexports_resolve_to_the_real_classes(self):
-        from repro.core.highlight import HighLightFS
+        from repro.core.highlight import HighLightConfig, HighLightFS
         from repro.faults.plan import FaultPlan as DeepFaultPlan
         assert repro.HighLightFS is HighLightFS
         assert repro.FaultPlan is DeepFaultPlan

@@ -18,6 +18,7 @@ from repro.errors import AccountingViolation
 from repro.sched import (CLASS_CLEANER, CLASS_DEMAND, CLASS_PREFETCH,
                          CLASS_WRITEOUT, MODE_PASSTHROUGH, MODE_SCHEDULED,
                          PRIORITY, REQUEST_CLASSES, TertiaryScheduler)
+from repro.sched.scheduler import INFLIGHT_LIMITS
 from repro.sim.actor import Actor, TimeAccount
 from repro.util.units import MB
 from tests.conftest import HLBed
@@ -279,7 +280,7 @@ class TestScheduledModeIntegration:
         for rec in sched.dispatch_log:
             assert abs(rec.charged - (rec.wait + rec.service)) <= 1e-6
         for rclass, peak in sched.max_in_flight.items():
-            limit = sched.inflight_limits.get(rclass)
+            limit = INFLIGHT_LIMITS.get(rclass)
             assert limit is None or peak <= limit
         # The data actually reached tertiary storage and comes back.
         fs.checkpoint()

@@ -13,6 +13,7 @@ import pytest
 from repro.faults.health import VolumeHealth
 from repro.faults.repair import RepairDaemon
 from repro.persist.crashsim import CrashHarness, payload
+from repro.persist.scrub import SCRUB_PACING
 
 
 def _rotted_bed(seed, target="primary"):
@@ -46,7 +47,7 @@ def test_bitrot_detected_within_one_cycle(seed, target):
 def test_bitrot_repaired_with_zero_loss(seed, target):
     h, scrub, vol_id = _rotted_bed(seed, target)
     scrub.run_cycle(h.app)
-    daemon = RepairDaemon(h.fs, h.persist.health)
+    daemon = RepairDaemon(h.fs)
     daemon.run_once(h.app)
     assert h.persist.health.health_of(vol_id) is VolumeHealth.RETIRED
     # Zero acknowledged-byte loss: every committed path reads back
@@ -72,7 +73,7 @@ def test_scrub_consumes_virtual_time():
     scrub = h.persist.make_scrubber()
     t0 = h.app.time
     report = scrub.run_cycle(h.app)
-    assert h.app.time >= t0 + scrub.pacing * report["verified"]
+    assert h.app.time >= t0 + SCRUB_PACING * report["verified"]
 
 
 def test_torn_tertiary_write_leaves_stale_crc():

@@ -7,6 +7,7 @@ import pytest
 from tests.conftest import HLBed
 from repro.core.ioserver import (CAT_DISK_WRITE, CAT_FOOTPRINT_READ,
                                  CAT_FOOTPRINT_WRITE, CAT_IOSERVER_READ)
+from repro.core.service import REQUEST_OVERHEAD
 from repro.sim.scheduler import TimedQueue
 from repro.util.units import KB, MB
 
@@ -93,7 +94,7 @@ class TestRequestOverheads:
         t0 = hl.app.time
         hl.fs.read_path("/io", 0, 4 * KB)
         elapsed = hl.app.time - t0
-        assert elapsed > hl.fs.service.request_overhead
+        assert elapsed > REQUEST_OVERHEAD
 
     def test_cache_hit_skips_service(self, hl):
         _staged(hl)
