@@ -9,9 +9,8 @@ CI time budget.
 
 Taint model (consumed by HL011 and by the summary extractor):
 
-* a **borrow** is the result of a store/device ``read_refs``/``readv``
-  call, of a project function known (via the index fixpoint) to return
-  borrows, or of a pass-through helper (``block_views``/``split_refs``)
+* a **borrow** is the result of a store/device ``read_refs`` call, of a project function known (via the index fixpoint) to return
+  borrows, or of a pass-through helper (``block_views``/``split_parts``)
   applied to a borrow;
 * a **view** is a mutable window on a borrow: ``ref.buf``, the result of
   ``ref.view()``, or an element of a view container;
@@ -45,10 +44,10 @@ __all__ = [
 ]
 
 #: Method names whose call yields borrowed ranges from a store/device.
-BORROW_SOURCE_METHODS = frozenset({"read_refs", "readv"})
+BORROW_SOURCE_METHODS = frozenset({"read_refs"})
 
 #: Helpers that return views/refs over their (possibly borrowed) input.
-PASSTHROUGH_HELPERS = frozenset({"block_views", "split_refs"})
+PASSTHROUGH_HELPERS = frozenset({"block_views", "split_parts"})
 
 #: Container methods that capture a reference to their argument.
 _CAPTURING_METHODS = frozenset({"append", "extend", "insert", "add",

@@ -8,7 +8,7 @@ whole-program facts rules consume:
   project-internal edges; a candidate target that matches no known
   function is external and carries no edge);
 * the **borrow fixpoint** — which functions return borrowed extent
-  ranges, seeded by direct ``read_refs``/``readv`` returns and iterated
+  ranges, seeded by direct ``read_refs`` returns and iterated
   through ``returns_borrow_if`` conditional deps until stable;
 * the **clock fixpoint** — which functions transitively reach a
   real-time source, with a witness path for diagnostics (HL013).

@@ -72,7 +72,7 @@ CLOCK_IMPORT_BANS = {
 }
 
 #: Method names whose call yields borrowed extent ranges from a store.
-BORROW_METHODS = frozenset({"read_refs", "readv"})
+BORROW_METHODS = frozenset({"read_refs"})
 
 #: The project actor class; attributes/locals constructed from it are
 #: actor-typed for HL012.

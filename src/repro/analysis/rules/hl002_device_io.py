@@ -8,10 +8,11 @@ paths are:
 
 * ``repro.blockdev`` — the devices themselves;
 * ``repro.core.addressing`` — the block-map driver plus the
-  ``line_read``/``line_write`` helpers that core subsystems (I/O server,
-  migrator, staging, cleaners, replicas) must use for cache-line I/O;
+  ``line_read_refs``/``line_writev`` helpers (and the ``line_read``
+  adapter) that core subsystems (I/O server, migrator, staging,
+  cleaners, replicas) must use for cache-line I/O;
 * ``repro.lfs.segwriter`` — the segment writer's log append path;
-* ``repro.lfs.filesystem`` — the single ``dev_read``/``dev_write``
+* ``repro.lfs.filesystem`` — the single ``dev_read_refs``/``dev_writev``
   choke point the block map plugs into;
 * ``repro.ffs`` — the FFS comparison baseline, which has no block map
   by design;
@@ -20,8 +21,10 @@ paths are:
 * ``repro.lfs.dump`` — the offline log-inspection tool, which decodes
   raw (possibly crashed) images independent of any mounted filesystem.
 
-Any other module calling ``<something>.disk.read(...)`` (or on another
-device-named attribute) is bypassing the choke points.
+Any other module calling a device verb — ``read_refs``/``writev`` or
+the ``read``/``write``/``write_refs`` adapters — on
+``<something>.disk`` (or another device-named attribute) is bypassing
+the choke points.
 """
 
 from __future__ import annotations
@@ -34,6 +37,11 @@ from repro.analysis.rules.util import terminal_attr, walk_calls
 
 #: Receiver names that denote a block device.
 _DEVICE_NAMES = frozenset({"disk", "device", "dev", "tape", "drive"})
+
+#: Every device verb: the two every layer implements and the bytes
+#: adapters over them.
+_DEVICE_VERBS = frozenset({"read_refs", "writev", "read", "write",
+                           "write_refs"})
 
 _DEFAULT_EXEMPT: Tuple[str, ...] = (
     "repro.blockdev",
@@ -60,13 +68,13 @@ class HL002DeviceIO(Rule):
             func = call.func
             if not isinstance(func, ast.Attribute):
                 continue
-            if func.attr not in ("read", "write"):
+            if func.attr not in _DEVICE_VERBS:
                 continue
             receiver = terminal_attr(func.value)
             if receiver in _DEVICE_NAMES:
                 findings.append(self.finding(
                     sf, call,
                     f"direct device I/O '{receiver}.{func.attr}(...)'; "
-                    f"route through the block map or the line_read/"
-                    f"line_write helpers in repro.core.addressing"))
+                    f"route through the block map or the line_read_refs/"
+                    f"line_writev helpers in repro.core.addressing"))
         return findings

@@ -1,14 +1,14 @@
 """HL008: segment data moves as extents, not per-block loops.
 
 The zero-copy data path keeps segment images as extent runs end to end:
-``read_refs``/``write_refs``/``readv``/``writev`` move whole images as
-borrowed byte ranges, and the stores coalesce contiguous writes back
-into single extents.  Three patterns silently reintroduce the per-block
+``read_refs`` and ``writev`` (and the ``write_refs`` adapter) move whole
+images as borrowed byte ranges, and the stores coalesce contiguous refs
+into single extents as they adopt them.  Three patterns silently reintroduce the per-block
 copies that path removed:
 
 * a ``for``-loop over ``range(...)`` whose body issues block I/O
   (``read``/``write``/``is_written``/``read_refs``/``write_refs``/
-  ``readv``/``writev``) indexed by the loop variable against a store-
+  ``writev``) indexed by the loop variable against a store-
   or device-named receiver — the split-and-rejoin shape the vectored
   API replaces.  Loops whose calls ignore the loop variable (one whole
   image per replica, per volume, per retry) are not per-block and stay
@@ -45,8 +45,8 @@ _STORE_NAMES = frozenset({"store", "disk", "device", "dev", "drive",
                           "tape", "volume", "footprint", "jukebox"})
 
 #: Per-block data-path methods that should not sit inside a range loop.
-_BLOCK_IO_METHODS = frozenset({"read", "write", "is_written", "readv",
-                               "writev", "read_refs", "write_refs"})
+_BLOCK_IO_METHODS = frozenset({"read", "write", "is_written", "writev",
+                               "read_refs", "write_refs"})
 
 #: Store-internal attributes that only repro.blockdev may touch.
 _PRIVATE_STORE_ATTRS = frozenset({"_blocks", "_extents", "_exts",
@@ -152,7 +152,7 @@ class HL008DatapathCopy(Rule):
                     f"per-block loop calls "
                     f"'{receiver}.{func.attr}(...)' once per iteration; "
                     f"move the whole range with one vectored "
-                    f"read_refs/write_refs/readv/writev call"))
+                    f"read_refs/writev call"))
         return findings
 
     def _check_ref_loop(self, sf: SourceFile,

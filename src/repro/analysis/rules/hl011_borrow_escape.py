@@ -1,8 +1,8 @@
 """HL011: borrowed extent ranges must not outlive the lending store.
 
-The zero-copy read path (``read_refs``/``readv``) lends ``ExtentRef``
+The zero-copy read path (``read_refs``) lends ``ExtentRef``
 windows over buffers the store still owns; cleaning, crash-recovery
-truncation, or a ``write_refs`` adoption may recycle those buffers at
+truncation, or a ``writev`` adoption may recycle those buffers at
 any yield point after the call returns.  A borrow that is stored on
 ``self``, in a module global, or in a container that outlives the call
 is therefore a latent use-after-release — exactly the class of bug the

@@ -4,9 +4,9 @@ HL011 proves statically that a borrowed :class:`ExtentRef` never
 *escapes* the borrowing call; this module enforces the complementary
 dynamic contract — a borrow must not be *used* after the lending store
 has released the underlying range.  A store releases a range when it is
-overwritten (``write``/``write_refs``), discarded, or replaced wholesale
-by ``restore``; a ref is also dead once ``write_refs`` adopts it into a
-store, because ownership moved with it.
+overwritten (``writev``, whichever adapter it entered through),
+discarded, or replaced wholesale by ``restore``; a ref is also dead once
+``writev`` adopts it into a store, because ownership moved with it.
 
 With the sanitizer installed (``REPRO_SANITIZE=borrow`` in the
 environment, or :func:`install` from code), every ``read_refs`` on an
@@ -151,7 +151,7 @@ class BorrowSanitizer:
             if guard is not None and not guard.poisoned:
                 guard.poisoned = True
                 guard.reason = (f"the ref was adopted by "
-                                f"{type(store).__name__}.write_refs "
+                                f"{type(store).__name__}.writev "
                                 f"(ownership moved)")
                 self.poisons += 1
 

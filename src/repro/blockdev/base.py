@@ -6,8 +6,7 @@ from abc import ABC, abstractmethod
 from typing import Dict, List, Sequence
 
 from repro import obs
-from repro.blockdev.datapath import (Buffer, ExtentRef, materialize_refs,
-                                     ref_of)
+from repro.blockdev.datapath import BlockIO, ExtentRef, Part
 from repro.blockdev.extent import ExtentStore
 from repro.sim.actor import Actor
 
@@ -48,8 +47,10 @@ class DeviceStats:
         return series
 
 
-class BlockDevice(ABC):
-    """Abstract data-bearing, time-charging block device."""
+class BlockDevice(BlockIO, ABC):
+    """Abstract data-bearing, time-charging block device: one borrowed
+    read and one gather write (the bytes verbs are
+    :class:`~repro.blockdev.datapath.BlockIO` adapters)."""
 
     def __init__(self, name: str, capacity_blocks: int, block_size: int) -> None:
         self.name = name
@@ -69,35 +70,15 @@ class BlockDevice(ABC):
         return self.capacity_blocks * self.block_size
 
     @abstractmethod
-    def read(self, actor: Actor, blkno: int, nblocks: int) -> bytes:
-        """Read blocks, charging virtual time to ``actor``."""
-
-    @abstractmethod
-    def write(self, actor: Actor, blkno: int, data: Buffer) -> None:
-        """Write blocks, charging virtual time to ``actor``."""
-
-    # -- vectored / zero-copy ops ------------------------------------------
-    #
-    # Defaults wrap the scalar ops so any device subclass keeps working;
-    # concrete devices override with store-native versions whose timing
-    # charges are identical to read/write of the same size.
-
     def read_refs(self, actor: Actor, blkno: int,
                   nblocks: int) -> List[ExtentRef]:
-        """Read blocks as borrowed ranges (same timing as :meth:`read`)."""
-        return [ref_of(self.read(actor, blkno, nblocks))]
+        """Read blocks as borrowed ranges, charging virtual time to
+        ``actor``."""
 
-    def write_refs(self, actor: Actor, blkno: int,
-                   refs: Sequence[ExtentRef]) -> None:
-        """Write borrowed ranges (same timing as :meth:`write`); the
-        caller must not mutate the ranges afterwards."""
-        self.write(actor, blkno, materialize_refs(refs))
-
-    def writev(self, actor: Actor, blkno: int,
-               parts: Sequence[Buffer]) -> None:
-        """Gather-write a list of buffers as one device op."""
-        self.write_refs(actor, blkno,
-                        [ref_of(p) for p in parts if len(p)])
+    @abstractmethod
+    def writev(self, actor: Actor, blkno: int, parts: Sequence[Part]) -> None:
+        """Gather-write parts at consecutive blocks as one device op,
+        charging virtual time to ``actor``."""
 
     def __repr__(self) -> str:
         return (f"{type(self).__name__}({self.name!r}, "

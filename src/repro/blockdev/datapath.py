@@ -2,7 +2,7 @@
 
 The paper's design argument is that 1 MB segments amortize device costs
 into large sequential transfers; the simulator's *host* data path should
-match.  This module carries the two shared pieces:
+match.  This module carries the three shared pieces:
 
 * :class:`ExtentRef` — a (buffer, offset, length) handle on a byte range
   inside a store.  Refs are how whole segment images travel between
@@ -14,6 +14,9 @@ match.  This module carries the two shared pieces:
   device data path funnels through :func:`count_copy`, which feeds both
   a cheap process-local counter (readable with the metrics registry
   disabled) and the ``datapath_bytes_copied_total`` metric.
+* :class:`BlockIO` — the bytes verbs (``read``, ``write``,
+  ``write_refs``) as adapters over the two every layer implements: the
+  borrowed ``read_refs`` and the gather ``writev``.
 
 Virtual-time charging is untouched by any of this: a device operation
 charges by its size, however the bytes travel on the host.
@@ -26,8 +29,11 @@ from typing import List, Sequence, Union
 from repro import obs
 
 __all__ = [
+    "BlockIO",
     "Buffer",
     "ExtentRef",
+    "Part",
+    "as_ref",
     "block_views",
     "run_views",
     "bytes_copied_total",
@@ -38,6 +44,7 @@ __all__ = [
     "refs_nbytes",
     "sanitizer",
     "set_sanitizer",
+    "split_parts",
     "zeros",
 ]
 
@@ -117,7 +124,7 @@ class ExtentRef:
 
     ``buf`` is a :class:`bytes`, :class:`bytearray`, or
     :class:`memoryview` base object.  A ref handed to
-    ``write_refs``/``line_write_refs`` is *adopted*: the receiving store
+    ``writev``/``line_writev`` is *adopted*: the receiving store
     keeps the reference instead of copying, so the handing-over side
     must never mutate the range again (append-only staging buffers and
     immutable ``bytes`` images satisfy this by construction).
@@ -142,6 +149,10 @@ class ExtentRef:
                 f"{self.start + self.nbytes}])")
 
 
+#: One element of a gather write: a buffer, or a borrowed range.
+Part = Union[bytes, bytearray, memoryview, ExtentRef]
+
+
 def ref_of(data: Buffer) -> ExtentRef:
     """Wrap a whole buffer as one ref."""
     return ExtentRef(data, 0, len(data))
@@ -152,22 +163,39 @@ def refs_nbytes(refs: Sequence[ExtentRef]) -> int:
     return sum(r.nbytes for r in refs)
 
 
-def split_refs(refs: Sequence[ExtentRef], nbytes: int
-               ) -> "tuple[List[ExtentRef], List[ExtentRef]]":
-    """Split a ref list at a byte boundary, zero-copy (refs that straddle
-    the boundary are narrowed, their buffers shared)."""
-    head: List[ExtentRef] = []
-    tail: List[ExtentRef] = []
+def as_ref(part: Part) -> ExtentRef:
+    """A part as a ref: refs pass through, buffers are wrapped whole."""
+    return part if isinstance(part, ExtentRef) else ref_of(part)
+
+
+def split_parts(parts: Sequence[Part], nbytes: int
+                ) -> "tuple[List[Part], List[Part]]":
+    """Split a write's part list at a byte boundary, zero-copy.
+
+    A part that straddles the boundary is narrowed without changing
+    what the store's copy rule makes of it: a ref or an immutable
+    ``bytes`` becomes two refs over the same buffer, a mutable buffer
+    two memoryview windows (which the store still snapshots).
+    """
+    head: List[Part] = []
+    tail: List[Part] = []
     need = nbytes
-    for r in refs:
+    for p in parts:
+        n = len(p)
         if need <= 0:
-            tail.append(r)
-        elif r.nbytes <= need:
-            head.append(r)
-            need -= r.nbytes
+            tail.append(p)
+        elif n <= need:
+            head.append(p)
+            need -= n
         else:
-            head.append(ExtentRef(r.buf, r.start, need))
-            tail.append(ExtentRef(r.buf, r.start + need, r.nbytes - need))
+            if isinstance(p, (ExtentRef, bytes)):
+                r = as_ref(p)
+                head.append(ExtentRef(r.buf, r.start, need))
+                tail.append(ExtentRef(r.buf, r.start + need, n - need))
+            else:
+                view = memoryview(p)
+                head.append(view[:need])
+                tail.append(view[need:])
             need = 0
     return head, tail
 
@@ -250,6 +278,37 @@ def materialize_refs(refs: Sequence[ExtentRef]) -> bytes:
     total = refs_nbytes(refs)
     count_copy(total)
     return b"".join(r.view() for r in refs)
+
+
+# -- the two verbs -----------------------------------------------------------
+
+class BlockIO:
+    """The bytes verbs of a block layer, defined once over its two.
+
+    Every data-path layer — the store, the disks, the drives, the
+    jukebox, Footprint, the block map — implements exactly one borrowed
+    read, ``read_refs(*addr, nblocks)``, and one gather write,
+    ``writev(*addr, parts)``; ``addr`` is whatever the layer addresses
+    by (a block; an actor and a block; an actor, a volume and a block).
+    The store applies the one copy rule to the parts (see
+    :meth:`repro.blockdev.extent.ExtentStore.writev`); every layer above
+    hands them down untouched.  The bytes names below are adapters.
+    """
+
+    __slots__ = ()
+
+    def read(self, *addr_and_nblocks) -> bytes:
+        """:meth:`read_refs` joined into one image (:func:`materialize_refs`)."""
+        return materialize_refs(self.read_refs(*addr_and_nblocks))
+
+    def write(self, *addr_and_data) -> None:
+        """Write one buffer: a one-part :meth:`writev`."""
+        *addr, data = addr_and_data
+        self.writev(*addr, [data])
+
+    def write_refs(self, *addr_and_refs) -> None:
+        """Adopt borrowed ranges: :meth:`writev` of the ref list."""
+        self.writev(*addr_and_refs)
 
 
 # -- shared zero source ------------------------------------------------------

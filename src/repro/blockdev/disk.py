@@ -6,7 +6,7 @@ from typing import List, Optional, Sequence
 
 from repro.blockdev.base import BlockDevice
 from repro.blockdev.bus import SCSIBus
-from repro.blockdev.datapath import Buffer, ExtentRef, refs_nbytes
+from repro.blockdev.datapath import ExtentRef, Part
 from repro.blockdev.geometry import DiskProfile
 from repro.sim.actor import Actor
 from repro.sim.resources import TimelineResource, occupy_all
@@ -74,42 +74,15 @@ class DiskDevice(BlockDevice):
 
     # -- BlockDevice API ----------------------------------------------------
 
-    def read(self, actor: Actor, blkno: int, nblocks: int) -> bytes:
-        self.store.check_range(blkno, nblocks)
-        data = self.store.read(blkno, nblocks)
-        pos, xfer = self._do_io(actor, blkno, nblocks * self.block_size,
-                                is_write=False)
-        self.stats.record("read", len(data), pos, xfer)
-        return data
-
-    def write(self, actor: Actor, blkno: int, data: Buffer) -> None:
-        nblocks = len(data) // self.block_size
-        self.store.check_range(blkno, nblocks)
-        self.store.write(blkno, data)
-        pos, xfer = self._do_io(actor, blkno, len(data), is_write=True)
-        self.stats.record("write", len(data), pos, xfer)
-
-    # -- zero-copy variants (timing identical to read/write) ----------------
-
     def read_refs(self, actor: Actor, blkno: int,
                   nblocks: int) -> List[ExtentRef]:
-        self.store.check_range(blkno, nblocks)
         refs = self.store.read_refs(blkno, nblocks)
         nbytes = nblocks * self.block_size
         pos, xfer = self._do_io(actor, blkno, nbytes, is_write=False)
         self.stats.record("read", nbytes, pos, xfer)
         return refs
 
-    def write_refs(self, actor: Actor, blkno: int,
-                   refs: Sequence[ExtentRef]) -> None:
-        nbytes = refs_nbytes(refs)
-        self.store.check_range(blkno, nbytes // self.block_size)
-        self.store.write_refs(blkno, refs)
-        pos, xfer = self._do_io(actor, blkno, nbytes, is_write=True)
-        self.stats.record("write", nbytes, pos, xfer)
-
-    def writev(self, actor: Actor, blkno: int,
-               parts: Sequence[Buffer]) -> None:
+    def writev(self, actor: Actor, blkno: int, parts: Sequence[Part]) -> None:
         nbytes = sum(map(len, parts))
         self.store.check_range(blkno, nbytes // self.block_size)
         self.store.writev(blkno, parts)

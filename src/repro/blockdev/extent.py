@@ -3,22 +3,23 @@
 The store keeps whole written runs as immutable ``(start, nblocks, buf,
 off)`` rows over shared buffers, so the common segment-sized transfers
 are O(runs) bookkeeping rather than a Python loop (and a ``b"".join``)
-over 4 KB blocks:
+over 4 KB blocks.  Like every data-path layer it implements two verbs
+(the bytes names are the :class:`~repro.blockdev.datapath.BlockIO`
+adapters):
 
-* a ``write`` of an immutable ``bytes`` image *adopts* it by reference —
-  sharing an immutable buffer is semantically identical to copying it;
-* ``write_refs`` adopts borrowed ranges (:class:`ExtentRef`) of any
-  buffer under the data-path contract that the handing-over side stops
-  mutating the range — this is how a staging buffer's payload reaches
-  disk, tape, and back without a single host copy.  Contiguous refs
-  over one buffer are **coalesced at adopt time**, so a segment that
-  arrives as chunked refs settles into one row immediately;
-* ``writev`` splices a whole part list in as one batch: one carve, one
-  row splice — never a per-part insert loop;
-* ``read_refs`` hands back borrowed ranges instead of joined bytes
-  (a pure binary-search slice, no merging), and ``read`` returns the
-  stored ``bytes`` object itself when one extent exactly covers the
-  request.
+* ``writev`` lands a list of parts as one batch — one carve, one row
+  splice, never a per-part insert loop — under the one copy rule:
+  immutable ``bytes`` and borrowed ranges (:class:`ExtentRef`) are
+  *adopted* by reference (the handing-over side stops mutating a ref's
+  range — this is how a staging buffer's payload reaches disk, tape,
+  and back without a single host copy), any other buffer is snapshotted
+  with one counted copy, and a list whose parts split a block is joined
+  once (counted).  Contiguous refs over one buffer are **coalesced at
+  adopt time**, so a segment that arrives as chunked refs settles into
+  one row immediately;
+* ``read_refs`` hands back borrowed ranges (a pure binary-search slice,
+  no merging); the ``read`` adapter's join is free when one extent is
+  exactly the requested ``bytes`` image.
 
 Extent rows are **immutable tuples** and extent buffers are **never
 mutated in place**: every write replaces the covered range, and
@@ -33,9 +34,6 @@ Sparse semantics are those of a freshly formatted medium (and of the
 per-block reference model under ``tests/``): unwritten blocks read back as
 zeros, ``is_written``/``written_blocks`` count real writes only, and a
 read that crosses an unwritten hole never records the hole as written.
-Fragmented runs are re-coalesced opportunistically: a multi-extent read
-that is *fully* covered stores the joined image back as a single extent,
-so repeated segment reads settle into the zero-copy fast path.
 
 All host-memory copies this store does perform are accounted through
 :func:`repro.blockdev.datapath.count_copy`.
@@ -46,8 +44,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import List, Sequence
 
-from repro.blockdev.datapath import (Buffer, ExtentRef, count_copy,
-                                     materialize_refs, sanitizer, zeros)
+from repro.blockdev.datapath import (BlockIO, ExtentRef, Part, as_ref,
+                                     count_copy, materialize_refs, sanitizer,
+                                     zeros)
 from repro.errors import AddressError, InvalidArgument
 
 __all__ = ["DataStore", "ExtentStore"]
@@ -57,7 +56,7 @@ __all__ = ["DataStore", "ExtentStore"]
 _START, _NBLK, _BUF, _OFF = range(4)
 
 
-class DataStore:
+class DataStore(BlockIO):
     """Common shape of the sparse data stores behind every device.
 
     Devices are data-bearing — file contents written through the stack must
@@ -66,7 +65,8 @@ class DataStore:
     zeros, like a freshly formatted medium.  :class:`ExtentStore` is the
     one implementation devices use; the other subclass is the per-block
     dict model under ``tests/`` that the property tests compare it
-    against.
+    against.  Both implement ``read_refs(blkno, nblocks)`` and
+    ``writev(blkno, parts)``.
     """
 
     def __init__(self, capacity_blocks: int, block_size: int) -> None:
@@ -139,21 +139,17 @@ class ExtentStore(DataStore):
         hi = bisect_left(starts, end, lo)
         return lo, hi
 
-    def _carve(self, blkno: int, end: int, release: bool = True) -> int:
+    def _carve(self, blkno: int, end: int) -> int:
         """Remove coverage of [blkno, end); returns the insertion index
         where a replacement extent starting at ``blkno`` belongs.
 
         Remainders of partially-overlapped extents are kept as trimmed
-        rows — no buffer bytes move.
-
-        ``release=False`` marks a carve that replaces the range with the
-        *identical bytes* (coalesce-on-read): outstanding borrows stay
-        valid, so the sanitizer must not poison them.
+        rows — no buffer bytes move.  Outstanding borrows of the range
+        are released (the sanitizer poisons them).
         """
-        if release:
-            san = sanitizer()
-            if san is not None:
-                san.on_release(self, blkno, end)
+        san = sanitizer()
+        if san is not None:
+            san.on_release(self, blkno, end)
         lo, hi = self._span(blkno, end)
         if lo == hi:
             return lo
@@ -203,88 +199,7 @@ class ExtentStore(DataStore):
         exts[lo:hi] = rows
         self._starts[lo:hi] = [r[_START] for r in rows]
 
-    def _place(self, blkno: int, nblocks: int, buf: Buffer,
-               off: int, release: bool = True) -> None:
-        idx = self._carve(blkno, blkno + nblocks, release=release)
-        self._splice(idx, [(blkno, nblocks, buf, off)])
-        self._written += nblocks
-
-    # -- scalar API ---------------------------------------------------------
-
-    def read(self, blkno: int, nblocks: int) -> bytes:
-        """Return ``nblocks`` blocks starting at ``blkno``."""
-        self.check_range(blkno, nblocks)
-        bs = self.block_size
-        end = blkno + nblocks
-        nbytes = nblocks * bs
-        lo, hi = self._span(blkno, end)
-        if hi - lo == 1:
-            s, n, buf, off = self._exts[lo]
-            if s <= blkno and s + n >= end:
-                skip = off + (blkno - s) * bs
-                if (skip == 0 and isinstance(buf, bytes)
-                        and len(buf) == nbytes):
-                    return buf  # exact image: zero-copy
-                count_copy(nbytes)
-                return bytes(memoryview(buf)[skip:skip + nbytes])
-        # General path: join rows and zero-fill holes in one pass,
-        # tracking coverage so the hole check needs no second scan.
-        parts: List[Buffer] = []
-        cursor = blkno
-        covered = 0
-        for j in range(lo, hi):
-            s, n, buf, off = self._exts[j]
-            if s > cursor:
-                gap = (s - cursor) * bs
-                parts.append(memoryview(zeros(gap))[:gap])
-                cursor = s
-            take = min(s + n, end) - cursor
-            skip = off + (cursor - s) * bs
-            if (skip == 0 and take == n and isinstance(buf, bytes)
-                    and len(buf) == take * bs):
-                parts.append(buf)
-            else:
-                parts.append(memoryview(buf)[skip:skip + take * bs])
-            covered += take
-            cursor += take
-        if cursor < end:
-            gap = (end - cursor) * bs
-            parts.append(memoryview(zeros(gap))[:gap])
-        count_copy(nbytes)
-        data = b"".join(parts)
-        # Coalesce-on-read: only a hole-free range may be stored back as
-        # one extent — re-writing a hole would corrupt is_written().
-        # The replacement holds the identical bytes, so outstanding
-        # borrows stay valid: no sanitizer release.  When no overlapped
-        # row hangs past the request (the usual whole-run read) this is
-        # one direct slice assignment, no carve.
-        if covered == nblocks:
-            first = self._exts[lo]
-            last = self._exts[hi - 1]
-            if (first[_START] >= blkno
-                    and last[_START] + last[_NBLK] <= end):
-                self._exts[lo:hi] = [(blkno, nblocks, data, 0)]
-                self._starts[lo:hi] = [blkno]
-            else:
-                self._place(blkno, nblocks, data, 0, release=False)
-        return data
-
-    def write(self, blkno: int, data: Buffer) -> None:
-        """Write ``data`` (a whole number of blocks) starting at ``blkno``.
-
-        Immutable ``bytes`` are adopted by reference; mutable buffers are
-        snapshotted with one counted copy.
-        """
-        nbytes = len(data)
-        self._check_aligned(nbytes)
-        nblocks = nbytes // self.block_size
-        self.check_range(blkno, nblocks)
-        if isinstance(data, bytes):
-            buf: Buffer = data
-        else:
-            count_copy(nbytes)
-            buf = bytes(data)
-        self._place(blkno, nblocks, buf, 0)
+    # -- occupancy ----------------------------------------------------------
 
     def is_written(self, blkno: int) -> bool:
         """True if ``blkno`` has ever been written."""
@@ -312,7 +227,7 @@ class ExtentStore(DataStore):
         """Number of distinct blocks ever written (space accounting)."""
         return self._written
 
-    # -- vectored / zero-copy API -------------------------------------------
+    # -- the two verbs -------------------------------------------------------
 
     def read_refs(self, blkno: int, nblocks: int) -> List[ExtentRef]:
         """Borrowed ranges covering the request, zeros filling holes."""
@@ -339,90 +254,72 @@ class ExtentStore(DataStore):
             refs = san.on_borrow(self, blkno, refs)
         return refs
 
-    def write_refs(self, blkno: int, refs: Sequence[ExtentRef]) -> None:
-        """Adopt borrowed ranges as extents (zero-copy when block-aligned).
+    def writev(self, blkno: int, parts: Sequence[Part]) -> None:
+        """The one store write: ``parts`` land at consecutive blocks from
+        ``blkno`` as one batch — one carve, one row splice.
 
-        The handing-over side must not mutate the referenced ranges after
-        this call; the store keeps them by reference.  Contiguous refs
-        over one buffer merge into a single row *here*, at adopt time, so
-        the read side never pays a merge.
+        The one copy rule: ``bytes`` and :class:`ExtentRef` parts are
+        kept by reference (a ref's giver must not mutate the range
+        afterwards); any other buffer is snapshotted with one counted
+        copy; a total that is not block-aligned raises; parts that split
+        a block are joined once into one image (counted).  Contiguous
+        refs over one buffer merge into a single row *here*, at adopt
+        time, so the read side never pays a merge.
         """
         bs = self.block_size
         total = 0
         aligned = True
-        for r in refs:
-            total += r.nbytes
-            if r.nbytes % bs:
+        for part in parts:
+            n = len(part)
+            total += n
+            if n % bs:
                 aligned = False
         self._check_aligned(total)
         nblocks = total // bs
         self.check_range(blkno, nblocks)
-        san = sanitizer()
-        if not aligned:
-            # Unaligned pieces: fall back to one materialized image
-            # (reading the refs' bytes, so adoption is notified after).
-            self.write(blkno, materialize_refs(refs))
-            if san is not None:
-                san.on_adopt(self, refs)
-            return
+        if aligned:
+            rows = self._rows(blkno, parts)
+        else:
+            # A block split across parts: join the list once, reading
+            # the parts' bytes before the carve releases any borrow.
+            rows = [(blkno, nblocks,
+                     materialize_refs([as_ref(p) for p in parts]), 0)]
         idx = self._carve(blkno, blkno + nblocks)
-        rows: List[tuple] = []
-        cursor = blkno
-        for r in refs:
-            if not r.nbytes:
-                continue
-            n = r.nbytes // bs
-            if rows:
-                prev = rows[-1]
-                if (prev[_BUF] is r.buf
-                        and prev[_OFF] + prev[_NBLK] * bs == r.start):
-                    # Adopt-time coalescing: the ref continues the same
-                    # buffer contiguously.
-                    rows[-1] = (prev[_START], prev[_NBLK] + n, prev[_BUF],
-                                prev[_OFF])
-                    cursor += n
-                    continue
-            rows.append((cursor, n, r.buf, r.start))
-            cursor += n
-        if rows:
-            self._splice(idx, rows)
-            self._written += nblocks
+        self._splice(idx, rows)
+        self._written += nblocks
+        san = sanitizer()
         if san is not None:
-            san.on_adopt(self, refs)
+            san.on_adopt(self, parts)
 
-    def readv(self, blkno: int, nblocks: int) -> List[memoryview]:
-        """Zero-copy views covering the request (zeros for holes)."""
-        return [r.view() for r in self.read_refs(blkno, nblocks)]
-
-    def writev(self, blkno: int, parts: Sequence[Buffer]) -> None:
-        """Write a sequence of buffers at consecutive block positions.
-
-        The whole part list lands as one batch: one carve over the
-        covered range, one row splice — the segment writer's 256-part
-        vectored append is O(parts), not O(parts x rows).
-        """
+    def _rows(self, blkno: int, parts: Sequence[Part]) -> List[tuple]:
+        """Extent rows for whole-block parts landing at ``blkno``."""
         bs = self.block_size
         rows: List[tuple] = []
         cursor = blkno
         for part in parts:
-            nbytes = len(part)
-            if not nbytes:
+            n = len(part)
+            if not n:
                 continue
-            self._check_aligned(nbytes)
             if isinstance(part, bytes):
-                buf: Buffer = part
+                buf, off = part, 0
+            elif isinstance(part, ExtentRef):
+                buf, off = part.buf, part.start
             else:
-                count_copy(nbytes)
-                buf = bytes(part)
-            rows.append((cursor, nbytes // bs, buf, 0))
-            cursor += nbytes // bs
-        if not rows:
-            return
-        nblocks = cursor - blkno
-        self.check_range(blkno, nblocks)
-        idx = self._carve(blkno, blkno + nblocks)
-        self._splice(idx, rows)
-        self._written += nblocks
+                count_copy(n)
+                buf, off = bytes(part), 0
+            n //= bs
+            if rows:
+                prev = rows[-1]
+                if (prev[_BUF] is buf
+                        and prev[_OFF] + prev[_NBLK] * bs == off):
+                    # The part continues the same buffer contiguously.
+                    rows[-1] = (prev[_START], prev[_NBLK] + n, buf,
+                                prev[_OFF])
+                    cursor += n
+                    continue
+            rows.append((cursor, n, buf, off))
+            cursor += n
+        return rows
 
     # -- media imaging ------------------------------------------------------
 

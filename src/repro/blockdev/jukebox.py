@@ -17,8 +17,7 @@ from typing import Dict, List, Optional, Sequence
 from repro import obs
 from repro.blockdev.base import DeviceStats
 from repro.blockdev.bus import SCSIBus
-from repro.blockdev.datapath import (Buffer, ExtentRef, materialize_refs,
-                                     ref_of)
+from repro.blockdev.datapath import BlockIO, ExtentRef, Part
 from repro.blockdev.extent import ExtentStore
 from repro.errors import (DriveBusy, EndOfMedium, NoSuchVolume,
                           ReadOnlyMedium, VolumeNotLoaded)
@@ -69,7 +68,7 @@ class RemovableVolume:
                 f"{self.effective_capacity_blocks} usable blocks)")
 
 
-class Drive(ABC):
+class Drive(BlockIO, ABC):
     """A reader/writer unit inside a jukebox."""
 
     def __init__(self, name: str, bus: Optional[SCSIBus] = None) -> None:
@@ -115,23 +114,13 @@ class Drive(ABC):
                 volume_id=volume.volume_id, blkno=blkno + first)
 
     @abstractmethod
-    def read(self, actor: Actor, blkno: int, nblocks: int) -> bytes:
-        """Timed read from the loaded volume."""
-
-    @abstractmethod
-    def write(self, actor: Actor, blkno: int, data: Buffer) -> None:
-        """Timed write to the loaded volume."""
-
     def read_refs(self, actor: Actor, blkno: int,
                   nblocks: int) -> List[ExtentRef]:
-        """Timed zero-copy read; subclasses override with store-native
-        versions whose timing matches :meth:`read` exactly."""
-        return [ref_of(self.read(actor, blkno, nblocks))]
+        """Timed borrowed read from the loaded volume."""
 
-    def write_refs(self, actor: Actor, blkno: int,
-                   refs: List[ExtentRef]) -> None:
-        """Timed zero-copy write (caller stops mutating the ranges)."""
-        self.write(actor, blkno, materialize_refs(refs))
+    @abstractmethod
+    def writev(self, actor: Actor, blkno: int, parts: Sequence[Part]) -> None:
+        """Timed gather write to the loaded volume."""
 
     def on_load(self, volume: RemovableVolume) -> None:
         """Hook: reset positioning state when media changes."""
@@ -142,7 +131,7 @@ class Drive(ABC):
         self.loaded = None
 
 
-class Jukebox:
+class Jukebox(BlockIO):
     """A robot, a set of drives, and a shelf of volumes."""
 
     def __init__(self, name: str, drives: Sequence[Drive],
@@ -238,34 +227,17 @@ class Jukebox:
 
     # -- volume-addressed I/O ------------------------------------------------
 
-    def read(self, actor: Actor, volume_id: int, blkno: int,
-             nblocks: int, drive_index: Optional[int] = None) -> bytes:
-        """Load (if needed) and read from a volume."""
-        idx = self.load(actor, volume_id, drive_index)
-        data = self.drives[idx].read(actor, blkno, nblocks)
-        self._drive_lru.touch(idx)
-        return data
-
-    def write(self, actor: Actor, volume_id: int, blkno: int,
-              data: Buffer, drive_index: Optional[int] = None) -> None:
-        """Load (if needed) and write to a volume."""
-        idx = self.load(actor, volume_id, drive_index)
-        self.drives[idx].write(actor, blkno, data)
-        self._drive_lru.touch(idx)
-
     def read_refs(self, actor: Actor, volume_id: int, blkno: int,
-                  nblocks: int,
-                  drive_index: Optional[int] = None) -> List[ExtentRef]:
+                  nblocks: int) -> List[ExtentRef]:
         """Load (if needed) and read borrowed ranges from a volume."""
-        idx = self.load(actor, volume_id, drive_index)
+        idx = self.load(actor, volume_id)
         refs = self.drives[idx].read_refs(actor, blkno, nblocks)
         self._drive_lru.touch(idx)
         return refs
 
-    def write_refs(self, actor: Actor, volume_id: int, blkno: int,
-                   refs: List[ExtentRef],
-                   drive_index: Optional[int] = None) -> None:
-        """Load (if needed) and write borrowed ranges to a volume."""
-        idx = self.load(actor, volume_id, drive_index)
-        self.drives[idx].write_refs(actor, blkno, refs)
+    def writev(self, actor: Actor, volume_id: int, blkno: int,
+               parts: Sequence[Part]) -> None:
+        """Load (if needed) and gather-write to a volume."""
+        idx = self.load(actor, volume_id)
+        self.drives[idx].writev(actor, blkno, parts)
         self._drive_lru.touch(idx)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.blockdev.bus import SCSIBus
-from repro.blockdev.datapath import Buffer, ExtentRef, refs_nbytes
+from repro.blockdev.datapath import ExtentRef, Part
 from repro.blockdev.geometry import DiskProfile
 from repro.blockdev.jukebox import Drive, RemovableVolume
 from repro.sim.actor import Actor
@@ -69,24 +69,6 @@ class MODrive(Drive):
         self._last_end_time = actor.time
         return pos, xfer
 
-    def read(self, actor: Actor, blkno: int, nblocks: int) -> bytes:
-        volume = self.require_loaded()
-        data = volume.store.read(blkno, nblocks)
-        pos, xfer = self._do_io(actor, blkno, nblocks * volume.block_size,
-                                is_write=False)
-        self.stats.record("read", len(data), pos, xfer)
-        return data
-
-    def write(self, actor: Actor, blkno: int, data: Buffer) -> None:
-        volume = self.require_loaded()
-        nblocks = len(data) // volume.block_size
-        self._pre_write(volume, blkno, nblocks)
-        volume.store.write(blkno, data)
-        pos, xfer = self._do_io(actor, blkno, len(data), is_write=True)
-        self.stats.record("write", len(data), pos, xfer)
-
-    # -- zero-copy variants (timing identical to read/write) ----------------
-
     def read_refs(self, actor: Actor, blkno: int,
                   nblocks: int) -> List[ExtentRef]:
         volume = self.require_loaded()
@@ -96,12 +78,10 @@ class MODrive(Drive):
         self.stats.record("read", nbytes, pos, xfer)
         return refs
 
-    def write_refs(self, actor: Actor, blkno: int,
-                   refs: Sequence[ExtentRef]) -> None:
+    def writev(self, actor: Actor, blkno: int, parts: Sequence[Part]) -> None:
         volume = self.require_loaded()
-        nbytes = refs_nbytes(refs)
-        nblocks = nbytes // volume.block_size
-        self._pre_write(volume, blkno, nblocks)
-        volume.store.write_refs(blkno, refs)
+        nbytes = sum(map(len, parts))
+        self._pre_write(volume, blkno, nbytes // volume.block_size)
+        volume.store.writev(blkno, parts)
         pos, xfer = self._do_io(actor, blkno, nbytes, is_write=True)
         self.stats.record("write", nbytes, pos, xfer)

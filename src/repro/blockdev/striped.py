@@ -13,8 +13,7 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from repro.blockdev.base import BlockDevice
-from repro.blockdev.datapath import (Buffer, ExtentRef, count_copy, ref_of,
-                                     refs_nbytes, split_refs)
+from repro.blockdev.datapath import ExtentRef, Part, split_parts
 from repro.errors import AddressError, InvalidArgument
 from repro.sim.actor import Actor
 
@@ -62,35 +61,6 @@ class ConcatDevice(BlockDevice):
             cursor += run
             remaining -= run
 
-    def read(self, actor: Actor, blkno: int, nblocks: int) -> bytes:
-        self.store.check_range(blkno, nblocks)
-        parts = [dev.read(actor, local, run)
-                 for dev, local, run in self._split(blkno, nblocks)]
-        if len(parts) == 1:
-            data = parts[0]  # segment-granular layout: the common case
-        else:
-            count_copy(nblocks * self.block_size)
-            data = b"".join(parts)
-        self.stats.record("read", len(data))
-        return data
-
-    def write(self, actor: Actor, blkno: int, data: Buffer) -> None:
-        nblocks = len(data) // self.block_size
-        self.store.check_range(blkno, nblocks)
-        runs = list(self._split(blkno, nblocks))
-        if len(runs) == 1:
-            runs[0][0].write(actor, runs[0][1], data)
-        else:
-            view = memoryview(data)
-            offset = 0
-            for dev, local, run in runs:
-                nbytes = run * self.block_size
-                dev.write(actor, local, view[offset:offset + nbytes])
-                offset += nbytes
-        self.stats.record("write", len(data))
-
-    # -- zero-copy variants (same component ops, same accounting) -----------
-
     def read_refs(self, actor: Actor, blkno: int,
                   nblocks: int) -> List[ExtentRef]:
         self.store.check_range(blkno, nblocks)
@@ -100,17 +70,13 @@ class ConcatDevice(BlockDevice):
         self.stats.record("read", nblocks * self.block_size)
         return refs
 
-    def write_refs(self, actor: Actor, blkno: int,
-                   refs: Sequence[ExtentRef]) -> None:
-        nbytes = refs_nbytes(refs)
-        self.store.check_range(blkno, nbytes // self.block_size)
-        rest = list(refs)
-        for dev, local, run in self._split(blkno, nbytes // self.block_size):
-            chunk, rest = split_refs(rest, run * self.block_size)
-            dev.write_refs(actor, local, chunk)
+    def writev(self, actor: Actor, blkno: int, parts: Sequence[Part]) -> None:
+        nbytes = sum(map(len, parts))
+        # Rounded up, so an unaligned tail reaches a store, which raises.
+        nblocks = -(-nbytes // self.block_size)
+        self.store.check_range(blkno, nblocks)
+        rest = list(parts)
+        for dev, local, run in self._split(blkno, nblocks):
+            chunk, rest = split_parts(rest, run * self.block_size)
+            dev.writev(actor, local, chunk)
         self.stats.record("write", nbytes)
-
-    def writev(self, actor: Actor, blkno: int,
-               parts: Sequence[Buffer]) -> None:
-        self.write_refs(actor, blkno,
-                        [ref_of(p) for p in parts if len(p)])

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.blockdev.bus import SCSIBus
-from repro.blockdev.datapath import Buffer, ExtentRef, refs_nbytes
+from repro.blockdev.datapath import ExtentRef, Part
 from repro.blockdev.jukebox import Drive, RemovableVolume
 from repro.sim.actor import Actor
 from repro.sim.resources import TimelineResource, occupy_all
@@ -70,50 +70,25 @@ class TapeDrive(Drive):
             self.transport.occupy(actor, xfer)
         return xfer
 
-    def read(self, actor: Actor, blkno: int, nblocks: int) -> bytes:
-        volume = self.require_loaded()
-        data = volume.store.read(blkno, nblocks)
-        self.transport.occupy(actor, self.per_op_overhead)
-        wind = self._wind_to(actor, blkno)
-        xfer = self._stream(actor, nblocks * volume.block_size,
-                            is_write=False)
-        self.position_blk = blkno + nblocks
-        self.stats.record("read", len(data), wind, xfer)
-        return data
-
-    def write(self, actor: Actor, blkno: int, data: Buffer) -> None:
-        volume = self.require_loaded()
-        nblocks = len(data) // volume.block_size
-        self._pre_write(volume, blkno, nblocks)
-        volume.store.write(blkno, data)
-        self._timed_write(actor, blkno, len(data))
-
-    def _timed_write(self, actor: Actor, blkno: int, nbytes: int) -> None:
-        self.transport.occupy(actor, self.per_op_overhead)
-        wind = self._wind_to(actor, blkno)
-        xfer = self._stream(actor, nbytes, is_write=True)
-        self.position_blk = blkno + nbytes // self.block_size
-        self.stats.record("write", nbytes, wind, xfer)
-
-    # -- zero-copy variants (timing identical to read/write) ----------------
-
     def read_refs(self, actor: Actor, blkno: int,
                   nblocks: int) -> List[ExtentRef]:
         volume = self.require_loaded()
         refs = volume.store.read_refs(blkno, nblocks)
         self.transport.occupy(actor, self.per_op_overhead)
         wind = self._wind_to(actor, blkno)
-        xfer = self._stream(actor, nblocks * volume.block_size,
-                            is_write=False)
+        nbytes = nblocks * volume.block_size
+        xfer = self._stream(actor, nbytes, is_write=False)
         self.position_blk = blkno + nblocks
-        self.stats.record("read", nblocks * volume.block_size, wind, xfer)
+        self.stats.record("read", nbytes, wind, xfer)
         return refs
 
-    def write_refs(self, actor: Actor, blkno: int,
-                   refs: Sequence[ExtentRef]) -> None:
+    def writev(self, actor: Actor, blkno: int, parts: Sequence[Part]) -> None:
         volume = self.require_loaded()
-        nbytes = refs_nbytes(refs)
-        nblocks = nbytes // volume.block_size
-        self._pre_write(volume, blkno, nblocks)
-        volume.store.write_refs(blkno, refs)
-        self._timed_write(actor, blkno, nbytes)
+        nbytes = sum(map(len, parts))
+        self._pre_write(volume, blkno, nbytes // volume.block_size)
+        volume.store.writev(blkno, parts)
+        self.transport.occupy(actor, self.per_op_overhead)
+        wind = self._wind_to(actor, blkno)
+        xfer = self._stream(actor, nbytes, is_write=True)
+        self.position_blk = blkno + nbytes // self.block_size
+        self.stats.record("write", nbytes, wind, xfer)

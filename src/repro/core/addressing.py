@@ -20,8 +20,8 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro.blockdev.base import BlockDevice, CPUModel
-from repro.blockdev.datapath import (Buffer, ExtentRef, materialize_refs,
-                                     ref_of, refs_nbytes)
+from repro.blockdev.datapath import (BlockIO, ExtentRef, Part,
+                                     materialize_refs, ref_of, split_parts)
 from repro.errors import AddressError, InvalidArgument
 from repro.lfs.constants import BLOCK_SIZE, BLOCKS_PER_SEG, RESERVED_BLOCKS
 from repro.sim.actor import Actor
@@ -164,60 +164,48 @@ def _check_disk_range(aspace: AddressSpace, daddr: int, nblocks: int) -> None:
             f"region of the address space")
 
 
-def line_read(disk: BlockDevice, actor: Actor, daddr: int, nblocks: int,
-              aspace: Optional[AddressSpace] = None) -> bytes:
+def line_read_refs(disk: BlockDevice, actor: Actor, daddr: int, nblocks: int,
+                   aspace: Optional[AddressSpace] = None) -> List[ExtentRef]:
     """The sanctioned raw-disk read path for cache/staging lines.
 
     Paper §6.7: the I/O server accesses the on-disk cache "directly via
     a character (raw) pseudo-device" to avoid buffer-cache copies; the
     migrator, cleaners, and replica manager share that path.  Routing
-    every such access through this helper keeps raw line I/O in one
-    auditable place (the HL002 static-analysis invariant) and, when an
+    every such access through here keeps raw line I/O in one auditable
+    place (the HL002 static-analysis invariant) and, when an
     :class:`AddressSpace` is supplied, verifies the transfer stays
     inside the disk region — a pure arithmetic check that charges no
     virtual time, so timing is identical to a direct device call.
     """
     if aspace is not None:
         _check_disk_range(aspace, daddr, nblocks)
-    return disk.read(actor, daddr, nblocks)
-
-
-def line_write(disk: BlockDevice, actor: Actor, daddr: int, data: Buffer,
-               aspace: Optional[AddressSpace] = None) -> None:
-    """The sanctioned raw-disk write path for cache/staging lines.
-
-    Counterpart of :func:`line_read`; see its docstring.
-    """
-    if aspace is not None:
-        nblocks = max(1, (len(data) + BLOCK_SIZE - 1) // BLOCK_SIZE)
-        _check_disk_range(aspace, daddr, nblocks)
-    disk.write(actor, daddr, data)
-
-
-def line_read_refs(disk: BlockDevice, actor: Actor, daddr: int, nblocks: int,
-                   aspace: Optional[AddressSpace] = None) -> List[ExtentRef]:
-    """Zero-copy variant of :func:`line_read`: borrowed ranges instead of
-    joined bytes.  Timing is identical to :func:`line_read` of the same
-    size (only host data movement differs)."""
-    if aspace is not None:
-        _check_disk_range(aspace, daddr, nblocks)
     return disk.read_refs(actor, daddr, nblocks)
 
 
-def line_write_refs(disk: BlockDevice, actor: Actor, daddr: int,
-                    refs: Sequence[ExtentRef],
-                    aspace: Optional[AddressSpace] = None) -> None:
-    """Zero-copy variant of :func:`line_write`; the caller must not
-    mutate the referenced ranges after the call (the disk store adopts
-    them by reference)."""
+def line_writev(disk: BlockDevice, actor: Actor, daddr: int,
+                parts: Sequence[Part],
+                aspace: Optional[AddressSpace] = None) -> None:
+    """The sanctioned raw-disk write path for cache/staging lines.
+
+    Counterpart of :func:`line_read_refs`.  The disk store applies its
+    copy rule to ``parts``: refs are adopted, so the caller must not
+    mutate the referenced ranges after the call.
+    """
     if aspace is not None:
-        nbytes = refs_nbytes(refs)
+        nbytes = sum(map(len, parts))
         nblocks = max(1, (nbytes + BLOCK_SIZE - 1) // BLOCK_SIZE)
         _check_disk_range(aspace, daddr, nblocks)
-    disk.write_refs(actor, daddr, refs)
+    disk.writev(actor, daddr, parts)
 
 
-class BlockMapDriver:
+def line_read(disk: BlockDevice, actor: Actor, daddr: int, nblocks: int,
+              aspace: Optional[AddressSpace] = None) -> bytes:
+    """:func:`line_read_refs` joined into one image."""
+    return materialize_refs(line_read_refs(disk, actor, daddr, nblocks,
+                                           aspace))
+
+
+class BlockMapDriver(BlockIO):
     """Dispatches unified-space I/O to disk, segment cache, or tertiary.
 
     Reads of tertiary addresses hit the segment cache; a miss triggers a
@@ -260,17 +248,17 @@ class BlockMapDriver:
 
     # -- I/O ---------------------------------------------------------------------
 
-    def read(self, actor: Actor, daddr: int, nblocks: int) -> bytes:
+    def read_refs(self, actor: Actor, daddr: int,
+                  nblocks: int) -> List[ExtentRef]:
         self._charge_lookup(actor)
         if daddr < RESERVED_BLOCKS:  # boot blocks / superblock area
-            return self.disk.read(actor, daddr, nblocks)
+            return self.disk.read_refs(actor, daddr, nblocks)
         self.aspace.check(daddr)
         if self.aspace.is_disk_daddr(daddr):
-            return self.disk.read(actor, daddr, nblocks)
-        parts = []
-        for segno, offset, run in self._split_by_segment(daddr, nblocks):
-            parts.append(self._read_tertiary(actor, segno, offset, run))
-        return b"".join(parts)
+            return self.disk.read_refs(actor, daddr, nblocks)
+        return [ref_of(self._read_tertiary(actor, segno, offset, run))
+                for segno, offset, run
+                in self._split_by_segment(daddr, nblocks)]
 
     def _read_tertiary(self, actor: Actor, segno: int, offset: int,
                        nblocks: int) -> bytes:
@@ -284,76 +272,34 @@ class BlockMapDriver:
             disk_segno = self.service.demand_fetch(actor, segno)
         self.cache.touch(segno)
         line_base = self.aspace.seg_base(disk_segno)
+        # The one joined image of the cache-line read is kept on purpose:
+        # the copy ledger's pinned records count it (ROADMAP item 5).
         data = self.disk.read(actor, line_base + offset, nblocks)
         if missed and self.service is not None:
             # Prefetch launches only after the faulting read completes.
             self.service.after_miss(actor, segno)
         return data
 
-    def read_refs(self, actor: Actor, daddr: int,
-                  nblocks: int) -> "List[ExtentRef]":
-        """As :meth:`read`, returning borrowed ranges instead of a copy.
-
-        Tertiary addresses fall back to the scalar per-segment path (a
-        cache-line read is already one device op per segment).
-        """
+    def writev(self, actor: Actor, daddr: int, parts: Sequence[Part]) -> None:
         self._charge_lookup(actor)
         if daddr < RESERVED_BLOCKS:  # boot blocks / superblock area
-            return self.disk.read_refs(actor, daddr, nblocks)
-        self.aspace.check(daddr)
-        if self.aspace.is_disk_daddr(daddr):
-            return self.disk.read_refs(actor, daddr, nblocks)
-        refs: "List[ExtentRef]" = []
-        for segno, offset, run in self._split_by_segment(daddr, nblocks):
-            refs.append(ref_of(self._read_tertiary(actor, segno, offset,
-                                                   run)))
-        return refs
-
-    def write(self, actor: Actor, daddr: int, data: Buffer) -> None:
-        self._charge_lookup(actor)
-        if daddr < RESERVED_BLOCKS:  # boot blocks / superblock area
-            self.disk.write(actor, daddr, data)
+            self.disk.writev(actor, daddr, parts)
             return
         self.aspace.check(daddr)
         if self.aspace.is_disk_daddr(daddr):
-            self.disk.write(actor, daddr, data)
+            self.disk.writev(actor, daddr, parts)
             return
-        self._write_tertiary(actor, daddr, data)
-
-    def _write_tertiary(self, actor: Actor, daddr: int, data: Buffer) -> None:
         # Writes to tertiary addresses are only legal against a cached
         # (staging) line; fresh tertiary segments are assembled on disk
         # and copied out by the I/O server (paper §6.2).
-        nblocks = len(data) // BLOCK_SIZE
-        runs = list(self._split_by_segment(daddr, nblocks))
-        offset_bytes = 0
-        for segno, offset, run in runs:
+        # Rounded up, so an unaligned tail reaches the store, which raises.
+        nblocks = -(-sum(map(len, parts)) // BLOCK_SIZE)
+        rest = list(parts)
+        for segno, offset, run in self._split_by_segment(daddr, nblocks):
             disk_segno = self.cache.lookup(segno)
             if disk_segno is None:
                 raise AddressError(
                     f"write to uncached tertiary segment {segno}")
-            line_base = self.aspace.seg_base(disk_segno)
-            nbytes = run * BLOCK_SIZE
-            if len(runs) == 1:
-                chunk: Buffer = data
-            else:
-                chunk = memoryview(data)[offset_bytes:offset_bytes + nbytes]
-            self.disk.write(actor, line_base + offset, chunk)
-            offset_bytes += nbytes
-
-    def writev(self, actor: Actor, daddr: int,
-               parts: "Sequence[Buffer]") -> None:
-        """Gather-write: disk addresses go down as one vectored device op
-        (the segment writer's partial-segment path); tertiary addresses
-        fall back to the scalar staging-line path."""
-        self._charge_lookup(actor)
-        if daddr < RESERVED_BLOCKS:
-            self.disk.writev(actor, daddr, parts)
-            return
-        self.aspace.check(daddr)
-        if self.aspace.is_disk_daddr(daddr):
-            self.disk.writev(actor, daddr, parts)
-            return
-        self._write_tertiary(
-            actor, daddr,
-            materialize_refs([ref_of(p) for p in parts if len(p)]))
+            chunk, rest = split_parts(rest, run * BLOCK_SIZE)
+            self.disk.writev(actor, self.aspace.seg_base(disk_segno) + offset,
+                             chunk)

@@ -269,28 +269,12 @@ class HighLightFS(LFS):
     # I/O routing
     # ------------------------------------------------------------------
 
-    def dev_read(self, actor: Actor, daddr: int, nblocks: int) -> bytes:
-        if self.driver is None:
-            return super().dev_read(actor, daddr, nblocks)
-        self.stats.blocks_read += nblocks
-        self._routed_read.inc(nblocks)
-        return self.driver.read(actor, daddr, nblocks)
-
     def dev_read_refs(self, actor: Actor, daddr: int, nblocks: int):
         if self.driver is None:
             return super().dev_read_refs(actor, daddr, nblocks)
         self.stats.blocks_read += nblocks
         self._routed_read.inc(nblocks)
         return self.driver.read_refs(actor, daddr, nblocks)
-
-    def dev_write(self, actor: Actor, daddr: int, data: bytes) -> None:
-        if self.driver is None:
-            super().dev_write(actor, daddr, data)
-            return
-        nblocks = len(data) // BLOCK_SIZE
-        self.stats.blocks_written += nblocks
-        self._routed_write.inc(nblocks)
-        self.driver.write(actor, daddr, data)
 
     def dev_writev(self, actor: Actor, daddr: int, parts) -> None:
         if self.driver is None:

@@ -28,7 +28,7 @@ from typing import Optional
 
 from repro import obs
 from repro.blockdev.datapath import refs_nbytes
-from repro.core.addressing import line_read_refs, line_write_refs
+from repro.core.addressing import line_read_refs, line_writev
 from repro.errors import PermanentDeviceError
 from repro.sim.actor import Actor, TimeAccount
 
@@ -89,8 +89,8 @@ class IOServer:
         start = actor.time
         image, vol_id = self.read_closest(actor, tsegno)
         t0 = actor.time
-        line_write_refs(self.disk, actor, self.aspace.seg_base(disk_segno),
-                        image, self.aspace)
+        line_writev(self.disk, actor, self.aspace.seg_base(disk_segno),
+                    image, self.aspace)
         self.account.charge(CAT_DISK_WRITE, actor.time - t0)
         nbytes = refs_nbytes(image)
         self.segments_fetched += 1

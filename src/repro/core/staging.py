@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.blockdev.datapath import Buffer, ExtentRef, count_copy
-from repro.core.addressing import line_write, line_write_refs
+from repro.core.addressing import line_writev
 from repro.errors import InvalidArgument
 from repro.lfs.constants import BLOCK_SIZE
 from repro.lfs.inode import Inode, pack_inode_block
@@ -167,7 +167,7 @@ class StagingBuilder:
             # The gather copy's virtual cost (paper's cleaner-style staging
             # charge); the host-side gather already happened at append time.
             self.fs.cpu.copy(actor, nbytes)
-            line_write_refs(
+            line_writev(
                 self.fs.disk, actor, self.line_base + 1 + self._spilled,
                 [ExtentRef(self._buf, self._spilled * BLOCK_SIZE, nbytes)],
                 self.fs.aspace)
@@ -191,8 +191,8 @@ class StagingBuilder:
         self.summary.compute_datasum(self.blocks)
         raw = self.summary.pack(self.fs.config.summary_size)
         self.fs.cpu.copy(actor, BLOCK_SIZE)
-        line_write(self.fs.disk, actor, self.line_base,
-                   raw.ljust(BLOCK_SIZE, b"\0"), self.fs.aspace)
+        line_writev(self.fs.disk, actor, self.line_base,
+                    [raw.ljust(BLOCK_SIZE, b"\0")], self.fs.aspace)
         self.finalized = True
 
     def used_bytes(self) -> int:

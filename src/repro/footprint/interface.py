@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import List
+from typing import List, Sequence
 
-from repro.blockdev.datapath import (Buffer, ExtentRef, materialize_refs,
-                                     ref_of)
+from repro.blockdev.datapath import BlockIO, ExtentRef, Part
 from repro.faults.health import VolumeHealth
 from repro.sim.actor import Actor
 
@@ -36,8 +35,13 @@ class VolumeInfo:
     health: VolumeHealth = VolumeHealth.ONLINE
 
 
-class FootprintInterface(ABC):
-    """Segment/block-granular access to robotic tertiary storage."""
+class FootprintInterface(BlockIO, ABC):
+    """Segment/block-granular access to robotic tertiary storage.
+
+    Besides the inventory, an implementation provides one borrowed read
+    and one gather write; ``read``, ``write`` and ``write_refs`` are the
+    :class:`~repro.blockdev.datapath.BlockIO` adapters over them.
+    """
 
     @abstractmethod
     def volumes(self) -> List[VolumeInfo]:
@@ -48,37 +52,20 @@ class FootprintInterface(ABC):
         """Metadata for one volume."""
 
     @abstractmethod
-    def read(self, actor: Actor, volume_id: int, blkno: int,
-             nblocks: int) -> bytes:
-        """Read blocks from a volume, loading it into a drive if needed."""
+    def read_refs(self, actor: Actor, volume_id: int, blkno: int,
+                  nblocks: int) -> List[ExtentRef]:
+        """Read blocks from a volume as borrowed ranges, loading it into
+        a drive if needed."""
 
     @abstractmethod
-    def write(self, actor: Actor, volume_id: int, blkno: int,
-              data: Buffer) -> None:
-        """Write blocks to a volume.
+    def writev(self, actor: Actor, volume_id: int, blkno: int,
+               parts: Sequence[Part]) -> None:
+        """Gather-write blocks to a volume.
 
         Raises :class:`repro.errors.EndOfMedium` if the volume fills; the
         caller (HighLight's I/O server) marks the volume full and re-issues
         the segment on the next volume.
         """
-
-    def read_refs(self, actor: Actor, volume_id: int, blkno: int,
-                  nblocks: int) -> List[ExtentRef]:
-        """Zero-copy read: borrowed ranges instead of joined bytes.
-
-        The default wraps :meth:`read` so alternative Footprint
-        implementations (fakes, RPC shims) keep working; the jukebox
-        implementation overrides it with a store-native version whose
-        virtual timing matches :meth:`read` exactly.
-        """
-        return [ref_of(self.read(actor, volume_id, blkno, nblocks))]
-
-    def write_refs(self, actor: Actor, volume_id: int, blkno: int,
-                   refs: List[ExtentRef]) -> None:
-        """Zero-copy write of borrowed ranges; the caller must not mutate
-        the ranges afterwards.  Same EndOfMedium contract as
-        :meth:`write`."""
-        self.write(actor, volume_id, blkno, materialize_refs(refs))
 
     @abstractmethod
     def mark_full(self, volume_id: int) -> None:

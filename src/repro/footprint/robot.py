@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 from repro import obs
-from repro.blockdev.datapath import (Buffer, ExtentRef, ref_of,
+from repro.blockdev.datapath import (ExtentRef, Part, as_ref, ref_of,
                                      refs_nbytes)
 from repro.blockdev.jukebox import Jukebox
 from repro.errors import NoSuchVolume
@@ -104,42 +104,13 @@ class JukeboxFootprint(FootprintInterface):
         if injector is not None:
             injector.on_io(actor, op, volume_id, blkno, nblocks)
 
-    def read(self, actor: Actor, volume_id: int, blkno: int,
-             nblocks: int) -> bytes:
-        return self._run(actor, volume_id, self._read, blkno, nblocks)
-
-    def write(self, actor: Actor, volume_id: int, blkno: int,
-              data: Buffer) -> None:
-        self._run(actor, volume_id, self._write, blkno, data)
-
     def read_refs(self, actor: Actor, volume_id: int, blkno: int,
                   nblocks: int) -> List[ExtentRef]:
         return self._run(actor, volume_id, self._read_refs, blkno, nblocks)
 
-    def write_refs(self, actor: Actor, volume_id: int, blkno: int,
-                   refs: List[ExtentRef]) -> None:
-        self._run(actor, volume_id, self._write_refs, blkno, refs)
-
-    def _read(self, actor: Actor, volume_id: int, blkno: int,
-              nblocks: int) -> bytes:
-        t0 = actor.time
-        idx = self._drive_for(actor, volume_id, is_write=False)
-        self._inject(actor, "read", volume_id, blkno, nblocks)
-        data = self.jukebox.drives[idx].read(actor, blkno, nblocks)
-        self._account("read", len(data), actor.time - t0)
-        return data
-
-    def _write(self, actor: Actor, volume_id: int, blkno: int,
-               data: Buffer) -> None:
-        t0 = actor.time
-        idx = self._drive_for(actor, volume_id, is_write=True)
-        self._inject(actor, "write", volume_id, blkno,
-                     len(data) // (self.jukebox.volume(volume_id).block_size
-                                   or 1))
-        self.jukebox.drives[idx].write(actor, blkno, data)
-        self._account("write", len(data), actor.time - t0)
-        for observe in self.write_observers:
-            observe(volume_id, blkno, [ref_of(data)])
+    def writev(self, actor: Actor, volume_id: int, blkno: int,
+               parts: Sequence[Part]) -> None:
+        self._run(actor, volume_id, self._writev, blkno, parts)
 
     def _read_refs(self, actor: Actor, volume_id: int, blkno: int,
                    nblocks: int) -> List[ExtentRef]:
@@ -150,23 +121,24 @@ class JukeboxFootprint(FootprintInterface):
         self._account("read", refs_nbytes(refs), actor.time - t0)
         return refs
 
-    def _write_refs(self, actor: Actor, volume_id: int, blkno: int,
-                    refs: List[ExtentRef]) -> None:
+    def _writev(self, actor: Actor, volume_id: int, blkno: int,
+                parts: Sequence[Part]) -> None:
         t0 = actor.time
         idx = self._drive_for(actor, volume_id, is_write=True)
+        nbytes = sum(map(len, parts))
         self._inject(actor, "write", volume_id, blkno,
-                     refs_nbytes(refs)
-                     // (self.jukebox.volume(volume_id).block_size or 1))
+                     nbytes // (self.jukebox.volume(volume_id).block_size
+                                or 1))
         observed = None
         if self.write_observers:
             # Capture windows while the borrow is still live: the drive's
-            # write_refs adopts (moves) the refs, and viewing a moved ref
-            # is a borrow-sanitizer trap.  Views taken now stay valid —
+            # writev adopts (moves) the refs, and viewing a moved ref is
+            # a borrow-sanitizer trap.  Views taken now stay valid —
             # extent buffers are never mutated in place — and the observer
             # still only fires after the write succeeds.
-            observed = [ExtentRef(r.view(), 0, r.nbytes) for r in refs]
-        self.jukebox.drives[idx].write_refs(actor, blkno, refs)
-        self._account("write", refs_nbytes(refs), actor.time - t0)
+            observed = [ref_of(as_ref(p).view()) for p in parts]
+        self.jukebox.drives[idx].writev(actor, blkno, parts)
+        self._account("write", nbytes, actor.time - t0)
         for observe in self.write_observers:
             observe(volume_id, blkno, observed)
 

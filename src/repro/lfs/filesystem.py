@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.blockdev.base import BlockDevice, CPUModel
-from repro.blockdev.datapath import block_views
+from repro.blockdev.datapath import block_views, materialize_refs
 from repro.errors import (FileExists, FileNotFound, InvalidArgument,
                           IsADirectory, DirectoryNotEmpty, NoSpace,
                           NotADirectory)
@@ -216,24 +216,23 @@ class LFS:
 
     # -- raw device access (always through here; HighLight redirects) -------
 
-    def dev_read(self, actor: Actor, daddr: int, nblocks: int) -> bytes:
-        self.stats.blocks_read += nblocks
-        return self.device.read(actor, daddr, nblocks)
-
     def dev_read_refs(self, actor: Actor, daddr: int, nblocks: int):
-        """As :meth:`dev_read`, returning borrowed byte ranges (the
-        migrator's bulk gather path — no join copy on the host)."""
+        """The one raw read: borrowed byte ranges (no join copy)."""
         self.stats.blocks_read += nblocks
         return self.device.read_refs(actor, daddr, nblocks)
 
-    def dev_write(self, actor: Actor, daddr: int, data: bytes) -> None:
-        self.stats.blocks_written += len(data) // BLOCK_SIZE
-        self.device.write(actor, daddr, data)
-
     def dev_writev(self, actor: Actor, daddr: int, parts) -> None:
-        """Gather-write a list of block buffers as one device op."""
+        """The one raw write: a list of parts as one device op."""
         self.stats.blocks_written += sum(map(len, parts)) // BLOCK_SIZE
         self.device.writev(actor, daddr, parts)
+
+    def dev_read(self, actor: Actor, daddr: int, nblocks: int) -> bytes:
+        """:meth:`dev_read_refs` joined into one image."""
+        return materialize_refs(self.dev_read_refs(actor, daddr, nblocks))
+
+    def dev_write(self, actor: Actor, daddr: int, data: bytes) -> None:
+        """A one-part :meth:`dev_writev`."""
+        self.dev_writev(actor, daddr, [data])
 
     # ------------------------------------------------------------------
     # Inode management

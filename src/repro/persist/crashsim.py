@@ -35,6 +35,7 @@ from __future__ import annotations
 import random
 from typing import Dict, Optional
 
+from repro.blockdev.datapath import BlockIO, as_ref
 from repro.core.highlight import HighLightConfig
 from repro.core.replicas import ReplicaManager
 from repro.core.stack import Testbed, make_farm, make_highlight, remount
@@ -85,8 +86,9 @@ class CrashTrap:
         return self.tear_blocks
 
 
-class TrappedStore:
-    """Delegating store wrapper that enforces a :class:`CrashTrap`."""
+class TrappedStore(BlockIO):
+    """Delegating store wrapper that enforces a :class:`CrashTrap` on
+    the one store write (the bytes verbs reach it as adapters)."""
 
     def __init__(self, inner, trap: CrashTrap) -> None:
         self.inner = inner
@@ -95,32 +97,17 @@ class TrappedStore:
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
-    def _tear(self, blkno: int, data: bytes, keep_blocks: int) -> None:
-        bs = self.inner.block_size
-        kept = bytes(data)[:keep_blocks * bs]
-        if kept:
-            self.inner.write(blkno, kept)
-        raise SimulatedCrash(
-            f"crash point hit: write at block {blkno} tore after "
-            f"{keep_blocks} of {len(data) // bs} blocks")
-
-    def write(self, blkno, data):
-        keep = self.trap.check()
-        if keep is not None:
-            self._tear(blkno, data, keep)
-        self.inner.write(blkno, data)
-
     def writev(self, blkno, parts):
         keep = self.trap.check()
         if keep is not None:
-            self._tear(blkno, b"".join(bytes(p) for p in parts), keep)
+            bs = self.inner.block_size
+            data = b"".join(as_ref(p).view() for p in parts)
+            if keep:
+                self.inner.writev(blkno, [data[:keep * bs]])
+            raise SimulatedCrash(
+                f"crash point hit: write at block {blkno} tore after "
+                f"{keep} of {len(data) // bs} blocks")
         self.inner.writev(blkno, parts)
-
-    def write_refs(self, blkno, refs):
-        keep = self.trap.check()
-        if keep is not None:
-            self._tear(blkno, b"".join(bytes(r.view()) for r in refs), keep)
-        self.inner.write_refs(blkno, refs)
 
 
 def _unwrap(store):

@@ -18,7 +18,7 @@ class BadHolder:
         self.held = refs                          # finding: self escape
 
     def bad_container_on_self(self, blkno):
-        refs = self.store.readv([(blkno, 4)])
+        refs = self.store.read_refs(blkno, 4)
         self.stash.append(refs)                   # finding: self container
 
     def bad_module_cache(self, blkno):

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from repro.blockdev.datapath import (Buffer, ExtentRef, count_copy,
-                                     materialize_refs, ref_of)
+from repro.blockdev.datapath import (ExtentRef, Part, as_ref, count_copy,
+                                     materialize_refs)
 from repro.blockdev.extent import DataStore
 from repro.errors import InvalidArgument
 
@@ -19,10 +19,11 @@ from repro.errors import InvalidArgument
 class BlockStore(DataStore):
     """Sparse per-block data store: block number -> block bytes.
 
-    Simple enough to be obviously right: every multi-block transfer is a
-    join on read and a per-block slice on write (those host copies are
-    accounted through :func:`~repro.blockdev.datapath.count_copy`, as
-    the shipped store's are).
+    Simple enough to be obviously right: a read lends one ref per block,
+    and a write joins its parts and stores a per-block slice (those host
+    copies are accounted through
+    :func:`~repro.blockdev.datapath.count_copy`, as the shipped store's
+    are).  The bytes verbs are the shared adapters, as on every store.
     """
 
     def __init__(self, capacity_blocks: int, block_size: int) -> None:
@@ -30,38 +31,27 @@ class BlockStore(DataStore):
         self._blocks: Dict[int, bytes] = {}
         self._zero = bytes(block_size)
 
-    def read(self, blkno: int, nblocks: int) -> bytes:
-        """Return ``nblocks`` blocks starting at ``blkno``."""
+    def read_refs(self, blkno: int, nblocks: int) -> List[ExtentRef]:
+        """One ref per block (unwritten blocks borrow the zero block)."""
         self.check_range(blkno, nblocks)
-        if nblocks == 1:
-            return self._blocks.get(blkno, self._zero)
-        count_copy(nblocks * self.block_size)
-        parts = [self._blocks.get(blkno + i, self._zero)
-                 for i in range(nblocks)]
-        return b"".join(parts)
+        bs = self.block_size
+        return [ExtentRef(self._blocks.get(blkno + i, self._zero), 0, bs)
+                for i in range(nblocks)]
 
-    def write(self, blkno: int, data: Buffer) -> None:
-        """Write ``data`` (a whole number of blocks) starting at ``blkno``.
-
-        Accepts ``bytes | bytearray | memoryview``; a single-block
-        immutable ``bytes`` write is stored by reference with no copy.
-        """
+    def writev(self, blkno: int, parts: Sequence[Part]) -> None:
+        """Join the parts (counted) and store one slice per block."""
+        data = materialize_refs([as_ref(p) for p in parts if len(p)])
         nbytes = len(data)
         self._check_aligned(nbytes)
         nblocks = nbytes // self.block_size
         self.check_range(blkno, nblocks)
-        if nblocks == 1 and isinstance(data, bytes):
+        bs = self.block_size
+        if nblocks == 1:
             self._blocks[blkno] = data
             return
-        bs = self.block_size
         count_copy(nbytes)
-        if isinstance(data, bytes):
-            for i in range(nblocks):
-                self._blocks[blkno + i] = data[i * bs:(i + 1) * bs]
-        else:
-            view = memoryview(data)
-            for i in range(nblocks):
-                self._blocks[blkno + i] = bytes(view[i * bs:(i + 1) * bs])
+        for i in range(nblocks):
+            self._blocks[blkno + i] = data[i * bs:(i + 1) * bs]
 
     def is_written(self, blkno: int) -> bool:
         """True if ``blkno`` has ever been written."""
@@ -79,26 +69,6 @@ class BlockStore(DataStore):
     def written_blocks(self) -> int:
         """Number of distinct blocks ever written (space accounting)."""
         return len(self._blocks)
-
-    # -- vectored API (emulated over scalar read/write) --------------------
-
-    def read_refs(self, blkno: int, nblocks: int) -> List[ExtentRef]:
-        """One ref over a joined copy (the model has no shared runs)."""
-        return [ref_of(self.read(blkno, nblocks))]
-
-    def write_refs(self, blkno: int, refs: Sequence[ExtentRef]) -> None:
-        self.write(blkno, materialize_refs(refs))
-
-    def readv(self, blkno: int, nblocks: int) -> List[memoryview]:
-        return [memoryview(self.read(blkno, nblocks))]
-
-    def writev(self, blkno: int, parts: Sequence[Buffer]) -> None:
-        cursor = blkno
-        for part in parts:
-            if not len(part):
-                continue
-            self.write(cursor, part)
-            cursor += len(part) // self.block_size
 
     # -- media imaging ------------------------------------------------------
 

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.blockdev import profiles
 from repro.blockdev.datapath import ExtentRef
 from repro.core.addressing import (AddressSpace, BlockMapDriver,
-                                   TOTAL_SEGS_32BIT, line_write,
-                                   line_write_refs)
+                                   TOTAL_SEGS_32BIT, line_writev)
 from repro.errors import AddressError, InvalidArgument
 from repro.lfs.constants import BLOCK_SIZE, BLOCKS_PER_SEG, RESERVED_BLOCKS
 from repro.sim.actor import Actor
@@ -121,11 +120,8 @@ class _RecordingDisk:
     def __init__(self):
         self.calls = []
 
-    def write(self, actor, daddr, data):
-        self.calls.append(("write", daddr, len(data)))
-
-    def write_refs(self, actor, daddr, refs):
-        self.calls.append(("write_refs", daddr))
+    def writev(self, actor, daddr, parts):
+        self.calls.append(("writev", daddr, sum(map(len, parts))))
 
 
 class TestLineRangeCheck:
@@ -137,10 +133,10 @@ class TestLineRangeCheck:
         disk = _RecordingDisk()
         actor = Actor("a")
         last = RESERVED_BLOCKS + 100 * BLOCKS_PER_SEG - 1
-        line_write(disk, actor, last, b"\xaa" * BLOCK_SIZE, a)
+        line_writev(disk, actor, last, [b"\xaa" * BLOCK_SIZE], a)
         with pytest.raises(AddressError):
-            line_write(disk, actor, last, b"\xaa" * (BLOCK_SIZE + 1), a)
-        assert disk.calls == [("write", last, BLOCK_SIZE)]
+            line_writev(disk, actor, last, [b"\xaa" * (BLOCK_SIZE + 1)], a)
+        assert disk.calls == [("writev", last, BLOCK_SIZE)]
 
     def test_unaligned_refs_length_counts_ceiling_blocks(self):
         a = aspace()
@@ -148,12 +144,11 @@ class TestLineRangeCheck:
         actor = Actor("a")
         last = RESERVED_BLOCKS + 100 * BLOCKS_PER_SEG - 1
         buf = b"\xbb" * (BLOCK_SIZE + 1)
-        line_write_refs(disk, actor, last,
-                        [ExtentRef(buf, 0, BLOCK_SIZE)], a)
+        line_writev(disk, actor, last, [ExtentRef(buf, 0, BLOCK_SIZE)], a)
         with pytest.raises(AddressError):
-            line_write_refs(disk, actor, last,
-                            [ExtentRef(buf, 0, BLOCK_SIZE + 1)], a)
-        assert disk.calls == [("write_refs", last)]
+            line_writev(disk, actor, last,
+                        [ExtentRef(buf, 0, BLOCK_SIZE + 1)], a)
+        assert disk.calls == [("writev", last, BLOCK_SIZE)]
 
 
 class TestBlockMapDriver:

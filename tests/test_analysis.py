@@ -61,7 +61,7 @@ class TestRuleFixtures:
 
     def test_hl002_device_io(self):
         result = analyze("hl002_device.py", [HL002DeviceIO()])
-        assert lines_of(result, "HL002") == [5, 6, 8]
+        assert lines_of(result, "HL002") == [5, 6, 8, 9, 10, 11]
 
     def test_hl002_exempt_module_is_silent(self):
         # The same violations are legal inside an exempted module.
@@ -350,7 +350,7 @@ class TestCLI:
         assert proc.returncode == 1
         payload = json.loads(proc.stdout)
         assert payload["ok"] is False
-        assert payload["counts"] == {"HL002": 3}
+        assert payload["counts"] == {"HL002": 6}
         first = payload["findings"][0]
         assert set(first) >= {"path", "line", "col", "code", "message"}
         assert first["code"] == "HL002"

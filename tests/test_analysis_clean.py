@@ -141,6 +141,34 @@ def test_no_callable_is_assigned_to_another_objects_attribute():
                       + "\n".join(sorted(hits)))
 
 
+#: The class that defines the bytes verbs once, as adapters.
+VERB_ADAPTERS = "BlockIO"
+
+#: Each bytes verb (and ``write_refs``) -> the verb it adapts.
+ADAPTED_VERB = {"read": "read_refs", "write": "writev",
+                "write_refs": "writev"}
+
+
+def test_no_layer_implements_a_bytes_verb_beside_its_twin():
+    """One read and one write per block layer: no class in ``src``
+    other than the shared adapter class defines a body for both a
+    bytes verb and the borrowed verb it derives from."""
+    hits = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef) \
+                    or node.name == VERB_ADAPTERS:
+                continue
+            defined = {n.name for n in node.body
+                       if isinstance(n, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef))}
+            for verb, twin in ADAPTED_VERB.items():
+                if verb in defined and twin in defined:
+                    hits.append(f"{path.relative_to(ROOT)}:{node.lineno} "
+                                f"{node.name}.{verb} beside .{twin}")
+    assert hits == [], "second implementation of a verb:\n" + "\n".join(hits)
+
+
 #: The one module that assembles a HighLight stack.
 STACK_BUILDER = SRC / "core" / "stack.py"
 

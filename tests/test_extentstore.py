@@ -68,16 +68,6 @@ class TestExtentStoreBasics:
         assert st.read(0, 8) == blk(3, 8)[:3 * BS] + mid + blk(3, 8)[5 * BS:]
         assert st.written_blocks() == 8
 
-    def test_adjacent_writes_coalesce_on_read(self):
-        st = fresh()
-        st.write(0, blk(5, 2))
-        st.write(2, blk(6, 2))
-        joined = st.read(0, 4)
-        assert joined == blk(5, 2) + blk(6, 2)
-        # Coalesce-on-read stored the joined image back: a second read
-        # of the same hole-free range is now the zero-copy fast path.
-        assert st.read(0, 4) is joined
-
     def test_no_coalesce_across_holes(self):
         st = fresh()
         st.write(0, blk(7))
@@ -144,12 +134,6 @@ class TestVectoredPath:
         st.writev(2, parts)
         ref_st.write(2, b"".join(parts))
         assert st.read(0, CAP // 2) == ref_st.read(0, CAP // 2)
-
-    def test_readv_views(self):
-        st = fresh()
-        st.write(0, blk(17, 2))
-        views = st.readv(0, 2)
-        assert b"".join(views) == blk(17, 2)
 
     def test_ref_of_roundtrip(self):
         data = blk(18)
@@ -236,9 +220,6 @@ class TestRunCounts:
         parts = [blk(32 + i) for i in range(8)]
         st.write_refs(0, [ExtentRef(p, 0, BS) for p in parts])
         assert st.run_count() == 8  # distinct buffers cannot merge
-        # ... until a covering read re-coalesces them into one row.
-        st.read(0, 8)
-        assert st.run_count() == 1
 
     def test_writev_splices_parts_without_row_blowup(self):
         st = fresh()
@@ -297,9 +278,9 @@ class TestGuardedRunBorrows:
     def test_coalesced_run_borrow_poisons_whole_range(self, armed):
         from repro.analysis.sanitize import BorrowViolation
         st = fresh()
-        parts = [blk(63 + i) for i in range(4)]
-        st.write_refs(0, [ExtentRef(p, 0, BS) for p in parts])
-        st.read(0, 4)  # re-coalesce the four rows into one
+        seg = blk(63, 4)
+        # Four chunked refs over one buffer merge into one run at adopt.
+        st.write_refs(0, [ExtentRef(seg, i * BS, BS) for i in range(4)])
         assert st.run_count() == 1
         (ref,) = st.read_refs(0, 4)  # one borrow over the merged run
         st.write(1, blk(70))         # overwrite inside the run

@@ -85,14 +85,14 @@ class TestTrap:
         st.write(6, b"\xcc" * BS)           # disjoint range
         assert bytes(refs[0].view()) == b"\xaa" * BS * 2
 
-    def test_coalesce_on_read_does_not_poison(self, armed):
-        # read() re-stores a fragmented range's joined image; the bytes
-        # are identical, so outstanding borrows must stay valid.
+    def test_multi_extent_read_does_not_poison(self, armed):
+        # read() of a fragmented range joins a copy and leaves the rows
+        # alone, so outstanding borrows stay valid.
         st = ExtentStore(64, BS)
         st.write(0, b"x" * BS)
         st.write(1, b"y" * BS * 2)
         live = st.read_refs(0, 3)
-        assert len(st.read(0, 3)) == 3 * BS  # multi-extent: coalesces
+        assert len(st.read(0, 3)) == 3 * BS  # multi-extent join
         assert bytes(live[0].view()) == b"x" * BS
 
 
