@@ -4,11 +4,9 @@ The simulator's correctness rests on invariants the Python interpreter
 cannot enforce for us:
 
 * all simulated time flows through the virtual clock — a stray
-  ``time.time()`` or unseeded ``random`` silently breaks golden-trace
-  determinism (HL001);
-* raw block-device I/O is confined to the device layer, the block-map
-  driver, and the sanctioned line-I/O choke points, so every transfer is
-  charged to the virtual clock in one auditable place (HL002);
+  ``time.time()`` or unseeded ``random``, called directly or reached
+  through any chain of helpers from the simulation layers, silently
+  breaks golden-trace determinism (HL001);
 * disk and tertiary block numbers live in one 32-bit space (paper §6.3,
   Fig. 4) and must only be converted through :class:`AddressSpace`
   helpers, never ad-hoc arithmetic (HL003);
@@ -16,13 +14,18 @@ cannot enforce for us:
 * metric label sets are bounded literals, matching the registry's
   cardinality cap (HL005);
 * the filesystem core never swallows errors with blind ``except``
-  clauses (HL006);
+  clauses (HL006), and device-error retries are never blind loops
+  (HL009);
+* segment data moves as extents, not per-block loops (HL008);
+* the sanctioned doorways stay the only doorways: raw device I/O
+  (HL002), tertiary submissions around the scheduler (HL007),
+  foreign-shard data I/O (HL014) and data-plane I/O around the Client
+  (HL015) — one rule class over a four-row table;
 
 and, on top of the whole-program index in :mod:`repro.analysis.program`,
 the interprocedural invariants: borrowed extent ranges must not escape
-their lending call (HL011), one actor must not mutate another actor's
-clock or account (HL012), and no simulation function's call closure may
-reach a wall-clock source (HL013).  The runtime counterpart of HL011
+their lending call (HL011), and one actor must not mutate another
+actor's clock or account (HL012).  The runtime counterpart of HL011
 lives in :mod:`repro.analysis.sanitize` (``REPRO_SANITIZE=borrow``).
 
 ``python -m repro.analysis src`` runs every rule over a source tree and
@@ -33,7 +36,7 @@ same pass as a tier-1 test.  Findings can be suppressed per line with
 
 from repro.analysis.core import (AnalysisResult, Analyzer, Finding, Rule,
                                  SourceFile)
-from repro.analysis.rules import ALL_RULES, default_rules
+from repro.analysis.rules import default_rules
 
 __all__ = [
     "AnalysisResult",
@@ -41,20 +44,18 @@ __all__ = [
     "Finding",
     "Rule",
     "SourceFile",
-    "ALL_RULES",
     "default_rules",
     "run_paths",
 ]
 
 
-def run_paths(paths, rules=None, jobs=1, index_cache=None) -> "AnalysisResult":
+def run_paths(paths, rules=None, index_cache=None) -> "AnalysisResult":
     """Analyze ``paths`` (files or directories) with ``rules``.
 
     This is the library/pytest entry point; the CLI in
-    :mod:`repro.analysis.cli` is a thin wrapper around it.  ``jobs``
-    parallelizes source loading (results are identical either way);
+    :mod:`repro.analysis.cli` is a thin wrapper around it.
     ``index_cache`` persists program-index summaries between runs.
     """
     analyzer = Analyzer(rules if rules is not None else default_rules(),
                         index_cache=index_cache)
-    return analyzer.run(paths, jobs=jobs)
+    return analyzer.run(paths)

@@ -4,12 +4,10 @@ Exit status is a pinned contract (tests/test_analysis.py::TestCLI):
 0 clean, 1 findings (or unparseable files), 2 framework/usage error.
 
 ``--format`` selects text (default), ``json`` (the byte-deterministic
-result dictionary), ``sarif`` (SARIF 2.1.0 for code-scanning upload),
-or ``github`` (inline ``::error`` annotations for Actions runs).
-``--jobs`` parallelizes source loading; ``--index-cache`` persists the
-whole-program summary cache across runs (CI keys it on source hashes).
-Program-index build accounting goes to stderr so every format's stdout
-stays deterministic.
+result dictionary), or ``github`` (inline ``::error`` annotations for
+Actions runs).  ``--index-cache`` persists the whole-program summary
+cache across runs (CI keys it on source hashes).  Program-index build
+accounting goes to stderr so every format's stdout stays deterministic.
 """
 
 from __future__ import annotations
@@ -20,9 +18,9 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.analysis.core import AnalysisError, Analyzer, Rule
-from repro.analysis.formats import to_github, to_sarif
-from repro.analysis.rules import ALL_RULES, default_rules
+from repro.analysis import run_paths
+from repro.analysis.core import AnalysisError, AnalysisResult, Rule
+from repro.analysis.rules import default_rules
 
 
 def _select_rules(codes: Optional[str]) -> List[Rule]:
@@ -41,30 +39,40 @@ def _select_rules(codes: Optional[str]) -> List[Rule]:
 
 def _list_rules() -> str:
     lines = []
-    for cls in ALL_RULES:
-        lines.append(f"{cls.code}  {cls.name}")
-        lines.append(f"       {cls.rationale}")
+    for rule in default_rules():
+        lines.append(f"{rule.code}  {rule.name}")
+        lines.append(f"       {rule.rationale}")
     return "\n".join(lines)
 
 
+def to_github(result: AnalysisResult) -> List[str]:
+    """Render findings as GitHub Actions ``::error`` workflow commands."""
+    lines: List[str] = []
+    for f in sorted(result.findings):
+        message = f.message.replace("%", "%25").replace("\n", "%0A")
+        lines.append(
+            f"::error file={f.path},line={f.line},col={f.col + 1},"
+            f"title={f.code}::{message}")
+    for err in result.errors:
+        text = err.replace("%", "%25").replace("\n", "%0A")
+        lines.append(f"::error title=analysis-error::{text}")
+    return lines
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    codes = ", ".join(rule.code for rule in default_rules())
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="HighLight domain-specific static analysis "
-                    "(invariants HL001-HL013; see docs/ANALYSIS.md)")
+        description=f"HighLight domain-specific static analysis "
+                    f"(invariants {codes}; see docs/ANALYSIS.md)")
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to analyze "
                              "(default: src)")
-    parser.add_argument("--format",
-                        choices=("text", "json", "sarif", "github"),
+    parser.add_argument("--format", choices=("text", "json", "github"),
                         default="text", help="output format")
     parser.add_argument("--select", metavar="CODES",
                         help="comma-separated rule codes to run "
                              "(default: all)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="parallel source-loading workers "
-                             "(default: 1; output is identical either "
-                             "way)")
     parser.add_argument("--index-cache", metavar="PATH", default=None,
                         help="JSON file persisting per-module program-"
                              "index summaries between runs")
@@ -75,16 +83,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.list_rules:
         print(_list_rules())
         return 0
-    if args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}",
-              file=sys.stderr)
-        return 2
 
     try:
         rules = _select_rules(args.select)
         cache = Path(args.index_cache) if args.index_cache else None
-        analyzer = Analyzer(rules, index_cache=cache)
-        result = analyzer.run(args.paths, jobs=args.jobs)
+        result = run_paths(args.paths, rules=rules, index_cache=cache)
     except AnalysisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -96,9 +99,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.format == "json":
         print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
-    elif args.format == "sarif":
-        print(json.dumps(to_sarif(result, rules), indent=2,
-                         sort_keys=True))
     elif args.format == "github":
         for line in to_github(result):
             print(line)

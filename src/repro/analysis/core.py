@@ -13,10 +13,9 @@ from __future__ import annotations
 import ast
 import io
 import re
-import threading
 import tokenize
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -28,6 +27,7 @@ __all__ = [
     "Rule",
     "SourceFile",
     "dotted_name",
+    "in_scope",
 ]
 
 #: ``# noqa`` / ``# noqa: HL001`` / ``# noqa: HL001, HL004``
@@ -51,8 +51,9 @@ class Finding:
     col: int
     code: str
     message: str
-    #: Last physical line of the flagged statement; ``# noqa`` on any
-    #: line of a multi-line statement suppresses the finding.
+    #: Last physical line the suppression span covers: the end of a
+    #: multi-line simple statement or expression, but only the header of
+    #: a compound one, so a ``# noqa`` inside its body is not on it.
     end_line: int = 0
 
     def format(self) -> str:
@@ -63,15 +64,6 @@ class Finding:
                 "code": self.code, "message": self.message}
 
 
-#: CPython 3.11 tracks the AST constructor's recursion depth in
-#: *per-interpreter* state (Python-ast.c), so two ``compile()`` calls
-#: overlapping across threads corrupt the counter and raise
-#: ``SystemError: AST constructor recursion depth mismatch``.  Parsing
-#: therefore serializes on this lock; file reads and the tokenize scan
-#: still run in parallel under ``--jobs``.
-_AST_PARSE_LOCK = threading.Lock()
-
-
 class SourceFile:
     """A parsed module plus the metadata rules match against."""
 
@@ -79,8 +71,7 @@ class SourceFile:
         self.path = path
         self.display_path = display_path
         self.text = text
-        with _AST_PARSE_LOCK:
-            self.tree = ast.parse(text, filename=str(path))
+        self.tree = ast.parse(text, filename=str(path))
         self.module = dotted_name(path)
         #: line -> frozenset of suppressed codes; empty set = blanket noqa.
         #: Only real COMMENT tokens count — a ``"# noqa"`` inside a string
@@ -99,6 +90,27 @@ class SourceFile:
             else:
                 self.noqa[tok.start[0]] = frozenset(
                     c.strip().upper() for c in codes.split(","))
+
+    @cached_property
+    def calls(self) -> List[ast.Call]:
+        """Every call in the module, in ``ast.walk`` order: the one call
+        walk the rules share."""
+        return [n for n in ast.walk(self.tree) if isinstance(n, ast.Call)]
+
+    def span_end(self, node: ast.AST) -> int:
+        """Last line a finding on ``node`` covers.  A compound statement
+        (``def``, ``for``, ``except``...) covers its header only: up to
+        the last non-blank, non-comment line before its body."""
+        line = getattr(node, "lineno", 1)
+        body = getattr(node, "body", None)
+        if not (isinstance(body, list) and body
+                and isinstance(body[0], ast.stmt)):
+            return getattr(node, "end_lineno", None) or line
+        end = body[0].lineno - 1
+        lines = self.text.splitlines()
+        while end > line and lines[end - 1].strip()[:1] in ("", "#"):
+            end -= 1
+        return max(line, end)
 
     def suppresses(self, finding: Finding) -> bool:
         """True if a ``# noqa`` comment covers ``finding``."""
@@ -133,7 +145,7 @@ def dotted_name(path: Path) -> str:
     return parts[-1] if parts else ""
 
 
-def _in_scope(module: str, prefixes: Sequence[str]) -> bool:
+def in_scope(module: str, prefixes: Sequence[str]) -> bool:
     return any(module == p or module.startswith(p + ".") for p in prefixes)
 
 
@@ -152,8 +164,10 @@ class Rule:
     scope: Tuple[str, ...] = ()
     exempt: Tuple[str, ...] = ()
     #: Interprocedural rules set this; the Analyzer then builds one
-    #: shared ProgramIndex per run and calls :meth:`prepare_program`.
+    #: shared ProgramIndex per run and hands it to :meth:`prepare_program`.
     uses_program: bool = False
+    #: The shared ProgramIndex (``uses_program`` rules, after prepare).
+    program = None
 
     def __init__(self, scope: Optional[Tuple[str, ...]] = None,
                  exempt: Optional[Tuple[str, ...]] = None) -> None:
@@ -166,10 +180,10 @@ class Rule:
             self.exempt = tuple(exempt)
 
     def applies_to(self, sf: SourceFile) -> bool:
-        if self.exempt and _in_scope(sf.module, self.exempt):
+        if self.exempt and in_scope(sf.module, self.exempt):
             return False
         if self.scope:
-            return _in_scope(sf.module, self.scope)
+            return in_scope(sf.module, self.scope)
         return True
 
     def prepare(self, files: Sequence[SourceFile]) -> None:
@@ -178,6 +192,7 @@ class Rule:
     def prepare_program(self, program) -> None:
         """Receive the shared whole-program index (``uses_program`` rules
         only); called after :meth:`prepare`, before any :meth:`check`."""
+        self.program = program
 
     def check(self, sf: SourceFile) -> List[Finding]:
         raise NotImplementedError
@@ -187,7 +202,7 @@ class Rule:
                        line=getattr(node, "lineno", 1),
                        col=getattr(node, "col_offset", 0),
                        code=self.code, message=message,
-                       end_line=getattr(node, "end_lineno", 0) or 0)
+                       end_line=sf.span_end(node))
 
 
 @dataclass
@@ -266,44 +281,26 @@ class Analyzer:
         return out
 
     def load(self, paths: Iterable[str],
-             errors: Optional[List[str]] = None,
-             jobs: int = 1) -> List[SourceFile]:
-        """Parse every collected file; ``jobs > 1`` parses in parallel.
-
-        Output is ordered by collection order either way, so serial and
-        parallel loads feed rules byte-identical input (pinned by the
-        determinism test in ``tests/test_analysis.py``).
-        """
-        collected = self.collect_files(paths)
-
-        def parse(path: Path):
+             errors: Optional[List[str]] = None) -> List[SourceFile]:
+        """Parse every collected file, in collection order."""
+        files: List[SourceFile] = []
+        for path in self.collect_files(paths):
             text = path.read_text(encoding="utf-8")
             try:
-                return SourceFile(path, str(path), text), None
+                files.append(SourceFile(path, str(path), text))
             except SyntaxError as exc:
-                return None, (f"{path}: syntax error: {exc.msg} "
-                              f"(line {exc.lineno})")
-
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                parsed = list(pool.map(parse, collected))
-        else:
-            parsed = [parse(path) for path in collected]
-        files: List[SourceFile] = []
-        for sf, err in parsed:
-            if err is not None:
+                err = (f"{path}: syntax error: {exc.msg} "
+                       f"(line {exc.lineno})")
                 if errors is None:
-                    raise AnalysisError(err)
+                    raise AnalysisError(err) from exc
                 errors.append(err)
-            else:
-                files.append(sf)
         return files
 
     # -- driving -----------------------------------------------------------
 
-    def run(self, paths: Iterable[str], jobs: int = 1) -> AnalysisResult:
+    def run(self, paths: Iterable[str]) -> AnalysisResult:
         result = AnalysisResult()
-        files = self.load(paths, errors=result.errors, jobs=jobs)
+        files = self.load(paths, errors=result.errors)
         result.files_analyzed = len(files)
         for rule in self.rules:
             rule.prepare(files)

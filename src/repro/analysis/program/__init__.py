@@ -1,8 +1,8 @@
 """Whole-program analysis: symbol index, call graph, and dataflow.
 
-The per-file rules (HL001-HL010) judge one AST at a time; the invariants
-added in this layer — borrow lifetimes, cross-actor state discipline,
-transitive clock purity — are properties of *paths through the call
+Most rules judge one AST at a time; the invariants added in this
+layer — borrow lifetimes, cross-actor state discipline, clock purity
+through helpers — are properties of *paths through the call
 graph*, so they need a view of the whole source tree at once.
 
 Three pieces:
@@ -16,16 +16,15 @@ Three pieces:
   (keyed on content hashes) sound.
 * :mod:`repro.analysis.program.index` — combines summaries into a
   :class:`ProgramIndex`: the project-wide function table, the resolved
-  call graph, the transitive-call closure helpers, and the fixpoint
-  facts rules consume (which functions return borrows, which reach a
-  real-time source).
+  call graph, and the fixpoint facts rules consume (which functions
+  return borrows, which reach a real-time source).
 * :mod:`repro.analysis.program.dataflow` — the small in-function
   dataflow framework: reaching name bindings and borrow-taint/escape
   analysis over a function body.
 
-Rules opt in by setting ``uses_program = True`` and implementing
-``prepare_program(index)``; the :class:`~repro.analysis.core.Analyzer`
-builds one shared index per run and hands it to every such rule.
+Rules opt in by setting ``uses_program = True``; the
+:class:`~repro.analysis.core.Analyzer` builds one shared index per run
+and hands it to every such rule as ``rule.program``.
 """
 
 from repro.analysis.program.index import IndexStats, ProgramIndex

@@ -11,7 +11,7 @@ whole-program facts rules consume:
   ranges, seeded by direct ``read_refs`` returns and iterated
   through ``returns_borrow_if`` conditional deps until stable;
 * the **clock fixpoint** — which functions transitively reach a
-  real-time source, with a witness path for diagnostics (HL013).
+  real-time source, with a witness path for diagnostics (HL001).
 
 Summaries are pure per-file facts, so the index persists them in a JSON
 cache keyed on each file's content hash: an incremental run only
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -148,18 +148,6 @@ class ProgramIndex:
         return {attr for attr, typ
                 in self.attr_types.get(class_qname, {}).items()
                 if typ == ACTOR_CLASS}
-
-    def transitive_callees(self, qname: str) -> Set[str]:
-        """The call closure of one function (project-internal edges)."""
-        out: Set[str] = set()
-        frontier = [qname]
-        while frontier:
-            cursor = frontier.pop()
-            for target in self.edges.get(cursor, ()):
-                if target not in out:
-                    out.add(target)
-                    frontier.append(target)
-        return out
 
     # -- construction -------------------------------------------------------
 

@@ -50,10 +50,9 @@ __all__ = [
     "summarize",
 ]
 
-#: Wall-clock reads and real sleeps, matched as dotted-chain suffixes.
-#: Kept in sync with HL001's catalogue (pinned by tests/test_program.py);
-#: duplicated here so the program layer never imports the rule package
-#: (rules import *us*, and a cycle would break cold imports).
+#: Wall-clock reads and real sleeps, matched as dotted-chain suffixes so
+#: both ``time.time()`` and ``datetime.datetime.now()`` are caught.  The
+#: one table: HL001's direct check reads it too.
 CLOCK_SUFFIXES: Tuple[str, ...] = (
     "time.time", "time.time_ns",
     "time.monotonic", "time.monotonic_ns",

@@ -1,52 +1,44 @@
 """The HL rule catalogue.
 
-One module per rule; ``default_rules()`` instantiates the full suite
-with its production scoping, which is what the CLI, CI, and the tier-1
-cleanliness test all run.
+One module per rule, except the four doorway checks (HL002, HL007,
+HL014, HL015), which are rows of one table in :mod:`.choke_points`.
+``default_rules()`` instantiates the full suite with its production
+scoping, which is what the CLI, CI, and the tier-1 cleanliness test
+all run; it is the one registry.
 """
 
 from typing import List
 
 from repro.analysis.core import Rule
+from repro.analysis.rules.choke_points import CHOKE_POINTS, ChokePointRule
 from repro.analysis.rules.hl001_clock_purity import HL001ClockPurity
-from repro.analysis.rules.hl002_device_io import HL002DeviceIO
 from repro.analysis.rules.hl003_address_domain import HL003AddressDomain
 from repro.analysis.rules.hl004_trace_events import HL004TraceEvents
 from repro.analysis.rules.hl005_metric_labels import HL005MetricLabels
 from repro.analysis.rules.hl006_exceptions import HL006ExceptionDiscipline
-from repro.analysis.rules.hl007_sched_submission import HL007SchedSubmission
 from repro.analysis.rules.hl008_datapath_copy import HL008DatapathCopy
 from repro.analysis.rules.hl009_retry_discipline import HL009RetryDiscipline
-from repro.analysis.rules.hl010_checkpoint_discipline import (
-    HL010CheckpointDiscipline)
 from repro.analysis.rules.hl011_borrow_escape import HL011BorrowEscape
 from repro.analysis.rules.hl012_actor_discipline import HL012ActorDiscipline
-from repro.analysis.rules.hl013_transitive_clock import HL013TransitiveClock
-from repro.analysis.rules.hl014_cluster_locality import HL014ClusterLocality
-from repro.analysis.rules.hl015_frontend_discipline import (
-    HL015FrontendDiscipline)
 
-ALL_RULES = (
+_RULE_CLASSES = (
     HL001ClockPurity,
-    HL002DeviceIO,
     HL003AddressDomain,
     HL004TraceEvents,
     HL005MetricLabels,
     HL006ExceptionDiscipline,
-    HL007SchedSubmission,
     HL008DatapathCopy,
     HL009RetryDiscipline,
-    HL010CheckpointDiscipline,
     HL011BorrowEscape,
     HL012ActorDiscipline,
-    HL013TransitiveClock,
-    HL014ClusterLocality,
-    HL015FrontendDiscipline,
 )
 
-__all__ = ["ALL_RULES", "default_rules"] + [cls.__name__ for cls in ALL_RULES]
+__all__ = ["ChokePointRule", "default_rules"] + [
+    cls.__name__ for cls in _RULE_CLASSES]
 
 
 def default_rules() -> List[Rule]:
-    """The full suite with each rule's default scoping."""
-    return [cls() for cls in ALL_RULES]
+    """The full suite with each rule's default scoping, in code order."""
+    rules = [cls() for cls in _RULE_CLASSES]
+    rules += [ChokePointRule(point) for point in CHOKE_POINTS]
+    return sorted(rules, key=lambda rule: rule.code)

@@ -16,7 +16,7 @@ import ast
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.analysis.core import Finding, Rule, SourceFile
-from repro.analysis.rules.util import call_name, walk_calls
+from repro.analysis.rules.util import call_name
 from repro.obs.trace import BASE_EVENT_TYPES
 
 _EMIT_NAMES = frozenset({"emit", "event"})
@@ -48,7 +48,7 @@ class HL004TraceEvents(Rule):
                 if isinstance(value, str):
                     self._constants[name] = value
         for sf in files:
-            for call in walk_calls(sf.tree):
+            for call in sf.calls:
                 if call_name(call) == "register_event_type" and call.args:
                     arg = call.args[0]
                     if isinstance(arg, ast.Constant) and isinstance(
@@ -84,7 +84,7 @@ class HL004TraceEvents(Rule):
 
     def check(self, sf: SourceFile) -> List[Finding]:
         findings: List[Finding] = []
-        for call in walk_calls(sf.tree):
+        for call in sf.calls:
             if call_name(call) not in _EMIT_NAMES or not call.args:
                 continue
             arg = call.args[0]

@@ -22,7 +22,7 @@ import ast
 from typing import List, Optional
 
 from repro.analysis.core import Finding, Rule, SourceFile
-from repro.analysis.rules.util import call_name, walk_calls
+from repro.analysis.rules.util import call_name
 
 _FAMILY_FUNCS = frozenset({"counter", "gauge", "histogram"})
 
@@ -41,7 +41,7 @@ class HL005MetricLabels(Rule):
 
     def check(self, sf: SourceFile) -> List[Finding]:
         findings: List[Finding] = []
-        for call in walk_calls(sf.tree):
+        for call in sf.calls:
             name = call_name(call)
             if name in _FAMILY_FUNCS:
                 arg = self._labelnames_arg(call)

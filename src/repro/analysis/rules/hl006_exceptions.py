@@ -14,22 +14,12 @@ everything else propagate.
 from __future__ import annotations
 
 import ast
-from typing import List, Set
+from typing import List
 
 from repro.analysis.core import Finding, Rule, SourceFile
+from repro.analysis.rules.util import caught_names
 
 _BLIND_TYPES = frozenset({"Exception", "BaseException"})
-
-
-def _caught_names(type_node: ast.AST) -> Set[str]:
-    names: Set[str] = set()
-    nodes = type_node.elts if isinstance(type_node, ast.Tuple) else [type_node]
-    for node in nodes:
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-    return names
 
 
 def _handler_is_blind(handler: ast.ExceptHandler) -> bool:
@@ -64,7 +54,7 @@ class HL006ExceptionDiscipline(Rule):
                     "KeyboardInterrupt; catch a specific ReproError "
                     "subclass"))
                 continue
-            caught = _caught_names(node.type)
+            caught = caught_names(node.type)
             if caught & _BLIND_TYPES and _handler_is_blind(node):
                 wide = ", ".join(sorted(caught & _BLIND_TYPES))
                 findings.append(self.finding(

@@ -38,7 +38,7 @@ import ast
 from typing import FrozenSet, List, Tuple
 
 from repro.analysis.core import Finding, Rule, SourceFile
-from repro.analysis.rules.util import terminal_attr, walk_calls
+from repro.analysis.rules.util import terminal_attr
 
 #: Receiver names that denote a block store or device.
 _STORE_NAMES = frozenset({"store", "disk", "device", "dev", "drive",
@@ -137,7 +137,9 @@ class HL008DatapathCopy(Rule):
                           loop: ast.For) -> List[Finding]:
         findings: List[Finding] = []
         loop_vars = _target_names(loop.target)
-        for call in walk_calls(loop):
+        for call in ast.walk(loop):
+            if not isinstance(call, ast.Call):
+                continue
             func = call.func
             if not isinstance(func, ast.Attribute):
                 continue

@@ -26,6 +26,7 @@ import ast
 from typing import Iterator, List, Set
 
 from repro.analysis.core import Finding, Rule, SourceFile
+from repro.analysis.rules.util import caught_names
 
 #: The retry-able (transient) family plus the blanket base class.
 _RETRYABLE = frozenset({"DeviceError", "TransientDeviceError",
@@ -34,17 +35,6 @@ _RETRYABLE = frozenset({"DeviceError", "TransientDeviceError",
 
 _LOOPS = (ast.While, ast.For, ast.AsyncFor)
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
-
-
-def _caught_names(type_node: ast.AST) -> Set[str]:
-    names: Set[str] = set()
-    nodes = type_node.elts if isinstance(type_node, ast.Tuple) else [type_node]
-    for node in nodes:
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-    return names
 
 
 def _walk_same_scope(nodes) -> Iterator[ast.AST]:
@@ -86,7 +76,7 @@ class HL009RetryDiscipline(Rule):
                     continue
                 if id(node) in seen or node.type is None:
                     continue
-                retryable = _caught_names(node.type) & _RETRYABLE
+                retryable = caught_names(node.type) & _RETRYABLE
                 if not retryable or _escapes_loop(node):
                     continue
                 seen.add(id(node))

@@ -69,13 +69,6 @@ class HL012ActorDiscipline(Rule):
               "repro.frontend.backends")
     uses_program = True
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.program = None
-
-    def prepare_program(self, program) -> None:
-        self.program = program
-
     def check(self, sf: SourceFile) -> List[Finding]:
         findings: List[Finding] = []
         resolver = ModuleResolver(sf)

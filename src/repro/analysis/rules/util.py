@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import Optional, Set
 
-__all__ = ["dotted_chain", "terminal_attr", "call_name", "walk_calls"]
+__all__ = ["dotted_chain", "terminal_attr", "call_name", "caught_names"]
 
 
 def dotted_chain(node: ast.AST) -> Optional[str]:
@@ -42,7 +42,7 @@ def call_name(call: ast.Call) -> Optional[str]:
     return terminal_attr(call.func)
 
 
-def walk_calls(tree: ast.AST) -> Iterator[ast.Call]:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            yield node
+def caught_names(type_node: ast.AST) -> Set[str]:
+    """The exception class names an ``except`` clause's type names."""
+    nodes = type_node.elts if isinstance(type_node, ast.Tuple) else [type_node]
+    return {name for name in map(terminal_attr, nodes) if name is not None}

@@ -157,12 +157,6 @@ class BorrowSanitizer:
 
     # -- accounting ---------------------------------------------------------
 
-    def outstanding(self, store) -> int:
-        """Live (unpoisoned, still-referenced) borrows of one store."""
-        entries = self._ledger.get(store, [])
-        self._prune(entries)
-        return len(entries)
-
     @staticmethod
     def _prune(entries: List[list]) -> None:
         entries[:] = [e for e in entries if e[2]() is not None]

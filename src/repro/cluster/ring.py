@@ -119,14 +119,6 @@ class HashRing:
             counts[self.owner(key)] += 1
         return counts
 
-    def imbalance(self, keys: Iterable[object]) -> float:
-        """max/mean keys-per-shard over ``keys`` (1.0 = perfectly even)."""
-        counts = self.spread(keys)
-        if not counts:
-            return 0.0
-        mean = sum(counts.values()) / len(counts)
-        return max(counts.values()) / mean if mean else 0.0
-
     def moved_keys(self, keys: Iterable[object],
                    other: "HashRing") -> List[object]:
         """Keys whose owner differs between this ring and ``other``."""

@@ -130,9 +130,6 @@ class AddressSpace:
                 f"segment {seg_in_vol} out of range for volume {vol}")
         return self._vol_start[vol] + seg_in_vol
 
-    def tertiary_nsegs(self) -> int:
-        return sum(self.volume_seg_counts)
-
     # -- growth (paper §6.3: claim part of the dead zone) -------------------------
 
     def add_volume(self, seg_count: int) -> int:

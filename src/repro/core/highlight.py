@@ -219,12 +219,10 @@ class HighLightFS(LFS):
 
     @property
     def pinned_inums(self) -> frozenset:
-        """Inodes that must never migrate: "all the special files used by
-        the base LFS and HighLight ... always remain on disk" (§6.4)."""
-        pinned = {1}  # the ifile
-        if self.tsegfile_inum is not None:
-            pinned.add(self.tsegfile_inum)
-        return frozenset(pinned)
+        """The base LFS's special files plus the tsegfile (§6.4)."""
+        if self.tsegfile_inum is None:
+            return super().pinned_inums
+        return super().pinned_inums | {self.tsegfile_inum}
 
     def set_prefetcher(self, prefetcher) -> None:
         """Install a prefetch policy on the service process."""

@@ -58,7 +58,7 @@ def collect_file_facts(fs, actor: Optional[Actor] = None,
                        include_dirs: bool = False) -> List[FileFacts]:
     """Walk the tree collecting ranking inputs, without touching atimes."""
     actor = actor or fs.actor
-    pinned = getattr(fs, "pinned_inums", frozenset())
+    pinned = fs.pinned_inums
     facts: List[FileFacts] = []
     stack = [(root.rstrip("/") or "/", fs.lookup(root, actor))]
     while stack:

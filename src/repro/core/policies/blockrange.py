@@ -92,9 +92,6 @@ class AccessRangeTracker:
     def ranges(self, inum: int) -> List[AccessRange]:
         return list(self._files.get(inum, []))
 
-    def forget(self, inum: int) -> None:
-        self._files.pop(inum, None)
-
     def tracked_files(self) -> List[int]:
         return list(self._files)
 

@@ -174,10 +174,6 @@ class MigrationError(ReproError):
     """Base class for migration pipeline faults."""
 
 
-class CacheMiss(MigrationError):
-    """Internal signal: a tertiary block has no disk-cached copy."""
-
-
 class StagingFull(MigrationError):
     """No disk segment is available to host a new staging segment."""
 

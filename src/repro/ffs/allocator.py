@@ -51,9 +51,6 @@ class CylinderGroupAllocator:
     def group_start(self, group: int) -> int:
         return self.first_data_block + group * self.group_blocks
 
-    def free_blocks(self) -> int:
-        return self.map.count_clear()
-
     # -- allocation ----------------------------------------------------------------
 
     def alloc(self, inum: int, hint_group: Optional[int] = None) -> int:

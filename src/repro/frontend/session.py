@@ -53,7 +53,6 @@ DEFAULT_TENANT = "default"
 
 #: One event per client request (data plane and background control),
 #: stamped at completion: tenant, op, nbytes, admission wait, service.
-#: ``frontend/slo.py`` computes the per-tenant SLO report from these.
 EV_FRONTEND_REQUEST = obs.register_event_type("frontend_request")
 
 

@@ -1,4 +1,4 @@
-"""Per-tenant SLO reporting from ``frontend_request`` trace events.
+"""Per-tenant SLO reporting from a replay's measurements.
 
 The PR 3 scheduler made Table-4-style accounting exact per request;
 this module rolls those requests up into what an operator actually
@@ -12,11 +12,9 @@ anti-starvation indices —
 * **starvation** — ``min(x) / max(x)`` over the same normalized shares;
   0 means some tenant moved no bytes at all.
 
-The input is the trace ring (:data:`repro.frontend.session.
-EV_FRONTEND_REQUEST` events carry ``tenant``, ``op``, ``nbytes``,
-``wait`` and ``service``), so the report can be computed live, from an
-obs snapshot on disk, or from a :class:`~repro.frontend.load.
-ReplayResult` — anywhere the events survive.
+The input is what a replay measured per tenant — demand latencies and
+bytes moved — so the report does not depend on the trace ring still
+holding every request.
 """
 
 from __future__ import annotations
@@ -25,14 +23,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional
 
-from repro.frontend.session import EV_FRONTEND_REQUEST
-
-__all__ = ["TenantReport", "SLOReport", "evaluate",
-           "from_latencies", "percentile"]
-
-#: Ops whose latency counts toward the demand SLO (the interactive
-#: surface); background control ops report goodput only.
-_DEMAND_OPS = frozenset({"read", "write"})
+__all__ = ["TenantReport", "SLOReport", "from_latencies", "percentile"]
 
 
 def percentile(samples: Iterable[float], q: float) -> float:
@@ -92,84 +83,12 @@ class SLOReport:
         return "\n".join(lines)
 
 
-def _event_fields(event) -> Optional[Dict[str, object]]:
-    """Normalize a TraceEvent / snapshot dict to (is frontend, fields)."""
-    etype = getattr(event, "etype", None)
-    if etype is not None:
-        if etype != EV_FRONTEND_REQUEST:
-            return None
-        fields = dict(event.fields)
-        fields["t"] = event.t
-        return fields
-    if event.get("type") != EV_FRONTEND_REQUEST:
-        return None
-    fields = dict(event.get("fields", {}))
-    fields["t"] = event.get("t", 0.0)
-    return fields
-
-
-def evaluate(events: Iterable,
-             weights: Optional[Mapping[str, float]] = None,
-             window_seconds: Optional[float] = None) -> SLOReport:
-    """Roll ``frontend_request`` events up into an :class:`SLOReport`.
-
-    ``events`` may be live :class:`~repro.obs.trace.TraceEvent` objects
-    or snapshot dicts.  ``weights`` (tenant -> share, default 1.0)
-    normalize goodput before the fairness indices.  ``window_seconds``
-    defaults to the event time span.
-    """
-    latencies: Dict[str, List[float]] = {}
-    moved: Dict[str, int] = {}
-    counts: Dict[str, int] = {}
-    demand_counts: Dict[str, int] = {}
-    throttled: Dict[str, float] = {}
-    t_min = math.inf
-    t_max = -math.inf
-    for event in events:
-        fields = _event_fields(event)
-        if fields is None:
-            continue
-        tenant = str(fields.get("tenant", ""))
-        op = str(fields.get("op", ""))
-        t = float(fields.get("t", 0.0))
-        t_min = min(t_min, t)
-        t_max = max(t_max, t)
-        counts[tenant] = counts.get(tenant, 0) + 1
-        throttled[tenant] = throttled.get(tenant, 0.0) \
-            + float(fields.get("wait", 0.0))
-        if op in _DEMAND_OPS:
-            demand_counts[tenant] = demand_counts.get(tenant, 0) + 1
-            latencies.setdefault(tenant, []).append(
-                float(fields.get("wait", 0.0))
-                + float(fields.get("service", 0.0)))
-        moved[tenant] = moved.get(tenant, 0) + int(fields.get("nbytes", 0))
-    if window_seconds is None:
-        window_seconds = (t_max - t_min) if t_max > t_min else 1.0
-    window_seconds = max(window_seconds, 1e-9)
-    report = SLOReport(window_seconds=window_seconds)
-    for tenant in sorted(counts):
-        lat = latencies.get(tenant, [])
-        report.per_tenant[tenant] = TenantReport(
-            tenant=tenant,
-            requests=counts[tenant],
-            demand_requests=demand_counts.get(tenant, 0),
-            bytes_moved=moved.get(tenant, 0),
-            p50_seconds=percentile(lat, 50.0),
-            p99_seconds=percentile(lat, 99.0),
-            goodput_bytes_per_s=moved.get(tenant, 0) / window_seconds,
-            throttle_seconds=throttled.get(tenant, 0.0),
-        )
-    _apply_fairness(report, weights or {})
-    return report
-
-
 def from_latencies(latencies: Mapping[str, List[float]],
                    bytes_moved: Mapping[str, int],
                    window_seconds: float,
                    weights: Optional[Mapping[str, float]] = None
                    ) -> SLOReport:
-    """Build a report straight from a replay's measurements (used when
-    the trace ring wrapped or tracing was off)."""
+    """Build a report straight from a replay's measurements."""
     window_seconds = max(window_seconds, 1e-9)
     report = SLOReport(window_seconds=window_seconds)
     for tenant in sorted(set(latencies) | set(bytes_moved)):

@@ -48,8 +48,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.blockdev.datapath import block_views
 from repro.errors import AddressError
 from repro.lfs.cleaner import partials
-from repro.lfs.constants import (BLOCK_SIZE, IFILE_INUM, ROOT_INUM,
-                                 UNASSIGNED)
+from repro.lfs.constants import BLOCK_SIZE, ROOT_INUM, UNASSIGNED
 from repro.lfs.inode import find_inode_in_block
 from repro.sim.actor import Actor
 
@@ -152,8 +151,7 @@ def check_filesystem(fs, actor: Actor | None = None,
         except Exception as exc:
             report.error(f"inode {inum}: not found at imap daddr "
                          f"{entry.daddr}: {exc}")
-        if inum not in reachable and inum not in getattr(
-                fs, "pinned_inums", {IFILE_INUM}):
+        if inum not in reachable and inum not in fs.pinned_inums:
             report.warn(f"inode {inum} allocated but unreachable "
                         "(orphan)")
 

@@ -238,6 +238,13 @@ class LFS:
     # Inode management
     # ------------------------------------------------------------------
 
+    @property
+    def pinned_inums(self) -> frozenset:
+        """Inodes that never migrate and are never orphans: "all the
+        special files used by the base LFS and HighLight ... always
+        remain on disk" (§6.4).  The base LFS has one, the ifile."""
+        return frozenset({IFILE_INUM})
+
     def get_inode(self, inum: int, actor: Optional[Actor] = None) -> Inode:
         """Fetch an inode, reading its inode block from the log if needed."""
         if inum == IFILE_INUM:

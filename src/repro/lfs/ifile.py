@@ -151,10 +151,6 @@ class IFile:
     def imap_lookup(self, inum: int) -> Optional[IMapEntry]:
         return self.imap.get(inum)
 
-    def set_inode_daddr(self, inum: int, daddr: int) -> None:
-        entry = self.imap.setdefault(inum, IMapEntry())
-        entry.daddr = daddr
-
     def alloc_inum(self) -> int:
         """Allocate an inode number (free list first, then fresh)."""
         if self._free_head:

@@ -51,9 +51,6 @@ class Inode:
     def is_dir(self) -> bool:
         return (self.mode & S_IFMT) == S_IFDIR
 
-    def is_reg(self) -> bool:
-        return (self.mode & S_IFMT) == S_IFREG
-
     def lastlength(self, lbn: int) -> int:
         """Valid bytes of block ``lbn`` (a FINFO's ``fi_lastlength`` when
         it ends there): short only for the file's last block."""

@@ -4,13 +4,12 @@ Where the registry answers "how much", the trace answers "what happened,
 in what order".  Hot paths emit typed events — a demand fetch, a staged
 segment copied out, a cache line ejected, a robot arm swap — each
 stamped with the emitting actor's virtual time.  Events land in a
-bounded ring buffer and export losslessly to JSON/JSONL, which is what
+bounded ring buffer and export losslessly to JSON, which is what
 the golden-trace regression tests diff across runs.
 """
 
 from __future__ import annotations
 
-import json
 import re
 import struct
 from collections import deque
@@ -256,32 +255,3 @@ class TraceRecorder:
 
     def to_list(self) -> List[Dict[str, object]]:
         return [self._event(row).to_dict() for row in self._events]
-
-    def to_jsonl(self) -> str:
-        return "\n".join(
-            json.dumps(self._event(row).to_dict(), sort_keys=True)
-            for row in self._events)
-
-    def write_jsonl(self, path: str) -> str:
-        with open(path, "w", encoding="utf-8") as fh:
-            text = self.to_jsonl()
-            fh.write(text)
-            if text:
-                fh.write("\n")
-        return path
-
-    @staticmethod
-    def from_jsonl(text: str) -> List[TraceEvent]:
-        events = []
-        for line in text.splitlines():
-            line = line.strip()
-            if line:
-                events.append(TraceEvent.from_dict(json.loads(line)))
-        return events
-
-    def load_jsonl(self, text: str) -> int:
-        """Replay serialized events into this recorder; returns the count."""
-        events = self.from_jsonl(text)
-        for e in events:
-            self.emit(e.etype, e.t, **e.fields)
-        return len(events)

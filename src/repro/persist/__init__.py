@@ -4,8 +4,8 @@ Three pieces (see docs/RECOVERY.md):
 
 * **format** — the versioned, dual-slot, checksummed on-disk checkpoint
   format anchored from the superblock's ``persist_root`` field;
-* **manager** — :class:`PersistManager`: capture (``checkpoint_mark``) /
-  durable commit (``checkpoint_commit``) on every ``fs.checkpoint()``,
+* **manager** — :class:`PersistManager`: capture and durable commit,
+  as one expression, on every ``fs.checkpoint()``,
   and :meth:`~repro.persist.manager.PersistManager.recover` replay after
   a remount;
 * **scrub** — :class:`SegmentCRCLedger` + :class:`Scrubber`, the

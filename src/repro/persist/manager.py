@@ -11,11 +11,13 @@ LFS superblock write, and
 ``fs.recover()`` after a remount replays the newest valid image and
 reconciles it with what roll-forward rebuilt.
 
-The capture/commit split is deliberate and statically enforced (HL010):
-:meth:`checkpoint_mark` is a pure capture — it reads system state into a
+The capture/commit split is deliberate: :meth:`_mark` is a pure
+capture — it reads system state into a
 :class:`~repro.persist.format.PersistImage` and mutates nothing — and
-:meth:`checkpoint_commit` makes that image durable.  Any state mutation
-between the two would persist a system image that never existed.
+:meth:`_commit` makes that image durable.  Any state mutation between
+the two would persist a system image that never existed, so both are
+private and their one caller, :meth:`on_checkpoint`, runs them as one
+expression: no statement can sit between them.
 
 Epoch semantics: a persistence image carries the serial of the LFS
 checkpoint it was captured under.  Recovery trusts the LFS log for
@@ -96,7 +98,7 @@ class PersistManager:
 
     # -- capture (the checkpoint mark: pure, no state mutation) -------------
 
-    def checkpoint_mark(self, actor: Actor) -> PersistImage:
+    def _mark(self, actor: Actor) -> PersistImage:
         """Capture the live system image under the current LFS epoch."""
         fs = self.fs
         ckpt = fs.sb.latest_checkpoint()
@@ -141,7 +143,7 @@ class PersistManager:
                 return idx
         return 0 if serials[0] <= serials[1] else 1
 
-    def checkpoint_commit(self, actor: Actor, image: PersistImage) -> None:
+    def _commit(self, actor: Actor, image: PersistImage) -> None:
         """Write ``image`` into the older slot, under device accounting."""
         raw = encode_slot(image)
         slot = self._target_slot(actor)
@@ -153,8 +155,7 @@ class PersistManager:
 
     def on_checkpoint(self, actor: Actor) -> None:
         """Append a persistence checkpoint (called by ``fs.checkpoint``)."""
-        image = self.checkpoint_mark(actor)
-        self.checkpoint_commit(actor, image)
+        self._commit(actor, self._mark(actor))
 
     # -- recovery -----------------------------------------------------------
 

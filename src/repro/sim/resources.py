@@ -25,8 +25,6 @@ class TimelineResource:
         self.next_free = 0.0
         self.busy_seconds = 0.0
         self.op_count = 0
-        self._first_busy: float | None = None
-        self._last_busy = 0.0
 
     def occupy(self, actor: Actor, duration: float) -> Tuple[float, float]:
         """Occupy the resource for ``duration`` seconds on behalf of ``actor``.
@@ -42,27 +40,8 @@ class TimelineResource:
         self.next_free = end
         self.busy_seconds += duration
         self.op_count += 1
-        if self._first_busy is None:
-            self._first_busy = start
-        self._last_busy = max(self._last_busy, end)
         actor.sleep_until(end)
         return start, end
-
-    def utilization(self) -> float:
-        """Busy fraction over the resource's active span (0.0 if unused)."""
-        if self._first_busy is None:
-            return 0.0
-        span = self._last_busy - self._first_busy
-        if span <= 0:
-            return 1.0
-        return min(1.0, self.busy_seconds / span)
-
-    def reset_stats(self) -> None:
-        """Clear accounting without releasing the timeline position."""
-        self.busy_seconds = 0.0
-        self.op_count = 0
-        self._first_busy = None
-        self._last_busy = self.next_free
 
     def __repr__(self) -> str:
         return f"TimelineResource({self.name!r}, next_free={self.next_free:.6f})"
@@ -87,8 +66,5 @@ def occupy_all(actor: Actor, resources: Iterable[TimelineResource],
         resource.next_free = end
         resource.busy_seconds += duration
         resource.op_count += 1
-        if resource._first_busy is None:
-            resource._first_busy = start
-        resource._last_busy = max(resource._last_busy, end)
     actor.sleep_until(end)
     return start, end

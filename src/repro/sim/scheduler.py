@@ -123,9 +123,3 @@ class TimedQueue:
             actor.sleep_until(ready)
         self.get_count += 1
         return item
-
-    def peek_ready_time(self) -> Optional[float]:
-        """Ready time of the head item, or None if empty."""
-        if not self._items:
-            return None
-        return self._items[0][0]

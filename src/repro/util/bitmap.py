@@ -4,11 +4,7 @@ from __future__ import annotations
 
 
 class Bitmap:
-    """Fixed-size bitmap with first-clear search.
-
-    Used by the FFS baseline's cylinder-group allocator and by tests that
-    need a reference free-map implementation.
-    """
+    """Fixed-size bitmap: the FFS baseline's cylinder-group free map."""
 
     def __init__(self, nbits: int) -> None:
         if nbits < 0:
@@ -37,38 +33,3 @@ class Bitmap:
         """Clear ``bit``."""
         self._check(bit)
         self._words[bit >> 3] &= ~(1 << (bit & 7)) & 0xFF
-
-    def find_clear(self, start: int = 0) -> int:
-        """Return the index of the first clear bit at or after ``start``.
-
-        Returns -1 if every bit from ``start`` on is set.
-        """
-        for bit in range(start, self._nbits):
-            if not self.test(bit):
-                return bit
-        return -1
-
-    def find_clear_run(self, length: int, start: int = 0) -> int:
-        """Return the start of the first run of ``length`` clear bits, or -1.
-
-        The FFS allocator uses this to place 16-block clusters contiguously.
-        """
-        if length <= 0:
-            raise ValueError("run length must be positive")
-        run = 0
-        for bit in range(start, self._nbits):
-            if self.test(bit):
-                run = 0
-            else:
-                run += 1
-                if run == length:
-                    return bit - length + 1
-        return -1
-
-    def count_set(self) -> int:
-        """Return the number of set bits."""
-        return sum(bin(word).count("1") for word in self._words)
-
-    def count_clear(self) -> int:
-        """Return the number of clear bits."""
-        return self._nbits - self.count_set()

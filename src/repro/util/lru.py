@@ -45,29 +45,3 @@ class LRUTracker(Generic[K]):
         if not self._order:
             return None
         return next(iter(self._order))
-
-    def mru(self) -> Optional[K]:
-        """Return the most-recently-used key without removing it."""
-        if not self._order:
-            return None
-        return next(reversed(self._order))
-
-    def pop_lru(self) -> Optional[K]:
-        """Remove and return the least-recently-used key."""
-        if not self._order:
-            return None
-        key, _ = self._order.popitem(last=False)
-        return key
-
-    def demote(self, key: K) -> None:
-        """Mark ``key`` least-recently used (the 'least-worthy' hook).
-
-        The paper's Future Work sketches a nearly-MRU policy where freshly
-        fetched segments are ejected first until a repeat access promotes
-        them; ``demote`` is the primitive that enables it.
-        """
-        if key in self._order:
-            self._order.move_to_end(key, last=False)
-        else:
-            self._order[key] = None
-            self._order.move_to_end(key, last=False)

@@ -55,15 +55,3 @@ def build_tree(fs, actor: Actor, root: str, spec: TreeSpec,
         out[unit] = files
     fs.checkpoint(actor)
     return out
-
-
-def touch_unit(fs, actor: Actor, files: List[str],
-               read_fraction: float = 1.0, seed: int = 0) -> int:
-    """Access (read) a unit's files, marking them active; returns reads."""
-    rng = random.Random(seed)
-    count = 0
-    for path in files:
-        if rng.random() <= read_fraction:
-            fs.read_path(path, 0, 4096, actor=actor)
-            count += 1
-    return count

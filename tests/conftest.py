@@ -1,4 +1,8 @@
-"""Shared fixtures: small, fast testbed instances."""
+"""Shared fixtures: small, fast testbed instances, and the one
+whole-tree analysis run."""
+
+import time
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,16 @@ def pytest_addoption(parser):
 @pytest.fixture
 def update_golden(request):
     return request.config.getoption("--update-golden")
+
+
+@pytest.fixture(scope="session")
+def src_analysis():
+    """One timed ``run_paths`` over ``src/repro``, shared by every test
+    that judges the tree's result: ``(result, seconds)``."""
+    from repro.analysis import run_paths
+    t0 = time.monotonic()
+    result = run_paths([Path(__file__).parent.parent / "src" / "repro"])
+    return result, time.monotonic() - t0
 
 
 @pytest.fixture(autouse=True)

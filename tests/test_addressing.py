@@ -91,9 +91,6 @@ class TestAddressSpace:
         with pytest.raises(AddressError):
             a.grow_disk(1000)
 
-    def test_tertiary_nsegs(self):
-        assert aspace().tertiary_nsegs() == 100
-
     def test_invalid_volume_lookup(self):
         a = aspace()
         with pytest.raises(AddressError):

@@ -16,24 +16,20 @@ import pytest
 
 from repro.analysis import Analyzer, Finding, run_paths
 from repro.analysis.core import AnalysisError, SourceFile, dotted_name
-from repro.analysis.rules import ALL_RULES, default_rules
+from repro.analysis.rules import default_rules
+from repro.analysis.rules.choke_points import (CHOKE_POINTS,
+                                               CLUSTER_LOCALITY, DEVICE_IO,
+                                               FRONTEND, SCHED_SUBMISSION,
+                                               ChokePointRule)
 from repro.analysis.rules.hl001_clock_purity import HL001ClockPurity
-from repro.analysis.rules.hl002_device_io import HL002DeviceIO
 from repro.analysis.rules.hl003_address_domain import HL003AddressDomain
 from repro.analysis.rules.hl004_trace_events import HL004TraceEvents
 from repro.analysis.rules.hl005_metric_labels import HL005MetricLabels
 from repro.analysis.rules.hl006_exceptions import HL006ExceptionDiscipline
-from repro.analysis.rules.hl007_sched_submission import HL007SchedSubmission
 from repro.analysis.rules.hl008_datapath_copy import HL008DatapathCopy
 from repro.analysis.rules.hl009_retry_discipline import HL009RetryDiscipline
-from repro.analysis.rules.hl010_checkpoint_discipline import (
-    HL010CheckpointDiscipline)
 from repro.analysis.rules.hl011_borrow_escape import HL011BorrowEscape
 from repro.analysis.rules.hl012_actor_discipline import HL012ActorDiscipline
-from repro.analysis.rules.hl013_transitive_clock import HL013TransitiveClock
-from repro.analysis.rules.hl014_cluster_locality import HL014ClusterLocality
-from repro.analysis.rules.hl015_frontend_discipline import (
-    HL015FrontendDiscipline)
 
 FIXTURES = Path(__file__).parent / "analysis_fixtures"
 
@@ -60,12 +56,12 @@ class TestRuleFixtures:
         assert all(f.line < 23 for f in result.findings)
 
     def test_hl002_device_io(self):
-        result = analyze("hl002_device.py", [HL002DeviceIO()])
+        result = analyze("hl002_device.py", [ChokePointRule(DEVICE_IO)])
         assert lines_of(result, "HL002") == [5, 6, 8, 9, 10, 11]
 
     def test_hl002_exempt_module_is_silent(self):
         # The same violations are legal inside an exempted module.
-        rule = HL002DeviceIO(exempt=("hl002_device",))
+        rule = ChokePointRule(DEVICE_IO, exempt=("hl002_device",))
         result = analyze("hl002_device.py", [rule])
         assert result.findings == []
 
@@ -108,14 +104,14 @@ class TestRuleFixtures:
         assert result.findings == []
 
     def test_hl007_sched_submission(self):
-        result = analyze("hl007_sched.py", [HL007SchedSubmission()])
+        result = analyze("hl007_sched.py", [ChokePointRule(SCHED_SUBMISSION)])
         assert lines_of(result, "HL007") == [5, 6, 7, 8, 10]
         # The facade calls and plain attribute reads stay clean.
         assert all(f.line <= 10 for f in result.findings)
 
     def test_hl007_exempt_inside_scheduler_package(self):
         # The scheduler package itself is the sanctioned caller.
-        rule = HL007SchedSubmission(exempt=("hl007_sched",))
+        rule = ChokePointRule(SCHED_SUBMISSION, exempt=("hl007_sched",))
         result = analyze("hl007_sched.py", [rule])
         assert result.findings == []
 
@@ -145,19 +141,6 @@ class TestRuleFixtures:
         rule = HL009RetryDiscipline(exempt=("hl009_retry",))
         result = analyze("hl009_retry.py", [rule])
         assert result.findings == []
-
-    def test_hl010_checkpoint_discipline(self):
-        result = analyze("hl010_checkpoint.py", [HL010CheckpointDiscipline()])
-        assert lines_of(result, "HL010") == [7, 8, 9, 10, 16]
-        # Pure-protocol bodies, mark-only and commit-only functions, and
-        # mutations before the mark / after the commit all stay clean.
-        assert all(f.line <= 16 for f in result.findings)
-
-    def test_hl010_message_names_the_window(self):
-        result = analyze("hl010_checkpoint.py", [HL010CheckpointDiscipline()])
-        first = next(f for f in result.findings if f.line == 7)
-        assert "checkpoint_mark" in first.message
-        assert "checkpoint_commit" in first.message
 
     def test_hl011_borrow_escape(self):
         result = analyze("hl011_borrow.py", [HL011BorrowEscape()])
@@ -199,61 +182,71 @@ class TestRuleFixtures:
         result = analyze("hl012_actor.py", [rule])
         assert result.findings == []
 
-    def test_hl013_transitive_clock(self):
-        result = analyze("repro/core/hl013_clock.py",
-                         [HL013TransitiveClock()])
-        assert lines_of(result, "HL013") == [10, 14]
+    def test_hl001_reach_through_helpers(self):
+        result = analyze("repro/core/hl001_reach.py", [HL001ClockPurity()])
+        assert lines_of(result, "HL001") == [7, 10, 14]
 
-    def test_hl013_skips_the_direct_call_site(self):
-        # The function that calls time.time() itself is HL001's finding;
-        # HL013 must not double-report it.
-        result = analyze("repro/core/hl013_clock.py",
-                         [HL013TransitiveClock()])
+    def test_hl001_reports_the_direct_caller_once(self):
+        # The function that calls time.time() itself is reported at the
+        # call (line 7), never again at its def (line 6).
+        result = analyze("repro/core/hl001_reach.py", [HL001ClockPurity()])
+        assert [f.line for f in result.findings].count(7) == 1
         assert all(f.line != 6 for f in result.findings)
 
-    def test_hl013_message_carries_the_witness_path(self):
-        result = analyze("repro/core/hl013_clock.py",
-                         [HL013TransitiveClock()])
+    def test_hl001_reach_message_carries_the_witness_path(self):
+        result = analyze("repro/core/hl001_reach.py", [HL001ClockPurity()])
         f = next(f for f in result.findings if f.line == 14)
         assert "bad_transitive -> " in f.message
         assert "_indirection -> " in f.message
         assert f.message.count("time.time") >= 1
 
-    def test_hl013_out_of_scope_module_is_silent(self):
+    def test_hl001_reach_outside_the_simulation_is_silent(self, tmp_path):
         # The same laundering pattern outside repro.core/repro.lfs is
-        # host-side tooling and stays unflagged.
-        result = analyze("hl_noqa_strings.py", [HL013TransitiveClock()])
-        assert result.findings == []
+        # host-side tooling: only the direct call is reported.
+        fixture = FIXTURES / "repro" / "core" / "hl001_reach.py"
+        tool = tmp_path / "tool.py"
+        tool.write_text(fixture.read_text())
+        result = run_paths([tool], rules=[HL001ClockPurity()])
+        assert lines_of(result, "HL001") == [7]
 
     def test_hl014_cluster_locality(self):
-        result = analyze("hl014_cluster.py", [HL014ClusterLocality()])
+        result = analyze("hl014_cluster.py",
+                         [ChokePointRule(CLUSTER_LOCALITY)])
         assert lines_of(result, "HL014") == [5, 6, 7, 8, 9, 10, 12]
 
     def test_hl014_sanctioned_surfaces_stay_clean(self):
         # The router, the object surface, and control-plane
         # introspection never fire.
-        result = analyze("hl014_cluster.py", [HL014ClusterLocality()])
+        result = analyze("hl014_cluster.py",
+                         [ChokePointRule(CLUSTER_LOCALITY)])
         assert all(f.line <= 12 for f in result.findings)
 
     def test_hl014_exempt_inside_router(self):
-        rule = HL014ClusterLocality(exempt=("hl014_cluster",))
+        rule = ChokePointRule(CLUSTER_LOCALITY, exempt=("hl014_cluster",))
         result = analyze("hl014_cluster.py", [rule])
         assert result.findings == []
 
     def test_hl015_frontend_discipline(self):
-        result = analyze("hl015_frontend.py", [HL015FrontendDiscipline()])
+        result = analyze("hl015_frontend.py", [ChokePointRule(FRONTEND)])
         assert lines_of(result, "HL015") == [5, 6, 7, 8, 9, 18]
 
     def test_hl015_client_sessions_stay_clean(self):
         # Client handles, the router surface, and control-plane fs
         # calls (stat/mkdir) never fire.
-        result = analyze("hl015_frontend.py", [HL015FrontendDiscipline()])
+        result = analyze("hl015_frontend.py", [ChokePointRule(FRONTEND)])
         assert all(f.line <= 18 for f in result.findings)
 
     def test_hl015_exempt_inside_adapters(self):
-        rule = HL015FrontendDiscipline(exempt=("hl015_frontend",))
+        rule = ChokePointRule(FRONTEND, exempt=("hl015_frontend",))
         result = analyze("hl015_frontend.py", [rule])
         assert result.findings == []
+
+    def test_choke_point_message_names_the_call_and_the_doorway(self):
+        result = analyze("hl014_cluster.py",
+                         [ChokePointRule(CLUSTER_LOCALITY)])
+        first = next(f for f in result.findings if f.line == 7)
+        assert "'nodes[1].disk.write(...)'" in first.message
+        assert "ClusterRouter" in first.message
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +266,16 @@ class TestNoqa:
         assert all(f.code == "HL001" for f in result.suppressed)
         assert result.ok is False  # line 13 still counts
 
+    def test_noqa_in_a_compound_body_covers_only_that_line(self):
+        # Regression: the span of a def/except/loop finding was the whole
+        # statement, so a noqa anywhere in its body suppressed it.  Only
+        # header lines suppress now (lines 34 and 38).
+        result = analyze("repro/core/hl_noqa_compound.py", default_rules())
+        assert sorted((f.code, f.line) for f in result.findings) == [
+            ("HL001", 11), ("HL006", 19), ("HL009", 27)]
+        assert sorted((f.code, f.line) for f in result.suppressed) == [
+            ("HL001", 8), ("HL001", 38), ("HL006", 34)]
+
     def test_noqa_inside_a_string_literal_is_inert(self):
         # Regression: the scan once regexed raw lines, so a string
         # containing "# noqa: HL001" masked a violation on its line.
@@ -287,17 +290,18 @@ class TestNoqa:
 
 class TestFramework:
     def test_all_rules_have_distinct_codes_and_docs(self):
-        codes = [r.code for r in ALL_RULES]
-        assert len(set(codes)) == len(codes) == 15
-        for rule_cls in ALL_RULES:
-            assert rule_cls.code.startswith("HL")
-            assert rule_cls.name
-            assert rule_cls.rationale
+        codes = [r.code for r in default_rules()]
+        assert len(set(codes)) == len(codes) == 13
+        for rule in default_rules():
+            assert rule.code.startswith("HL")
+            assert rule.name
+            assert rule.rationale
 
     def test_default_rules_instantiates_every_rule(self):
-        rules = default_rules()
-        assert sorted(r.code for r in rules) == \
-            sorted(r.code for r in ALL_RULES)
+        codes = [r.code for r in default_rules()]
+        assert codes == sorted(codes)
+        assert {p.code for p in CHOKE_POINTS} <= set(codes)
+        assert not {"HL010", "HL013"} & set(codes)
 
     def test_dotted_name_roots_at_repro(self):
         assert dotted_name(Path("src/repro/lfs/segwriter.py")) == \
@@ -374,30 +378,18 @@ class TestCLI:
     def test_list_rules(self):
         proc = run_cli("--list-rules")
         assert proc.returncode == 0
-        for rule_cls in ALL_RULES:
-            assert rule_cls.code in proc.stdout
+        for rule in default_rules():
+            assert rule.code in proc.stdout
 
-    def test_sarif_format(self):
-        proc = run_cli(str(FIXTURES / "hl002_device.py"),
-                       "--format", "sarif")
-        assert proc.returncode == 1
-        log = json.loads(proc.stdout)
-        assert log["version"] == "2.1.0"
-        run = log["runs"][0]
-        assert run["tool"]["driver"]["name"] == "repro-analysis"
-        rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert {"HL001", "HL011", "HL012", "HL013"} <= rule_ids
-        results = run["results"]
-        assert results and all(r["ruleId"] == "HL002" for r in results)
-        region = results[0]["locations"][0]["physicalLocation"]["region"]
-        assert region["startLine"] >= 1 and region["startColumn"] >= 1
-
-    def test_sarif_clean_run_exits_zero_with_empty_results(self):
-        proc = run_cli(str(FIXTURES / "repro" / "lfs" / "hl006_except.py"),
-                       "--select", "HL001", "--format", "sarif")
+    def test_help_names_every_rule_code(self):
+        proc = run_cli("--help")
         assert proc.returncode == 0
-        log = json.loads(proc.stdout)
-        assert log["runs"][0]["results"] == []
+        text = " ".join(proc.stdout.split())
+        assert ", ".join(r.code for r in default_rules()) in text
+
+    def test_retired_codes_are_unknown(self):
+        for code in ("HL010", "HL013"):
+            assert run_cli("src", "--select", code).returncode == 2
 
     def test_github_format(self):
         proc = run_cli(str(FIXTURES / "hl002_device.py"),
@@ -407,16 +399,6 @@ class TestCLI:
         assert lines
         assert all(ln.startswith("::error file=") for ln in lines)
         assert "title=HL002" in lines[0]
-
-    def test_jobs_flag_is_output_invariant(self):
-        base = run_cli(str(FIXTURES), "--format", "json")
-        jobs = run_cli(str(FIXTURES), "--format", "json", "--jobs", "4")
-        assert base.returncode == jobs.returncode == 1
-        assert base.stdout == jobs.stdout
-
-    def test_nonpositive_jobs_is_usage_error(self):
-        proc = run_cli("src", "--jobs", "0")
-        assert proc.returncode == 2
 
     def test_index_cache_writes_then_reuses(self, tmp_path):
         cache = tmp_path / "index-cache.json"

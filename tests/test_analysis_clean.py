@@ -12,25 +12,49 @@ import tokenize
 from collections import Counter
 from pathlib import Path
 
-from repro.analysis import run_paths
-
 ROOT = Path(__file__).parent.parent
 SRC = ROOT / "src" / "repro"
 
-#: Public names allowed to occur only at their definition.  Add one with
-#: the reason it must stay; the default answer to a hit is deletion.
-UNREFERENCED_OK: set = set()
+#: Public names whose only use outside the tests is their definition,
+#: each with the reason it stays.  The default answer to a hit is
+#: deletion, with the tests that were its only callers.
+UNREFERENCED_OK = {
+    "rename": "LFS namespace operation (DESIGN.md filesystem API)",
+    "truncate": "LFS namespace operation (DESIGN.md filesystem API)",
+    "add_volume": "on-line tertiary growth, paper §6.3 (DESIGN.md)",
+    "grow_disk": "on-line disk growth, paper §6.3 (DESIGN.md)",
+    "grow": "the ifile grows with the address space, paper §6.4",
+    "make_metrum": "DESIGN.md device table: the Metrum tape jukebox",
+    "make_sony_worm": "DESIGN.md device table: the Sony WORM jukebox",
+    "AdaptiveCacheSizer": "DESIGN.md, paper §10 future work",
+    "observe_and_adjust": "AdaptiveCacheSizer's one verb",
+    "walk_log": "repro.lfs.dump: offline log-inspection tool",
+    "segment_map": "repro.lfs.dump: offline log-inspection tool",
+    "dump_inode": "repro.lfs.dump: offline log-inspection tool",
+    "dump_file_map": "repro.lfs.dump: offline log-inspection tool",
+    "dump_checkpoints": "repro.lfs.dump: offline log-inspection tool",
+    "lru_order": "the victim-order reference the buffer-cache "
+                 "property test compares against",
+    "written_blocks": "the occupancy count the store-equivalence "
+                      "property test compares against",
+    "FreeCPU": "the zero-cost CPU model tests substitute",
+    "assert_acknowledged": "crashsim's zero-acknowledged-loss oracle",
+    "render_text": "repro.obs.report's human-readable metrics and "
+                   "trace dump",
+    "install_from_env": "the REPRO_SANITIZE=borrow switch every test "
+                        "arms through tests/conftest.py",
+}
 
 
-def test_src_tree_is_clean():
-    result = run_paths([SRC])
+def test_src_tree_is_clean(src_analysis):
+    result, _ = src_analysis
     rendered = "\n".join(f.format() for f in result.findings)
     assert result.errors == [], result.errors
     assert result.findings == [], f"analysis findings:\n{rendered}"
 
 
-def test_suppression_budget():
-    result = run_paths([SRC])
+def test_suppression_budget(src_analysis):
+    result, _ = src_analysis
     # Two sanctioned suppression sites.  bench/: the Table-5 benchmark
     # measures the bare device on purpose (HL002, and its dd-style 1 MB
     # loop shape trips HL008).  analysis/program/index.py: the
@@ -47,8 +71,8 @@ def test_suppression_budget():
                for f in in_analysis)
 
 
-def test_no_suppressions_in_core_or_lfs():
-    result = run_paths([SRC])
+def test_no_suppressions_in_core_or_lfs(src_analysis):
+    result, _ = src_analysis
     for f in result.suppressed:
         path = Path(f.path)
         assert "core" not in path.parts and "lfs" not in path.parts, \
@@ -65,12 +89,13 @@ def _code_identifiers(path: Path):
 
 
 def test_every_public_name_is_referenced_somewhere():
-    """ROADMAP 9(a), the cheap form: a public def/class in ``src`` whose
-    name occurs exactly once as an identifier — its own definition —
-    across the code of ``src``, the tests, the benchmarks and the
-    examples is dead.  A mention in a lazy-export table, a docstring, a
-    ``getattr`` string or the docs is not a use."""
-    words = Counter(w for d in ("src", "tests", "benchmarks", "bench_e2e",
+    """ROADMAP 9(a), the test-only form: a public def/class in ``src``
+    whose name occurs exactly once as an identifier — its own
+    definition — across the code of ``src``, the benchmarks and the
+    examples is dead, however many tests call it.  A mention in a
+    lazy-export table, a docstring, a ``getattr`` string, the docs or a
+    test is not a use."""
+    words = Counter(w for d in ("src", "benchmarks", "bench_e2e",
                                 "examples")
                     for p in sorted((ROOT / d).rglob("*.py"))
                     for w in _code_identifiers(p))
@@ -256,3 +281,23 @@ def test_the_footprint_is_never_replaced_or_unwrapped():
                      and _names_a_footprint(node.value, derived)]
     assert hits == [], ("a Footprint replaced or unwrapped:\n"
                         + "\n".join(sorted(set(hits))))
+
+
+def test_checkpoint_mark_and_commit_run_as_one_expression():
+    """The persistence checkpoint's capture and durable write are
+    private, and their caller runs them as one expression: no statement
+    can mutate state between mark and commit (what rule HL010 used to
+    check)."""
+    tree = ast.parse((SRC / "persist" / "manager.py").read_text(
+        encoding="utf-8"))
+    manager = next(n for n in ast.walk(tree)
+                   if isinstance(n, ast.ClassDef)
+                   and n.name == "PersistManager")
+    methods = {n.name: n for n in manager.body
+               if isinstance(n, ast.FunctionDef)}
+    assert not {"checkpoint_mark", "checkpoint_commit"} & set(methods)
+    body = [stmt for stmt in methods["on_checkpoint"].body
+            if not (isinstance(stmt, ast.Expr)
+                    and isinstance(stmt.value, ast.Constant))]
+    assert [ast.unparse(stmt) for stmt in body] == \
+        ["self._commit(actor, self._mark(actor))"]

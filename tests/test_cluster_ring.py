@@ -45,7 +45,7 @@ class TestBalance:
         assert set(counts) == set(range(n_shards))
         # vnodes=64 gives ~1/sqrt(64) per-shard deviation; 1.5x the
         # mean is a loose, seed-stable ceiling for every count to 8.
-        assert ring.imbalance(keys) <= 1.5
+        assert max(counts.values()) * n_shards / len(keys) <= 1.5
         if n_shards > 1:
             assert min(counts.values()) > 0
 

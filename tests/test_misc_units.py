@@ -48,12 +48,12 @@ class TestErrorsHierarchy:
                 assert issubclass(obj, ReproError), name
 
     def test_family_structure(self):
-        from repro.errors import (AddressError, CacheMiss, FileNotFound,
-                                  NoSpace)
+        from repro.errors import (AddressError, FileNotFound, NoSpace,
+                                  StagingFull)
         assert issubclass(AddressError, DeviceError)
         assert issubclass(NoSpace, FilesystemError)
         assert issubclass(FileNotFound, FilesystemError)
-        assert issubclass(CacheMiss, MigrationError)
+        assert issubclass(StagingFull, MigrationError)
 
 
 class TestStagingAppendStrict:

@@ -423,22 +423,10 @@ class TestTrace:
         tr.emit(obs.EV_SEGMENT_FETCH, 1.0625, tsegno=4, bytes=1048576,
                 actor="app")
         tr.emit(obs.EV_VOLUME_SWITCH, 13.5, volume="platter-00")
-        replayed = TraceRecorder.from_jsonl(tr.to_jsonl())
+        text = "\n".join(json.dumps(d, sort_keys=True) for d in tr.to_list())
+        replayed = [TraceEvent.from_dict(json.loads(line))
+                    for line in text.splitlines()]
         assert replayed == tr.events()
-
-    def test_write_jsonl(self, tmp_path):
-        tr = TraceRecorder()
-        tr.emit(obs.EV_CLEAN_PASS, 5.0, cleaned=2)
-        path = tr.write_jsonl(str(tmp_path / "trace.jsonl"))
-        text = open(path, encoding="utf-8").read()
-        assert TraceRecorder.from_jsonl(text) == tr.events()
-
-    def test_load_jsonl_replays_into_recorder(self):
-        src = TraceRecorder()
-        src.emit(obs.EV_MIGRATE_PICK, 2.0, tag="cold")
-        dst = TraceRecorder()
-        assert dst.load_jsonl(src.to_jsonl()) == 1
-        assert dst.events() == src.events()
 
     def test_clear(self):
         tr = TraceRecorder()
@@ -472,12 +460,9 @@ class TestTrace:
         assert emitted == ev and tr.events() == [ev]
         assert tr.events()[0].fields == fields
         assert tr.to_list() == [ev.to_dict()]
-        line = json.dumps({"type": "volume_switch", "t": 3.0,
-                           "fields": fields}, sort_keys=True)
-        assert tr.to_jsonl() == line
-        again = TraceRecorder()
-        assert again.load_jsonl(line) == 1
-        assert again.to_jsonl() == line
+        assert json.dumps(tr.to_list()[0], sort_keys=True) == json.dumps(
+            {"type": "volume_switch", "t": 3.0, "fields": fields},
+            sort_keys=True)
 
     def test_ring_packs_events_of_one_shape_into_small_rows(self):
         tr = TraceRecorder()
@@ -516,7 +501,7 @@ class TestTrace:
                 [type(v) for v in fields.values()]
         assert str(back[3].fields["x"]) == "-0.0"
         assert back[5].fields["x"] != back[5].fields["x"]   # NaN survives
-        assert tr.to_jsonl().splitlines()[1] == json.dumps(
+        assert json.dumps(tr.to_list()[1], sort_keys=True) == json.dumps(
             {"type": "volume_switch", "t": 1.0, "fields": rows[1]},
             sort_keys=True)
 

@@ -206,12 +206,6 @@ class TestAccessRangeTracker:
         # The two close-in-time records merged, the outlier survived.
         assert any(r.last_access == 99.0 and len(r) == 1 for r in ranges)
 
-    def test_forget(self):
-        tr = AccessRangeTracker()
-        tr.record(1, 0, 1, when=1.0)
-        tr.forget(1)
-        assert tr.ranges(1) == []
-
     def test_empty_access_ignored(self):
         tr = AccessRangeTracker()
         tr.record(1, 5, 5, when=1.0)

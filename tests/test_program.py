@@ -3,25 +3,26 @@
 Covers the pieces the interprocedural rules stand on — the per-module
 summary extractor, the combined index's borrow/clock fixpoints, the
 hash-keyed summary cache — plus the cross-cutting contracts: output
-determinism (serial vs parallel loading, back-to-back runs), the
-<10s whole-tree budget, and the pin keeping the summary extractor's
-clock-source table in sync with HL001's.
+determinism (back-to-back runs), the <10s whole-tree budget, and the
+pin that HL001's direct check and the summary extractor flag the same
+clock sources.
 """
 
 import json
-import time
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import Analyzer, default_rules, run_paths
+from repro.analysis.core import SourceFile
 from repro.analysis.program.dataflow import analyze_borrows
 from repro.analysis.program.index import ProgramIndex
 from repro.analysis.program.summary import (ACTOR_CLASS, CLOCK_SUFFIXES,
                                             ModuleSummary, summarize)
-from repro.analysis.core import SourceFile
-from repro.analysis.rules.hl001_clock_purity import _BANNED_SUFFIXES
+from repro.analysis.rules.hl001_clock_purity import HL001ClockPurity
 
 REPO = Path(__file__).parent.parent
-SRC = REPO / "src"
+SRC = REPO / "src" / "repro"
 
 
 def parse(tmp_path, name, text):
@@ -34,9 +35,15 @@ def build(files):
     return ProgramIndex.build(files)
 
 
-def load_tree(paths=(SRC,), jobs=1):
-    analyzer = Analyzer(default_rules())
-    return analyzer.load([str(p) for p in paths], jobs=jobs)
+@pytest.fixture(scope="module")
+def src_files():
+    """``src/repro`` loaded once for every index test."""
+    return Analyzer(default_rules()).load([str(SRC)])
+
+
+@pytest.fixture(scope="module")
+def src_index(src_files):
+    return build(src_files)
 
 
 # ---------------------------------------------------------------------------
@@ -92,11 +99,18 @@ class TestSummaries:
         restored = ModuleSummary.from_dict(json.loads(encoded))
         assert restored.to_dict() == summary.to_dict()
 
-    def test_clock_suffixes_pin_hl001(self):
-        # The extractor deliberately duplicates HL001's banned-suffix
-        # table (importing it would cycle program <-> rules); this pin
-        # fails the moment the two drift apart.
-        assert set(CLOCK_SUFFIXES) == set(_BANNED_SUFFIXES)
+    def test_clock_suffixes_pin_hl001(self, tmp_path):
+        # One table: every source the extractor records, HL001's direct
+        # check flags at the call site.
+        body = "".join(f"def f{i}():\n    return {suffix}()\n"
+                       for i, suffix in enumerate(CLOCK_SUFFIXES))
+        sf = parse(tmp_path, "m.py", body)
+        summary = summarize(sf)
+        assert all(summary.functions[f"m.f{i}"].clock_calls
+                   for i in range(len(CLOCK_SUFFIXES)))
+        result = run_paths([sf.path], rules=[HL001ClockPurity()])
+        assert sorted(f.line for f in result.findings) == [
+            2 * i + 2 for i in range(len(CLOCK_SUFFIXES))]
 
 
 # ---------------------------------------------------------------------------
@@ -156,17 +170,16 @@ class TestDataflow:
 # ---------------------------------------------------------------------------
 
 class TestIndex:
-    def test_src_borrow_fixpoint_finds_the_lending_chain(self):
-        idx = build(load_tree())
+    def test_src_borrow_fixpoint_finds_the_lending_chain(self, src_index):
+        idx = src_index
         # The devices lend by *calling* their store's read_refs...
         assert "repro.blockdev.disk.DiskDevice.read_refs" \
             in idx.returns_borrow
         # ...and one indirection further up, the line-I/O choke point.
         assert "repro.core.addressing.line_read_refs" in idx.returns_borrow
 
-    def test_src_clock_reach_stays_out_of_simulation(self):
-        idx = build(load_tree())
-        for qname, (via, _desc) in idx.clock_reach.items():
+    def test_src_clock_reach_stays_out_of_simulation(self, src_index):
+        for qname, (via, _desc) in src_index.clock_reach.items():
             if via is None:
                 continue  # direct sites are HL001-audited (noqa'd bench)
             assert not qname.startswith(("repro.core.", "repro.lfs.")), \
@@ -187,17 +200,9 @@ class TestIndex:
         assert witness[-1] == "time.time"
         assert "m.b" in witness and "m.a" in witness
 
-    def test_transitive_callees(self, tmp_path):
-        files = [parse(tmp_path, "m.py", (
-            "def leaf():\n    return 1\n"
-            "def mid():\n    return leaf()\n"
-            "def top():\n    return mid()\n"))]
-        idx = build(files)
-        assert idx.transitive_callees("m.top") == {"m.mid", "m.leaf"}
-
-    def test_cache_reuse_round_trip(self, tmp_path):
+    def test_cache_reuse_round_trip(self, tmp_path, src_files):
         cache = tmp_path / "index.json"
-        files = load_tree()
+        files = src_files
         first = ProgramIndex.build(files, cache_path=cache)
         assert first.stats.files_reused == 0
         assert cache.is_file()
@@ -222,41 +227,27 @@ class TestIndex:
 # ---------------------------------------------------------------------------
 
 class TestContracts:
-    def test_back_to_back_runs_are_byte_identical(self):
-        one = run_paths([SRC])
+    def test_back_to_back_runs_are_byte_identical(self, src_analysis):
+        one, _ = src_analysis
         two = run_paths([SRC])
         assert json.dumps(one.to_dict(), sort_keys=True) == \
             json.dumps(two.to_dict(), sort_keys=True)
 
-    def test_parallel_and_serial_loading_are_byte_identical(self):
-        serial = run_paths([SRC], jobs=1)
-        parallel = run_paths([SRC], jobs=4)
-        assert json.dumps(serial.to_dict(), sort_keys=True) == \
-            json.dumps(parallel.to_dict(), sort_keys=True)
-
-    def test_parallel_load_preserves_collection_order(self):
-        analyzer = Analyzer(default_rules())
-        serial = [sf.display_path for sf in analyzer.load([str(SRC)])]
-        parallel = [sf.display_path
-                    for sf in analyzer.load([str(SRC)], jobs=8)]
-        assert serial == parallel
-
-    def test_whole_tree_analysis_meets_the_time_budget(self):
-        t0 = time.monotonic()
-        result = run_paths([SRC])
-        elapsed = time.monotonic() - t0
+    def test_whole_tree_analysis_meets_the_time_budget(self, src_analysis):
+        result, elapsed = src_analysis
         assert result.errors == []
         assert result.index_stats is not None  # program rules ran
         assert elapsed < 10.0, f"whole-tree analysis took {elapsed:.1f}s"
 
-    def test_index_stats_never_leak_into_result_json(self):
-        result = run_paths([SRC])
+    def test_index_stats_never_leak_into_result_json(self, src_analysis):
+        result, _ = src_analysis
         assert result.index_stats is not None
         payload = json.dumps(result.to_dict())
         assert "build_seconds" not in payload
 
     def test_overlapping_paths_analyze_each_file_once(self):
-        inner = SRC / "repro" / "analysis" / "core.py"
-        result = run_paths([SRC, inner, SRC])
-        baseline = run_paths([SRC])
+        tree = SRC / "analysis"
+        inner = tree / "core.py"
+        result = run_paths([tree, inner, tree])
+        baseline = run_paths([tree])
         assert result.files_analyzed == baseline.files_analyzed

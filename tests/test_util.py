@@ -72,42 +72,6 @@ class TestBitmap:
         with pytest.raises(IndexError):
             bm.set(-1)
 
-    def test_find_clear(self):
-        bm = Bitmap(10)
-        for i in range(5):
-            bm.set(i)
-        assert bm.find_clear() == 5
-        assert bm.find_clear(start=7) == 7
-
-    def test_find_clear_exhausted(self):
-        bm = Bitmap(4)
-        for i in range(4):
-            bm.set(i)
-        assert bm.find_clear() == -1
-
-    def test_find_clear_run(self):
-        bm = Bitmap(32)
-        bm.set(3)
-        assert bm.find_clear_run(3) == 0
-        assert bm.find_clear_run(5) == 4
-
-    def test_find_clear_run_none(self):
-        bm = Bitmap(4)
-        bm.set(1)
-        bm.set(3)
-        assert bm.find_clear_run(2) == -1
-
-    def test_run_length_validation(self):
-        with pytest.raises(ValueError):
-            Bitmap(4).find_clear_run(0)
-
-    def test_counts(self):
-        bm = Bitmap(20)
-        for i in (0, 5, 19):
-            bm.set(i)
-        assert bm.count_set() == 3
-        assert bm.count_clear() == 17
-
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
             Bitmap(-1)
@@ -117,7 +81,6 @@ class TestBitmap:
         bm = Bitmap(200)
         for b in bits:
             bm.set(b)
-        assert bm.count_set() == len(bits)
         for b in range(200):
             assert bm.test(b) == (b in bits)
 
@@ -128,7 +91,7 @@ class TestLRUTracker:
         for k in "abc":
             lru.touch(k)
         assert lru.lru() == "a"
-        assert lru.mru() == "c"
+        assert list(lru)[-1] == "c"
 
     def test_touch_promotes(self):
         lru = LRUTracker()
@@ -136,15 +99,7 @@ class TestLRUTracker:
             lru.touch(k)
         lru.touch("a")
         assert lru.lru() == "b"
-        assert lru.mru() == "a"
-
-    def test_pop_lru(self):
-        lru = LRUTracker()
-        for k in "ab":
-            lru.touch(k)
-        assert lru.pop_lru() == "a"
-        assert lru.pop_lru() == "b"
-        assert lru.pop_lru() is None
+        assert list(lru)[-1] == "a"
 
     def test_discard(self):
         lru = LRUTracker()
@@ -152,19 +107,6 @@ class TestLRUTracker:
         lru.discard("x")
         lru.discard("never-seen")
         assert len(lru) == 0
-
-    def test_demote(self):
-        lru = LRUTracker()
-        for k in "abc":
-            lru.touch(k)
-        lru.demote("c")
-        assert lru.lru() == "c"
-
-    def test_demote_inserts(self):
-        lru = LRUTracker()
-        lru.touch("a")
-        lru.demote("fresh")
-        assert lru.lru() == "fresh"
 
     def test_iteration_order(self):
         lru = LRUTracker()
@@ -176,4 +118,4 @@ class TestLRUTracker:
     def test_empty(self):
         lru = LRUTracker()
         assert lru.lru() is None
-        assert lru.mru() is None
+        assert list(lru) == []

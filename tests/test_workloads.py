@@ -8,7 +8,7 @@ from repro.sim.actor import Actor
 from repro.util.units import KB, MB
 from repro.workloads.checkpoints import CheckpointWorkload
 from repro.workloads.database import DatabaseWorkload, PAGE
-from repro.workloads.filetree import TreeSpec, build_tree, touch_unit
+from repro.workloads.filetree import TreeSpec, build_tree
 from repro.workloads.largeobject import (FRAME_SIZE, LargeObjectBenchmark,
                                          PhaseResult)
 from repro.workloads.traces import ArchivalTrace
@@ -61,17 +61,6 @@ class TestFileTree:
             assert len(files) == 4
             for path in files:
                 assert bed.fs.stat(path).size > 0
-
-    def test_touch_unit_updates_atime(self):
-        bed = HLBed()
-        spec = TreeSpec(units=1, files_per_unit=3, mean_file_bytes=2 * KB)
-        units = build_tree(bed.fs, bed.app, "/p", spec)
-        files = next(iter(units.values()))
-        bed.app.sleep(500)
-        touched = touch_unit(bed.fs, bed.app, files)
-        assert touched == 3
-        for path in files:
-            assert bed.fs.stat(path).atime > 400
 
 
 class TestArchivalTrace:
