@@ -14,7 +14,7 @@ from repro.blockdev import profiles
 from repro.blockdev.bus import SCSIBus
 from repro.core.stack import (PARTITION_BYTES, Testbed, make_highlight,
                               preload_write_volume)
-from repro.ffs.filesystem import FFS, FFSConfig
+from repro.ffs.filesystem import FFS
 from repro.lfs.filesystem import LFS, LFSConfig
 from repro.sim.actor import Actor
 
@@ -28,7 +28,7 @@ def make_ffs(partition_bytes: int = PARTITION_BYTES) -> Testbed:
     disk = profiles.make_disk(profiles.RZ57, bus=bus,
                               capacity_bytes=partition_bytes)
     app = Actor("app")
-    fs = FFS.mkfs(disk, FFSConfig(), profiles.make_cpu(), actor=app)
+    fs = FFS.mkfs(disk, profiles.make_cpu(), actor=app)
     return Testbed(bus=bus, app=app, disks=[disk], fs=fs)
 
 

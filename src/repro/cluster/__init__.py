@@ -11,9 +11,9 @@ slice of the namespace, behind a thin routing layer:
 * :class:`~repro.cluster.node.ClusterNode` — one shard: a full
   HighLight stack (LFS + segment cache + scheduler + Footprint +
   optional replica/fault machinery) on its own actor timeline.
-* :class:`~repro.cluster.router.ClusterRouter` — the front end: an
-  open/read/write/close session surface that stripes files into
-  extents, routes each extent to its owning shard, and fans multi-
+* :class:`~repro.cluster.router.ClusterRouter` — the routing layer:
+  ``read_path``, ``write_path`` and ``size_of`` stripe files into
+  extents, route each extent to its owning shard, and fan multi-
   extent reads out across shards in parallel virtual time.
 * :class:`~repro.cluster.migrate.MigrationCoordinator` — cross-shard
   segment movement when the ring changes (shard add/remove), run under

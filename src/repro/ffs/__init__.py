@@ -2,8 +2,9 @@
 
 The paper benchmarks HighLight against "a version of FFS with read- and
 write-clustering, which coalesces adjacent block I/O operations for
-better performance" (§7).  The defining behavioural differences from LFS
-that the benchmarks exercise:
+better performance" (§7).  It runs LFS's own UFS layer
+(:mod:`repro.lfs.ufs`: reads, read-ahead, writes, namespace), so the
+only differences from LFS are those of layout:
 
 * blocks are assigned a location on allocation and **updated in place**
   — every subsequent read or write goes to that same location;
@@ -18,6 +19,6 @@ metadata (inodes, directories, data) to round-trip file content.
 """
 
 from repro.ffs.allocator import CylinderGroupAllocator
-from repro.ffs.filesystem import FFS, FFSConfig
+from repro.ffs.filesystem import FFS
 
-__all__ = ["CylinderGroupAllocator", "FFS", "FFSConfig"]
+__all__ = ["CylinderGroupAllocator", "FFS"]

@@ -1,74 +1,55 @@
-"""The FFS baseline filesystem.
+"""The FFS baseline filesystem: the UFS layer over an update-in-place
+layout.
 
-Mirrors the public API of :class:`repro.lfs.LFS` closely enough that the
-paper's benchmarks run unchanged against either system.  The behavioural
-essentials (update-in-place, clustered reads, elevator write-behind) live
-here; see the package docstring for what is deliberately simplified.
+Reads, writes and the namespace are the UFS layer LFS uses
+(:mod:`repro.lfs.ufs`); this module supplies only where blocks live —
+the inode table, the cylinder-group allocator, the block map and the
+elevator flush.  See the package docstring for what is deliberately
+simplified.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.blockdev.base import BlockDevice, CPUModel
-from repro.errors import (DirectoryNotEmpty, FileExists, FileNotFound,
-                          InvalidArgument, IsADirectory, NotADirectory)
-from repro.lfs.buffercache import BufferCache
-from repro.lfs.constants import BLOCK_SIZE, ROOT_INUM
+from repro.errors import InvalidArgument
+from repro.lfs.constants import BLOCK_SIZE, ROOT_INUM, UNASSIGNED
 from repro.lfs.directory import Directory
 from repro.lfs.inode import (Inode, INODE_SIZE, INODES_PER_BLOCK, S_IFDIR,
-                             S_IFREG, find_inode_in_block)
+                             find_inode_in_block)
+from repro.lfs.ufs import BCACHE_BYTES, CLUSTER_BLOCKS, UFS, UFSStats
 from repro.ffs.allocator import CylinderGroupAllocator
 from repro.sim.actor import Actor
 
-
-@dataclass
-class FFSConfig:
-    """FFS tunables (matched to the paper's benchmark configuration)."""
-
-    cluster_blocks: int = 16          # 64 KB clusters ("maxcontig = 16")
-    bcache_bytes: int = int(3.2 * 1024 * 1024)
-    inode_table_blocks: int = 64      # 2048 inodes
-    group_blocks: int = 2048
+#: Blocks of inode table (2048 inodes), after the superblock analogue.
+INODE_TABLE_BLOCKS = 64
+#: Blocks per cylinder group.
+GROUP_BLOCKS = 2048
 
 
-class FFS:
+class FFS(UFS):
     """An update-in-place filesystem with clustering, as a baseline."""
 
-    FIRST_INUM = 2  # root
-
     def __init__(self, device: BlockDevice,
-                 config: Optional[FFSConfig] = None,
                  cpu: Optional[CPUModel] = None,
                  actor: Optional[Actor] = None) -> None:
-        self.device = device
-        self.config = config or FFSConfig()
-        self.cpu = cpu or CPUModel()
-        self.actor = actor or Actor("ffs-kernel")
-        self.bcache = BufferCache(self.config.bcache_bytes)
+        super().__init__(device, cpu, actor or Actor("ffs-kernel"),
+                         BCACHE_BYTES, UFSStats())
         self._inode_table_start = 1  # block 0 is the superblock analogue
         self.allocator = CylinderGroupAllocator(
             device.capacity_blocks,
-            first_data_block=(self._inode_table_start
-                              + self.config.inode_table_blocks),
-            group_blocks=self.config.group_blocks,
-            cluster_blocks=self.config.cluster_blocks)
-        self._inodes: Dict[int, Inode] = {}
-        self._dirty_inodes: set = set()
-        self._last_read_lbn: Dict[int, int] = {}
+            first_data_block=self._inode_table_start + INODE_TABLE_BLOCKS,
+            group_blocks=GROUP_BLOCKS, cluster_blocks=CLUSTER_BLOCKS)
         #: inum -> {lbn: daddr}: the direct/indirect trees, flattened.
         self._block_map: Dict[int, Dict[int, int]] = {}
         self._next_inum = ROOT_INUM
-        self.reads = 0
-        self.writes = 0
 
     @classmethod
-    def mkfs(cls, device: BlockDevice, config: Optional[FFSConfig] = None,
-             cpu: Optional[CPUModel] = None,
+    def mkfs(cls, device: BlockDevice, cpu: Optional[CPUModel] = None,
              actor: Optional[Actor] = None) -> "FFS":
-        fs = cls(device, config, cpu, actor)
-        root = fs._alloc_inode(S_IFDIR | 0o755)
+        fs = cls(device, cpu, actor)
+        root = fs.alloc_inode(S_IFDIR | 0o755, fs.actor)
         assert root.inum == ROOT_INUM
         root.nlink = 2
         fs._write_dir(root, Directory.new(ROOT_INUM, ROOT_INUM), fs.actor)
@@ -81,18 +62,18 @@ class FFS:
 
     def _inode_location(self, inum: int) -> int:
         block = self._inode_table_start + (inum // INODES_PER_BLOCK)
-        if block >= self._inode_table_start + self.config.inode_table_blocks:
+        if block >= self._inode_table_start + INODE_TABLE_BLOCKS:
             raise InvalidArgument("inode table full")
         return block
 
-    def _alloc_inode(self, mode: int) -> Inode:
+    def alloc_inode(self, mode: int, actor: Actor) -> Inode:
         inum = self._next_inum
         self._next_inum += 1
-        now = self.actor.time
-        ino = Inode(inum, mode=mode, atime=now, mtime=now, ctime=now)
+        ino = Inode(inum, mode=mode,
+                    atime=actor.time, mtime=actor.time, ctime=actor.time)
         self._inodes[inum] = ino
         self._block_map[inum] = {}
-        self._dirty_inodes.add(inum)
+        self.mark_inode_dirty(inum)
         return ino
 
     def get_inode(self, inum: int, actor: Optional[Actor] = None) -> Inode:
@@ -106,6 +87,17 @@ class FFS:
         self._inodes[inum] = ino
         self._block_map.setdefault(inum, {})
         return ino
+
+    def mark_inode_dirty(self, inum: int) -> None:
+        self._dirty_inodes.add(inum)
+
+    def _destroy_inode(self, ino: Inode, actor: Actor) -> None:
+        self._truncate_blocks(ino, 0, actor)
+        self._block_map.pop(ino.inum, None)
+        self.bcache.invalidate_inode(ino.inum)
+        self._inodes.pop(ino.inum, None)
+        self._forget_names(ino.inum)
+        self._dirty_inodes.discard(ino.inum)
 
     def _flush_inodes(self, actor: Actor) -> None:
         by_block: Dict[int, List[Inode]] = {}
@@ -129,109 +121,42 @@ class FFS:
     # ------------------------------------------------------------------
 
     def bmap(self, ino: Inode, lbn: int,
-             actor: Optional[Actor] = None) -> Optional[int]:
-        return self._block_map.get(ino.inum, {}).get(lbn)
+             actor: Optional[Actor] = None) -> int:
+        return self._block_map.get(ino.inum, {}).get(lbn, UNASSIGNED)
 
-    def _assign_block(self, ino: Inode, lbn: int) -> int:
+    def bmap_cached(self, ino: Inode, lbn: int) -> int:
+        """The whole block map is in core: the same as :meth:`bmap`."""
+        return self.bmap(ino, lbn)
+
+    def _place(self, ino: Inode, lbn: int, actor: Actor) -> None:
         """Allocate on first write; later operations reuse the location."""
         bmap = self._block_map.setdefault(ino.inum, {})
-        daddr = bmap.get(lbn)
-        if daddr is None:
-            daddr = self.allocator.alloc(ino.inum)
-            bmap[lbn] = daddr
+        if lbn not in bmap:
+            bmap[lbn] = self.allocator.alloc(ino.inum)
             ino.blocks += 1
-        return daddr
+
+    def _truncate_blocks(self, ino: Inode, new_size: int,
+                         actor: Actor) -> None:
+        """Free the blocks past ``new_size``."""
+        if ino.is_dir():
+            self._forget_names(ino.inum)  # block count and bytes change
+        first_dead = (new_size + BLOCK_SIZE - 1) // BLOCK_SIZE
+        bmap = self._block_map.get(ino.inum, {})
+        for lbn in [lbn for lbn in bmap if lbn >= first_dead]:
+            self.allocator.free(ino.inum, bmap.pop(lbn))
+            ino.blocks -= 1
+            self.bcache.invalidate((ino.inum, lbn))
+        ino.size = new_size
+        self.mark_inode_dirty(ino.inum)
 
     # ------------------------------------------------------------------
-    # Data I/O
+    # Device I/O
     # ------------------------------------------------------------------
 
-    def read(self, inum: int, offset: int, nbytes: int,
-             actor: Optional[Actor] = None,
-             update_atime: bool = True) -> bytes:
-        actor = actor or self.actor
-        ino = self.get_inode(inum, actor)
-        if offset >= ino.size:
-            return b""
-        nbytes = min(nbytes, ino.size - offset)
-        out = bytearray()
-        lbn = offset // BLOCK_SIZE
-        end_lbn = (offset + nbytes - 1) // BLOCK_SIZE
-        while lbn <= end_lbn:
-            out += self._read_block(ino, lbn, actor)
-            lbn += 1
-        if update_atime:
-            ino.atime = actor.time
-            self._dirty_inodes.add(inum)
-        self.reads += 1
-        start = offset % BLOCK_SIZE
-        return bytes(out[start:start + nbytes])
+    def dev_read_refs(self, actor: Actor, daddr: int, nblocks: int):
+        return self.device.read_refs(actor, daddr, nblocks)
 
-    def _read_block(self, ino: Inode, lbn: int, actor: Actor) -> bytes:
-        # Read clustering coalesces physically adjacent blocks (the same
-        # code LFS uses) — but only on sequential continuation; isolated
-        # random reads fetch one block.
-        self.cpu.block_ops(actor, 1)
-        key = (ino.inum, lbn)
-        last_lbn, ramp = self._last_read_lbn.get(ino.inum, (None, 2))
-        sequential = lbn == 0 or last_lbn == lbn - 1
-        ramp = min(self.config.cluster_blocks, ramp * 2) if sequential else 2
-        self._last_read_lbn[ino.inum] = (lbn, ramp)
-        cached = self.bcache.get(key)
-        if cached is not None:
-            return cached
-        daddr = self.bmap(ino, lbn, actor)
-        if daddr is None:
-            return bytes(BLOCK_SIZE)
-        run = 1
-        if sequential:
-            max_lbn = max(0, (ino.size + BLOCK_SIZE - 1) // BLOCK_SIZE - 1)
-            bmap = self._block_map.get(ino.inum, {})
-            while (run < ramp
-                   and lbn + run <= max_lbn
-                   and self.bcache.peek((ino.inum, lbn + run)) is None
-                   and bmap.get(lbn + run) == daddr + run):
-                run += 1
-        data = self.device.read(actor, daddr, run)
-        for i in range(run):
-            self.bcache.put((ino.inum, lbn + i),
-                            data[i * BLOCK_SIZE:(i + 1) * BLOCK_SIZE],
-                            dirty=False)
-        return data[:BLOCK_SIZE]
-
-    def write(self, inum: int, offset: int, data: bytes,
-              actor: Optional[Actor] = None) -> int:
-        actor = actor or self.actor
-        ino = self.get_inode(inum, actor)
-        pos = offset
-        remaining = memoryview(bytes(data))
-        while remaining.nbytes:
-            lbn = pos // BLOCK_SIZE
-            in_block = pos % BLOCK_SIZE
-            take = min(BLOCK_SIZE - in_block, remaining.nbytes)
-            if take == BLOCK_SIZE:
-                block = bytes(remaining[:take])
-            else:
-                base = (self._read_block(ino, lbn, actor)
-                        if lbn * BLOCK_SIZE < ino.size else bytes(BLOCK_SIZE))
-                block = (base[:in_block] + bytes(remaining[:take])
-                         + base[in_block + take:])
-            self._assign_block(ino, lbn)
-            # Buffered writes overlap device I/O (write-behind); no
-            # synchronous CPU charge, mirroring the LFS write path.
-            self.bcache.put((inum, lbn), block, dirty=True)
-            pos += take
-            remaining = remaining[take:]
-        if pos > ino.size:
-            ino.size = pos
-        ino.mtime = actor.time
-        self._dirty_inodes.add(inum)
-        self.writes += 1
-        if self.bcache.needs_flush():
-            self._flush_dirty(actor)
-        return len(data)
-
-    def _flush_dirty(self, actor: Actor) -> None:
+    def _write_behind(self, actor: Actor) -> None:
         """Elevator write-behind: flush dirty buffers in daddr order,
         coalescing physically adjacent blocks into clustered writes."""
         dirty = self.bcache.dirty_buffers()
@@ -248,7 +173,7 @@ class FFS:
             run = [addressed[i]]
             while (i + len(run) < len(addressed)
                    and addressed[i + len(run)][0] == run[0][0] + len(run)
-                   and len(run) < self.config.cluster_blocks):
+                   and len(run) < CLUSTER_BLOCKS):
                 run.append(addressed[i + len(run)])
             i += len(run)
             image = b"".join(item[2] for item in run)
@@ -256,142 +181,10 @@ class FFS:
             for _daddr, key, _data in run:
                 self.bcache.mark_clean(key)
 
-    # ------------------------------------------------------------------
-    # Namespace (same shapes as the LFS API)
-    # ------------------------------------------------------------------
-
-    def _read_dir(self, ino: Inode, actor: Actor) -> Directory:
-        if not ino.is_dir():
-            raise NotADirectory(f"inode {ino.inum}")
-        raw = self.read(ino.inum, 0, ino.size, actor, update_atime=False)
-        return Directory.parse(raw)
-
-    def _write_dir(self, ino: Inode, directory: Directory,
-                   actor: Actor) -> None:
-        raw = directory.pack()
-        self.write(ino.inum, 0, raw.ljust(max(len(raw), 1), b"\0"), actor)
-        ino.size = max(len(raw), 1)
-        self._dirty_inodes.add(ino.inum)
-
-    def lookup(self, path: str, actor: Optional[Actor] = None) -> int:
-        actor = actor or self.actor
-        inum = ROOT_INUM
-        for part in [p for p in path.split("/") if p]:
-            ino = self.get_inode(inum, actor)
-            inum = self._read_dir(ino, actor).lookup(part)
-        return inum
-
-    def _parent_of(self, path: str, actor: Actor) -> Tuple[Inode, str]:
-        parts = [p for p in path.split("/") if p]
-        if not parts:
-            raise InvalidArgument("path names the root")
-        parent_path = "/".join(parts[:-1])
-        parent = self.lookup(parent_path, actor) if parent_path else ROOT_INUM
-        return self.get_inode(parent, actor), parts[-1]
-
-    def create(self, path: str, mode: int = S_IFREG | 0o644,
-               actor: Optional[Actor] = None) -> int:
-        actor = actor or self.actor
-        parent, name = self._parent_of(path, actor)
-        directory = self._read_dir(parent, actor)
-        if name in directory.entries:
-            raise FileExists(path)
-        ino = self._alloc_inode(mode)
-        directory.add(name, ino.inum)
-        self._write_dir(parent, directory, actor)
-        return ino.inum
-
-    def mkdir(self, path: str, actor: Optional[Actor] = None) -> int:
-        actor = actor or self.actor
-        parent, name = self._parent_of(path, actor)
-        directory = self._read_dir(parent, actor)
-        if name in directory.entries:
-            raise FileExists(path)
-        ino = self._alloc_inode(S_IFDIR | 0o755)
-        ino.nlink = 2
-        self._write_dir(ino, Directory.new(ino.inum, parent.inum), actor)
-        directory.add(name, ino.inum)
-        parent.nlink += 1
-        self._write_dir(parent, directory, actor)
-        return ino.inum
-
-    def readdir(self, path: str, actor: Optional[Actor] = None) -> List[str]:
-        actor = actor or self.actor
-        return self._read_dir(
-            self.get_inode(self.lookup(path, actor), actor), actor).names()
-
-    def unlink(self, path: str, actor: Optional[Actor] = None) -> None:
-        actor = actor or self.actor
-        parent, name = self._parent_of(path, actor)
-        directory = self._read_dir(parent, actor)
-        inum = directory.lookup(name)
-        ino = self.get_inode(inum, actor)
-        if ino.is_dir():
-            raise IsADirectory(path)
-        directory.remove(name)
-        self._write_dir(parent, directory, actor)
-        for lbn, daddr in self._block_map.get(inum, {}).items():
-            self.allocator.free(inum, daddr)
-        self._block_map.pop(inum, None)
-        self.bcache.invalidate_inode(inum)
-        self._inodes.pop(inum, None)
-        self._dirty_inodes.discard(inum)
-
-    def rmdir(self, path: str, actor: Optional[Actor] = None) -> None:
-        actor = actor or self.actor
-        parent, name = self._parent_of(path, actor)
-        directory = self._read_dir(parent, actor)
-        inum = directory.lookup(name)
-        ino = self.get_inode(inum, actor)
-        if not ino.is_dir():
-            raise NotADirectory(path)
-        if not self._read_dir(ino, actor).is_empty():
-            raise DirectoryNotEmpty(path)
-        directory.remove(name)
-        parent.nlink -= 1
-        self._write_dir(parent, directory, actor)
-        self._inodes.pop(inum, None)
-
-    def stat(self, path: str, actor: Optional[Actor] = None) -> Inode:
-        actor = actor or self.actor
-        return self.get_inode(self.lookup(path, actor), actor)
-
-    # -- conveniences -------------------------------------------------------------
-
-    def write_path(self, path: str, data: bytes, offset: int = 0,
-                   actor: Optional[Actor] = None, create: bool = True) -> int:
-        actor = actor or self.actor
-        try:
-            inum = self.lookup(path, actor)
-        except FileNotFound:
-            if not create:
-                raise
-            inum = self.create(path, actor=actor)
-        return self.write(inum, offset, data, actor)
-
-    def read_path(self, path: str, offset: int = 0, nbytes: int = -1,
-                  actor: Optional[Actor] = None) -> bytes:
-        actor = actor or self.actor
-        inum = self.lookup(path, actor)
-        if nbytes < 0:
-            nbytes = self.get_inode(inum, actor).size - offset
-        return self.read(inum, offset, nbytes, actor)
-
-    # -- maintenance ---------------------------------------------------------------
-
     def sync(self, actor: Optional[Actor] = None) -> None:
         actor = actor or self.actor
-        self._flush_dirty(actor)
+        self._write_behind(actor)
         self._flush_inodes(actor)
 
     def checkpoint(self, actor: Optional[Actor] = None) -> None:
         self.sync(actor)
-
-    def drop_caches(self, actor: Optional[Actor] = None,
-                    drop_inodes: bool = False) -> None:
-        actor = actor or self.actor
-        self.sync(actor)
-        self.bcache.drop_clean()
-        self._last_read_lbn.clear()
-        if drop_inodes:
-            self._inodes.clear()

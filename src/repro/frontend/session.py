@@ -65,8 +65,7 @@ class FileSession:
     """One open file handle.
 
     This is the single session record of the repo: ``Client`` handles
-    wrap it on both backends, so per-session accounting
-    (``reads``/``writes``) means the same thing on every topology.
+    wrap it on both backends.
     """
 
     fd: int
@@ -74,8 +73,6 @@ class FileSession:
     #: Name of the actor that opened the handle.
     owner: str = ""
     tenant: str = DEFAULT_TENANT
-    reads: int = 0
-    writes: int = 0
     closed: bool = False
 
     def ensure_open(self, op: str = "use") -> None:
@@ -231,10 +228,8 @@ class Tenant:
     name: str
     budget: TenantBudget
     bucket: Optional[TokenBucket] = None
-    requests: int = 0
     bytes_moved: int = 0
     throttle_seconds: float = 0.0
-    rejects: int = 0
 
     def __post_init__(self) -> None:
         if self.bucket is None:
@@ -405,7 +400,6 @@ class Client:
         ten = self._resolve_tenant(tenant)
         cap = ten.budget.max_open_handles
         if cap is not None and self.table.open_count(ten.name) >= cap:
-            ten.rejects += 1
             obs.counter("frontend_rejects_total",
                         "requests refused by hard admission caps",
                         ("tenant", "reason")).labels(
@@ -445,7 +439,6 @@ class Client:
         wait = ten.admit_bytes(actor, nbytes)
         t0 = actor.time
         data = self.backend.read(actor, sess.path, offset, nbytes)
-        sess.reads += 1
         self._record(actor, ten, "read", len(data), wait, actor.time - t0)
         return data
 
@@ -457,7 +450,6 @@ class Client:
         wait = ten.admit_bytes(actor, len(data))
         t0 = actor.time
         written = self.backend.write(actor, sess.path, offset, data)
-        sess.writes += 1
         self._record(actor, ten, "write", written, wait, actor.time - t0)
         return written
 
@@ -532,7 +524,6 @@ class Client:
                             tenant=ten.name,
                             rclass=CLASS_PREFETCH).inc(capped)
         if attempted and not submitted:
-            ten.rejects += 1
             obs.counter("frontend_rejects_total",
                         "requests refused by hard admission caps",
                         ("tenant", "reason")).labels(
@@ -559,7 +550,6 @@ class Client:
 
     def _record(self, actor: Actor, ten: Tenant, op: str, nbytes: int,
                 wait: float, service: float) -> None:
-        ten.requests += 1
         ten.bytes_moved += nbytes
         requests, moved, latency = ten.op_series(op)
         requests.inc()

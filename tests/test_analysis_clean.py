@@ -19,8 +19,9 @@ SRC = ROOT / "src" / "repro"
 #: each with the reason it stays.  The default answer to a hit is
 #: deletion, with the tests that were its only callers.
 UNREFERENCED_OK = {
-    "rename": "LFS namespace operation (DESIGN.md filesystem API)",
-    "truncate": "LFS namespace operation (DESIGN.md filesystem API)",
+    "rename": "UFS namespace operation (DESIGN.md filesystem API)",
+    "truncate": "UFS namespace operation (DESIGN.md filesystem API)",
+    "rmdir": "UFS namespace operation (DESIGN.md filesystem API)",
     "add_volume": "on-line tertiary growth, paper §6.3 (DESIGN.md)",
     "grow_disk": "on-line disk growth, paper §6.3 (DESIGN.md)",
     "grow": "the ifile grows with the address space, paper §6.4",

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.blockdev import profiles
-from repro.errors import (DirectoryNotEmpty, FileExists, FileNotFound,
-                          NoSpace)
+from repro.errors import NoSpace
 from repro.ffs.allocator import CylinderGroupAllocator
-from repro.ffs.filesystem import FFS, FFSConfig
+from repro.ffs.filesystem import FFS
 from repro.lfs.constants import BLOCK_SIZE
 from repro.sim.actor import Actor
 from repro.util.units import MB
@@ -18,7 +17,7 @@ from repro.util.units import MB
 @pytest.fixture
 def ffs(app):
     disk = profiles.make_disk(profiles.RZ57, capacity_bytes=64 * MB)
-    return FFS.mkfs(disk, FFSConfig(), actor=app)
+    return FFS.mkfs(disk, actor=app)
 
 
 @pytest.fixture
@@ -98,26 +97,6 @@ class TestFFSBasics:
         ffs.sync()
         assert ffs.bmap(ino, 0) == first  # the defining FFS behaviour
 
-    def test_namespace_parity_with_lfs(self, ffs):
-        ffs.mkdir("/d")
-        ffs.write_path("/d/x", b"1")
-        assert ffs.readdir("/d") == ["x"]
-        ffs.unlink("/d/x")
-        ffs.rmdir("/d")
-        with pytest.raises(FileNotFound):
-            ffs.lookup("/d")
-
-    def test_duplicate_create(self, ffs):
-        ffs.create("/f")
-        with pytest.raises(FileExists):
-            ffs.create("/f")
-
-    def test_rmdir_nonempty(self, ffs):
-        ffs.mkdir("/d")
-        ffs.create("/d/f")
-        with pytest.raises(DirectoryNotEmpty):
-            ffs.rmdir("/d")
-
     def test_unlink_frees_blocks(self, ffs):
         ffs.write_path("/fat", os.urandom(MB))
         ffs.sync()
@@ -129,6 +108,15 @@ class TestFFSBasics:
         free_before = free_blocks()
         ffs.unlink("/fat")
         assert free_blocks() > free_before
+
+    def test_rmdir_frees_the_directory_block(self, ffs):
+        ffs.mkdir("/d")
+        inum = ffs.lookup("/d")
+        daddr = ffs.bmap(ffs.get_inode(inum), 0)
+        assert ffs.allocator.map.test(daddr)
+        ffs.rmdir("/d")
+        assert not ffs.allocator.map.test(daddr)
+        assert inum not in ffs._block_map
 
     def test_inode_persistence_across_cache_drop(self, ffs):
         ffs.write_path("/persist", b"keep me")
@@ -153,10 +141,6 @@ class TestFFSBasics:
         ffs.write(inum, 5 * BLOCK_SIZE, b"tail")
         assert ffs.read(inum, 0, 4) == b"\0\0\0\0"
 
-    def test_stat(self, ffs):
-        ffs.write_path("/s", b"123")
-        assert ffs.stat("/s").size == 3
-
 
 class TestFFSPerformanceShape:
     def test_sequential_write_beats_lfs(self, app):
@@ -166,7 +150,7 @@ class TestFFSPerformanceShape:
         ffs_disk = profiles.make_disk(profiles.RZ57, capacity_bytes=64 * MB)
         lfs_disk = profiles.make_disk(profiles.RZ57, capacity_bytes=64 * MB)
         a1, a2 = Actor("a1"), Actor("a2")
-        ffs = FFS.mkfs(ffs_disk, FFSConfig(), profiles.make_cpu(), actor=a1)
+        ffs = FFS.mkfs(ffs_disk, profiles.make_cpu(), actor=a1)
         lfs = LFS.mkfs(lfs_disk, None, profiles.make_cpu(), actor=a2)
         payload = os.urandom(4 * MB)
         t0 = a1.time
@@ -196,6 +180,6 @@ class TestFFSPerformanceShape:
         rng = random.Random(1)
         for _ in range(30):
             ffs.write(inum, rng.randrange(250) * BLOCK_SIZE, b"u" * 100)
-        ffs._flush_dirty(app)
+        ffs._write_behind(app)
         data_writes = [b for b in order]
         assert data_writes == sorted(data_writes)

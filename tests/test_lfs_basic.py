@@ -1,4 +1,5 @@
-"""Integration tests: basic LFS file and namespace operations."""
+"""Integration tests: basic LFS file and namespace operations; the
+namespace cases run on the FFS layout too."""
 
 import os
 
@@ -6,6 +7,7 @@ import pytest
 
 from repro.errors import (DirectoryNotEmpty, FileExists, FileNotFound,
                           IsADirectory, NotADirectory)
+from repro.ffs.filesystem import FFS
 from repro.lfs.constants import BLOCK_SIZE, IFILE_INUM, ROOT_INUM
 from repro.lfs.filesystem import LFS
 from repro.lfs.inode import S_IFDIR
@@ -99,113 +101,127 @@ class TestFileIO:
 
 
 class TestNamespace:
-    def test_mkdir_and_nested_files(self, lfs):
-        lfs.mkdir("/a")
-        lfs.mkdir("/a/b")
-        lfs.write_path("/a/b/c.txt", b"deep")
-        assert lfs.read_path("/a/b/c.txt") == b"deep"
-        assert lfs.readdir("/a") == ["b"]
+    """Namespace operations of the shared UFS layer, on LFS."""
 
-    def test_create_duplicate_fails(self, lfs):
-        lfs.create("/x")
+    @pytest.fixture
+    def fs(self, lfs):
+        return lfs
+
+    def test_mkdir_and_nested_files(self, fs):
+        fs.mkdir("/a")
+        fs.mkdir("/a/b")
+        fs.write_path("/a/b/c.txt", b"deep")
+        assert fs.read_path("/a/b/c.txt") == b"deep"
+        assert fs.readdir("/a") == ["b"]
+
+    def test_create_duplicate_fails(self, fs):
+        fs.create("/x")
         with pytest.raises(FileExists):
-            lfs.create("/x")
+            fs.create("/x")
 
-    def test_mkdir_duplicate_fails(self, lfs):
-        lfs.mkdir("/d")
+    def test_mkdir_duplicate_fails(self, fs):
+        fs.mkdir("/d")
         with pytest.raises(FileExists):
-            lfs.mkdir("/d")
+            fs.mkdir("/d")
 
-    def test_lookup_missing(self, lfs):
+    def test_lookup_missing(self, fs):
         with pytest.raises(FileNotFound):
-            lfs.lookup("/nope")
+            fs.lookup("/nope")
 
-    def test_lookup_through_file_fails(self, lfs):
-        lfs.create("/f")
+    def test_lookup_through_file_fails(self, fs):
+        fs.create("/f")
         with pytest.raises(NotADirectory):
-            lfs.lookup("/f/child")
+            fs.lookup("/f/child")
 
-    def test_unlink(self, lfs):
-        lfs.write_path("/dead", b"x")
-        lfs.unlink("/dead")
+    def test_unlink(self, fs):
+        fs.write_path("/dead", b"x")
+        fs.unlink("/dead")
         with pytest.raises(FileNotFound):
-            lfs.lookup("/dead")
+            fs.lookup("/dead")
 
-    def test_unlink_directory_fails(self, lfs):
-        lfs.mkdir("/d")
+    def test_unlink_directory_fails(self, fs):
+        fs.mkdir("/d")
         with pytest.raises(IsADirectory):
-            lfs.unlink("/d")
+            fs.unlink("/d")
 
-    def test_rmdir(self, lfs):
-        lfs.mkdir("/d")
-        lfs.rmdir("/d")
+    def test_rmdir(self, fs):
+        fs.mkdir("/d")
+        fs.rmdir("/d")
         with pytest.raises(FileNotFound):
-            lfs.lookup("/d")
+            fs.lookup("/d")
 
-    def test_rmdir_nonempty_fails(self, lfs):
-        lfs.mkdir("/d")
-        lfs.create("/d/f")
+    def test_rmdir_nonempty_fails(self, fs):
+        fs.mkdir("/d")
+        fs.create("/d/f")
         with pytest.raises(DirectoryNotEmpty):
-            lfs.rmdir("/d")
+            fs.rmdir("/d")
 
-    def test_rmdir_file_fails(self, lfs):
-        lfs.create("/f")
+    def test_rmdir_file_fails(self, fs):
+        fs.create("/f")
         with pytest.raises(NotADirectory):
-            lfs.rmdir("/f")
+            fs.rmdir("/f")
 
-    def test_rename_same_dir(self, lfs):
-        lfs.write_path("/old", b"content")
-        lfs.rename("/old", "/new")
-        assert lfs.read_path("/new") == b"content"
+    def test_rename_same_dir(self, fs):
+        fs.write_path("/old", b"content")
+        fs.rename("/old", "/new")
+        assert fs.read_path("/new") == b"content"
         with pytest.raises(FileNotFound):
-            lfs.lookup("/old")
+            fs.lookup("/old")
 
-    def test_rename_across_dirs(self, lfs):
-        lfs.mkdir("/src")
-        lfs.mkdir("/dst")
-        lfs.write_path("/src/f", b"move me")
-        lfs.rename("/src/f", "/dst/g")
-        assert lfs.read_path("/dst/g") == b"move me"
-        assert lfs.readdir("/src") == []
+    def test_rename_across_dirs(self, fs):
+        fs.mkdir("/src")
+        fs.mkdir("/dst")
+        fs.write_path("/src/f", b"move me")
+        fs.rename("/src/f", "/dst/g")
+        assert fs.read_path("/dst/g") == b"move me"
+        assert fs.readdir("/src") == []
 
-    def test_rename_target_exists_fails(self, lfs):
-        lfs.create("/a")
-        lfs.create("/b")
+    def test_rename_target_exists_fails(self, fs):
+        fs.create("/a")
+        fs.create("/b")
         with pytest.raises(FileExists):
-            lfs.rename("/a", "/b")
+            fs.rename("/a", "/b")
 
-    def test_readdir_sorted(self, lfs):
+    def test_readdir_sorted(self, fs):
         for name in ("zebra", "apple", "mango"):
-            lfs.create(f"/{name}")
-        assert lfs.readdir("/") == ["apple", "mango", "zebra"]
+            fs.create(f"/{name}")
+        assert fs.readdir("/") == ["apple", "mango", "zebra"]
 
-    def test_nlink_accounting(self, lfs):
-        root = lfs.get_inode(ROOT_INUM)
+    def test_nlink_accounting(self, fs):
+        root = fs.get_inode(ROOT_INUM)
         base = root.nlink
-        lfs.mkdir("/d1")
+        fs.mkdir("/d1")
         assert root.nlink == base + 1
-        lfs.rmdir("/d1")
+        fs.rmdir("/d1")
         assert root.nlink == base
 
-    def test_stat(self, lfs):
-        lfs.write_path("/s", b"12345")
-        ino = lfs.stat("/s")
+    def test_stat(self, fs):
+        fs.write_path("/s", b"12345")
+        ino = fs.stat("/s")
         assert ino.size == 5
         assert not ino.is_dir()
 
-    def test_deep_tree(self, lfs):
+    def test_deep_tree(self, fs):
         path = ""
         for depth in range(8):
             path += f"/d{depth}"
-            lfs.mkdir(path)
-        lfs.write_path(path + "/leaf", b"bottom")
-        assert lfs.read_path(path + "/leaf") == b"bottom"
+            fs.mkdir(path)
+        fs.write_path(path + "/leaf", b"bottom")
+        assert fs.read_path(path + "/leaf") == b"bottom"
 
-    def test_many_files_in_dir(self, lfs):
-        lfs.mkdir("/many")
+    def test_many_files_in_dir(self, fs):
+        fs.mkdir("/many")
         for i in range(120):
-            lfs.create(f"/many/file{i:03d}")
-        assert len(lfs.readdir("/many")) == 120
+            fs.create(f"/many/file{i:03d}")
+        assert len(fs.readdir("/many")) == 120
+
+
+class TestFFSNamespace(TestNamespace):
+    """The same cases on the FFS layout."""
+
+    @pytest.fixture
+    def fs(self, small_disk, app):
+        return FFS.mkfs(small_disk, actor=app)
 
 
 class TestInodeLifecycle:

@@ -12,6 +12,7 @@ import repro.errors as errors_mod
 from repro.lfs.constants import BLOCK_SIZE, NDADDR, UNASSIGNED
 from repro.lfs.summary import SS_DIROP, SegmentSummary
 from repro.lfs.cleaner import walk_segment
+from repro.lfs.ufs import CLUSTER_BLOCKS
 from repro.util.units import KB
 
 
@@ -169,7 +170,7 @@ class TestReadAheadRamp:
         for lbn in range(32):
             lfs.read(inum, lbn * BLOCK_SIZE, BLOCK_SIZE)
         # Ramp: early reads small, later reads hit the 16-block cluster.
-        assert max(reads_sizes) == lfs.config.cluster_blocks
+        assert max(reads_sizes) == CLUSTER_BLOCKS
         assert reads_sizes[0] < max(reads_sizes)
 
     def test_random_read_fetches_single_block(self, lfs):
