@@ -229,9 +229,8 @@ def actor_param_names(fn: ast.AST, imports: Dict[str, str]) -> List[str]:
 class _TypeInference:
     """Constructor-based local/attribute typing for call resolution."""
 
-    def __init__(self, sf: SourceFile, imports: Dict[str, str],
+    def __init__(self, imports: Dict[str, str],
                  module_defs: Dict[str, str]) -> None:
-        self.sf = sf
         self.imports = imports
         self.module_defs = module_defs  # local name -> qname in module
 
@@ -369,14 +368,13 @@ class ModuleResolver:
     extractor and the interprocedural rules' check phases."""
 
     def __init__(self, sf: SourceFile) -> None:
-        self.sf = sf
         self.imports = import_map(sf)
         self.module_defs: Dict[str, str] = {}
         for node in sf.tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
                 self.module_defs[node.name] = f"{sf.module}.{node.name}"
-        self.infer = _TypeInference(sf, self.imports, self.module_defs)
+        self.infer = _TypeInference(self.imports, self.module_defs)
         self.class_bases: Dict[str, List[str]] = {}
         self.attr_types: Dict[str, Dict[str, str]] = {}
         for node in sf.tree.body:

@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro import obs, sim
 from repro.cluster import ClusterNode, ClusterRouter, cluster_rollup
 from repro.core.highlight import HighLightConfig
+from repro.frontend import NodeBackend
 from repro.sim.actor import Actor
 from repro.util.units import MB
 
@@ -87,8 +88,9 @@ def _build_cluster(n_shards: int, files: Dict[str, bytes],
     for node in nodes:
         for key in sorted(node.objects):
             node.migrate_object(node.actor, key)
-        node.flush(node.actor)
-        node.drop_caches(node.actor)
+        backend = NodeBackend(node)
+        backend.flush(node.actor)
+        backend.drop_caches(node.actor)
     return router
 
 
@@ -182,7 +184,7 @@ def _quarantine_leg(files: Dict[str, bytes], requests: Sequence[str],
     # volume's replicas.  The tail sweep re-reads the whole archive —
     # the acknowledged-byte-loss check covers every extent, not just
     # the ones the Zipf draw happens to revisit.
-    node.drop_caches(node.actor)
+    NodeBackend(node).drop_caches(node.actor)
 
     start2 = router.makespan()
     tail = list(requests[half:]) + sorted(files)

@@ -50,7 +50,6 @@ class RemovableVolume:
         self.write_once = write_once
         #: Set by HighLight when the drive reports end-of-medium.
         self.marked_full = False
-        self.load_count = 0
         #: Health state machine (see docs/FAULTS.md); QUARANTINED and
         #: RETIRED volumes raise MediaFailure on I/O.
         self.health = VolumeHealth.ONLINE
@@ -125,7 +124,6 @@ class Drive(BlockIO, ABC):
     def on_load(self, volume: RemovableVolume) -> None:
         """Hook: reset positioning state when media changes."""
         self.loaded = volume
-        volume.load_count += 1
 
     def on_unload(self) -> None:
         self.loaded = None

@@ -26,8 +26,9 @@ class TapeVolume(RemovableVolume):
 class TapeDrive(Drive):
     """A streaming tape transport.
 
-    Timing model: load/thread time on media change, wind at
-    ``wind_rate`` bytes of tape distance per second to reach a target
+    Timing model: ``thread_time`` on the transport once per media load
+    (charged to the first I/O, which finds the tape at its start), wind
+    at ``wind_rate`` bytes of tape distance per second to reach a target
     block, then stream at ``read_rate`` / ``write_rate``.
     """
 
@@ -46,14 +47,20 @@ class TapeDrive(Drive):
         self.per_op_overhead = per_op_overhead
         self.block_size = block_size
         self.transport = TimelineResource(f"{name}.transport")
-        self.position_blk = 0  # head position on the loaded tape
+        #: Head position on the loaded tape; None until it is threaded.
+        self.position_blk: Optional[int] = None
 
     def on_load(self, volume: RemovableVolume) -> None:
         super().on_load(volume)
-        self.position_blk = 0
+        self.position_blk = None
 
     def _wind_to(self, actor: Actor, blkno: int) -> float:
-        """Wind the tape from the current position to ``blkno``."""
+        """Wind the tape from the current position to ``blkno``,
+        threading a freshly loaded tape (at its start) first; returns
+        the wind time alone."""
+        if self.position_blk is None:
+            self.transport.occupy(actor, self.thread_time)
+            self.position_blk = 0
         distance_bytes = abs(blkno - self.position_blk) * self.block_size
         seconds = distance_bytes / self.wind_rate
         if seconds:

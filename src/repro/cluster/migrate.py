@@ -64,7 +64,6 @@ class MigrationCoordinator:
 
     def __init__(self, router: ClusterRouter) -> None:
         self.router = router
-        self.moves = 0
         self.moved_bytes = 0
 
     # -- membership changes ------------------------------------------------------
@@ -139,15 +138,11 @@ class MigrationCoordinator:
             data = src.read_object(src.actor, key)
         dst.actor.sleep_until(src.actor.time)
         with dst.fs.sched.running(CLASS_REPAIR):
-            dst.write_object(dst.actor, key, data)
-            if was_tertiary:
-                dst.migrate_object(dst.actor, key)
-                dst.flush(dst.actor)
+            dst.adopt_object(dst.actor, key, data, was_tertiary)
         with src.fs.sched.running(CLASS_REPAIR):
             src.delete_object(src.actor, key)
         actor.sleep_until(max(src.actor.time, dst.actor.time))
         router.placement[key] = dst_id
-        self.moves += 1
         self.moved_bytes += len(data)
         obs.event(EV_SHARD_MIGRATE, actor.time, key=key, src=src_id,
                   dst=dst_id, nbytes=len(data),

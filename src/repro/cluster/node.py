@@ -116,22 +116,19 @@ class ClusterNode:
         self.migrator.migrate_file(obj_path(key), actor, unit_tag=key)
         self.migrated.add(key)
 
-    def seal(self, actor: Actor) -> None:
-        """Seal staged segments into queued write-outs without draining
-        them (the front end's cap-aware migrate path pumps separately)."""
-        self.migrator.flush(actor)
-
-    def flush(self, actor: Actor) -> None:
-        """Seal staged segments, drain the scheduler, checkpoint."""
-        self.migrator.flush(actor)
-        self.fs.sched.pump(actor)
-        self.fs.checkpoint(actor)
-
-    def drop_caches(self, actor: Actor) -> None:
-        """Eject every cache line and forget in-memory file state, so the
-        next read pays the full tertiary demand-fetch path."""
-        self.fs.service.flush_cache(actor)
-        self.fs.drop_caches(actor, drop_inodes=True)
+    def adopt_object(self, actor: Actor, key: str, data: bytes,
+                     tertiary: bool) -> None:
+        """Store an extent moved in from another shard at the level it
+        had there: a tertiary extent is migrated, sealed, written out
+        and checkpointed before the source copy goes.  The last three
+        steps must stay the calls ``NodeBackend.flush`` makes, in its
+        order (this package may not import the front end)."""
+        self.write_object(actor, key, data)
+        if tertiary:
+            self.migrate_object(actor, key)
+            self.migrator.flush(actor)
+            self.fs.sched.pump(actor)
+            self.fs.checkpoint(actor)
 
     # -- health ------------------------------------------------------------------
 

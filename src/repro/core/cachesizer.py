@@ -33,7 +33,6 @@ class AdaptiveCacheSizer:
         self.headroom_target = headroom_target
         self._last_hits = 0
         self._last_misses = 0
-        self.adjustments = 0
 
     def observe_and_adjust(self) -> int:
         """One control step; returns the line-limit delta applied."""
@@ -57,7 +56,6 @@ class AdaptiveCacheSizer:
             delta = min(self.grow_step, self.max_lines - cache.max_lines)
         if delta:
             cache.max_lines += delta
-            self.adjustments += 1
             while len(cache) > cache.max_lines:
                 if cache.surrender_line() is None:
                     break

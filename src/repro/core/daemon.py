@@ -46,7 +46,6 @@ class AutoMigrationDaemon:
         self.high_water = high_water
         self.low_water = low_water
         self.max_policy_rounds = max_policy_rounds
-        self.ticks = 0
         self.migration_runs = 0
 
     # -- gauges ------------------------------------------------------------------
@@ -70,7 +69,6 @@ class AutoMigrationDaemon:
     def tick(self, actor: Optional[Actor] = None) -> dict:
         """One daemon iteration; returns a summary of what it did."""
         actor = actor or self.migrator.actor
-        self.ticks += 1
         obs.counter("daemon_ticks_total",
                     "automigration daemon iterations").inc()
         runs_before = self.migration_runs

@@ -48,7 +48,6 @@ class MigrationStats:
     def __init__(self) -> None:
         self.files_migrated = 0
         self.blocks_migrated = 0
-        self.inodes_migrated = 0
         self.segments_staged = 0
         self.bytes_staged = 0
 
@@ -63,7 +62,6 @@ class MigrationStats:
                     "blocks staged for tertiary storage").inc(n)
 
     def add_inode(self) -> None:
-        self.inodes_migrated += 1
         obs.counter("migrator_inodes_migrated_total",
                     "inodes staged for tertiary storage").inc()
 

@@ -57,7 +57,6 @@ class SegmentRearranger:
         self.refetch_threshold = refetch_threshold
         self.annotations: Dict[int, FetchAnnotation] = {}
         self._fetch_log: List[Tuple[float, int]] = []
-        self.segments_rearranged = 0
         fs.rearranger = self
 
     # -- annotation (called on the service process's demand-fetch miss) -------
@@ -136,7 +135,6 @@ class SegmentRearranger:
         for tsegno in run:
             moved += self._restage_cached_segment(actor, tsegno)
         self.migrator.flush(actor)
-        self.segments_rearranged += len(run)
         # The run's members changed identity: forget the old annotations.
         for tsegno in run:
             self.annotations.pop(tsegno, None)

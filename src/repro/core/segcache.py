@@ -37,7 +37,6 @@ class SegmentCache:
         self._dir: Dict[int, int] = {}      # tertiary segno -> disk segno
         self.hits = 0
         self.misses = 0
-        self.ejections = 0
         self._hit_series = obs.counter(
             "segcache_hits_total", "segment cache directory hits").labels()
         self._miss_series = obs.counter(
@@ -130,7 +129,6 @@ class SegmentCache:
         seg.cache_tag = UNASSIGNED
         seg.live_bytes = 0
         self.policy.on_evict(tsegno)
-        self.ejections += 1
         when = (actor or self.fs.actor).time
         self._ejection_series.inc()
         obs.event(obs.EV_CACHE_EJECT, when, tsegno=tsegno,

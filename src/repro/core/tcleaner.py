@@ -36,7 +36,6 @@ class TertiaryCleaner:
         #: Volumes with more live data than this fraction of their
         #: consumed capacity are not worth cleaning yet.
         self.live_fraction_threshold = live_fraction_threshold
-        self.volumes_cleaned = 0
         self.blocks_forwarded = 0
 
     # -- selection -------------------------------------------------------------
@@ -94,7 +93,6 @@ class TertiaryCleaner:
             tseg.release_segment(vol, seg_in_vol)
         self.migrator.flush(self.actor)
         tseg.reset_volume(vol)
-        self.volumes_cleaned += 1
         self.blocks_forwarded += forwarded
         return forwarded
 

@@ -33,8 +33,6 @@ class RepairDaemon:
         self.fs = fs
         self.health = fs.health
         self.segments_rehomed = 0
-        self.replicas_dropped = 0
-        self.unrecoverable = 0
         self.volumes_retired = 0
 
     def run_once(self, actor) -> int:
@@ -74,7 +72,6 @@ class RepairDaemon:
                             "live segments re-replicated off quarantined "
                             "volumes").inc()
             else:
-                self.unrecoverable += 1
                 obs.counter("repair_unrecoverable_total",
                             "live segments with no healthy copy left to "
                             "repair from").inc()
@@ -86,7 +83,6 @@ class RepairDaemon:
             stale = [loc for loc in locations if loc[0] == vol_idx]
             for loc in stale:
                 locations.remove(loc)
-                self.replicas_dropped += 1
 
     # -- one segment ---------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""The two storage topologies behind one :class:`Backend` protocol.
+"""The two storage topologies behind one set of verbs.
 
 Lustre keeps one narrow client protocol over interchangeable server
 stacks; this module does the same for the repo's two data planes:
@@ -12,8 +12,9 @@ stacks; this module does the same for the repo's two data planes:
   shared-nothing HighLight stacks.
 
 A :class:`~repro.frontend.session.Client` drives either through the
-same seven data/control verbs, so one workload script runs unchanged on
-both topologies (the `frontend` bench gate).  This module is the
+same namespace, data and control verbs (listed in docs/FRONTEND.md), so
+one workload script runs unchanged on both topologies (the `frontend`
+bench gate).  This module is the
 *adapter* layer — the only part of ``repro.frontend`` allowed to touch
 ``fs.read_path``/``fs.write_path`` directly (rule HL015 exempts it).
 """
@@ -26,67 +27,15 @@ from repro.errors import FileNotFound, InvalidArgument
 from repro.sched import CLASS_WRITEOUT
 from repro.sim.actor import Actor
 
-__all__ = ["Backend", "ClusterBackend", "NodeBackend", "open_cluster",
-           "open_node"]
+__all__ = ["ClusterBackend", "NodeBackend", "open_cluster", "open_node"]
 
 
-class Backend:
-    """What a :class:`~repro.frontend.session.Client` needs from a
-    storage stack.  Data plane: ``read``/``write``; control plane:
-    ``migrate``/``seal``/``prefetch``/``pump``/``flush``/
-    ``drop_caches``; namespace: ``exists``/``size_of``/``create``.
+class NodeBackend:
+    """One HighLight stack: service process, migrator, scheduler.
+
+    The per-stack control verbs (``migrate`` through ``drop_caches``)
+    are defined here only; :class:`ClusterBackend` runs them per shard.
     """
-
-    name = "backend"
-
-    def exists(self, path: str) -> bool:
-        raise NotImplementedError
-
-    def size_of(self, path: str) -> int:
-        """File size in bytes; raises FileNotFound for absent paths."""
-        raise NotImplementedError
-
-    def create(self, actor: Actor, path: str) -> None:
-        raise NotImplementedError
-
-    def read(self, actor: Actor, path: str, offset: int,
-             nbytes: int) -> bytes:
-        raise NotImplementedError
-
-    def write(self, actor: Actor, path: str, offset: int,
-              data: bytes) -> int:
-        raise NotImplementedError
-
-    def migrate(self, actor: Actor, path: str) -> None:
-        """Stage ``path`` for tertiary storage (tagged for prefetch)."""
-        raise NotImplementedError
-
-    def seal(self, actor: Actor) -> None:
-        """Seal partial staging so queued write-outs cover everything."""
-        raise NotImplementedError
-
-    def prefetch(self, actor: Actor, path: str,
-                 cap: Optional[int] = None) -> Tuple[int, int, int]:
-        """Submit background prefetches for ``path``'s migrated
-        segments, each refused once ``cap`` prefetches are queued ahead
-        of it; returns ``(submitted, attempted, capped)``."""
-        return (0, 0, 0)
-
-    def queued_writeouts(self) -> int:
-        return 0
-
-    def pump(self, actor: Actor, limit: Optional[int] = None) -> int:
-        return 0
-
-    def flush(self, actor: Actor) -> None:
-        raise NotImplementedError
-
-    def drop_caches(self, actor: Actor) -> None:
-        raise NotImplementedError
-
-
-class NodeBackend(Backend):
-    """One HighLight stack: service process, migrator, scheduler."""
 
     name = "node"
 
@@ -139,16 +88,21 @@ class NodeBackend(Backend):
         self.migrator.migrate_file(path, actor, unit_tag=path)
 
     def seal(self, actor: Actor) -> None:
+        """Seal partial staging so queued write-outs cover everything."""
         if self.migrator is not None:
             self.migrator.flush(actor)
 
-    def prefetch(self, actor: Actor, path: str,
+    def prefetch(self, actor: Actor, tag: str,
                  cap: Optional[int] = None) -> Tuple[int, int, int]:
+        """Submit background prefetches for the tertiary segments the
+        hint table tags ``tag``, each refused once ``cap`` prefetches
+        are queued ahead of it; returns ``(submitted, attempted,
+        capped)``."""
         if self.migrator is None:
             return (0, 0, 0)
         sched = self.fs.sched
-        tsegnos = sorted(t for t, tag in self.migrator.hint_table.items()
-                         if tag == path)
+        tsegnos = sorted(t for t, t_tag in self.migrator.hint_table.items()
+                         if t_tag == tag)
         capped = sched.capped_rejects
         submitted = sum(1 for tsegno in tsegnos
                         if sched.submit_prefetch(actor, tsegno, cap))
@@ -161,21 +115,24 @@ class NodeBackend(Backend):
         return self.fs.sched.pump(actor, limit)
 
     def flush(self, actor: Actor) -> None:
+        """Seal staging, drain the scheduler, checkpoint."""
         self.seal(actor)
         self.pump(actor)
         self.fs.checkpoint(actor)
 
     def drop_caches(self, actor: Actor) -> None:
+        """Eject every cache line and forget in-memory file state, so the
+        next read pays the full tertiary demand-fetch path."""
         self.fs.service.flush_cache(actor)
         self.fs.drop_caches(actor, drop_inodes=True)
 
 
-class ClusterBackend(Backend):
+class ClusterBackend:
     """A sharded cluster behind the router's striped namespace.
 
-    Background control verbs fan out to the owning shards on their own
-    actors (the router's conservative-join timing model); the client
-    actor is only charged for data-plane transfers.
+    Background control verbs run :class:`NodeBackend`'s on each owning
+    shard's own actor (the router's conservative-join timing model); the
+    client actor is only charged for data-plane transfers.
     """
 
     name = "cluster"
@@ -183,8 +140,20 @@ class ClusterBackend(Backend):
     def __init__(self, router) -> None:
         self.router = router
 
-    def _nodes(self):
-        return [self.router.nodes[sid] for sid in sorted(self.router.nodes)]
+    def _shards(self):
+        """``(node, NodeBackend(node))`` in shard-id order, read at call
+        time because a rebalance changes membership."""
+        nodes = self.router.nodes
+        return [(nodes[sid], NodeBackend(nodes[sid])) for sid in sorted(nodes)]
+
+    def _owners(self, actor: Actor, path: str):
+        """``(node, key)`` for each extent of ``path``, the owning
+        shard's actor joined to ``actor``."""
+        router = self.router
+        for key in router.extents_of(path):
+            node = router.nodes[router.shard_of(key)]
+            node.actor.sleep_until(actor.time)
+            yield node, key
 
     def exists(self, path: str) -> bool:
         return path in self.router.namespace
@@ -204,52 +173,42 @@ class ClusterBackend(Backend):
         return self.router.write_path(actor, path, data, offset)
 
     def migrate(self, actor: Actor, path: str) -> None:
-        for key in self.router.extents_of(path):
-            node = self.router.nodes[self.router.shard_of(key)]
-            node.actor.sleep_until(actor.time)
+        for node, key in self._owners(actor, path):
             node.migrate_object(node.actor, key)
 
     def seal(self, actor: Actor) -> None:
-        for node in self._nodes():
-            node.seal(node.actor)
+        for node, backend in self._shards():
+            backend.seal(node.actor)
 
     def prefetch(self, actor: Actor, path: str,
                  cap: Optional[int] = None) -> Tuple[int, int, int]:
         submitted = attempted = capped = 0
-        for key in self.router.extents_of(path):
-            node = self.router.nodes[self.router.shard_of(key)]
-            sched = node.fs.sched
-            tsegnos = sorted(t for t, tag in node.migrator.hint_table.items()
-                             if tag == key)
-            attempted += len(tsegnos)
-            before = sched.capped_rejects
-            for tsegno in tsegnos:
-                node.actor.sleep_until(actor.time)
-                if sched.submit_prefetch(node.actor, tsegno, cap):
-                    submitted += 1
-            capped += sched.capped_rejects - before
+        for node, key in self._owners(actor, path):
+            s, a, c = NodeBackend(node).prefetch(node.actor, key, cap)
+            submitted += s
+            attempted += a
+            capped += c
         return (submitted, attempted, capped)
 
     def queued_writeouts(self) -> int:
-        return sum(node.fs.sched.queued(CLASS_WRITEOUT)
-                   for node in self._nodes())
+        return sum(backend.queued_writeouts() for _, backend in self._shards())
 
     def pump(self, actor: Actor, limit: Optional[int] = None) -> int:
         count = 0
-        for node in self._nodes():
+        for node, backend in self._shards():
             room = None if limit is None else limit - count
             if room is not None and room <= 0:
                 break
-            count += node.fs.sched.pump(node.actor, room)
+            count += backend.pump(node.actor, room)
         return count
 
     def flush(self, actor: Actor) -> None:
-        for node in self._nodes():
-            node.flush(node.actor)
+        for node, backend in self._shards():
+            backend.flush(node.actor)
 
     def drop_caches(self, actor: Actor) -> None:
-        for node in self._nodes():
-            node.drop_caches(node.actor)
+        for node, backend in self._shards():
+            backend.drop_caches(node.actor)
 
 
 def open_node(fs, migrator=None, default_budget=None):

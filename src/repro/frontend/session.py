@@ -25,18 +25,18 @@ Three admission mechanisms, in order of severity:
   so a flooding batch tenant pays for its own backlog instead of taxing
   everyone else's demand latency.
 
-Handles are plain capabilities: ``Client.open`` returns a
-:class:`Handle` bound to one :class:`FileSession`; double close or use
-after close raises the typed :class:`~repro.errors.HandleClosed`.
-``FileSession``/``SessionTable`` are the only session implementation:
-the node and cluster backends expose paths, not descriptors (rule HL015
-makes the ``Client`` the sanctioned data-plane entry point).
+A :class:`Handle` is the one open-file record: ``Client.open``
+returns it, ``Client.read``/``write``/``close`` take it, and double
+close or use after close raises the typed
+:class:`~repro.errors.HandleClosed`.  The node and cluster backends
+expose paths, not descriptors (rule HL015 makes the ``Client`` the
+sanctioned data-plane entry point).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro import obs
 from repro.errors import AdmissionRejected, HandleClosed, UnknownTenant
@@ -44,9 +44,8 @@ from repro.sched import (CLASS_CLEANER, CLASS_DEMAND, CLASS_PREFETCH,
                          CLASS_WRITEOUT)
 from repro.sim.actor import Actor
 
-__all__ = ["Client", "FileSession", "FileStat", "Handle", "SessionTable",
-           "Tenant", "TenantBudget", "TokenBucket", "DEFAULT_TENANT",
-           "EV_FRONTEND_REQUEST"]
+__all__ = ["Client", "FileStat", "Handle", "Tenant", "TenantBudget",
+           "TokenBucket", "DEFAULT_TENANT", "EV_FRONTEND_REQUEST"]
 
 #: Tenant every unattributed request is charged to.
 DEFAULT_TENANT = "default"
@@ -54,81 +53,6 @@ DEFAULT_TENANT = "default"
 #: One event per client request (data plane and background control),
 #: stamped at completion: tenant, op, nbytes, admission wait, service.
 EV_FRONTEND_REQUEST = obs.register_event_type("frontend_request")
-
-
-# --------------------------------------------------------------------------
-# Sessions
-# --------------------------------------------------------------------------
-
-@dataclass
-class FileSession:
-    """One open file handle.
-
-    This is the single session record of the repo: ``Client`` handles
-    wrap it on both backends.
-    """
-
-    fd: int
-    path: str
-    #: Name of the actor that opened the handle.
-    owner: str = ""
-    tenant: str = DEFAULT_TENANT
-    closed: bool = False
-
-    def ensure_open(self, op: str = "use") -> None:
-        if self.closed:
-            raise HandleClosed(
-                f"fd {self.fd} ({self.path!r}): {op} after close")
-
-
-class SessionTable:
-    """Allocates and tracks :class:`FileSession` descriptors.
-
-    Descriptors are never reused within a table's lifetime, so a stale
-    fd reliably raises :class:`~repro.errors.HandleClosed` instead of
-    silently aliasing a newer handle.
-    """
-
-    def __init__(self) -> None:
-        self._sessions: Dict[int, FileSession] = {}
-        self._next_fd = 3
-
-    def open(self, path: str, owner: str = "",
-             tenant: str = DEFAULT_TENANT) -> FileSession:
-        fd = self._next_fd
-        self._next_fd += 1
-        sess = FileSession(fd=fd, path=path, owner=owner, tenant=tenant)
-        self._sessions[fd] = sess
-        return sess
-
-    def get(self, fd: int) -> FileSession:
-        """The open session for ``fd``; typed errors on stale/unknown."""
-        sess = self._sessions.get(fd)
-        if sess is None:
-            raise HandleClosed(f"unknown file descriptor {fd}")
-        sess.ensure_open()
-        return sess
-
-    def close(self, fd: int) -> FileSession:
-        sess = self._sessions.get(fd)
-        if sess is None:
-            raise HandleClosed(f"unknown file descriptor {fd}")
-        sess.ensure_open("close")
-        sess.closed = True
-        del self._sessions[fd]
-        return sess
-
-    def open_count(self, tenant: Optional[str] = None) -> int:
-        if tenant is None:
-            return len(self._sessions)
-        return sum(1 for s in self._sessions.values()
-                   if s.tenant == tenant)
-
-    def __len__(self) -> int:
-        return len(self._sessions)
-
-    def __contains__(self, fd: int) -> bool:
-        return fd in self._sessions
 
 
 # --------------------------------------------------------------------------
@@ -230,6 +154,8 @@ class Tenant:
     bucket: Optional[TokenBucket] = None
     bytes_moved: int = 0
     throttle_seconds: float = 0.0
+    #: Handles this tenant holds open (what ``max_open_handles`` caps).
+    open_handles: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         if self.bucket is None:
@@ -291,29 +217,24 @@ class FileStat:
 
 
 class Handle:
-    """A tenant-scoped open file, returned by :meth:`Client.open`."""
+    """The one open-file record, returned by :meth:`Client.open`.
 
-    __slots__ = ("client", "session")
+    Descriptors are never reused within a client's lifetime, so a stale
+    handle reliably raises :class:`~repro.errors.HandleClosed` instead
+    of silently aliasing a newer one.
+    """
 
-    def __init__(self, client: "Client", session: FileSession) -> None:
+    __slots__ = ("fd", "path", "owner", "tenant", "closed", "client")
+
+    def __init__(self, client: "Client", fd: int, path: str, owner: str,
+                 tenant: str) -> None:
         self.client = client
-        self.session = session
-
-    @property
-    def fd(self) -> int:
-        return self.session.fd
-
-    @property
-    def path(self) -> str:
-        return self.session.path
-
-    @property
-    def tenant(self) -> str:
-        return self.session.tenant
-
-    @property
-    def closed(self) -> bool:
-        return self.session.closed
+        self.fd = fd
+        self.path = path
+        #: Name of the actor that opened the handle.
+        self.owner = owner
+        self.tenant = tenant
+        self.closed = False
 
     def read(self, actor: Actor, offset: int = 0, nbytes: int = -1) -> bytes:
         return self.client.read(actor, self, offset, nbytes)
@@ -322,16 +243,15 @@ class Handle:
         return self.client.write(actor, self, data, offset)
 
     def stat(self, actor: Actor) -> FileStat:
-        return self.client.stat(actor, self.session.path,
-                                tenant=self.session.tenant)
+        return self.client.stat(actor, self.path, tenant=self.tenant)
 
     def close(self, actor: Actor) -> None:
         self.client.close(actor, self)
 
     def __repr__(self) -> str:
-        state = "closed" if self.session.closed else "open"
-        return (f"Handle(fd={self.session.fd}, path={self.session.path!r}, "
-                f"tenant={self.session.tenant!r}, {state})")
+        state = "closed" if self.closed else "open"
+        return (f"Handle(fd={self.fd}, path={self.path!r}, "
+                f"tenant={self.tenant!r}, {state})")
 
 
 # --------------------------------------------------------------------------
@@ -352,7 +272,9 @@ class Client:
     def __init__(self, backend,
                  default_budget: Optional[TenantBudget] = None) -> None:
         self.backend = backend
-        self.table = SessionTable()
+        #: fd -> every handle this client has open.
+        self.handles: Dict[int, Handle] = {}
+        self._next_fd = 3
         self._tenants: Dict[str, Tenant] = {}
         self.tenant(DEFAULT_TENANT, default_budget or TenantBudget())
 
@@ -392,6 +314,15 @@ class Client:
             raise UnknownTenant(f"tenant {name!r} is not registered")
         return ten
 
+    def _target(self, target: Union[Handle, str],
+                tenant: Optional[str]) -> Tuple[str, Tenant]:
+        """The path a control verb acts on and the tenant it charges:
+        ``tenant`` if given, else the handle's own."""
+        if isinstance(target, Handle):
+            return target.path, self._resolve_tenant(
+                target.tenant if tenant is None else tenant)
+        return target, self._resolve_tenant(tenant)
+
     # -- the session surface -----------------------------------------------------
 
     def open(self, actor: Actor, path: str, tenant: Optional[str] = None,
@@ -399,7 +330,7 @@ class Client:
         """Open ``path`` for ``tenant``; returns a :class:`Handle`."""
         ten = self._resolve_tenant(tenant)
         cap = ten.budget.max_open_handles
-        if cap is not None and self.table.open_count(ten.name) >= cap:
+        if cap is not None and ten.open_handles >= cap:
             obs.counter("frontend_rejects_total",
                         "requests refused by hard admission caps",
                         ("tenant", "reason")).labels(
@@ -411,58 +342,56 @@ class Client:
                 # Typed FileNotFound, same as the path surfaces.
                 self.backend.size_of(path)
             self.backend.create(actor, path)
-        sess = self.table.open(path, owner=actor.name, tenant=ten.name)
+        handle = Handle(self, self._next_fd, path, actor.name, ten.name)
+        self._next_fd += 1
+        self.handles[handle.fd] = handle
+        ten.open_handles += 1
         ten.opens_series.inc()
-        ten.open_handles_series.set(self.table.open_count(ten.name))
-        return Handle(self, sess)
+        ten.open_handles_series.set(ten.open_handles)
+        return handle
 
-    def _session_of(self, handle: Union[Handle, int],
-                    op: str) -> FileSession:
-        if isinstance(handle, Handle):
-            if handle.client is not self:
-                raise HandleClosed(
-                    f"fd {handle.fd}: handle belongs to another client")
-            sess = handle.session
-            sess.ensure_open(op)
-            return sess
-        return self.table.get(handle)
+    def _check_open(self, handle: Handle, op: str) -> Tenant:
+        """The tenant of ``handle``; typed errors on a closed or foreign
+        handle."""
+        if handle.client is not self:
+            raise HandleClosed(
+                f"fd {handle.fd}: handle belongs to another client")
+        if handle.closed:
+            raise HandleClosed(
+                f"fd {handle.fd} ({handle.path!r}): {op} after close")
+        return self._tenants[handle.tenant]
 
-    def read(self, actor: Actor, handle: Union[Handle, int],
-             offset: int = 0, nbytes: int = -1) -> bytes:
+    def read(self, actor: Actor, handle: Handle, offset: int = 0,
+             nbytes: int = -1) -> bytes:
         """Read through a handle, paced by the tenant's token bucket."""
-        sess = self._session_of(handle, "read")
-        ten = self._resolve_tenant(sess.tenant)
-        size = self.backend.size_of(sess.path)
+        ten = self._check_open(handle, "read")
+        size = self.backend.size_of(handle.path)
         if nbytes < 0:
             nbytes = max(0, size - offset)
         nbytes = max(0, min(nbytes, size - offset))
         wait = ten.admit_bytes(actor, nbytes)
         t0 = actor.time
-        data = self.backend.read(actor, sess.path, offset, nbytes)
+        data = self.backend.read(actor, handle.path, offset, nbytes)
         self._record(actor, ten, "read", len(data), wait, actor.time - t0)
         return data
 
-    def write(self, actor: Actor, handle: Union[Handle, int],
-              data: bytes, offset: int = 0) -> int:
+    def write(self, actor: Actor, handle: Handle, data: bytes,
+              offset: int = 0) -> int:
         """Write through a handle, paced by the tenant's token bucket."""
-        sess = self._session_of(handle, "write")
-        ten = self._resolve_tenant(sess.tenant)
+        ten = self._check_open(handle, "write")
         wait = ten.admit_bytes(actor, len(data))
         t0 = actor.time
-        written = self.backend.write(actor, sess.path, offset, data)
+        written = self.backend.write(actor, handle.path, offset, data)
         self._record(actor, ten, "write", written, wait, actor.time - t0)
         return written
 
-    def close(self, actor: Actor, handle: Union[Handle, int]) -> None:
+    def close(self, actor: Actor, handle: Handle) -> None:
         """Release a handle; double close raises :class:`HandleClosed`."""
-        if isinstance(handle, Handle):
-            sess = handle.session
-            sess.ensure_open("close")
-            self.table.close(sess.fd)
-        else:
-            sess = self.table.close(handle)
-        self._tenants[sess.tenant].open_handles_series.set(
-            self.table.open_count(sess.tenant))
+        ten = self._check_open(handle, "close")
+        handle.closed = True
+        del self.handles[handle.fd]
+        ten.open_handles -= 1
+        ten.open_handles_series.set(ten.open_handles)
 
     def stat(self, actor: Actor, path: str,
              tenant: Optional[str] = None) -> FileStat:
@@ -486,10 +415,7 @@ class Client:
         submitting actor until the write-out queue is back under the
         cap — the flooding tenant pays its own drain time.
         """
-        path = target.path if isinstance(target, Handle) else target
-        ten = self._resolve_tenant(
-            tenant if tenant is not None
-            else (target.tenant if isinstance(target, Handle) else None))
+        path, ten = self._target(target, tenant)
         size = self.backend.size_of(path)
         wait = ten.admit_bytes(actor, size)
         t0 = actor.time
@@ -510,10 +436,7 @@ class Client:
         :class:`AdmissionRejected` when the tenant's queue-depth cap
         rejected every attempted submission (the flooding-tenant case).
         """
-        path = target.path if isinstance(target, Handle) else target
-        ten = self._resolve_tenant(
-            tenant if tenant is not None
-            else (target.tenant if isinstance(target, Handle) else None))
+        path, ten = self._target(target, tenant)
         t0 = actor.time
         submitted, attempted, capped = self.backend.prefetch(
             actor, path, ten.budget.max_queued)
@@ -562,4 +485,4 @@ class Client:
     def __repr__(self) -> str:
         return (f"Client(backend={self.backend.name!r}, "
                 f"tenants={self.tenants()}, "
-                f"open_handles={len(self.table)})")
+                f"open_handles={len(self.handles)})")

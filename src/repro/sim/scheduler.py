@@ -97,8 +97,6 @@ class TimedQueue:
     def __init__(self, name: str = "queue") -> None:
         self.name = name
         self._items: Deque[Tuple[float, Any]] = deque()
-        self.put_count = 0
-        self.get_count = 0
         self.wait_seconds = 0.0  # consumer idle time attributable to the queue
 
     def __len__(self) -> int:
@@ -107,7 +105,6 @@ class TimedQueue:
     def put(self, actor: Actor, item: Any) -> None:
         """Enqueue ``item``, stamped ready at the producer's current time."""
         self._items.append((actor.time, item))
-        self.put_count += 1
 
     def get(self, actor: Actor) -> Optional[Any]:
         """Dequeue the oldest item, or return None if the queue is empty.
@@ -121,5 +118,4 @@ class TimedQueue:
         if ready > actor.time:
             self.wait_seconds += ready - actor.time
             actor.sleep_until(ready)
-        self.get_count += 1
         return item

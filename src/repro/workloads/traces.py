@@ -32,7 +32,6 @@ class ArchivalTrace:
     """Generates burst-reactivation access traces over a set of files."""
 
     def __init__(self, paths: Sequence[str], file_sizes: Sequence[int],
-                 reactivation_rate: float = 0.05,
                  burst_length: int = 8,
                  zipf_s: float = 1.2,
                  mean_think: float = 30.0,
@@ -42,7 +41,6 @@ class ArchivalTrace:
             raise ValueError("paths and sizes must align")
         self.paths = list(paths)
         self.sizes = list(file_sizes)
-        self.reactivation_rate = reactivation_rate
         self.burst_length = burst_length
         self.zipf_s = zipf_s
         self.mean_think = mean_think

@@ -8,6 +8,7 @@ is pinned so silent accretion shows up in review.
 """
 
 import ast
+import functools
 import tokenize
 from collections import Counter
 from pathlib import Path
@@ -80,6 +81,14 @@ def test_no_suppressions_in_core_or_lfs(src_analysis):
             f"suppression in protected package: {f.format()}"
 
 
+@functools.lru_cache(maxsize=None)
+def _src_trees():
+    """``(path, tree)`` of every module in ``src``, parsed once for the
+    guards below."""
+    return tuple((path, ast.parse(path.read_text(encoding="utf-8")))
+                 for path in sorted(SRC.rglob("*.py")))
+
+
 def _code_identifiers(path: Path):
     """Every identifier token of a Python file: names in strings,
     comments and docstrings are not references."""
@@ -101,8 +110,8 @@ def test_every_public_name_is_referenced_somewhere():
                     for p in sorted((ROOT / d).rglob("*.py"))
                     for w in _code_identifiers(p))
     dead = []
-    for path in sorted(SRC.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for path, tree in _src_trees():
+        for node in ast.walk(tree):
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not node.name.startswith("_")
                     and words[node.name] == 1
@@ -110,6 +119,68 @@ def test_every_public_name_is_referenced_somewhere():
                 dead.append(f"{path.relative_to(ROOT)}:{node.lineno} "
                             f"{node.name}")
     assert dead == [], "defined but never referenced:\n" + "\n".join(dead)
+
+
+#: Public instance attributes (``Class.attr``) that nothing reads, each
+#: with the reason it stays.  The default answer to a hit is deletion
+#: (keeping any obs counter the attribute mirrored).
+WRITE_ONLY_OK = {
+    "MetricFamily.help": "the one-line description every "
+                         "obs.counter/gauge/histogram call site passes "
+                         "documents the series where it is recorded",
+}
+
+
+def _self_attribute_writes(tree):
+    """``("Class.attr", target)`` for each public ``self.attr = ...`` in
+    a method of a class in ``tree``."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for method in cls.body:
+            if not isinstance(method, (ast.FunctionDef,
+                                       ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(method):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, ast.AnnAssign):
+                    targets = [node.target]
+                else:
+                    continue
+                for target in targets:
+                    for t in getattr(target, "elts", [target]):
+                        if (isinstance(t, ast.Attribute)
+                                and isinstance(t.value, ast.Name)
+                                and t.value.id == "self"
+                                and not t.attr.startswith("_")):
+                            yield f"{cls.name}.{t.attr}", t
+
+
+def test_every_public_attribute_is_read_somewhere():
+    """A public ``self.<name> = ...`` in ``src`` whose name is never
+    read as an attribute (nor named in a ``getattr``/``hasattr``)
+    anywhere in ``src``, the benchmarks, the examples or the tests is
+    write-only state.  ``self.n += 1`` is a write, not a read; names are
+    matched, not objects, so this only catches names no one reads."""
+    reads = set()
+    for d in ("src", "benchmarks", "bench_e2e", "examples", "tests"):
+        for path in sorted((ROOT / d).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Load)):
+                    reads.add(node.attr)
+                elif (isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Name)
+                      and node.func.id in ("getattr", "hasattr")
+                      and len(node.args) > 1
+                      and isinstance(node.args[1], ast.Constant)):
+                    reads.add(node.args[1].value)
+    unread = [f"{path.relative_to(ROOT)}:{t.lineno} {site}"
+              for path, tree in _src_trees()
+              for site, t in _self_attribute_writes(tree)
+              if t.attr not in reads and site not in WRITE_ONLY_OK]
+    assert unread == [], "assigned but never read:\n" + "\n".join(unread)
 
 
 #: ``path:line`` sites allowed to hand a callable to another object's

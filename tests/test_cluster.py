@@ -14,6 +14,7 @@ from repro.cluster import (ClusterNode, ClusterRouter, EV_ROUTE_DISPATCH,
                            EV_SHARD_MIGRATE, MigrationCoordinator,
                            cluster_rollup, extent_key)
 from repro.errors import FileNotFound, HandleClosed, InvalidArgument
+from repro.frontend import Handle, NodeBackend
 from repro.sim.actor import Actor
 from repro.util.units import MB
 
@@ -33,8 +34,9 @@ def migrate_everything(router: ClusterRouter) -> None:
     for node in router.nodes.values():
         for key in sorted(node.objects):
             node.migrate_object(node.actor, key)
-        node.flush(node.actor)
-        node.drop_caches(node.actor)
+        backend = NodeBackend(node)
+        backend.flush(node.actor)
+        backend.drop_caches(node.actor)
 
 
 class TestRouterRoundTrip:
@@ -74,16 +76,15 @@ class TestRouterRoundTrip:
             ClusterRouter([], seed=0)
 
     def test_sessions_are_shared_frontend_objects(self):
-        # One session implementation: a cluster handle is backed by a
-        # repro.frontend FileSession record.
-        from repro.frontend.session import FileSession
+        # One session implementation: a cluster handle is the
+        # repro.frontend Handle record.
         router, _nodes = make_cluster(1)
         actor = Actor("client")
         client = open_cluster(router)
         handle = client.open(actor, "/f", create=True)
-        sess = client.table.get(handle.fd)
-        assert isinstance(sess, FileSession)
-        assert sess.owner == "client"
+        assert isinstance(handle, Handle)
+        assert client.handles[handle.fd] is handle
+        assert handle.owner == "client"
         client.close(actor, handle)
         with pytest.raises(HandleClosed):
             client.close(actor, handle)
@@ -206,7 +207,7 @@ class TestQuarantine:
         victim = nodes[0]
         vid = victim.fs.tsegfile.volumes[0].volume_id
         victim.quarantine_volume(vid, router.makespan())
-        victim.drop_caches(victim.actor)
+        NodeBackend(victim).drop_caches(victim.actor)
         assert victim.degraded()
         assert not nodes[1].degraded()
 

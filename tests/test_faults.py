@@ -32,6 +32,7 @@ from repro.faults import (DEFAULT_CLASS_POLICIES, FaultInjector, FaultManager,
                           KIND_MOUNT_FAILURE, KIND_SLOW_IO, RetryClassPolicy,
                           RetryPolicy, VolumeHealth)
 from repro.footprint.robot import JukeboxFootprint
+from repro.frontend import NodeBackend
 from repro.persist.crashsim import CrashHarness
 from repro.sched import CLASS_WRITEOUT, MODE_SCHEDULED
 from repro.sim.actor import Actor
@@ -520,8 +521,9 @@ def _cluster_move():
     router.write_path(Actor("client"), "/m.bin", _payload(9, MB))
     (key, src), = router.placement.items()
     nodes[src].migrate_object(nodes[src].actor, key)
-    nodes[src].flush(nodes[src].actor)
-    nodes[src].drop_caches(nodes[src].actor)
+    backend = NodeBackend(nodes[src])
+    backend.flush(nodes[src].actor)
+    backend.drop_caches(nodes[src].actor)
     op = Actor("operator")
     op.sleep_until(router.makespan())
     # The source read demand-fetches; the destination re-migrates and

@@ -18,8 +18,8 @@ from repro.cluster import ClusterNode, ClusterRouter
 from repro.core.highlight import HighLightConfig
 from repro.errors import (AdmissionRejected, FileNotFound, HandleClosed,
                           ReproError, UnknownTenant)
-from repro.frontend import (Client, TenantBudget, load, open_cluster,
-                            open_node, slo)
+from repro.frontend import (Client, Handle, NodeBackend, TenantBudget, load,
+                            open_cluster, open_node, slo)
 from repro.frontend.session import TokenBucket
 from repro.sched import CLASS_WRITEOUT, MODE_SCHEDULED
 from repro.sim.actor import Actor
@@ -139,15 +139,6 @@ def test_read_after_close_raises_typed_error():
         client.read(bed.app, handle)
     with pytest.raises(HandleClosed):
         client.write(bed.app, handle, b"more")
-
-
-def test_stale_fd_raises_typed_error():
-    client, bed = _node_client()
-    handle = client.open(bed.app, "/x", create=True)
-    fd = handle.fd
-    client.close(bed.app, handle)
-    with pytest.raises(HandleClosed):
-        client.read(bed.app, fd)
 
 
 def test_open_missing_file_raises_file_not_found():
@@ -338,6 +329,40 @@ def test_prefetch_flood_rejected_by_queue_depth():
         client.prefetch(app, "/bulk/g0.bin", tenant="greedy")
 
 
+def test_cluster_control_plane_migrate_prefetch_pump():
+    """The cluster's control verbs end to end on a 2-shard scheduled
+    cluster: a capped migrate drains its own write-outs, prefetch is
+    capped per shard, and pump's limit spans the shards in id order."""
+    config = HighLightConfig(sched_mode=MODE_SCHEDULED)
+    nodes = [ClusterNode(i, n_platters=6, platter_bytes=4 * MB,
+                         config=config) for i in range(2)]
+    router = ClusterRouter(nodes, seed=7)
+    client = open_cluster(router)
+    client.tenant("t", TenantBudget(max_queued=1))
+    actor = Actor("c")
+    handle = client.open(actor, "/a.bin", tenant="t", create=True)
+    client.write(actor, handle, b"a" * (4 * MB))
+    client.close(actor, handle)
+    assert sorted(router.placement[k] for k in router.extents_of("/a.bin")) \
+        == [0, 0, 1, 1]
+
+    client.migrate(actor, "/a.bin", tenant="t")
+    assert client.backend.queued_writeouts() == 1  # drained to the cap
+    assert client.pump(actor) == 1
+    assert client.backend.queued_writeouts() == 0
+    client.drop_caches(actor)
+
+    # Three tertiary segments per shard; the cap admits one per shard.
+    assert client.prefetch(actor, "/a.bin", tenant="t") == 2
+    with pytest.raises(AdmissionRejected):
+        client.prefetch(actor, "/a.bin", tenant="t")
+    assert client.pump(actor, limit=1) == 1
+    assert client.pump(actor, limit=5) == 1
+    assert client.pump(actor) == 0
+    assert [n.actor.time for n in nodes] == [44.17005240229567] * 2
+    assert actor.time == 17.00650642307153
+
+
 # -- the workload generator --------------------------------------------------
 
 
@@ -448,22 +473,87 @@ def test_snapshot_without_header_unchanged(tmp_path):
 
 
 def test_router_uses_frontend_session_objects():
-    """One session implementation: a cluster ``Client`` is backed by
-    the same ``FileSession``/``SessionTable`` machinery as a node one
-    (the router itself has no descriptors), so lifecycle errors are the
-    same typed exceptions."""
-    from repro.frontend.session import FileSession, SessionTable
-
+    """One session implementation: a cluster ``Client`` hands out the
+    same ``Handle`` record as a node one (the router itself has no
+    descriptors), so lifecycle errors are the same typed exceptions."""
     nodes = [ClusterNode(0, n_platters=4, platter_bytes=4 * MB)]
     router = ClusterRouter(nodes, seed=3)
     actor = Actor("legacy")
     client = open_cluster(router)
-    assert isinstance(client.table, SessionTable)
-    handle = client.open(actor, "/legacy2.bin", create=True)
-    fd = handle.fd
-    assert fd in client.table
-    assert isinstance(client.table.get(fd), FileSession)
+    client.tenant("t", TenantBudget())
+    handle = client.open(actor, "/legacy2.bin", tenant="t", create=True)
+    assert isinstance(handle, Handle)
+    assert (handle.path, handle.owner, handle.tenant, handle.closed) == \
+        ("/legacy2.bin", "legacy", "t", False)
+    assert client.handles == {handle.fd: handle}
+    assert client.tenant("t").open_handles == 1
     client.close(actor, handle)
-    assert fd not in client.table
+    assert handle.closed and client.handles == {}
+    assert client.tenant("t").open_handles == 0
     with pytest.raises(HandleClosed):
         client.close(actor, handle)
+    with pytest.raises(HandleClosed):
+        client.read(actor, handle)
+    # A handle is only good on the client that opened it.
+    other = open_cluster(router).open(actor, "/legacy2.bin")
+    with pytest.raises(HandleClosed):
+        client.read(actor, other)
+
+
+# -- one definition of each per-stack control verb ---------------------------
+
+CONTROL_VERBS = ("migrate", "seal", "prefetch", "queued_writeouts", "pump",
+                 "flush", "drop_caches")
+
+
+def test_control_verbs_are_defined_once_on_node_backend(monkeypatch):
+    """The front end has no protocol base class, a shard has no second
+    copy of the node control verbs, and each cluster control verb other
+    than migrate (which moves extent objects) runs ``NodeBackend``'s on
+    every shard in id order, each on the shard's own actor."""
+    from repro import frontend
+    from repro.frontend import backends
+
+    assert not hasattr(frontend, "Backend")
+    assert not hasattr(backends, "Backend")
+    for verb in CONTROL_VERBS:
+        assert verb in vars(NodeBackend), verb
+        assert verb not in vars(ClusterNode), verb
+    for name in ("FileSession", "SessionTable"):
+        assert not hasattr(frontend.session, name)
+
+    nodes = [ClusterNode(i, n_platters=4, platter_bytes=4 * MB)
+             for i in (1, 0)]
+    backend = open_cluster(ClusterRouter(nodes, seed=3)).backend
+    shards = sorted(nodes, key=lambda n: n.shard_id)
+    actor = Actor("c")
+    for verb in ("seal", "pump", "flush", "drop_caches", "queued_writeouts"):
+        args = () if verb == "queued_writeouts" else (actor,)
+        original = getattr(NodeBackend, verb)
+        calls = []
+
+        def spy(self, *a, _original=original, _calls=calls):
+            _calls.append((self.fs, a[0] if a else None))
+            return _original(self, *a)
+
+        with monkeypatch.context() as m:
+            m.setattr(NodeBackend, verb, spy)
+            getattr(backend, verb)(*args)
+        assert calls == [(n.fs, n.actor if args else None)
+                         for n in shards], verb
+
+    # The shard's one inbound move makes NodeBackend.flush's calls, in
+    # its order, after storing and migrating the extent.
+    node = shards[0]
+    calls = []
+    for owner, name in ((node, "write_object"), (node, "migrate_object"),
+                        (node.migrator, "flush"), (node.fs.sched, "pump"),
+                        (node.fs, "checkpoint")):
+        monkeypatch.setattr(owner, name,
+                            lambda a, *rest, _n=name: calls.append((_n, a)))
+    NodeBackend(node).flush(node.actor)
+    flushed, calls[:] = list(calls), []
+    node.adopt_object(node.actor, "k", b"x", tertiary=True)
+    assert calls == [("write_object", node.actor),
+                     ("migrate_object", node.actor)] + flushed
+    assert [name for name, _ in flushed] == ["flush", "pump", "checkpoint"]

@@ -106,6 +106,24 @@ class TestTapeDrive:
         near = actor.time - t0
         assert far > near * 5
 
+    def test_first_io_after_load_pays_thread_time(self, monkeypatch):
+        drive, _ = self._loaded()
+        actor = Actor("a")
+        winds = []
+        monkeypatch.setattr(drive.stats, "record",
+                            lambda op, nbytes, wind, xfer: winds.append(wind))
+        costs = []
+        for _ in range(2):
+            t0 = actor.time
+            drive.read(actor, 0, 1)
+            costs.append(actor.time - t0)
+        # The repeat winds back one block (80 us) instead of threading.
+        assert costs[0] - costs[1] == pytest.approx(drive.thread_time,
+                                                    abs=1e-3)
+        # Threading is transport time, not wind: the first read is at
+        # the tape's start, so it records no wind at all.
+        assert winds == [0.0, drive.block_size / drive.wind_rate]
+
     def test_streaming_no_reposition(self):
         drive, _ = self._loaded()
         actor = Actor("a")
