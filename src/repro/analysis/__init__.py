@@ -23,10 +23,13 @@ cannot enforce for us:
   (HL015) — one rule class over a four-row table;
 
 and, on top of the whole-program index in :mod:`repro.analysis.program`,
-the interprocedural invariants: borrowed extent ranges must not escape
-their lending call (HL011), and one actor must not mutate another
-actor's clock or account (HL012).  The runtime counterpart of HL011
-lives in :mod:`repro.analysis.sanitize` (``REPRO_SANITIZE=borrow``).
+the interprocedural invariant that one actor must not mutate another
+actor's clock or account (HL012).
+
+One contract is checked at run time instead: a borrowed extent range
+must not be used after its store released it.  The borrow sanitizer in
+:mod:`repro.analysis.sanitize` traps that, and every tier-1 test runs
+with it armed (``tests/conftest.py``).
 
 ``python -m repro.analysis src`` runs every rule over a source tree and
 exits non-zero on findings; ``tests/test_analysis_clean.py`` runs the
@@ -49,13 +52,11 @@ __all__ = [
 ]
 
 
-def run_paths(paths, rules=None, index_cache=None) -> "AnalysisResult":
+def run_paths(paths, rules=None) -> "AnalysisResult":
     """Analyze ``paths`` (files or directories) with ``rules``.
 
     This is the library/pytest entry point; the CLI in
     :mod:`repro.analysis.cli` is a thin wrapper around it.
-    ``index_cache`` persists program-index summaries between runs.
     """
-    analyzer = Analyzer(rules if rules is not None else default_rules(),
-                        index_cache=index_cache)
+    analyzer = Analyzer(rules if rules is not None else default_rules())
     return analyzer.run(paths)

@@ -5,9 +5,7 @@ Exit status is a pinned contract (tests/test_analysis.py::TestCLI):
 
 ``--format`` selects text (default), ``json`` (the byte-deterministic
 result dictionary), or ``github`` (inline ``::error`` annotations for
-Actions runs).  ``--index-cache`` persists the whole-program summary
-cache across runs (CI keys it on source hashes).  Program-index build
-accounting goes to stderr so every format's stdout stays deterministic.
+Actions runs).
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro.analysis import run_paths
@@ -73,9 +70,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--select", metavar="CODES",
                         help="comma-separated rule codes to run "
                              "(default: all)")
-    parser.add_argument("--index-cache", metavar="PATH", default=None,
-                        help="JSON file persisting per-module program-"
-                             "index summaries between runs")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
     args = parser.parse_args(argv)
@@ -86,16 +80,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         rules = _select_rules(args.select)
-        cache = Path(args.index_cache) if args.index_cache else None
-        result = run_paths(args.paths, rules=rules, index_cache=cache)
+        result = run_paths(args.paths, rules=rules)
     except AnalysisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if result.index_stats is not None:
-        # Accounting goes to stderr: stdout must stay byte-identical
-        # across runs for the determinism contract.
-        print(result.index_stats.format(), file=sys.stderr)
 
     if args.format == "json":
         print(json.dumps(result.to_dict(), indent=2, sort_keys=True))

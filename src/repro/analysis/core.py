@@ -73,12 +73,16 @@ class SourceFile:
         self.text = text
         self.tree = ast.parse(text, filename=str(path))
         self.module = dotted_name(path)
-        #: line -> frozenset of suppressed codes; empty set = blanket noqa.
-        #: Only real COMMENT tokens count — a ``"# noqa"`` inside a string
-        #: literal must not suppress anything, so the scan tokenizes the
-        #: source instead of regexing raw lines.
-        self.noqa: Dict[int, FrozenSet[str]] = {}
-        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+
+    @cached_property
+    def noqa(self) -> Dict[int, FrozenSet[str]]:
+        """line -> frozenset of suppressed codes; empty set = blanket
+        noqa.  Only real COMMENT tokens count — a ``"# noqa"`` inside a
+        string literal must not suppress anything, so the scan tokenizes
+        the source instead of regexing raw lines.  Built on the first
+        finding in the file: a clean file is never tokenized."""
+        table: Dict[int, FrozenSet[str]] = {}
+        for tok in tokenize.generate_tokens(io.StringIO(self.text).readline):
             if tok.type != tokenize.COMMENT:
                 continue
             match = _NOQA_RE.search(tok.string)
@@ -86,16 +90,24 @@ class SourceFile:
                 continue
             codes = match.group("codes")
             if codes is None:
-                self.noqa[tok.start[0]] = frozenset()
+                table[tok.start[0]] = frozenset()
             else:
-                self.noqa[tok.start[0]] = frozenset(
+                table[tok.start[0]] = frozenset(
                     c.strip().upper() for c in codes.split(","))
+        return table
 
     @cached_property
     def calls(self) -> List[ast.Call]:
         """Every call in the module, in ``ast.walk`` order: the one call
         walk the rules share."""
         return [n for n in ast.walk(self.tree) if isinstance(n, ast.Call)]
+
+    @cached_property
+    def resolver(self):
+        """The module's name-resolution context, built once and shared by
+        the program index and the interprocedural rules' checks."""
+        from repro.analysis.program.summary import ModuleResolver
+        return ModuleResolver(self)
 
     def span_end(self, node: ast.AST) -> int:
         """Last line a finding on ``node`` covers.  A compound statement
@@ -213,10 +225,6 @@ class AnalysisResult:
     suppressed: List[Finding] = field(default_factory=list)
     files_analyzed: int = 0
     errors: List[str] = field(default_factory=list)
-    #: Program-index build accounting (None when no rule needed it).
-    #: Deliberately excluded from :meth:`to_dict`: build timing would
-    #: break byte-identical output determinism.
-    index_stats: Optional[object] = None
 
     @property
     def ok(self) -> bool:
@@ -242,15 +250,12 @@ class AnalysisResult:
 class Analyzer:
     """Loads sources, runs every rule, filters ``# noqa`` suppressions."""
 
-    def __init__(self, rules: Sequence[Rule],
-                 index_cache: Optional[Path] = None) -> None:
+    def __init__(self, rules: Sequence[Rule]) -> None:
         codes = [r.code for r in rules]
         dupes = {c for c in codes if codes.count(c) > 1}
         if dupes:
             raise AnalysisError(f"duplicate rule codes: {sorted(dupes)}")
         self.rules = list(rules)
-        #: On-disk summary-cache location for the whole-program index.
-        self.index_cache = index_cache
 
     # -- source loading ----------------------------------------------------
 
@@ -308,8 +313,7 @@ class Analyzer:
             # One shared index per run; building it per rule would
             # triple the dominant cost of a whole-tree pass.
             from repro.analysis.program.index import ProgramIndex
-            program = ProgramIndex.build(files, cache_path=self.index_cache)
-            result.index_stats = program.stats
+            program = ProgramIndex.build(files)
             for rule in self.rules:
                 if rule.uses_program:
                     rule.prepare_program(program)

@@ -1,8 +1,7 @@
-"""Per-module summaries: the cacheable unit of whole-program analysis.
+"""Per-module summaries: the per-file unit of whole-program analysis.
 
 A :class:`ModuleSummary` is a pure function of one file's text — no
-other file is consulted — so the index cache can reuse it for any file
-whose content hash is unchanged.  Cross-file questions ("is this call
+other file is consulted.  Cross-file questions ("is this call
 target a project function?", "does this function transitively reach
 ``time.time()``?") are deliberately deferred to
 :class:`~repro.analysis.program.index.ProgramIndex`, which owns the
@@ -19,9 +18,6 @@ nested defs and lambdas are collapsed into their enclosing function):
 * ``clock_calls`` — calls that textually or after import resolution hit
   a real-time source (the HL001 catalogue, lifted so that aliased
   imports like ``from time import monotonic as tick`` are seen).
-* borrow facts — whether the function's return value is (or may be) a
-  borrowed extent range, and through which callees that depends.
-* escapes/mutations of borrowed values, consumed by HL011.
 * actor facts — parameters carrying the executing actor, expressions
   that denote *other* actors, consumed by HL012.
 """
@@ -33,12 +29,10 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.analysis.core import SourceFile
-from repro.analysis.program.dataflow import BorrowAnalysis, analyze_borrows
 from repro.analysis.rules.util import dotted_chain
 
 __all__ = [
     "ACTOR_CLASS",
-    "BORROW_METHODS",
     "CLOCK_IMPORT_BANS",
     "CLOCK_SUFFIXES",
     "FunctionSummary",
@@ -70,9 +64,6 @@ CLOCK_IMPORT_BANS = {
     "datetime": {"datetime", "date"},
 }
 
-#: Method names whose call yields borrowed extent ranges from a store.
-BORROW_METHODS = frozenset({"read_refs"})
-
 #: The project actor class; attributes/locals constructed from it are
 #: actor-typed for HL012.
 ACTOR_CLASS = "repro.sim.actor.Actor"
@@ -81,7 +72,7 @@ _ACTOR_CTOR_NAMES = frozenset({"Actor"})
 
 @dataclass
 class FunctionSummary:
-    """Facts about one function, serializable for the index cache."""
+    """Facts about one function."""
 
     qname: str
     line: int = 0
@@ -89,32 +80,8 @@ class FunctionSummary:
     calls: List[str] = field(default_factory=list)
     #: Real-time source descriptors hit directly in the body.
     clock_calls: List[str] = field(default_factory=list)
-    #: True when a return statement yields a direct borrow source.
-    returns_borrow_direct: bool = False
-    #: Call targets whose borrow-returning-ness propagates to our return.
-    returns_borrow_if: List[str] = field(default_factory=list)
     #: Parameter names that carry the executing actor.
     actor_params: List[str] = field(default_factory=list)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "qname": self.qname,
-            "line": self.line,
-            "calls": sorted(set(self.calls)),
-            "clock_calls": sorted(set(self.clock_calls)),
-            "returns_borrow_direct": self.returns_borrow_direct,
-            "returns_borrow_if": sorted(set(self.returns_borrow_if)),
-            "actor_params": list(self.actor_params),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "FunctionSummary":
-        return cls(qname=data["qname"], line=data["line"],
-                   calls=list(data["calls"]),
-                   clock_calls=list(data["clock_calls"]),
-                   returns_borrow_direct=data["returns_borrow_direct"],
-                   returns_borrow_if=list(data["returns_borrow_if"]),
-                   actor_params=list(data["actor_params"]))
 
 
 @dataclass
@@ -128,29 +95,6 @@ class ModuleSummary:
     class_bases: Dict[str, List[str]] = field(default_factory=dict)
     #: class qname -> {attr name -> constructor dotted name}.
     attr_types: Dict[str, Dict[str, str]] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "module": self.module,
-            "path": self.path,
-            "functions": {q: f.to_dict()
-                          for q, f in sorted(self.functions.items())},
-            "class_bases": {c: list(b)
-                            for c, b in sorted(self.class_bases.items())},
-            "attr_types": {c: dict(sorted(a.items()))
-                           for c, a in sorted(self.attr_types.items())},
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ModuleSummary":
-        return cls(
-            module=data["module"], path=data["path"],
-            functions={q: FunctionSummary.from_dict(f)
-                       for q, f in data["functions"].items()},
-            class_bases={c: list(b)
-                         for c, b in data["class_bases"].items()},
-            attr_types={c: dict(a) for c, a in data["attr_types"].items()},
-        )
 
 
 # -- shared AST walks --------------------------------------------------------
@@ -416,7 +360,7 @@ class ModuleResolver:
 
 def summarize(sf: SourceFile) -> ModuleSummary:
     """Extract the :class:`ModuleSummary` of one parsed file."""
-    resolver = ModuleResolver(sf)
+    resolver = sf.resolver
     summary = ModuleSummary(module=sf.module, path=sf.display_path)
     summary.class_bases = resolver.class_bases
     summary.attr_types = resolver.attr_types
@@ -433,8 +377,5 @@ def summarize(sf: SourceFile) -> ModuleSummary:
             if clock is not None:
                 fsum.clock_calls.append(clock)
             fsum.calls.extend(fn_resolver(node))
-        borrows: BorrowAnalysis = analyze_borrows(fn, fn_resolver)
-        fsum.returns_borrow_direct = borrows.returns_borrow_direct
-        fsum.returns_borrow_if = sorted(borrows.returns_borrow_if)
         summary.functions[qname] = fsum
     return summary

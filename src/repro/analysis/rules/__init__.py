@@ -18,7 +18,6 @@ from repro.analysis.rules.hl005_metric_labels import HL005MetricLabels
 from repro.analysis.rules.hl006_exceptions import HL006ExceptionDiscipline
 from repro.analysis.rules.hl008_datapath_copy import HL008DatapathCopy
 from repro.analysis.rules.hl009_retry_discipline import HL009RetryDiscipline
-from repro.analysis.rules.hl011_borrow_escape import HL011BorrowEscape
 from repro.analysis.rules.hl012_actor_discipline import HL012ActorDiscipline
 
 _RULE_CLASSES = (
@@ -29,7 +28,6 @@ _RULE_CLASSES = (
     HL006ExceptionDiscipline,
     HL008DatapathCopy,
     HL009RetryDiscipline,
-    HL011BorrowEscape,
     HL012ActorDiscipline,
 )
 

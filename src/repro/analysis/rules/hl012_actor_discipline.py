@@ -71,7 +71,7 @@ class HL012ActorDiscipline(Rule):
 
     def check(self, sf: SourceFile) -> List[Finding]:
         findings: List[Finding] = []
-        resolver = ModuleResolver(sf)
+        resolver = sf.resolver
         for _, fn, class_qname in iter_functions(sf):
             actor_params = actor_param_names(fn, resolver.imports)
             if not actor_params:

@@ -1,22 +1,23 @@
 """Runtime borrow sanitizer: trap use-after-release on lent extent refs.
 
-HL011 proves statically that a borrowed :class:`ExtentRef` never
-*escapes* the borrowing call; this module enforces the complementary
-dynamic contract — a borrow must not be *used* after the lending store
-has released the underlying range.  A store releases a range when it is
-overwritten (``writev``, whichever adapter it entered through),
-discarded, or replaced wholesale by ``restore``; a ref is also dead once
-``writev`` adopts it into a store, because ownership moved with it.
+The zero-copy data path lends :class:`ExtentRef` windows over buffers a
+store still owns.  The contract this module enforces is that a borrow
+must not be *used* after the lending store has released the underlying
+range.  A store releases a range when it is overwritten (``writev``,
+whichever adapter it entered through), discarded, or replaced wholesale
+by ``restore``; a ref is also dead once ``writev`` adopts it into a
+store, because ownership moved with it.
 
-With the sanitizer installed (``REPRO_SANITIZE=borrow`` in the
-environment, or :func:`install` from code), every ``read_refs`` on an
+With the sanitizer installed (:func:`install`), every ``read_refs`` on an
 :class:`~repro.blockdev.extent.ExtentStore` returns :class:`GuardedRef`
 instances registered in a per-store ledger.  Releasing an overlapping
-block range poisons the outstanding guards; any later ``view()`` on a
-poisoned ref raises :class:`BorrowViolation` with the release reason.
-Metadata access (``.nbytes``, ``len()``, ``.buf``) stays open — the data
-path legitimately sizes ref lists after handing them over — so only a
-read or write of the *bytes* trips the trap.
+block range poisons the outstanding guards; any later read of a
+poisoned ref's buffer — ``.buf``, hence ``view()`` and the fast paths of
+``materialize_refs``/``run_views`` that hand a whole ``bytes`` image on
+as-is — raises :class:`BorrowViolation` with the release reason.
+Metadata (``.nbytes``, ``len()``) stays open — the data path
+legitimately sizes ref lists after handing them over — so only a read
+or write of the *bytes* trips the trap.
 
 The hooks live behind :func:`repro.blockdev.datapath.set_sanitizer`, so
 the block-device layer never imports this module; with no sanitizer
@@ -27,33 +28,26 @@ Deliberately stricter than CPython's garbage collector: an overwritten
 extent's old buffer usually stays alive (buffers are never mutated in
 place), so stale reads return plausible bytes instead of crashing.  The
 sanitizer turns that silent staleness into a hard error at the exact
-use site, which is what makes the crash-consistency and extent property
-suites meaningful under ``REPRO_SANITIZE=borrow`` in CI.
+use site.  Every tier-1 test runs with it armed (``tests/conftest.py``),
+so a borrow kept past its release fails the suite wherever it is read.
 """
 
 from __future__ import annotations
 
-import os
 import weakref
-from typing import List, Mapping, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.blockdev import datapath
 from repro.blockdev.datapath import Buffer, ExtentRef
 
 __all__ = [
-    "ENV_VAR",
-    "MODE_BORROW",
     "BorrowSanitizer",
     "BorrowViolation",
     "GuardedRef",
     "current",
     "install",
-    "install_from_env",
     "uninstall",
 ]
-
-ENV_VAR = "REPRO_SANITIZE"
-MODE_BORROW = "borrow"
 
 
 class BorrowViolation(RuntimeError):
@@ -71,8 +65,13 @@ class _Guard:
         self.origin = origin
 
 
+#: The buffer slot of ExtentRef, under GuardedRef's trapping ``buf``.
+_BUF = ExtentRef.buf
+
+
 class GuardedRef(ExtentRef):
-    """An :class:`ExtentRef` whose ``view()`` traps after release."""
+    """An :class:`ExtentRef` whose bytes trap after release: ``buf``, and
+    so ``view()`` and every helper that reads the buffer, raise."""
 
     __slots__ = ("_guard", "__weakref__")
 
@@ -81,16 +80,22 @@ class GuardedRef(ExtentRef):
         super().__init__(buf, start, nbytes)
         self._guard = guard
 
-    def view(self):
+    @property
+    def buf(self) -> Buffer:
         if self._guard.poisoned:
             raise BorrowViolation(
                 f"use of a released borrow from {self._guard.origin}: "
                 f"{self._guard.reason}")
-        return super().view()
+        return _BUF.__get__(self)
+
+    @buf.setter
+    def buf(self, value: Buffer) -> None:
+        _BUF.__set__(self, value)
 
     def __repr__(self) -> str:
         state = "poisoned" if self._guard.poisoned else "live"
-        return f"GuardedRef({state}, {super().__repr__()})"
+        return (f"GuardedRef({state}, {type(_BUF.__get__(self)).__name__}"
+                f"[{self.start}:{self.start + self.nbytes}])")
 
 
 class BorrowSanitizer:
@@ -180,12 +185,3 @@ def current() -> Optional[BorrowSanitizer]:
     """The active sanitizer, or None."""
     return datapath.sanitizer()
 
-
-def install_from_env(
-        env: Optional[Mapping[str, str]] = None
-) -> Optional[BorrowSanitizer]:
-    """Install iff ``REPRO_SANITIZE=borrow`` is set (CI entry point)."""
-    source: Mapping[str, str] = env if env is not None else os.environ
-    if source.get(ENV_VAR, "").strip().lower() == MODE_BORROW:
-        return install()
-    return None

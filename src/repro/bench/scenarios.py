@@ -31,6 +31,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.bench import harness
+from repro.bench.cluster_scenario import _p99, run_cluster
+from repro.bench.frontend_scenario import run_frontend
 from repro.core.highlight import HighLightConfig
 from repro.core.replicas import ReplicaManager
 from repro.faults import (FaultManager, FaultPlan, FaultSpec,
@@ -243,11 +245,6 @@ def _chaos_read_back(bed, files: Dict[str, bytes]) -> Tuple[List[float], int]:
     return latencies, corrupt
 
 
-def _p99(samples: List[float]) -> float:
-    ordered = sorted(samples)
-    return ordered[min(len(ordered) - 1, int(0.99 * len(ordered)))]
-
-
 def run_chaos(quick: bool = False,
               seed: Optional[int] = None) -> Tuple[Dict[str, float], str]:
     """Seeded fault storm over a replicated archive vs. the fault-free
@@ -417,9 +414,6 @@ def run_crashes(quick: bool = False,
     ]
     return data, "\n".join(lines)
 
-
-from repro.bench.cluster_scenario import run_cluster  # noqa: E402
-from repro.bench.frontend_scenario import run_frontend  # noqa: E402
 
 SCENARIOS = {
     "contention": run_contention,

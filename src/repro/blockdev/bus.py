@@ -25,18 +25,6 @@ class SCSIBus(TimelineResource):
         self.bandwidth = bandwidth
         self.hog_seconds = 0.0
 
-    def transfer(self, actor: Actor, nbytes: int,
-                 device_seconds: float) -> float:
-        """Occupy the bus for a data transfer of ``nbytes``.
-
-        The occupancy is the larger of the device's own transfer time and
-        the time the bytes need on the wire; returns the duration.
-        """
-        wire = nbytes / self.bandwidth
-        duration = max(device_seconds, wire)
-        self.occupy(actor, duration)
-        return duration
-
     def hog(self, actor: Actor, seconds: float) -> None:
         """Hold the bus for ``seconds`` with no data moving (media swap)."""
         self.occupy(actor, seconds)

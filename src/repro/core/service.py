@@ -41,11 +41,6 @@ class ServiceProcess:
         self.prefetcher = prefetcher
         self.sched = sched
 
-    @property
-    def prefetch_actor(self) -> Actor:
-        """The actor that pays for pass-through prefetch I/O."""
-        return self.sched.prefetch_actor
-
     # -- demand fetch ------------------------------------------------------------
 
     def demand_fetch(self, actor: Actor, tsegno: int) -> int:

@@ -400,9 +400,6 @@ class Client:
         return FileStat(path=path, size=self.backend.size_of(path),
                         tenant=ten.name)
 
-    def exists(self, path: str) -> bool:
-        return self.backend.exists(path)
-
     # -- background control plane ------------------------------------------------
 
     def migrate(self, actor: Actor, target: Union[Handle, str],

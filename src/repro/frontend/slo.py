@@ -66,9 +66,6 @@ class SLOReport:
     fairness_index: float = 1.0
     starvation_index: float = 1.0
 
-    def tenant(self, name: str) -> TenantReport:
-        return self.per_tenant[name]
-
     def render(self) -> str:
         lines = [f"SLO window: {self.window_seconds:.1f}s virtual, "
                  f"fairness={self.fairness_index:.3f}, "

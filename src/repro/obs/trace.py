@@ -96,10 +96,6 @@ class TraceEvent:
     def to_dict(self) -> Dict[str, object]:
         return {"type": self.etype, "t": self.t, "fields": self.fields}
 
-    @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> "TraceEvent":
-        return cls(str(d["type"]), float(d["t"]), dict(d.get("fields", {})))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TraceEvent):
             return NotImplemented

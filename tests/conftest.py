@@ -43,16 +43,35 @@ def _fresh_observability():
     yield
 
 
+@pytest.fixture(scope="session")
+def session_sanitizer():
+    """The one borrow sanitizer the whole session runs under."""
+    from repro.analysis.sanitize import BorrowSanitizer
+    return BorrowSanitizer()
+
+
 @pytest.fixture(autouse=True)
-def _borrow_sanitizer():
-    """With ``REPRO_SANITIZE=borrow`` in the environment, every test runs
-    with the runtime borrow sanitizer armed (CI runs the crash-consistency
-    and extent suites this way); otherwise this is a no-op."""
+def _borrow_sanitizer(session_sanitizer):
+    """Every test runs with the runtime borrow sanitizer armed: a lent
+    extent ref read after its store released the range raises
+    ``BorrowViolation``.  Installed per test, so a test that disarms it
+    cannot disarm the ones after it."""
     from repro.analysis import sanitize
-    san = sanitize.install_from_env()
+    sanitize.install(session_sanitizer)
     yield
-    if san is not None:
-        sanitize.uninstall()
+    sanitize.uninstall()
+
+
+@pytest.fixture
+def armed():
+    """A fresh borrow sanitizer, with an empty ledger, for one test; the
+    session one comes back after."""
+    from repro.analysis.sanitize import BorrowSanitizer
+    from repro.blockdev.datapath import set_sanitizer
+    san = BorrowSanitizer()
+    session = set_sanitizer(san)
+    yield san
+    set_sanitizer(session)
 
 
 @pytest.fixture

@@ -209,6 +209,17 @@ class TestAdaptersEqualTheVerbs:
         assert run(True) == run(False)
 
 
+class TestBorrowLifetime:
+    def test_a_read_after_an_overwrite_sees_the_new_bytes(self, kind):
+        """A layer that kept a lent range past its call and handed it out
+        again would return the overwritten borrow: the armed sanitizer
+        raises, and unarmed the bytes are stale."""
+        bed = BEDS[kind]()
+        for seed in (8, 9):
+            bed.layer.write(*bed.addr, image(seed))
+            assert bed.layer.read(*bed.addr, NBLK) == image(seed)
+
+
 class TestCrashTrap:
     @pytest.mark.parametrize("verb", ["write", "write_refs", "writev"])
     def test_every_timed_write_reaches_the_trap_once(self, kind, verb):

@@ -254,13 +254,6 @@ class TestRunCounts:
 class TestGuardedRunBorrows:
     """Sanitizer-armed: poisoning follows the run representation."""
 
-    @pytest.fixture
-    def armed(self):
-        from repro.analysis import sanitize
-        san = sanitize.install()
-        yield san
-        sanitize.uninstall()
-
     def test_overwriting_one_run_poisons_only_its_borrows(self, armed):
         from repro.analysis.sanitize import BorrowViolation, GuardedRef
         st = fresh()

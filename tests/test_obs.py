@@ -424,8 +424,8 @@ class TestTrace:
                 actor="app")
         tr.emit(obs.EV_VOLUME_SWITCH, 13.5, volume="platter-00")
         text = "\n".join(json.dumps(d, sort_keys=True) for d in tr.to_list())
-        replayed = [TraceEvent.from_dict(json.loads(line))
-                    for line in text.splitlines()]
+        replayed = [TraceEvent(d["type"], d["t"], d["fields"])
+                    for d in map(json.loads, text.splitlines())]
         assert replayed == tr.events()
 
     def test_clear(self):
@@ -451,7 +451,8 @@ class TestTrace:
         ev = TraceEvent(obs.EV_VOLUME_SWITCH, 3.0, dict(fields))
         assert ev.to_dict() == {"type": "volume_switch", "t": 3.0,
                                 "fields": fields}
-        assert TraceEvent.from_dict(ev.to_dict()) == ev
+        d = ev.to_dict()
+        assert TraceEvent(d["type"], d["t"], d["fields"]) == ev
         assert ev != TraceEvent(obs.EV_VOLUME_SWITCH, 3.0, {"other": 1})
         # The ring stores events compactly; what it hands back is equal
         # to what emit() returned, and exports byte for byte the same.
