@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Seeded borrow-escape mutants: does tier-1 catch a kept extent borrow?
+"""Seeded mutants: does tier-1 catch a kept extent borrow or a misspelled
+trace event?
 
     python3 benchmarks/mutants.py [--seed N]
 
@@ -15,6 +16,11 @@ site an ``ast.NodeTransformer`` writes one mutant per escape kind:
 * ``global``   the same, in a module-level dict;
 * ``mutation`` one byte is written through the first ref's view (the
                seed picks the offset and the XOR mask).
+
+An *event site* is an ``obs.event(EV_X, ...)`` call in ``src``.  Its one
+``event`` mutant replaces ``EV_X`` with the string ``EV_X`` names, one
+seeded character changed: the misspelling the runtime taxonomy check in
+``TraceRecorder.emit`` must reject on whatever test reaches the site.
 
 Each mutant runs tier-1 with ``-x`` (the borrow sanitizer is armed by
 ``tests/conftest.py``), leaving out the analysis suite's own tests, in a
@@ -41,8 +47,8 @@ BORROWERS = {"read_refs", "dev_read_refs", "line_read_refs"}
 LENDERS = {"blockdev/datapath.py", "blockdev/extent.py", "blockdev/base.py",
            "analysis/sanitize.py"}
 KINDS = ("self", "global", "mutation")
-ANALYSIS_TESTS = ("tests/test_analysis.py", "tests/test_analysis_clean.py",
-                  "tests/test_program.py")
+ANALYSIS_TESTS = ("tests/test_analysis.py", "tests/test_analysis_clean.py")
+LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 HELPERS = '''
 
@@ -120,6 +126,52 @@ def sites():
     return out
 
 
+def _event_value(node):
+    """The type string an ``EV_X = "x"`` or ``EV_X =
+    register_event_type("x")`` assignment names, else None."""
+    if isinstance(node, ast.Call) and node.args:
+        node = node.args[0]
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
+def event_sites():
+    """``[(path, arg node, EV_ name, its string)]`` of every
+    ``obs.event`` call in ``src``, in path and line order."""
+    values, calls = {}, []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and getattr(node.targets[0], "id", "").startswith("EV_")
+                    and _event_value(node.value) is not None):
+                values[node.targets[0].id] = _event_value(node.value)
+            elif (isinstance(node, ast.Call) and node.args
+                  and ast.unparse(node.func) == "obs.event"):
+                calls.append((path, node.args[0]))
+    sites = []
+    for path, arg in sorted(calls, key=lambda c: (c[0], c[1].lineno)):
+        name = arg.id if isinstance(arg, ast.Name) else arg.attr
+        sites.append((path, arg, name, values[name]))
+    return sites
+
+
+def misspell(path, arg, value, known, rng):
+    """The source of ``path`` with the ``EV_`` argument ``arg`` replaced
+    by ``value`` with one seeded character changed."""
+    while True:
+        at = rng.randrange(len(value))
+        typo = (value[:at] + rng.choice(LETTERS.replace(value[at], ""))
+                + value[at + 1:])
+        if typo not in known:
+            break
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    line = lines[arg.lineno - 1]
+    lines[arg.lineno - 1] = (line[:arg.col_offset] + repr(typo)
+                             + line[arg.end_col_offset:])
+    return "".join(lines)
+
+
 def render(path, target=None, kind=None, rng=None):
     tree = Mutator(target, kind, rng).visit(
         ast.parse(path.read_text(encoding="utf-8")))
@@ -157,8 +209,8 @@ def main(argv=None):
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".pytest_cache", ".hypothesis",
             "obs-snapshots"))
-        dest = {path: copy / path.relative_to(ROOT) for path, _ in found}
-        for path, target in dest.items():
+        for path in {path for path, _ in found}:
+            target = copy / path.relative_to(ROOT)
             target.write_text(render(path), encoding="utf-8")
         ok, failed = tier1(copy)
         if not ok:
@@ -166,19 +218,30 @@ def main(argv=None):
                   f"do not pass tier-1")
             return 2
         verdicts = []
+
+        def trial(path, text, name, kind):
+            target = copy / path.relative_to(ROOT)
+            before = target.read_text(encoding="utf-8")
+            target.write_text(text, encoding="utf-8")
+            passed, failed = tier1(copy)
+            target.write_text(before, encoding="utf-8")
+            verdict = "SURVIVED" if passed else "killed"
+            verdicts.append(verdict)
+            print(f"{name:52s} {kind:8s} {verdict:8s} {failed}", flush=True)
+
         for path, site in found:
             for kind in KINDS:
-                dest[path].write_text(render(path, site, kind, rng),
-                                      encoding="utf-8")
-                passed, failed = tier1(copy)
-                dest[path].write_text(render(path), encoding="utf-8")
-                name = f"{path.relative_to(SRC).as_posix()} {site}"
-                verdict = "SURVIVED" if passed else "killed"
-                verdicts.append(verdict)
-                print(f"{name:52s} {kind:8s} {verdict:8s} {failed}",
-                      flush=True)
+                trial(path, render(path, site, kind, rng),
+                      f"{path.relative_to(SRC).as_posix()} {site}", kind)
+        events = event_sites()
+        known = {value for _, _, _, value in events}
+        for path, arg, name, value in events:
+            trial(path, misspell(path, arg, value, known, rng),
+                  f"{path.relative_to(SRC).as_posix()}:{arg.lineno} {name}",
+                  "event")
     survivors = verdicts.count("SURVIVED")
-    print(f"seed {seed}: {len(verdicts)} mutants at {len(found)} sites, "
+    print(f"seed {seed}: {len(verdicts)} mutants at "
+          f"{len(found) + len(events)} sites, "
           f"{len(verdicts) - survivors} killed, {survivors} survived")
     return 1 if survivors else 0
 

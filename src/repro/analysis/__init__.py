@@ -4,32 +4,31 @@ The simulator's correctness rests on invariants the Python interpreter
 cannot enforce for us:
 
 * all simulated time flows through the virtual clock — a stray
-  ``time.time()`` or unseeded ``random``, called directly or reached
-  through any chain of helpers from the simulation layers, silently
-  breaks golden-trace determinism (HL001);
+  ``time.time()`` (or ``t.monotonic()`` through a module alias) or an
+  unseeded ``random`` breaks golden-trace determinism (HL001);
 * disk and tertiary block numbers live in one 32-bit space (paper §6.3,
   Fig. 4) and must only be converted through :class:`AddressSpace`
   helpers, never ad-hoc arithmetic (HL003);
-* every trace event type is part of the registered taxonomy (HL004);
 * metric label sets are bounded literals, matching the registry's
   cardinality cap (HL005);
 * the filesystem core never swallows errors with blind ``except``
   clauses (HL006), and device-error retries are never blind loops
   (HL009);
 * segment data moves as extents, not per-block loops (HL008);
+* one actor does not mutate another actor's clock or account (HL012);
 * the sanctioned doorways stay the only doorways: raw device I/O
   (HL002), tertiary submissions around the scheduler (HL007),
   foreign-shard data I/O (HL014) and data-plane I/O around the Client
-  (HL015) — one rule class over a four-row table;
+  (HL015) — one rule class over a four-row table.
 
-and, on top of the whole-program index in :mod:`repro.analysis.program`,
-the interprocedural invariant that one actor must not mutate another
-actor's clock or account (HL012).
+Every rule judges one file from that file's own facts.
 
-One contract is checked at run time instead: a borrowed extent range
-must not be used after its store released it.  The borrow sanitizer in
+Two contracts are checked at run time instead.  A borrowed extent range
+must not be used after its store released it: the borrow sanitizer in
 :mod:`repro.analysis.sanitize` traps that, and every tier-1 test runs
-with it armed (``tests/conftest.py``).
+with it armed (``tests/conftest.py``).  Every emitted trace event type
+is registered: :meth:`repro.obs.trace.TraceRecorder.emit` raises on an
+unknown one, traced or not.
 
 ``python -m repro.analysis src`` runs every rule over a source tree and
 exits non-zero on findings; ``tests/test_analysis_clean.py`` runs the

@@ -3,9 +3,8 @@
 One :class:`SourceFile` per analyzed module carries the parsed AST, the
 derived dotted module name (used for rule scoping), and the per-line
 ``# noqa`` suppression table.  A :class:`Rule` is an AST visitor plugin
-identified by an ``HL0xx`` code; the :class:`Analyzer` runs a two-phase
-pass (``prepare`` across all files, then ``check`` per file) so rules
-like HL004 can collect repo-wide facts before judging individual lines.
+identified by an ``HL0xx`` code that judges one file at a time; the
+:class:`Analyzer` runs every rule over every file in one pass.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ __all__ = [
     "in_scope",
 ]
 
-#: ``# noqa`` / ``# noqa: HL001`` / ``# noqa: HL001, HL004``
+#: ``# noqa`` / ``# noqa: HL001`` / ``# noqa: HL001, HL003``
 _NOQA_RE = re.compile(
     r"#\s*noqa(?::\s*(?P<codes>[A-Z]{2}\d{3}(?:\s*,\s*[A-Z]{2}\d{3})*))?",
     re.IGNORECASE)
@@ -102,13 +101,6 @@ class SourceFile:
         walk the rules share."""
         return [n for n in ast.walk(self.tree) if isinstance(n, ast.Call)]
 
-    @cached_property
-    def resolver(self):
-        """The module's name-resolution context, built once and shared by
-        the program index and the interprocedural rules' checks."""
-        from repro.analysis.program.summary import ModuleResolver
-        return ModuleResolver(self)
-
     def span_end(self, node: ast.AST) -> int:
         """Last line a finding on ``node`` covers.  A compound statement
         (``def``, ``for``, ``except``...) covers its header only: up to
@@ -175,11 +167,6 @@ class Rule:
     rationale: str = ""
     scope: Tuple[str, ...] = ()
     exempt: Tuple[str, ...] = ()
-    #: Interprocedural rules set this; the Analyzer then builds one
-    #: shared ProgramIndex per run and hands it to :meth:`prepare_program`.
-    uses_program: bool = False
-    #: The shared ProgramIndex (``uses_program`` rules, after prepare).
-    program = None
 
     def __init__(self, scope: Optional[Tuple[str, ...]] = None,
                  exempt: Optional[Tuple[str, ...]] = None) -> None:
@@ -197,14 +184,6 @@ class Rule:
         if self.scope:
             return in_scope(sf.module, self.scope)
         return True
-
-    def prepare(self, files: Sequence[SourceFile]) -> None:
-        """Optional repo-wide fact-collection pass before :meth:`check`."""
-
-    def prepare_program(self, program) -> None:
-        """Receive the shared whole-program index (``uses_program`` rules
-        only); called after :meth:`prepare`, before any :meth:`check`."""
-        self.program = program
 
     def check(self, sf: SourceFile) -> List[Finding]:
         raise NotImplementedError
@@ -307,16 +286,6 @@ class Analyzer:
         result = AnalysisResult()
         files = self.load(paths, errors=result.errors)
         result.files_analyzed = len(files)
-        for rule in self.rules:
-            rule.prepare(files)
-        if any(rule.uses_program for rule in self.rules):
-            # One shared index per run; building it per rule would
-            # triple the dominant cost of a whole-tree pass.
-            from repro.analysis.program.index import ProgramIndex
-            program = ProgramIndex.build(files)
-            for rule in self.rules:
-                if rule.uses_program:
-                    rule.prepare_program(program)
         for sf in files:
             for rule in self.rules:
                 if not rule.applies_to(sf):

@@ -13,7 +13,6 @@ from repro.analysis.core import Rule
 from repro.analysis.rules.choke_points import CHOKE_POINTS, ChokePointRule
 from repro.analysis.rules.hl001_clock_purity import HL001ClockPurity
 from repro.analysis.rules.hl003_address_domain import HL003AddressDomain
-from repro.analysis.rules.hl004_trace_events import HL004TraceEvents
 from repro.analysis.rules.hl005_metric_labels import HL005MetricLabels
 from repro.analysis.rules.hl006_exceptions import HL006ExceptionDiscipline
 from repro.analysis.rules.hl008_datapath_copy import HL008DatapathCopy
@@ -23,7 +22,6 @@ from repro.analysis.rules.hl012_actor_discipline import HL012ActorDiscipline
 _RULE_CLASSES = (
     HL001ClockPurity,
     HL003AddressDomain,
-    HL004TraceEvents,
     HL005MetricLabels,
     HL006ExceptionDiscipline,
     HL008DatapathCopy,

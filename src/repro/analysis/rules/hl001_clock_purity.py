@@ -6,32 +6,39 @@ one ``time.time()`` in a hot path or one draw from the process-global
 and silently breaks that determinism (DESIGN.md's substitution table:
 wall clock -> ``VirtualClock``, OS randomness -> seeded ``Random``).
 
-Two reaches, one code:
-
-* **direct** — a wall-clock call or import, or an unseeded RNG call,
-  anywhere in the tree is reported at its call site;
-* **indirect** — in the simulation layers (``repro.core``,
-  ``repro.lfs``), a function whose call closure reaches a wall-clock
-  source through helpers, possibly in other modules, is reported at
-  its ``def`` with the witness path from the program index
-  (``f -> helper -> time.time``).  The function that makes the call
-  itself is already reported at the call, so it is not reported
-  again.  Host-side tooling outside those layers (bench timing, the
-  analyzer's own build clock) may legitimately reach real time.
+A wall-clock call or import, or an unseeded RNG call, anywhere in the
+tree is reported at its call site.  Module aliases resolve through the
+file's imports, so ``import time as t; t.monotonic()`` is the same
+finding as ``time.monotonic()``.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
-from repro.analysis.core import Finding, Rule, SourceFile, in_scope
-from repro.analysis.program.summary import (CLOCK_IMPORT_BANS,
-                                            CLOCK_SUFFIXES, iter_functions)
-from repro.analysis.rules.util import dotted_chain
+from repro.analysis.core import Finding, Rule, SourceFile
+from repro.analysis.rules.util import dotted_chain, import_map, statements
 
-#: Where reaching a wall-clock source through helpers is a finding.
-_REACH_SCOPE: Tuple[str, ...] = ("repro.core", "repro.lfs")
+#: Wall-clock reads and real sleeps, matched as dotted-chain suffixes so
+#: both ``time.time()`` and ``datetime.datetime.now()`` are caught.
+CLOCK_SUFFIXES: Tuple[str, ...] = (
+    "time.time", "time.time_ns",
+    "time.monotonic", "time.monotonic_ns",
+    "time.perf_counter", "time.perf_counter_ns",
+    "time.process_time", "time.process_time_ns",
+    "time.sleep",
+    "datetime.now", "datetime.utcnow", "datetime.today",
+    "date.today",
+)
+_DOTTED_SUFFIXES = tuple("." + suffix for suffix in CLOCK_SUFFIXES)
+
+#: Names that, imported from ``time``/``datetime``, are real-time sources.
+CLOCK_IMPORT_BANS = {
+    "time": {"time", "time_ns", "monotonic", "monotonic_ns", "perf_counter",
+             "perf_counter_ns", "process_time", "process_time_ns", "sleep"},
+    "datetime": {"datetime", "date"},
+}
 
 #: Module-level functions of ``random`` that draw from the unseeded
 #: process-global generator.  ``random.Random(seed)`` is the sanctioned
@@ -52,12 +59,11 @@ class HL001ClockPurity(Rule):
     rationale = ("simulated time must come from the virtual clock and "
                  "randomness from an explicitly seeded generator, or "
                  "golden-trace determinism breaks, whether the wall "
-                 "clock is called directly or reached through helpers")
-    uses_program = True
+                 "clock is called directly or through a module alias")
 
     def check(self, sf: SourceFile) -> List[Finding]:
         findings: List[Finding] = []
-        for node in ast.walk(sf.tree):
+        for node in statements(sf.tree.body):
             if isinstance(node, ast.ImportFrom) and node.module:
                 banned = CLOCK_IMPORT_BANS.get(node.module, set())
                 for alias in node.names:
@@ -67,35 +73,18 @@ class HL001ClockPurity(Rule):
                             f"import of wall-clock symbol "
                             f"'{node.module}.{alias.name}'; use the "
                             f"virtual clock (repro.sim.VirtualClock)"))
+        imports = import_map(sf)
         for call in sf.calls:
             chain = dotted_chain(call.func)
             if chain is None:
                 continue
-            for suffix in CLOCK_SUFFIXES:
-                if chain == suffix or chain.endswith("." + suffix):
-                    findings.append(self.finding(
-                        sf, call,
-                        f"wall-clock call '{chain}()'; simulated time "
-                        f"must flow through the virtual clock"))
-                    break
+            if _is_clock(chain, imports):
+                findings.append(self.finding(
+                    sf, call,
+                    f"wall-clock call '{chain}()'; simulated time must "
+                    f"flow through the virtual clock"))
             else:
                 findings.extend(self._check_random(sf, call, chain))
-        if in_scope(sf.module, _REACH_SCOPE):
-            findings.extend(self._check_reach(sf))
-        return findings
-
-    def _check_reach(self, sf: SourceFile) -> List[Finding]:
-        findings: List[Finding] = []
-        for qname, fn, _ in iter_functions(sf):
-            via, _source = self.program.clock_reach.get(qname, (None, ""))
-            if via is None:
-                continue  # no reach, or a direct call reported above
-            witness = self.program.clock_witness(qname)
-            findings.append(self.finding(
-                sf, fn,
-                f"call closure reaches wall-clock source "
-                f"'{witness[-1]}' via {' -> '.join(witness)}; route "
-                f"simulated time through the virtual clock"))
         return findings
 
     def _check_random(self, sf: SourceFile, call: ast.Call,
@@ -123,3 +112,13 @@ class HL001ClockPurity(Rule):
                 f"numpy global/unseeded RNG call '{chain}()'; use "
                 f"numpy.random.default_rng(seed)")]
         return []
+
+
+def _is_clock(chain: str, imports: Dict[str, str]) -> bool:
+    """True when a call chain names a real-time source, read as written
+    or with its head resolved through the module's imports."""
+    head, _, rest = chain.partition(".")
+    resolved = imports.get(head, head)
+    full = f"{resolved}.{rest}" if rest else resolved
+    return any(spelled in CLOCK_SUFFIXES or spelled.endswith(_DOTTED_SUFFIXES)
+               for spelled in (chain, full))

@@ -12,9 +12,9 @@ unrelated change.
 "Running on behalf of an actor" is the codebase's explicit convention:
 such functions take the executing actor as a parameter (named ``actor``
 or ``Actor``-annotated).  Within them, any *other* actor-valued
-expression — another actor parameter, a ``self.<attr>`` the program
-index knows holds an ``Actor``, or a name whose spelling marks it as an
-actor — is foreign state.  Actors constructed locally in the same
+expression — another actor parameter, a ``self.<attr>`` the class
+assigns from ``Actor(...)``, or a name whose spelling marks it as an
+actor — is foreign state.  Every fact comes from the checked file.  Actors constructed locally in the same
 function are owned by it and are fair game (that is how scenario
 drivers bootstrap), and the scheduler/channel layer itself
 (``repro.sim``) is exempt: it is the sanctioned mutation path.
@@ -23,13 +23,15 @@ drivers bootstrap), and the scheduler/channel layer itself
 from __future__ import annotations
 
 import ast
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.analysis.core import Finding, Rule, SourceFile
-from repro.analysis.program.summary import (ModuleResolver,
-                                            actor_param_names,
-                                            iter_functions)
-from repro.analysis.rules.util import dotted_chain
+from repro.analysis.rules.util import (dotted_chain, import_map,
+                                       iter_functions, statements)
+
+#: The project actor class; attributes and locals constructed from it
+#: are actor-typed.
+ACTOR_CLASS = "repro.sim.actor.Actor"
 
 #: ``<actor expr>.<suffix>(...)`` call shapes that mutate actor-owned
 #: state: the actor's own timeline, its clock, its time account.
@@ -50,6 +52,77 @@ def _actorish_name(name: str) -> bool:
             or name.startswith("actor_"))
 
 
+def _annotation_name(node: Optional[ast.AST]) -> Optional[str]:
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value.strip("'\"").split("[")[0]
+    return dotted_chain(node) if node is not None else None
+
+
+def actor_param_names(fn: ast.AST, imports: Dict[str, str]) -> List[str]:
+    """Parameters that carry the executing actor.
+
+    The codebase convention is a parameter literally named ``actor``;
+    an ``Actor``-annotated parameter of any name counts too.
+    """
+    out: List[str] = []
+    args = fn.args
+    for arg in args.posonlyargs + args.args + args.kwonlyargs:
+        ann = _annotation_name(arg.annotation)
+        resolved = imports.get(ann, ann) if ann else None
+        if arg.arg == "actor" or ann == "Actor" or resolved == ACTOR_CLASS:
+            out.append(arg.arg)
+    return out
+
+
+def _constructed(value: ast.AST, imports: Dict[str, str]) -> Optional[str]:
+    """The dotted class a ``Name(...)`` / ``mod.Name(...)`` call
+    constructs, resolved through the module's imports; None otherwise."""
+    if not isinstance(value, ast.Call):
+        return None
+    chain = dotted_chain(value.func)
+    if not chain or chain.startswith("."):
+        return None
+    head, _, rest = chain.partition(".")
+    resolved = imports.get(head)
+    if resolved is None:
+        return None
+    return f"{resolved}.{rest}" if rest else resolved
+
+
+def _bound_actors(root: ast.AST, imports: Dict[str, str],
+                  key: Callable[[ast.AST], Optional[str]]) -> Set[str]:
+    """Assignment targets under ``root`` whose first constructor binding
+    is ``Actor(...)``; ``key`` spells a target (None skips it)."""
+    first: Dict[str, str] = {}
+    for node in statements(root.body):
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        ctor = _constructed(value, imports)
+        if ctor is None:
+            continue
+        for target in targets:
+            spelled = key(target)
+            if spelled is not None:
+                first.setdefault(spelled, ctor)
+    return {name for name, ctor in first.items() if ctor == ACTOR_CLASS}
+
+
+def _self_attr(target: ast.AST) -> Optional[str]:
+    if (isinstance(target, ast.Attribute)
+            and isinstance(target.value, ast.Name)
+            and target.value.id == "self"):
+        return f"self.{target.attr}"
+    return None
+
+
+def _local(target: ast.AST) -> Optional[str]:
+    return target.id if isinstance(target, ast.Name) else None
+
+
 class HL012ActorDiscipline(Rule):
     code = "HL012"
     name = "cross-actor-state"
@@ -67,38 +140,30 @@ class HL012ActorDiscipline(Rule):
     #: (migrate/prefetch fan-out onto the owning shards' actors).
     exempt = ("repro.sim", "repro.cluster.router", "repro.cluster.migrate",
               "repro.frontend.backends")
-    uses_program = True
 
     def check(self, sf: SourceFile) -> List[Finding]:
         findings: List[Finding] = []
-        resolver = sf.resolver
-        for _, fn, class_qname in iter_functions(sf):
-            actor_params = actor_param_names(fn, resolver.imports)
+        imports = import_map(sf)
+        held: Dict[ast.ClassDef, Set[str]] = {}
+        for fn, cls in iter_functions(sf):
+            actor_params = actor_param_names(fn, imports)
             if not actor_params:
                 continue  # not actor-context code
             executing = ("actor" if "actor" in actor_params
                          else actor_params[0])
-            foreign = self._foreign_bases(
-                fn, class_qname, resolver, actor_params, executing)
-            # local_actor_names types Actor-annotated *params* too, but a
-            # parameter's actor arrives from a caller — only actors
-            # constructed in this body are owned by it.
-            owned = set(resolver.local_actor_names(fn)) - set(actor_params)
+            # Foreign: the other actor params, and the instance
+            # attributes the class assigns from Actor(...).
+            foreign = {p for p in actor_params if p != executing}
+            if cls is not None:
+                if cls not in held:
+                    held[cls] = _bound_actors(cls, imports, _self_attr)
+                foreign |= held[cls]
+            # Only actors constructed in this body are owned by it; a
+            # parameter's actor arrives from a caller.
+            owned = _bound_actors(fn, imports, _local) - set(actor_params)
             findings.extend(self._scan(
                 sf, fn, executing, foreign, owned))
         return findings
-
-    def _foreign_bases(self, fn: ast.AST, class_qname: Optional[str],
-                       resolver: ModuleResolver,
-                       actor_params: Sequence[str],
-                       executing: str) -> Set[str]:
-        """Dotted bases known to hold an actor that is NOT the executing
-        one: other actor params, and Actor-typed instance attributes."""
-        foreign: Set[str] = {p for p in actor_params if p != executing}
-        if class_qname and self.program is not None:
-            for attr in self.program.actor_attrs(class_qname):
-                foreign.add(f"self.{attr}")
-        return foreign
 
     def _scan(self, sf: SourceFile, fn: ast.AST, executing: str,
               foreign: Set[str], owned: Set[str]) -> List[Finding]:

@@ -39,9 +39,7 @@ EV_CLEAN_PASS = "clean_pass"              # disk cleaner pass finished
 EV_MIGRATE_PICK = "migrate_pick"          # policy chose a migration unit
 EV_VOLUME_SWITCH = "volume_switch"        # robot swapped media in a drive
 
-#: The canonical built-in taxonomy.  This frozenset is the single source
-#: of truth shared by the runtime check in :meth:`TraceRecorder.emit` and
-#: by the HL004 static-analysis rule (:mod:`repro.analysis`): both treat
+#: The canonical built-in taxonomy.  :meth:`TraceRecorder.emit` treats
 #: an event type as known iff it is here or was passed to
 #: :func:`register_event_type`.
 BASE_EVENT_TYPES: FrozenSet[str] = frozenset({
@@ -145,13 +143,16 @@ class TraceRecorder:
     # -- recording ---------------------------------------------------------
 
     def emit(self, etype: str, t: float, **fields: object) -> Optional[TraceEvent]:
-        """Record one event; returns it (None when tracing is disabled)."""
-        if not self.enabled:
-            return None
+        """Record one event; returns it (None when tracing is disabled).
+
+        The type is checked first, so an unregistered type raises on
+        every executed call site, traced or not."""
         if etype not in EVENT_TYPES:
             raise TraceError(
                 f"unknown event type {etype!r}; register it with "
                 "register_event_type() first")
+        if not self.enabled:
+            return None
         if len(self._events) == self.capacity:
             self.dropped += 1
         event = TraceEvent(etype, float(t), fields)

@@ -190,25 +190,36 @@ class CrashHarness:
         self.fs.sched.pump(self.app)
         self.fs.checkpoint(self.app)
 
-    def rot(self, seed: int, replica: bool = False) -> int:
+    def rot(self, seed: int, target: str = "primary") -> int:
         """Silent bit-rot: flip one seeded bit of the first segment a
-        fresh bed migrates (its primary copy, or with ``replica`` its
-        first replica) straight on the medium.  The volume still reads
-        fine and the CRC ledger never hears of it.  Returns the rotted
-        volume id."""
+        fresh bed migrates, straight on the medium — its primary copy,
+        its first replica (``target="replica"``), or the disk image of
+        the first sealed, non-staging cache line (``target="cache"``).
+        The medium still reads fine and the CRC ledger never hears of
+        it.  Returns the rotted volume id, or for a cache line its
+        tertiary segment number."""
         fs = self.fs
-        first = fs.aspace.tertiary_segno(0, 0)
-        vol, seg_in_vol = (fs.replicas.catalog[first][0] if replica
-                           else fs.aspace.volume_of(first))
-        vol_id = fs.tsegfile.volumes[vol].volume_id
-        volume = self.bed.jukebox.volumes[vol_id]
         rng = random.Random(seed)
-        blkno = seg_in_vol * fs.sb.blocks_per_seg + rng.randrange(
-            fs.sb.blocks_per_seg)
-        raw = bytearray(volume.store.read(blkno, 1))
-        raw[rng.randrange(volume.block_size)] ^= 0x40
-        volume.store.write(blkno, bytes(raw))
-        return vol_id
+        bps = fs.sb.blocks_per_seg
+        if target == "cache":
+            rotted, disk_segno = next(
+                (tsegno, disk_segno)
+                for tsegno, disk_segno, staging in fs.cache.entries()
+                if not staging)
+            store = self.bed.disk.store
+            blkno = fs.seg_base(disk_segno) + rng.randrange(bps)
+        else:
+            first = fs.aspace.tertiary_segno(0, 0)
+            vol, seg_in_vol = (fs.replicas.catalog[first][0]
+                               if target == "replica"
+                               else fs.aspace.volume_of(first))
+            rotted = fs.tsegfile.volumes[vol].volume_id
+            store = self.bed.jukebox.volumes[rotted].store
+            blkno = seg_in_vol * bps + rng.randrange(bps)
+        raw = bytearray(store.read(blkno, 1))
+        raw[rng.randrange(len(raw))] ^= 0x40
+        store.write(blkno, bytes(raw))
+        return rotted
 
     def run_phase(self, phase: str, after_writes: int,
                   tear_blocks: int = 0, seed: int = 1) -> bool:

@@ -1,7 +1,9 @@
 """HL001 fixture: wall-clock reads and unseeded randomness (never imported)."""
 
+import datetime as dt
 import random
 import time
+import time as t
 from datetime import datetime
 
 
@@ -18,6 +20,12 @@ def bad_randomness():
     b = random.randint(0, 10)           # finding: global RNG
     rng = random.Random()               # finding: unseeded instance
     return a, b, rng
+
+
+def bad_module_aliases():
+    tick = t.monotonic()                # finding: time through an alias
+    stamp = dt.datetime.now()           # finding: datetime through an alias
+    return tick, stamp
 
 
 def good(actor, seed):

@@ -1,8 +1,8 @@
-"""HL005/HL004 fixture: the bound-series form (never imported).
+"""HL005 fixture: the bound-series form (never imported).
 
 A call site that binds its series once and keeps them is held to the
 same rules at the bind site: literal label names, explicit ``.labels()``
-keywords, registered event types.
+keywords.  (Event types are checked by emit() itself.)
 """
 
 from repro import obs
@@ -19,7 +19,7 @@ class BadBoundSite:
 
     def record(self, t):
         self._io.inc()
-        obs.event("bound_site_typo", t)                          # HL004
+        obs.event("bound_site_typo", t)                          # not HL005
 
 
 class GoodBoundSite:

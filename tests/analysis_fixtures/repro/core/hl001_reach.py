@@ -1,4 +1,4 @@
-"""HL001 fixture: wall-clock reach through helpers (never imported)."""
+"""HL001 fixture: helpers that reach the wall clock (never imported)."""
 
 import time
 
@@ -7,11 +7,11 @@ def _stamp():
     return time.time()            # finding: the direct call
 
 
-def _indirection():               # finding: one hop from time.time
+def _indirection():               # ok: a helper is not a finding
     return _stamp()
 
 
-def bad_transitive(segments):     # finding: two hops from time.time
+def bad_transitive(segments):     # ok: two hops from time.time
     started = _indirection()
     return started, len(segments)
 

@@ -8,11 +8,6 @@ def _stamp():
     return time.time()  # noqa: HL001
 
 
-def reaches_the_clock(segments):  # finding: the noqa below is not here
-    started = _stamp()  # noqa
-    return started, len(segments)
-
-
 def swallows(fs, inum):
     try:
         return fs.get_inode(inum)
@@ -35,6 +30,9 @@ def suppressed_on_the_header(fs, inum):
         return None
 
 
-def suppressed_on_a_continuation(
-        segments):  # noqa: HL001 -- a header line
-    return _stamp(), len(segments)
+def suppressed_on_a_continuation(fs, inum):
+    try:
+        return fs.get_inode(inum)
+    except (KeyError,
+            Exception):  # noqa: HL006 -- a header line
+        return None

@@ -4,7 +4,9 @@ Each HL rule has a dedicated fixture file under ``tests/analysis_fixtures/``
 containing known violations (and near-misses that must stay clean).  The
 tests here pin the exact set of (line, code) findings per fixture, exercise
 ``# noqa`` suppression semantics, and check the CLI's text/JSON contracts.
-The fixtures are analyzed as source, never imported.
+The fixtures are analyzed as source, never imported.  The contracts of
+a whole-tree run (determinism, the time budget, overlapping inputs)
+close the file.
 """
 
 import json
@@ -21,9 +23,9 @@ from repro.analysis.rules.choke_points import (CHOKE_POINTS,
                                                CLUSTER_LOCALITY, DEVICE_IO,
                                                FRONTEND, SCHED_SUBMISSION,
                                                ChokePointRule)
-from repro.analysis.rules.hl001_clock_purity import HL001ClockPurity
+from repro.analysis.rules.hl001_clock_purity import (CLOCK_SUFFIXES,
+                                                     HL001ClockPurity)
 from repro.analysis.rules.hl003_address_domain import HL003AddressDomain
-from repro.analysis.rules.hl004_trace_events import HL004TraceEvents
 from repro.analysis.rules.hl005_metric_labels import HL005MetricLabels
 from repro.analysis.rules.hl006_exceptions import HL006ExceptionDiscipline
 from repro.analysis.rules.hl008_datapath_copy import HL008DatapathCopy
@@ -31,6 +33,7 @@ from repro.analysis.rules.hl009_retry_discipline import HL009RetryDiscipline
 from repro.analysis.rules.hl012_actor_discipline import HL012ActorDiscipline
 
 FIXTURES = Path(__file__).parent / "analysis_fixtures"
+SRC = Path(__file__).parent.parent / "src" / "repro"
 
 
 def analyze(fixture, rules):
@@ -50,9 +53,28 @@ def lines_of(result, code):
 class TestRuleFixtures:
     def test_hl001_clock_purity(self):
         result = analyze("hl001_clock.py", [HL001ClockPurity()])
-        assert lines_of(result, "HL001") == [5, 9, 10, 11, 12, 17, 18, 19]
+        # Lines 26-27 reach time/datetime through module aliases.
+        assert lines_of(result, "HL001") == [
+            7, 11, 12, 13, 14, 19, 20, 21, 26, 27]
         # The seeded-RNG / virtual-clock section stays clean.
-        assert all(f.line < 23 for f in result.findings)
+        assert all(f.line < 31 for f in result.findings)
+
+    def test_clock_calls_detected_through_aliases(self, tmp_path):
+        mod = tmp_path / "m.py"
+        mod.write_text("import time as t\n"
+                       "def stamp():\n"
+                       "    return t.monotonic()\n")
+        result = run_paths([mod], rules=[HL001ClockPurity()])
+        assert lines_of(result, "HL001") == [3]
+
+    def test_clock_suffixes_pin_hl001(self, tmp_path):
+        # One table: every source in it is flagged at the call site.
+        mod = tmp_path / "m.py"
+        mod.write_text("".join(f"def f{i}():\n    return {suffix}()\n"
+                               for i, suffix in enumerate(CLOCK_SUFFIXES)))
+        result = run_paths([mod], rules=[HL001ClockPurity()])
+        assert lines_of(result, "HL001") == [
+            2 * i + 2 for i in range(len(CLOCK_SUFFIXES))]
 
     def test_hl002_device_io(self):
         result = analyze("hl002_device.py", [ChokePointRule(DEVICE_IO)])
@@ -68,13 +90,6 @@ class TestRuleFixtures:
         result = analyze("hl003_address.py", [HL003AddressDomain()])
         assert lines_of(result, "HL003") == [5, 10, 15]
 
-    def test_hl004_trace_events(self):
-        result = analyze("hl004_trace.py", [HL004TraceEvents()])
-        assert lines_of(result, "HL004") == [11, 12, 13, 14]
-        messages = [f.message for f in result.findings]
-        assert any("segment_fetchh" in m for m in messages)
-        assert any("EV_NO_SUCH_CONST" in m for m in messages)
-
     def test_hl005_metric_labels(self):
         result = analyze("hl005_labels.py", [HL005MetricLabels()])
         assert lines_of(result, "HL005") == [7, 9, 11, 12]
@@ -83,10 +98,8 @@ class TestRuleFixtures:
         # Binding a series once and keeping it moves the family lookup
         # and the .labels() call into __init__; both rules follow it
         # there, and recording on the held child needs no exemption.
-        result = analyze("hl005_bound.py",
-                         [HL005MetricLabels(), HL004TraceEvents()])
+        result = analyze("hl005_bound.py", [HL005MetricLabels()])
         assert lines_of(result, "HL005") == [13, 14, 15, 17, 17]
-        assert lines_of(result, "HL004") == [22]
         assert all(f.line < 25 for f in result.findings)  # Good* is clean
 
     def test_hl006_exception_discipline(self):
@@ -149,8 +162,8 @@ class TestRuleFixtures:
         assert all(f.line <= 29 for f in result.findings)
 
     def test_hl012_instance_actor_needs_the_index(self):
-        # Lines 12-13 mutate self.peer, typed Actor only via the
-        # program index's attribute-type table.
+        # Lines 12-13 mutate self.peer, typed Actor only by the class's
+        # own ``self.peer = Actor(...)``: the index is the file's own.
         result = analyze("hl012_actor.py", [HL012ActorDiscipline()])
         assert {f.line for f in result.findings
                 if "instance-held actor" in f.message} == {12, 13}
@@ -160,27 +173,16 @@ class TestRuleFixtures:
         result = analyze("hl012_actor.py", [rule])
         assert result.findings == []
 
-    def test_hl001_reach_through_helpers(self):
-        result = analyze("repro/core/hl001_reach.py", [HL001ClockPurity()])
-        assert lines_of(result, "HL001") == [7, 10, 14]
-
     def test_hl001_reports_the_direct_caller_once(self):
-        # The function that calls time.time() itself is reported at the
-        # call (line 7), never again at its def (line 6).
+        # The function that calls time.time() is reported at the call
+        # (line 7), never again at its def (line 6), and the helpers
+        # that call it are not reported at all.
         result = analyze("repro/core/hl001_reach.py", [HL001ClockPurity()])
         assert [f.line for f in result.findings].count(7) == 1
         assert all(f.line != 6 for f in result.findings)
 
-    def test_hl001_reach_message_carries_the_witness_path(self):
-        result = analyze("repro/core/hl001_reach.py", [HL001ClockPurity()])
-        f = next(f for f in result.findings if f.line == 14)
-        assert "bad_transitive -> " in f.message
-        assert "_indirection -> " in f.message
-        assert f.message.count("time.time") >= 1
-
     def test_hl001_reach_outside_the_simulation_is_silent(self, tmp_path):
-        # The same laundering pattern outside repro.core/repro.lfs is
-        # host-side tooling: only the direct call is reported.
+        # The same pattern in any module: only the direct call counts.
         fixture = FIXTURES / "repro" / "core" / "hl001_reach.py"
         tool = tmp_path / "tool.py"
         tool.write_text(fixture.read_text())
@@ -245,14 +247,15 @@ class TestNoqa:
         assert result.ok is False  # line 13 still counts
 
     def test_noqa_in_a_compound_body_covers_only_that_line(self):
-        # Regression: the span of a def/except/loop finding was the whole
+        # Regression: the span of an except/loop finding was the whole
         # statement, so a noqa anywhere in its body suppressed it.  Only
-        # header lines suppress now (lines 34 and 38).
+        # header lines suppress now (line 29, and line 37 for the
+        # handler whose header starts on line 36).
         result = analyze("repro/core/hl_noqa_compound.py", default_rules())
         assert sorted((f.code, f.line) for f in result.findings) == [
-            ("HL001", 11), ("HL006", 19), ("HL009", 27)]
+            ("HL006", 14), ("HL009", 22)]
         assert sorted((f.code, f.line) for f in result.suppressed) == [
-            ("HL001", 8), ("HL001", 38), ("HL006", 34)]
+            ("HL001", 8), ("HL006", 29), ("HL006", 36)]
 
     def test_noqa_inside_a_string_literal_is_inert(self):
         # Regression: the scan once regexed raw lines, so a string
@@ -269,7 +272,7 @@ class TestNoqa:
 class TestFramework:
     def test_all_rules_have_distinct_codes_and_docs(self):
         codes = [r.code for r in default_rules()]
-        assert len(set(codes)) == len(codes) == 12
+        assert len(set(codes)) == len(codes) == 11
         for rule in default_rules():
             assert rule.code.startswith("HL")
             assert rule.name
@@ -279,7 +282,7 @@ class TestFramework:
         codes = [r.code for r in default_rules()]
         assert codes == sorted(codes)
         assert {p.code for p in CHOKE_POINTS} <= set(codes)
-        assert not {"HL010", "HL011", "HL013"} & set(codes)
+        assert not {"HL004", "HL010", "HL011", "HL013"} & set(codes)
 
     def test_dotted_name_roots_at_repro(self):
         assert dotted_name(Path("src/repro/lfs/segwriter.py")) == \
@@ -366,7 +369,7 @@ class TestCLI:
         assert ", ".join(r.code for r in default_rules()) in text
 
     def test_retired_codes_are_unknown(self):
-        for code in ("HL010", "HL011", "HL013"):
+        for code in ("HL004", "HL010", "HL011", "HL013"):
             assert run_cli("src", "--select", code).returncode == 2
 
     def test_github_format(self):
@@ -397,3 +400,27 @@ class TestSourceFile:
         assert not sf.suppresses(f2)  # code not listed
         assert sf.suppresses(f3)      # blanket noqa
         assert not sf.suppresses(f4)  # no comment
+
+
+# ---------------------------------------------------------------------------
+# Whole-tree contracts: determinism and the time budget
+# ---------------------------------------------------------------------------
+
+class TestContracts:
+    def test_back_to_back_runs_are_byte_identical(self, src_analysis):
+        one, _ = src_analysis
+        two = run_paths([SRC])
+        assert json.dumps(one.to_dict(), sort_keys=True) == \
+            json.dumps(two.to_dict(), sort_keys=True)
+
+    def test_whole_tree_analysis_meets_the_time_budget(self, src_analysis):
+        result, elapsed = src_analysis
+        assert result.errors == []
+        assert elapsed < 10.0, f"whole-tree analysis took {elapsed:.1f}s"
+
+    def test_overlapping_paths_analyze_each_file_once(self):
+        tree = SRC / "analysis"
+        inner = tree / "core.py"
+        result = run_paths([tree, inner, tree])
+        baseline = run_paths([tree])
+        assert result.files_analyzed == baseline.files_analyzed

@@ -366,6 +366,12 @@ class TestTrace:
         with pytest.raises(TraceError):
             TraceRecorder().emit("made_up_event", 0.0)
 
+    def test_unknown_event_type_raises_with_tracing_disabled(self):
+        # The taxonomy check runs before the enabled flag: a misspelled
+        # type fails on any executed site, not only on traced runs.
+        with pytest.raises(TraceError):
+            TraceRecorder(enabled=False).emit("made_up_event", 0.0)
+
     def test_register_event_type_extends_taxonomy(self):
         name = register_event_type("test_custom_event")
         try:

@@ -10,36 +10,54 @@ surviving copy, and every acknowledged byte still reads back.
 
 import pytest
 
+from repro import obs
 from repro.faults.health import VolumeHealth
 from repro.faults.repair import RepairDaemon
 from repro.persist.crashsim import CrashHarness, payload
-from repro.persist.scrub import SCRUB_PACING
+from repro.persist.scrub import EV_SCRUB_MISMATCH, SCRUB_PACING
 
 
 def _rotted_bed(seed, target="primary"):
-    """A replicated, migrated bed with one copy of one segment rotted.
+    """A replicated, migrated bed with one copy of one segment rotted:
+    a tertiary copy (``primary``/``replica``), or the disk image of a
+    sealed cache line (``cache``).
 
-    Returns ``(harness, scrubber, rotted_volume_id)``.
+    Returns ``(harness, scrubber, rotted)``: the rotted volume id, or
+    the rotted line's tertiary segment number.
     """
     h = CrashHarness(copies=2)
     h.commit("/data.dat", payload(seed, 512 * 1024))
     h.migrate("/data.dat")
-    # Eject the cache so read-back must go to tertiary.
-    h.fs.service.flush_cache(h.app)
+    if target != "cache":
+        # Eject the cache so read-back must go to tertiary.
+        h.fs.service.flush_cache(h.app)
     h.fs.drop_caches(drop_inodes=True)
     h.fs.checkpoint(h.app)
     assert h.replicas.catalog, "migration should have replicated"
-    vol_id = h.rot(seed, replica=target == "replica")
-    return h, h.persist.make_scrubber(), vol_id
+    rotted = h.rot(seed, target)
+    return h, h.persist.make_scrubber(), rotted
 
 
 @pytest.mark.parametrize("seed", [21, 22, 23])
-@pytest.mark.parametrize("target", ["primary", "replica"])
+@pytest.mark.parametrize("target", ["primary", "replica", "cache"])
 def test_bitrot_detected_within_one_cycle(seed, target):
-    h, scrub, vol_id = _rotted_bed(seed, target)
+    h, scrub, rotted = _rotted_bed(seed, target)
     report = scrub.run_cycle(h.app)
     assert report["mismatches"] >= 1, report
-    assert h.persist.health.health_of(vol_id) is VolumeHealth.QUARANTINED
+    if target != "cache":
+        assert h.persist.health.health_of(rotted) \
+            is VolumeHealth.QUARANTINED
+        return
+    # A rotted cache line is counted, traced and ejected; the tertiary
+    # copy is authoritative, so every acknowledged byte reads back
+    # through a fresh demand fetch.
+    assert obs.metrics().get("scrub_mismatches_total", tier="cache") == 1
+    assert [e.fields["tier"] for e in obs.trace().events(
+        EV_SCRUB_MISMATCH)] == ["cache"]
+    assert rotted not in {tsegno for tsegno, _, _ in h.fs.cache.entries()}
+    fetches = h.fs.stats.demand_fetches
+    h.assert_acknowledged()
+    assert h.fs.stats.demand_fetches > fetches
 
 
 @pytest.mark.parametrize("seed", [31, 32])
