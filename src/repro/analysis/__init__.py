@@ -6,11 +6,6 @@ cannot enforce for us:
 * all simulated time flows through the virtual clock — a stray
   ``time.time()`` (or ``t.monotonic()`` through a module alias) or an
   unseeded ``random`` breaks golden-trace determinism (HL001);
-* disk and tertiary block numbers live in one 32-bit space (paper §6.3,
-  Fig. 4) and must only be converted through :class:`AddressSpace`
-  helpers, never ad-hoc arithmetic (HL003);
-* metric label sets are bounded literals, matching the registry's
-  cardinality cap (HL005);
 * the filesystem core never swallows errors with blind ``except``
   clauses (HL006), and device-error retries are never blind loops
   (HL009);
@@ -23,12 +18,16 @@ cannot enforce for us:
 
 Every rule judges one file from that file's own facts.
 
-Two contracts are checked at run time instead.  A borrowed extent range
+Four contracts are checked at run time instead.  A borrowed extent range
 must not be used after its store released it: the borrow sanitizer in
 :mod:`repro.analysis.sanitize` traps that, and every tier-1 test runs
 with it armed (``tests/conftest.py``).  Every emitted trace event type
 is registered: :meth:`repro.obs.trace.TraceRecorder.emit` raises on an
-unknown one, traced or not.
+unknown one, traced or not.  A line I/O stays inside the disk region of
+the address space (paper §6.3, Fig. 4): :mod:`repro.core.addressing`
+raises ``AddressError`` otherwise.  A metric series is looked up by the
+label names its family declares: ``MetricFamily.labels`` raises
+``MetricError`` otherwise.
 
 ``python -m repro.analysis src`` runs every rule over a source tree and
 exits non-zero on findings; ``tests/test_analysis_clean.py`` runs the

@@ -3,15 +3,13 @@
 Exit status is a pinned contract (tests/test_analysis.py::TestCLI):
 0 clean, 1 findings (or unparseable files), 2 framework/usage error.
 
-``--format`` selects text (default), ``json`` (the byte-deterministic
-result dictionary), or ``github`` (inline ``::error`` annotations for
-Actions runs).
+``--format`` selects text (default) or ``github`` (inline ``::error``
+annotations for Actions runs).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import List, Optional, Sequence
 
@@ -65,7 +63,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to analyze "
                              "(default: src)")
-    parser.add_argument("--format", choices=("text", "json", "github"),
+    parser.add_argument("--format", choices=("text", "github"),
                         default="text", help="output format")
     parser.add_argument("--select", metavar="CODES",
                         help="comma-separated rule codes to run "
@@ -85,9 +83,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.format == "json":
-        print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
-    elif args.format == "github":
+    if args.format == "github":
         for line in to_github(result):
             print(line)
         print(f"{len(result.findings)} finding(s) in "

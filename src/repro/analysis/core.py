@@ -29,7 +29,7 @@ __all__ = [
     "in_scope",
 ]
 
-#: ``# noqa`` / ``# noqa: HL001`` / ``# noqa: HL001, HL003``
+#: ``# noqa`` / ``# noqa: HL001`` / ``# noqa: HL001, HL002``
 _NOQA_RE = re.compile(
     r"#\s*noqa(?::\s*(?P<codes>[A-Z]{2}\d{3}(?:\s*,\s*[A-Z]{2}\d{3})*))?",
     re.IGNORECASE)
@@ -57,10 +57,6 @@ class Finding:
 
     def format(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"path": self.path, "line": self.line, "col": self.col,
-                "code": self.code, "message": self.message}
 
 
 class SourceFile:
@@ -214,16 +210,6 @@ class AnalysisResult:
         for f in self.findings:
             out[f.code] = out.get(f.code, 0) + 1
         return dict(sorted(out.items()))
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "files_analyzed": self.files_analyzed,
-            "findings": [f.to_dict() for f in sorted(self.findings)],
-            "suppressed": len(self.suppressed),
-            "counts": self.counts_by_code(),
-            "errors": list(self.errors),
-            "ok": self.ok,
-        }
 
 
 class Analyzer:

@@ -12,8 +12,6 @@ from typing import List
 from repro.analysis.core import Rule
 from repro.analysis.rules.choke_points import CHOKE_POINTS, ChokePointRule
 from repro.analysis.rules.hl001_clock_purity import HL001ClockPurity
-from repro.analysis.rules.hl003_address_domain import HL003AddressDomain
-from repro.analysis.rules.hl005_metric_labels import HL005MetricLabels
 from repro.analysis.rules.hl006_exceptions import HL006ExceptionDiscipline
 from repro.analysis.rules.hl008_datapath_copy import HL008DatapathCopy
 from repro.analysis.rules.hl009_retry_discipline import HL009RetryDiscipline
@@ -21,8 +19,6 @@ from repro.analysis.rules.hl012_actor_discipline import HL012ActorDiscipline
 
 _RULE_CLASSES = (
     HL001ClockPurity,
-    HL003AddressDomain,
-    HL005MetricLabels,
     HL006ExceptionDiscipline,
     HL008DatapathCopy,
     HL009RetryDiscipline,

@@ -5,8 +5,8 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, Optional, Set, Tuple
 
-__all__ = ["dotted_chain", "terminal_attr", "call_name", "caught_names",
-           "import_map", "iter_functions", "statements"]
+__all__ = ["dotted_chain", "terminal_attr", "caught_names", "import_map",
+           "iter_functions", "statements"]
 
 
 def dotted_chain(node: ast.AST) -> Optional[str]:
@@ -36,11 +36,6 @@ def terminal_attr(node: ast.AST) -> Optional[str]:
     if isinstance(node, ast.Name):
         return node.id
     return None
-
-
-def call_name(call: ast.Call) -> Optional[str]:
-    """The called name: ``f(...)`` -> ``f``, ``a.b.f(...)`` -> ``f``."""
-    return terminal_attr(call.func)
 
 
 def caught_names(type_node: ast.AST) -> Set[str]:

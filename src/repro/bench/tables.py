@@ -11,11 +11,11 @@ from typing import Dict, List, Optional, Tuple
 from repro.bench import harness
 from repro.bench.report import TableReport, throughput_kbs
 from repro.blockdev import profiles
-from repro.core.ioserver import (CAT_FOOTPRINT_WRITE, CAT_IOSERVER_READ,
-                                 CAT_QUEUING)
 from repro.core.migrator import MigrationPipeline
 from repro.footprint.robot import JukeboxFootprint
 from repro.lfs.summary import HEADER_SIZE, SegmentSummary, FileInfo
+from repro.sched.scheduler import (CAT_FOOTPRINT_WRITE, CAT_IOSERVER_READ,
+                                   CAT_QUEUING)
 from repro.sim.actor import Actor
 from repro.util.units import KB, MB
 from repro.workloads.largeobject import LargeObjectBenchmark, PhaseResult

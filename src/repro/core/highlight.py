@@ -26,6 +26,8 @@ from repro.footprint.interface import FootprintInterface
 from repro.lfs.constants import BLOCK_SIZE, SUMMARY_SIZE_HIGHLIGHT
 from repro.lfs.filesystem import LFS, LFSConfig
 from repro.lfs.ifile import SegUse
+from repro.sched import (CLASS_CLEANER, CLASS_PREFETCH, CLASS_WRITEOUT,
+                         TertiaryScheduler)
 from repro.sim.actor import Actor
 
 
@@ -200,10 +202,6 @@ class HighLightFS(LFS):
         self.driver = BlockMapDriver(self.aspace, self.disk, cpu=self.cpu)
         self.driver.cache = self.cache
         self.ioserver = IOServer(self)
-        # Local import: repro.sched pulls category constants from this
-        # package, so the dependency must stay one-way at import time.
-        from repro.sched import (CLASS_CLEANER, CLASS_PREFETCH,
-                                 CLASS_WRITEOUT, TertiaryScheduler)
         self.sched = TertiaryScheduler(
             self, self.ioserver, mode=config.sched_mode,
             aging_threshold=config.sched_aging_threshold,

@@ -13,7 +13,8 @@ staging lines, every chunk pays arm repositioning — Table 6's "disk arm
 contention" phase is exactly this interleaving.
 
 All phase durations are recorded in a :class:`~repro.sim.TimeAccount`
-using the paper's Table 4 categories.
+using the paper's Table 4 categories, which
+:data:`repro.sched.scheduler.TABLE4_CATEGORIES` names.
 
 This class is the *back end*: producers never call it directly.  All
 submissions arrive through the :class:`~repro.sched.TertiaryScheduler`
@@ -30,22 +31,9 @@ from repro import obs
 from repro.blockdev.datapath import refs_nbytes
 from repro.core.addressing import line_read_refs, line_writev
 from repro.errors import PermanentDeviceError
+from repro.sched.scheduler import (CAT_DISK_WRITE, CAT_FOOTPRINT_READ,
+                                   CAT_FOOTPRINT_WRITE, CAT_IOSERVER_READ)
 from repro.sim.actor import Actor, TimeAccount
-
-#: Table 4 category names.
-CAT_FOOTPRINT_WRITE = "footprint_write"
-CAT_IOSERVER_READ = "ioserver_read"
-CAT_FOOTPRINT_READ = "footprint_read"
-CAT_DISK_WRITE = "disk_write"
-CAT_QUEUING = "queuing"
-
-#: Every category the I/O server / service process may charge.  The
-#: categories partition elapsed time: each virtual second spent inside a
-#: fetch, write-out, or request hand-off lands in exactly one bucket, so
-#: their sum equals the wall time of the operations (tested by
-#: ``tests/test_obs.py``) and Table 4's percentages cannot silently drift.
-TABLE4_CATEGORIES = (CAT_FOOTPRINT_WRITE, CAT_IOSERVER_READ,
-                     CAT_FOOTPRINT_READ, CAT_DISK_WRITE, CAT_QUEUING)
 
 #: Chunk size (blocks) of the raw disk reads of a write-out.  Small
 #: chunks expose the read path to migrator arm contention the way the

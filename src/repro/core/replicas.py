@@ -25,8 +25,8 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.blockdev.datapath import materialize_refs
 from repro.core.addressing import line_read
-from repro.core.ioserver import CAT_FOOTPRINT_WRITE, CAT_IOSERVER_READ
 from repro.errors import DeviceError, EndOfMedium, PermanentDeviceError
+from repro.sched.scheduler import CAT_FOOTPRINT_WRITE, CAT_IOSERVER_READ
 from repro.sim.actor import Actor
 
 #: (volume index, segment within the volume) of one copy.

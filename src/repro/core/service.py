@@ -22,8 +22,8 @@ classes the scheduler may batch per volume.
 from __future__ import annotations
 
 from repro import obs
-from repro.core.ioserver import CAT_QUEUING
 from repro.errors import EndOfMedium, MigrationError, PermanentDeviceError
+from repro.sched.scheduler import CAT_QUEUING
 from repro.sim.actor import Actor
 
 #: Kernel<->service round trip cost per request, virtual seconds (ioctl +
@@ -34,11 +34,12 @@ REQUEST_OVERHEAD = 0.04
 class ServiceProcess:
     """Coordinates the segment cache, the scheduler, and the I/O server."""
 
-    def __init__(self, fs, ioserver, cache, sched, prefetcher=None) -> None:
+    def __init__(self, fs, ioserver, cache, sched) -> None:
         self.fs = fs
         self.ioserver = ioserver
         self.cache = cache
-        self.prefetcher = prefetcher
+        #: Installed by :meth:`HighLightFS.set_prefetcher`.
+        self.prefetcher = None
         self.sched = sched
 
     # -- demand fetch ------------------------------------------------------------
@@ -153,12 +154,9 @@ class ServiceProcess:
 
     # -- ejection ----------------------------------------------------------------
 
-    def eject(self, actor: Actor, tsegno: int, force_copyout: bool = True) -> None:
+    def eject(self, actor: Actor, tsegno: int) -> None:
         """Eject a cache line, copying a staging line out first."""
         if self.cache.is_staging(tsegno):
-            if not force_copyout:
-                raise MigrationError(
-                    f"segment {tsegno} is staging and copy-out was refused")
             self.writeout_line(actor, tsegno)
         actor.sleep(REQUEST_OVERHEAD)
         self.cache.eject(tsegno, actor=actor)

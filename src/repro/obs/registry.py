@@ -362,8 +362,8 @@ class MetricsRegistry:
         """Reinstate one persisted counter sample into this registry by
         adding ``value`` onto the (possibly fresh) series.  Lives here —
         not in ``repro.persist`` — because rebuilding a series from
-        stored label names requires the dynamic ``labels(**...)`` form
-        that call sites outside the registry must not use (HL005)."""
+        stored label names needs the dynamic ``labels(**...)`` form,
+        where every other call site spells its label names."""
         fam = self.counter(name, "", tuple(labelnames))
         child = fam.labels(**dict(zip(labelnames, labelvalues)))
         child.inc(value)

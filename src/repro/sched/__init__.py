@@ -15,13 +15,13 @@ a per-volume mount batcher, and per-class admission control.
 
 from repro.sched.scheduler import (CLASS_CLEANER, CLASS_DEMAND,
                                    CLASS_PREFETCH, CLASS_WRITEOUT,
-                                   DispatchRecord, MODE_PASSTHROUGH,
+                                   MODE_PASSTHROUGH,
                                    MODE_SCHEDULED, PRIORITY,
                                    REQUEST_CLASSES, Request,
                                    TertiaryScheduler)
 
 __all__ = [
-    "TertiaryScheduler", "Request", "DispatchRecord",
+    "TertiaryScheduler", "Request",
     "MODE_PASSTHROUGH", "MODE_SCHEDULED",
     "CLASS_DEMAND", "CLASS_PREFETCH", "CLASS_WRITEOUT", "CLASS_CLEANER",
     "PRIORITY", "REQUEST_CLASSES",

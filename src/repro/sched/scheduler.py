@@ -27,7 +27,7 @@ them batch-by-batch.
 Accounting: queue wait is charged to the Table 4 ``queuing`` category at
 dispatch, and — because every back-end operation reached through this
 facade charges its own category — each scheduled request's wait+service
-time partitions into :data:`~repro.core.ioserver.TABLE4_CATEGORIES`.
+time partitions into :data:`TABLE4_CATEGORIES`.
 The partition is assert-checked per dispatch; a violation raises
 :class:`~repro.errors.AccountingViolation`.
 
@@ -42,13 +42,27 @@ flags any ``ioserver.fetch/writeout/...`` call outside this package.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional
 
 from repro import obs
-from repro.core.ioserver import CAT_FOOTPRINT_READ, CAT_QUEUING
 from repro.errors import AccountingViolation, MigrationError
 from repro.sim.actor import Actor
+
+#: Table 4 category names.
+CAT_FOOTPRINT_WRITE = "footprint_write"
+CAT_IOSERVER_READ = "ioserver_read"
+CAT_FOOTPRINT_READ = "footprint_read"
+CAT_DISK_WRITE = "disk_write"
+CAT_QUEUING = "queuing"
+
+#: Every category the I/O server / service process may charge.  The
+#: categories partition elapsed time: each virtual second spent inside a
+#: fetch, write-out, or request hand-off lands in exactly one bucket, so
+#: their sum equals the wall time of the operations (tested by
+#: ``tests/test_obs.py``) and Table 4's percentages cannot silently drift.
+TABLE4_CATEGORIES = (CAT_FOOTPRINT_WRITE, CAT_IOSERVER_READ,
+                     CAT_FOOTPRINT_READ, CAT_DISK_WRITE, CAT_QUEUING)
 
 #: Scheduler operating modes.
 MODE_PASSTHROUGH = "passthrough"
@@ -80,7 +94,10 @@ _ACCT_EPSILON = 1e-6
 
 @dataclass
 class Request:
-    """One queued unit of tertiary work."""
+    """One unit of tertiary work: queued, then dispatched.
+
+    :meth:`TertiaryScheduler._dispatch` fills the last four fields when
+    it runs the request, which then joins ``dispatch_log``."""
 
     rclass: str
     execute: Callable[[Actor], None]
@@ -93,21 +110,11 @@ class Request:
     #: Whether execution charges all its time to Table 4 categories
     #: (enables the strict partition check).
     table4: bool = False
-
-
-@dataclass
-class DispatchRecord:
-    """What one scheduled dispatch did (tests and bench read these)."""
-
-    rclass: str
-    tag: object
-    volume: Optional[int]
-    submitted: float
-    start: float
-    wait: float
-    service: float
+    start: float = field(init=False, default=0.0)
+    wait: float = field(init=False, default=0.0)
+    service: float = field(init=False, default=0.0)
     #: Account delta over the dispatch, wait charge included.
-    charged: float
+    charged: float = field(init=False, default=0.0)
 
 
 class TertiaryScheduler:
@@ -156,8 +163,8 @@ class TertiaryScheduler:
         #: outrank them (see :attr:`active_class`).
         self._active_classes: List[str] = []
         self._running: List[str] = []
-        #: One record per scheduled-mode dispatch.
-        self.dispatch_log: List[DispatchRecord] = []
+        #: Every request a scheduled-mode dispatch ran, in order.
+        self.dispatch_log: List[Request] = []
         self.volume_switches = 0
         self.aged_promotions = 0
         self.forced_writeouts = 0
@@ -318,8 +325,7 @@ class TertiaryScheduler:
         fs.cache.register(tsegno, line, worker)
         return True
 
-    def submit_writeout(self, actor: Actor, tsegno: int,
-                        immediate: bool = False) -> bool:
+    def submit_writeout(self, actor: Actor, tsegno: int) -> bool:
         """Write a staged line out, now or batched.
 
         Write-outs are never rejected — a staged segment pins a cache
@@ -327,7 +333,7 @@ class TertiaryScheduler:
         queue-depth limit force-drains the oldest pending write-out
         instead (the delayed-writeout policy's depth bound, §5.4).
         """
-        if immediate or self.mode == MODE_PASSTHROUGH:
+        if self.mode == MODE_PASSTHROUGH:
             self.fs.service.writeout_line(actor, tsegno)
             return True
 
@@ -520,30 +526,28 @@ class TertiaryScheduler:
         """Execute one queued request, charging its wait to ``queuing``
         and assert-checking the Table 4 partition."""
         actor.sleep_until(req.submitted)
-        start = actor.time
-        wait = start - req.submitted
+        req.start = actor.time
+        req.wait = req.start - req.submitted
         account = self.ioserver.account
         before = account.total()
-        account.charge(CAT_QUEUING, wait)
+        account.charge(CAT_QUEUING, req.wait)
         try:
             req.execute(actor)
         finally:
-            service = actor.time - start
-            charged = account.total() - before
-            self.dispatch_log.append(DispatchRecord(
-                rclass=req.rclass, tag=req.tag, volume=req.volume,
-                submitted=req.submitted, start=start, wait=wait,
-                service=service, charged=charged))
+            req.service = actor.time - req.start
+            req.charged = account.total() - before
+            self.dispatch_log.append(req)
             obs.histogram("sched_wait_seconds",
                           "queue wait per scheduled request",
                           ("rclass",)).labels(rclass=req.rclass).observe(
-                              wait)
+                              req.wait)
             obs.event(EV_SCHED_DISPATCH, actor.time, rclass=req.rclass,
-                      tag=str(req.tag), volume=req.volume, wait=wait,
-                      service=service, actor=actor.name)
-        if req.table4 \
-                and abs(charged - (wait + service)) > _ACCT_EPSILON:
+                      tag=str(req.tag), volume=req.volume, wait=req.wait,
+                      service=req.service, actor=actor.name)
+        if req.table4 and abs(req.charged - (req.wait + req.service)) \
+                > _ACCT_EPSILON:
             raise AccountingViolation(
-                f"{req.rclass} request {req.tag!r}: charged {charged:.9f}s "
-                f"but wait+service is {wait + service:.9f}s — some virtual "
-                f"second escaped the Table 4 categories")
+                f"{req.rclass} request {req.tag!r}: charged "
+                f"{req.charged:.9f}s but wait+service is "
+                f"{req.wait + req.service:.9f}s — some virtual second "
+                f"escaped the Table 4 categories")

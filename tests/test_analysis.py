@@ -3,13 +3,13 @@
 Each HL rule has a dedicated fixture file under ``tests/analysis_fixtures/``
 containing known violations (and near-misses that must stay clean).  The
 tests here pin the exact set of (line, code) findings per fixture, exercise
-``# noqa`` suppression semantics, and check the CLI's text/JSON contracts.
+``# noqa`` suppression semantics, and check the CLI's exit-status and
+output contracts.
 The fixtures are analyzed as source, never imported.  The contracts of
 a whole-tree run (determinism, the time budget, overlapping inputs)
 close the file.
 """
 
-import json
 import subprocess
 import sys
 from pathlib import Path
@@ -25,8 +25,6 @@ from repro.analysis.rules.choke_points import (CHOKE_POINTS,
                                                ChokePointRule)
 from repro.analysis.rules.hl001_clock_purity import (CLOCK_SUFFIXES,
                                                      HL001ClockPurity)
-from repro.analysis.rules.hl003_address_domain import HL003AddressDomain
-from repro.analysis.rules.hl005_metric_labels import HL005MetricLabels
 from repro.analysis.rules.hl006_exceptions import HL006ExceptionDiscipline
 from repro.analysis.rules.hl008_datapath_copy import HL008DatapathCopy
 from repro.analysis.rules.hl009_retry_discipline import HL009RetryDiscipline
@@ -85,22 +83,6 @@ class TestRuleFixtures:
         rule = ChokePointRule(DEVICE_IO, exempt=("hl002_device",))
         result = analyze("hl002_device.py", [rule])
         assert result.findings == []
-
-    def test_hl003_address_domain(self):
-        result = analyze("hl003_address.py", [HL003AddressDomain()])
-        assert lines_of(result, "HL003") == [5, 10, 15]
-
-    def test_hl005_metric_labels(self):
-        result = analyze("hl005_labels.py", [HL005MetricLabels()])
-        assert lines_of(result, "HL005") == [7, 9, 11, 12]
-
-    def test_bound_series_form_is_held_to_hl005_and_hl004(self):
-        # Binding a series once and keeping it moves the family lookup
-        # and the .labels() call into __init__; both rules follow it
-        # there, and recording on the held child needs no exemption.
-        result = analyze("hl005_bound.py", [HL005MetricLabels()])
-        assert lines_of(result, "HL005") == [13, 14, 15, 17, 17]
-        assert all(f.line < 25 for f in result.findings)  # Good* is clean
 
     def test_hl006_exception_discipline(self):
         result = analyze("repro/lfs/hl006_except.py",
@@ -272,7 +254,7 @@ class TestNoqa:
 class TestFramework:
     def test_all_rules_have_distinct_codes_and_docs(self):
         codes = [r.code for r in default_rules()]
-        assert len(set(codes)) == len(codes) == 11
+        assert len(set(codes)) == len(codes) == 9
         for rule in default_rules():
             assert rule.code.startswith("HL")
             assert rule.name
@@ -282,7 +264,8 @@ class TestFramework:
         codes = [r.code for r in default_rules()]
         assert codes == sorted(codes)
         assert {p.code for p in CHOKE_POINTS} <= set(codes)
-        assert not {"HL004", "HL010", "HL011", "HL013"} & set(codes)
+        assert not {"HL003", "HL004", "HL005", "HL010", "HL011",
+                    "HL013"} & set(codes)
 
     def test_dotted_name_roots_at_repro(self):
         assert dotted_name(Path("src/repro/lfs/segwriter.py")) == \
@@ -330,16 +313,6 @@ def run_cli(*argv):
 
 
 class TestCLI:
-    def test_json_format(self):
-        proc = run_cli(str(FIXTURES / "hl002_device.py"), "--format", "json")
-        assert proc.returncode == 1
-        payload = json.loads(proc.stdout)
-        assert payload["ok"] is False
-        assert payload["counts"] == {"HL002": 6}
-        first = payload["findings"][0]
-        assert set(first) >= {"path", "line", "col", "code", "message"}
-        assert first["code"] == "HL002"
-
     def test_clean_run_exits_zero(self):
         proc = run_cli(str(FIXTURES / "repro" / "lfs" / "hl006_except.py"),
                        "--select", "HL001")
@@ -347,9 +320,9 @@ class TestCLI:
         assert "0 finding(s)" in proc.stdout
 
     def test_select_limits_rules(self):
-        proc = run_cli(str(FIXTURES), "--select", "HL003")
+        proc = run_cli(str(FIXTURES), "--select", "HL009")
         assert proc.returncode == 1
-        assert "HL003" in proc.stdout
+        assert "HL009" in proc.stdout
         assert "HL001" not in proc.stdout
 
     def test_unknown_code_is_usage_error(self):
@@ -369,7 +342,7 @@ class TestCLI:
         assert ", ".join(r.code for r in default_rules()) in text
 
     def test_retired_codes_are_unknown(self):
-        for code in ("HL004", "HL010", "HL011", "HL013"):
+        for code in ("HL003", "HL004", "HL005", "HL010", "HL011", "HL013"):
             assert run_cli("src", "--select", code).returncode == 2
 
     def test_github_format(self):
@@ -393,7 +366,7 @@ class TestSourceFile:
         p.write_text(text)
         sf = SourceFile(p, str(p), text)
         f1 = Finding(path=str(p), line=1, col=0, code="HL001", message="m")
-        f2 = Finding(path=str(p), line=1, col=0, code="HL003", message="m")
+        f2 = Finding(path=str(p), line=1, col=0, code="HL009", message="m")
         f3 = Finding(path=str(p), line=2, col=0, code="HL006", message="m")
         f4 = Finding(path=str(p), line=3, col=0, code="HL001", message="m")
         assert sf.suppresses(f1)
@@ -410,8 +383,8 @@ class TestContracts:
     def test_back_to_back_runs_are_byte_identical(self, src_analysis):
         one, _ = src_analysis
         two = run_paths([SRC])
-        assert json.dumps(one.to_dict(), sort_keys=True) == \
-            json.dumps(two.to_dict(), sort_keys=True)
+        assert (one.findings, one.suppressed, one.errors) == \
+            (two.findings, two.suppressed, two.errors)
 
     def test_whole_tree_analysis_meets_the_time_budget(self, src_analysis):
         result, elapsed = src_analysis

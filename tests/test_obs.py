@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro import obs
-from repro.core.ioserver import TABLE4_CATEGORIES
+from repro.sched.scheduler import TABLE4_CATEGORIES
 from repro.obs.registry import (DEFAULT_BUCKETS, Histogram, MetricError,
                                 MetricsRegistry)
 from repro.obs.report import render_text, snapshot, write_snapshot

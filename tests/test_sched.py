@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.bench.scenarios import run_contention
 from repro.core.highlight import HighLightConfig
 from repro.errors import AccountingViolation
 from repro.sched import (CLASS_CLEANER, CLASS_DEMAND, CLASS_PREFETCH,
@@ -233,7 +234,7 @@ def test_strict_accounting_flags_uncharged_service_time():
 
 
 def test_dispatch_records_wait_and_charges_queuing():
-    from repro.core.ioserver import CAT_QUEUING
+    from repro.sched.scheduler import CAT_QUEUING
     sched = make_sched()
     app = Actor("app")
     sched.submit(CLASS_CLEANER, app, lambda a: None, volume=1, tag="t",
@@ -335,3 +336,15 @@ class TestScheduledModeIntegration:
 
     def test_passthrough_is_the_default(self, hl):
         assert hl.fs.sched.mode == MODE_PASSTHROUGH
+
+
+def test_contention_scenario_favours_the_scheduler():
+    """The facts the contention report prints: with the scheduler on,
+    demand fetches wait less behind background work and the robot swaps
+    media half as often."""
+    data, report = run_contention(quick=True)
+    off, on = data[MODE_PASSTHROUGH], data[MODE_SCHEDULED]
+    assert on["mean_demand_seconds"] < off["mean_demand_seconds"]
+    assert on["mount_switches"] < off["mount_switches"]
+    assert (on["mount_switches"], off["mount_switches"]) == (8, 16)
+    assert "8 fewer mount switches" in report

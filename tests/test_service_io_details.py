@@ -5,8 +5,8 @@ import os
 import pytest
 
 from tests.conftest import HLBed
-from repro.core.ioserver import (CAT_DISK_WRITE, CAT_FOOTPRINT_READ,
-                                 CAT_FOOTPRINT_WRITE, CAT_IOSERVER_READ)
+from repro.sched.scheduler import (CAT_DISK_WRITE, CAT_FOOTPRINT_READ,
+                                   CAT_FOOTPRINT_WRITE, CAT_IOSERVER_READ)
 from repro.core.service import REQUEST_OVERHEAD
 from repro.sim.scheduler import TimedQueue
 from repro.util.units import KB, MB
