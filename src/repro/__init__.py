@@ -111,6 +111,3 @@ def __getattr__(name: str):
     globals()[name] = value  # cache for the next access
     return value
 
-
-def __dir__():
-    return sorted(set(globals()) | set(_EXPORTS))

@@ -108,11 +108,10 @@ DEVICE_IO = ChokePoint(
                                      "drive"})),
     # The devices; the block-map driver and line-I/O helpers; the log
     # append and dev_* choke points; the FFS baseline (no block map by
-    # design); the Footprint layer; the offline log dump, which reads
-    # raw, possibly crashed, images.
+    # design); the Footprint layer.
     exempt=("repro.blockdev", "repro.core.addressing",
             "repro.lfs.segwriter", "repro.lfs.filesystem", "repro.ffs",
-            "repro.footprint", "repro.lfs.dump"),
+            "repro.footprint"),
     what="direct device I/O",
     advice=("route through the block map or the line_read_refs/"
             "line_writev helpers in repro.core.addressing"),

@@ -42,7 +42,8 @@ from repro.analysis.rules.util import terminal_attr
 
 #: Receiver names that denote a block store or device.
 _STORE_NAMES = frozenset({"store", "disk", "device", "dev", "drive",
-                          "tape", "volume", "footprint", "jukebox"})
+                          "drives", "driver", "tape", "volume", "footprint",
+                          "jukebox"})
 
 #: Per-block data-path methods that should not sit inside a range loop.
 _BLOCK_IO_METHODS = frozenset({"read", "write", "is_written", "writev",
@@ -130,7 +131,7 @@ class HL008DatapathCopy(Rule):
                             f"store internals "
                             f"'{receiver}.{node.attr}' accessed outside "
                             f"repro.blockdev; use the DataStore API "
-                            f"(read_refs/write_refs/written_blocks)"))
+                            f"(read_refs/write_refs/written_in_range)"))
         return findings
 
     def _check_range_loop(self, sf: SourceFile,

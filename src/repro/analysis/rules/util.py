@@ -30,7 +30,10 @@ def dotted_chain(node: ast.AST) -> Optional[str]:
 
 
 def terminal_attr(node: ast.AST) -> Optional[str]:
-    """The last identifier of a name/attribute chain (``a.b.c`` -> ``c``)."""
+    """The last identifier of a name/attribute chain (``a.b.c`` -> ``c``),
+    looking through subscripts (``a.drives[i]`` -> ``drives``)."""
+    if isinstance(node, ast.Subscript):
+        return terminal_attr(node.value)
     if isinstance(node, ast.Attribute):
         return node.attr
     if isinstance(node, ast.Name):

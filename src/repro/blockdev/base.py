@@ -65,10 +65,6 @@ class BlockDevice(BlockIO, ABC):
     def capacity_blocks(self) -> int:
         return self.store.capacity_blocks
 
-    @property
-    def capacity_bytes(self) -> int:
-        return self.capacity_blocks * self.block_size
-
     @abstractmethod
     def read_refs(self, actor: Actor, blkno: int,
                   nblocks: int) -> List[ExtentRef]:
@@ -79,10 +75,6 @@ class BlockDevice(BlockIO, ABC):
     def writev(self, actor: Actor, blkno: int, parts: Sequence[Part]) -> None:
         """Gather-write parts at consecutive blocks as one device op,
         charging virtual time to ``actor``."""
-
-    def __repr__(self) -> str:
-        return (f"{type(self).__name__}({self.name!r}, "
-                f"{self.capacity_blocks} x {self.block_size}B)")
 
 
 class CPUModel:
@@ -116,15 +108,3 @@ class CPUModel:
         actor.sleep(seconds)
         return seconds
 
-
-class FreeCPU(CPUModel):
-    """A zero-cost CPU, for tests that only care about data movement."""
-
-    def __init__(self) -> None:
-        super().__init__(copy_rate=float("inf"), per_block_op=0.0)
-
-    def copy(self, actor: Actor, nbytes: int) -> float:
-        return 0.0
-
-    def block_ops(self, actor: Actor, nblocks: int) -> float:
-        return 0.0

@@ -144,10 +144,6 @@ class ExtentRef:
     def __len__(self) -> int:
         return self.nbytes
 
-    def __repr__(self) -> str:
-        return (f"ExtentRef({type(self.buf).__name__}[{self.start}:"
-                f"{self.start + self.nbytes}])")
-
 
 #: One element of a gather write: a buffer, or a borrowed range.
 Part = Union[bytes, bytearray, memoryview, ExtentRef]

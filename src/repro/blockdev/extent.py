@@ -32,7 +32,7 @@ at every crash point.
 
 Sparse semantics are those of a freshly formatted medium (and of the
 per-block reference model under ``tests/``): unwritten blocks read back as
-zeros, ``is_written``/``written_blocks`` count real writes only, and a
+zeros, ``is_written``/``written_in_range`` count real writes only, and a
 read that crosses an unwritten hole never records the hole as written.
 
 All host-memory copies this store does perform are accounted through
@@ -115,7 +115,6 @@ class ExtentStore(DataStore):
         super().__init__(capacity_blocks, block_size)
         self._starts: List[int] = []    # sorted extent start blocks
         self._exts: List[tuple] = []    # parallel extent rows
-        self._written = 0               # total blocks covered by extents
 
     # -- internal geometry --------------------------------------------------
 
@@ -155,18 +154,15 @@ class ExtentStore(DataStore):
             return lo
         bs = self.block_size
         repl = []
-        removed = 0
         for j in range(lo, hi):
             s, n, buf, off = self._exts[j]
             e = s + n
-            removed += min(e, end) - max(s, blkno)
             if s < blkno:
                 repl.append((s, blkno - s, buf, off))
             if e > end:
                 repl.append((end, e - end, buf, off + (end - s) * bs))
         self._exts[lo:hi] = repl
         self._starts[lo:hi] = [r[_START] for r in repl]
-        self._written -= removed
         return lo + (1 if repl and repl[0][_START] < blkno else 0)
 
     def _splice(self, idx: int, rows: List[tuple]) -> None:
@@ -175,8 +171,7 @@ class ExtentStore(DataStore):
         that continue the same buffer contiguously.
 
         The caller has already carved [rows[0].start, rows[-1].end), so
-        only the outer boundaries can merge.  ``_written`` is updated by
-        the caller (edge merges never change coverage).
+        only the outer boundaries can merge.
         """
         bs = self.block_size
         exts = self._exts
@@ -222,10 +217,6 @@ class ExtentStore(DataStore):
         if nblocks <= 0:
             return
         self._carve(blkno, blkno + nblocks)
-
-    def written_blocks(self) -> int:
-        """Number of distinct blocks ever written (space accounting)."""
-        return self._written
 
     # -- the two verbs -------------------------------------------------------
 
@@ -286,7 +277,6 @@ class ExtentStore(DataStore):
                      materialize_refs([as_ref(p) for p in parts]), 0)]
         idx = self._carve(blkno, blkno + nblocks)
         self._splice(idx, rows)
-        self._written += nblocks
         san = sanitizer()
         if san is not None:
             san.on_adopt(self, parts)
@@ -342,4 +332,3 @@ class ExtentStore(DataStore):
                            reason="replaced by a media-image restore")
         self._exts = [(s, n, buf, off) for s, n, buf, off in image]
         self._starts = [row[_START] for row in self._exts]
-        self._written = sum(row[_NBLK] for row in self._exts)

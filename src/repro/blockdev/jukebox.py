@@ -62,10 +62,6 @@ class RemovableVolume:
     def capacity_blocks(self) -> int:
         return self.store.capacity_blocks
 
-    def __repr__(self) -> str:
-        return (f"{type(self).__name__}(id={self.volume_id}, "
-                f"{self.effective_capacity_blocks} usable blocks)")
-
 
 class Drive(BlockIO, ABC):
     """A reader/writer unit inside a jukebox."""

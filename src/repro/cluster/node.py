@@ -159,7 +159,3 @@ class ClusterNode:
                 "node with replicate=True to quarantine volumes")
         return self.faults.health.record_error(volume_id, t,
                                                permanent=True, kind=kind)
-
-    def __repr__(self) -> str:
-        return (f"ClusterNode(shard={self.shard_id}, "
-                f"objects={len(self.objects)}, t={self.actor.time:.3f})")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List
 
 from repro.errors import InvalidArgument
 
@@ -61,16 +61,6 @@ class HashRing:
 
     # -- membership --------------------------------------------------------------
 
-    def shards(self) -> List[object]:
-        """Current members, sorted by their ``str()`` form."""
-        return sorted(self._shards, key=str)
-
-    def __len__(self) -> int:
-        return len(self._shards)
-
-    def __contains__(self, shard_id: object) -> bool:
-        return shard_id in self._shards
-
     def add_shard(self, shard_id: object) -> None:
         """Join ``shard_id``: insert its virtual-node points."""
         if shard_id in self._shards:
@@ -111,40 +101,3 @@ class HashRing:
         if idx == len(self._points):
             idx = 0  # wrap past the top of the ring
         return self._owners[idx]
-
-    def spread(self, keys: Iterable[object]) -> Dict[object, int]:
-        """Keys-per-shard histogram (every member present, even at 0)."""
-        counts = {sid: 0 for sid in self._shards}
-        for key in keys:
-            counts[self.owner(key)] += 1
-        return counts
-
-    def moved_keys(self, keys: Iterable[object],
-                   other: "HashRing") -> List[object]:
-        """Keys whose owner differs between this ring and ``other``."""
-        out = []
-        for key in keys:
-            if self.owner(key) != other.owner(key):
-                out.append(key)
-        return out
-
-    def clone(self, add: Optional[object] = None,
-              remove: Optional[object] = None) -> "HashRing":
-        """An independent copy, optionally with one membership change
-        applied (what a rebalance plan diffs against)."""
-        ring = HashRing(seed=self.seed, vnodes=self.vnodes)
-        for sid in self.shards():
-            if remove is not None and sid == remove:
-                continue
-            ring.add_shard(sid)
-        if add is not None:
-            ring.add_shard(add)
-        return ring
-
-    def describe(self) -> List[Tuple[int, object]]:
-        """The raw sorted (point, shard) layout (diagnostics)."""
-        return list(zip(self._points, self._owners))
-
-    def __repr__(self) -> str:
-        return (f"HashRing(seed={self.seed}, vnodes={self.vnodes}, "
-                f"shards={self.shards()!r})")

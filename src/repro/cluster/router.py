@@ -269,8 +269,3 @@ class ClusterRouter:
     def makespan(self) -> float:
         """The latest shard timeline (the cluster's completion time)."""
         return max(node.actor.time for node in self.nodes.values())
-
-    def __repr__(self) -> str:
-        return (f"ClusterRouter(shards={sorted(self.nodes)}, "
-                f"files={len(self.namespace)}, "
-                f"extents={len(self.placement)})")

@@ -98,9 +98,6 @@ class AddressSpace:
     def is_disk_daddr(self, daddr: int) -> bool:
         return self.is_disk_segno(self.segno_of(daddr))
 
-    def is_tertiary_daddr(self, daddr: int) -> bool:
-        return self.is_tertiary_segno(self.segno_of(daddr))
-
     def check(self, daddr: int) -> None:
         """Raise AddressError for dead-zone or out-of-space addresses."""
         segno = self.segno_of(daddr)

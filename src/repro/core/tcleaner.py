@@ -121,10 +121,3 @@ class TertiaryCleaner:
         # Drop any stale cache line for the cleaned segment.
         fs.cache.drop(tsegno)
         return forwarded
-
-    def run_once(self) -> int:
-        """Select and clean one volume if a victim qualifies."""
-        victim = self.select_victim()
-        if victim is None:
-            return 0
-        return self.clean_volume(victim)

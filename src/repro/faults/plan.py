@@ -110,9 +110,6 @@ class FaultPlan:
         self.specs.append(spec)
         return self
 
-    def __len__(self) -> int:
-        return len(self.specs)
-
 
 class FaultInjector:
     """Evaluates a :class:`FaultPlan` at the device layer's hook points.

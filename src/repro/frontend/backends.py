@@ -21,7 +21,7 @@ bench gate).  This module is the
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.errors import FileNotFound, InvalidArgument
 from repro.sched import CLASS_WRITEOUT
@@ -84,29 +84,13 @@ class NodeBackend:
         if self.migrator is None:
             raise InvalidArgument("filesystem has no migrator attached")
         # unit_tag=path: the hint table then maps the file's tertiary
-        # segments back to it, which is what prefetch() walks.
+        # segments back to it, for a unit prefetcher to read.
         self.migrator.migrate_file(path, actor, unit_tag=path)
 
     def seal(self, actor: Actor) -> None:
         """Seal partial staging so queued write-outs cover everything."""
         if self.migrator is not None:
             self.migrator.flush(actor)
-
-    def prefetch(self, actor: Actor, tag: str,
-                 cap: Optional[int] = None) -> Tuple[int, int, int]:
-        """Submit background prefetches for the tertiary segments the
-        hint table tags ``tag``, each refused once ``cap`` prefetches
-        are queued ahead of it; returns ``(submitted, attempted,
-        capped)``."""
-        if self.migrator is None:
-            return (0, 0, 0)
-        sched = self.fs.sched
-        tsegnos = sorted(t for t, t_tag in self.migrator.hint_table.items()
-                         if t_tag == tag)
-        capped = sched.capped_rejects
-        submitted = sum(1 for tsegno in tsegnos
-                        if sched.submit_prefetch(actor, tsegno, cap))
-        return (submitted, len(tsegnos), sched.capped_rejects - capped)
 
     def queued_writeouts(self) -> int:
         return self.fs.sched.queued(CLASS_WRITEOUT)
@@ -179,16 +163,6 @@ class ClusterBackend:
     def seal(self, actor: Actor) -> None:
         for node, backend in self._shards():
             backend.seal(node.actor)
-
-    def prefetch(self, actor: Actor, path: str,
-                 cap: Optional[int] = None) -> Tuple[int, int, int]:
-        submitted = attempted = capped = 0
-        for node, key in self._owners(actor, path):
-            s, a, c = NodeBackend(node).prefetch(node.actor, key, cap)
-            submitted += s
-            attempted += a
-            capped += c
-        return (submitted, attempted, capped)
 
     def queued_writeouts(self) -> int:
         return sum(backend.queued_writeouts() for _, backend in self._shards())

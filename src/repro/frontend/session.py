@@ -16,14 +16,11 @@ Three admission mechanisms, in order of severity:
   bulk tenant's sustained throughput converges to its configured rate.
 * **hard caps** (``max_open_handles``) — exceeding one raises
   :class:`~repro.errors.AdmissionRejected` immediately.
-* **queue-depth caps** (``max_queued``) — passed down with each of the
-  tenant's droppable background submissions (prefetch) to
-  :class:`~repro.sched.TertiaryScheduler`, which rejects one while the
-  class queue is as deep as the tenant tolerates; the tenant's
-  write-outs — which may never drop data — are drained *on the
-  submitting tenant's own actor* until the queue is back under its cap,
-  so a flooding batch tenant pays for its own backlog instead of taxing
-  everyone else's demand latency.
+* **queue-depth caps** (``max_queued``) — a tenant's migrations, whose
+  write-outs may never drop data, drain the scheduler's write-out queue
+  *on the submitting tenant's own actor* until it is back under the
+  cap, so a flooding batch tenant pays for its own backlog instead of
+  taxing everyone else's demand latency.
 
 A :class:`Handle` is the one open-file record: ``Client.open``
 returns it, ``Client.read``/``write``/``close`` take it, and double
@@ -36,7 +33,7 @@ sanctioned data-plane entry point).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro import obs
 from repro.errors import AdmissionRejected, HandleClosed, UnknownTenant
@@ -120,10 +117,9 @@ class TenantBudget:
     burst_bytes: Optional[float] = None
     #: Hard cap on concurrently open handles (None = unlimited).
     max_open_handles: Optional[int] = None
-    #: Deepest background queue this tenant may stand in / leave behind:
-    #: its prefetches are rejected while the class queue is at least
-    #: this deep, and its migrations drain their own write-out backlog
-    #: down to this depth before returning.
+    #: Deepest write-out queue this tenant may leave behind: its
+    #: migrations drain their own write-out backlog down to this depth
+    #: before returning.
     max_queued: Optional[int] = None
     #: Relative share used by the SLO fairness index (goodput is
     #: normalized by weight before computing Jain's index).
@@ -248,11 +244,6 @@ class Handle:
     def close(self, actor: Actor) -> None:
         self.client.close(actor, self)
 
-    def __repr__(self) -> str:
-        state = "closed" if self.closed else "open"
-        return (f"Handle(fd={self.fd}, path={self.path!r}, "
-                f"tenant={self.tenant!r}, {state})")
-
 
 # --------------------------------------------------------------------------
 # The client
@@ -300,9 +291,6 @@ class Client:
                   "tenants registered with the client").set(
                       len(self._tenants))
         return ten
-
-    def tenants(self) -> List[str]:
-        return sorted(self._tenants)
 
     def weights(self) -> Dict[str, float]:
         """Tenant -> fairness weight (what the SLO engine normalizes by)."""
@@ -425,35 +413,6 @@ class Client:
                     break
         self._record(actor, ten, "migrate", size, wait, actor.time - t0)
 
-    def prefetch(self, actor: Actor, target: Union[Handle, str],
-                 tenant: Optional[str] = None) -> int:
-        """Submit background prefetches for a migrated file's segments.
-
-        Returns the number of segments submitted.  Raises
-        :class:`AdmissionRejected` when the tenant's queue-depth cap
-        rejected every attempted submission (the flooding-tenant case).
-        """
-        path, ten = self._target(target, tenant)
-        t0 = actor.time
-        submitted, attempted, capped = self.backend.prefetch(
-            actor, path, ten.budget.max_queued)
-        if capped:
-            obs.counter("frontend_admission_gated_total",
-                        "background submissions rejected by a tenant "
-                        "queue-depth cap", ("tenant", "rclass")).labels(
-                            tenant=ten.name,
-                            rclass=CLASS_PREFETCH).inc(capped)
-        if attempted and not submitted:
-            obs.counter("frontend_rejects_total",
-                        "requests refused by hard admission caps",
-                        ("tenant", "reason")).labels(
-                            tenant=ten.name, reason="prefetch_queue").inc()
-            raise AdmissionRejected(
-                f"tenant {ten.name!r}: all {attempted} prefetch "
-                "submissions rejected by queue-depth admission")
-        self._record(actor, ten, "prefetch", 0, 0.0, actor.time - t0)
-        return submitted
-
     def pump(self, actor: Actor, limit: Optional[int] = None) -> int:
         """Dispatch queued background work on ``actor``."""
         return self.backend.pump(actor, limit)
@@ -478,8 +437,3 @@ class Client:
         obs.event(EV_FRONTEND_REQUEST, actor.time, tenant=ten.name, op=op,
                   nbytes=nbytes, wait=wait, service=service,
                   actor=actor.name)
-
-    def __repr__(self) -> str:
-        return (f"Client(backend={self.backend.name!r}, "
-                f"tenants={self.tenants()}, "
-                f"open_handles={len(self.handles)})")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from operator import attrgetter
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.errors import InvalidArgument
@@ -67,9 +67,6 @@ class BufferCache:
         self._eviction_series = obs.counter(
             "buffercache_evictions_total",
             "clean blocks evicted to make room").labels()
-
-    def __len__(self) -> int:
-        return len(self._bufs)
 
     def dirty_count(self) -> int:
         return len(self._dirty)
@@ -229,9 +226,6 @@ class BufferCache:
             del self._bufs[key]
         self._clean.clear()
         return dropped
-
-    def keys(self) -> Iterator[BufKey]:
-        return iter(list(self._bufs.keys()))
 
     def needs_flush(self) -> bool:
         """True when dirty blocks fill half the cache (the segment-write

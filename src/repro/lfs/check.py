@@ -72,14 +72,6 @@ class CheckReport:
     def warn(self, message: str) -> None:
         self.warnings.append(message)
 
-    def render(self) -> str:
-        lines = [f"fsck: {self.files_checked} files, "
-                 f"{self.blocks_checked} blocks"]
-        lines += [f"  ERROR: {e}" for e in self.errors]
-        lines += [f"  warn:  {w}" for w in self.warnings]
-        lines.append("  clean" if self.ok else "  INCONSISTENT")
-        return "\n".join(lines)
-
 
 def _segment_valid(fs, daddr: int) -> bool:
     try:

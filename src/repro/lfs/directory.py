@@ -9,7 +9,7 @@ without perturbing the very timestamps it ranks by (§5.3).
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.errors import FileExists, FileNotFound, InvalidArgument
 
@@ -94,6 +94,3 @@ class Directory:
 
     def is_empty(self) -> bool:
         return not self.names()
-
-    def items(self) -> List[Tuple[str, int]]:
-        return [(n, self.entries[n]) for n in self.names()]

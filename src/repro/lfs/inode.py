@@ -79,11 +79,6 @@ class Inode:
                    size=size, atime=atime, mtime=mtime, ctime=ctime,
                    gen=gen, flags=flags, blocks=blocks, db=db, ib=ib)
 
-    def copy(self) -> "Inode":
-        """A deep-enough copy (fresh pointer lists)."""
-        clone = Inode.unpack(self.pack())
-        return clone
-
 
 def pack_inode_block(inodes: List[Inode]) -> bytes:
     """Serialise up to 32 inodes into one 4 KB inode block."""

@@ -96,17 +96,6 @@ class Gauge:
             self._epoch = registry.epoch
             self.value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        registry = self._registry
-        if registry.enabled:
-            if self._epoch != registry.epoch:
-                self._epoch = registry.epoch
-                self.value = 0.0
-            self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
 
 class Histogram:
     """A fixed-bucket distribution with sum and count."""
@@ -135,9 +124,6 @@ class Histogram:
         self.count += 1
         # First bucket whose bound is >= value; past the last = +Inf.
         self.counts[bisect_left(self.buckets, value)] += 1
-
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
 
     def cumulative(self) -> Dict[str, int]:
         """Bucket upper bound -> cumulative count (Prometheus ``le`` form)."""
@@ -220,9 +206,6 @@ class MetricFamily:
 
     def set(self, value: float) -> None:
         self._default().set(value)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._default().dec(amount)
 
     def observe(self, value: float) -> None:
         self._default().observe(value)

@@ -15,7 +15,7 @@ from typing import Dict, Optional
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import TraceRecorder
 
-__all__ = ["snapshot", "render_text", "write_snapshot"]
+__all__ = ["snapshot", "write_snapshot"]
 
 
 def snapshot(metrics: Optional[MetricsRegistry] = None,
@@ -47,32 +47,6 @@ def snapshot(metrics: Optional[MetricsRegistry] = None,
         trace_section["events"] = trace.to_list()
     out["trace"] = trace_section
     return out
-
-
-def render_text(snap: Optional[Dict[str, object]] = None) -> str:
-    """A terminal-friendly rendering of a snapshot."""
-    snap = snap if snap is not None else snapshot(include_events=False)
-    lines = ["== observability snapshot =="]
-    m = snap["metrics"]
-    for kind in ("counters", "gauges"):
-        section = m.get(kind, {})
-        if section:
-            lines.append(f"-- {kind} --")
-            for key, value in section.items():
-                lines.append(f"{key:<58} {value:>16.6g}")
-    hists = m.get("histograms", {})
-    if hists:
-        lines.append("-- histograms --")
-        for key, h in hists.items():
-            mean = h["sum"] / h["count"] if h["count"] else 0.0
-            lines.append(f"{key:<58} n={h['count']:<8} "
-                         f"sum={h['sum']:.6g} mean={mean:.6g}")
-    t = snap["trace"]
-    lines.append(f"-- trace: {t['emitted']} events emitted, "
-                 f"{t['dropped']} dropped --")
-    for etype, n in t.get("counts_by_type", {}).items():
-        lines.append(f"{etype:<58} {n:>16}")
-    return "\n".join(lines)
 
 
 def write_snapshot(path: str,

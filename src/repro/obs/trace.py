@@ -100,9 +100,6 @@ class TraceEvent:
         return (self.etype == other.etype and self.t == other.t
                 and self.fields == other.fields)
 
-    def __repr__(self) -> str:
-        return f"TraceEvent({self.etype!r}, t={self.t:.6f}, {self.fields})"
-
 
 #: How a field value is packed, by its exact type: strings as an index
 #: into the recorder's string table, None as a pad byte.  A value of any
@@ -228,9 +225,6 @@ class TraceRecorder:
         self.dropped = 0
 
     # -- reading -----------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._events)
 
     def events(self, etype: Optional[str] = None) -> List[TraceEvent]:
         return [self._event(row) for row in self._events

@@ -170,9 +170,6 @@ class TertiaryScheduler:
         self.forced_writeouts = 0
         self.admission_rejects: Dict[str, int] = {c: 0
                                                   for c in REQUEST_CLASSES}
-        #: Those of the admission rejects due to a submitter's own
-        #: ``cap`` rather than the class limit (see submit_prefetch).
-        self.capped_rejects = 0
 
     # -- introspection -----------------------------------------------------------
 
@@ -213,9 +210,6 @@ class TertiaryScheduler:
             yield
         finally:
             self._running.pop()
-
-    def __len__(self) -> int:
-        return len(self._queue)
 
     # -- the back-end facade (the HL007 choke point) -----------------------------
 
@@ -282,18 +276,13 @@ class TertiaryScheduler:
 
     # -- submission --------------------------------------------------------------
 
-    def submit_prefetch(self, actor: Actor, tsegno: int,
-                        cap: Optional[int] = None) -> bool:
+    def submit_prefetch(self, actor: Actor, tsegno: int) -> bool:
         """Prefetch ``tsegno`` as a background request.
 
         Returns False when the caller should stop issuing prefetches
         (cache famine in passthrough mode, admission reject when
-        scheduled).  ``cap`` is the submitter's own queue-depth
-        tolerance (a front-end tenant's ``max_queued``): when scheduled,
-        a prefetch that would queue behind ``cap`` others is rejected
-        like one over the class limit.  In passthrough mode this
-        reproduces the service process's historical inline behaviour on
-        the prefetch actor.
+        scheduled).  In passthrough mode this reproduces the service
+        process's historical inline behaviour on the prefetch actor.
         """
         if self.mode == MODE_PASSTHROUGH:
             worker = self.prefetch_actor
@@ -305,8 +294,7 @@ class TertiaryScheduler:
 
         return self._enqueue(Request(
             CLASS_PREFETCH, execute, actor.time, self._next_seq(),
-            volume=self.volume_id(tsegno), tag=tsegno, table4=True),
-            cap=cap)
+            volume=self.volume_id(tsegno), tag=tsegno, table4=True))
 
     def _prefetch_now(self, worker: Actor, tsegno: int,
                       drop_on_famine: bool) -> bool:
@@ -389,16 +377,11 @@ class TertiaryScheduler:
         self._seq += 1
         return self._seq
 
-    def _enqueue(self, req: Request, admitted: bool = False,
-                 cap: Optional[int] = None) -> bool:
+    def _enqueue(self, req: Request, admitted: bool = False) -> bool:
         if not admitted:
-            depth = self.queued(req.rclass)
             limit = self.queue_limits.get(req.rclass)
-            over_limit = limit is not None and depth >= limit
-            capped = not over_limit and cap is not None and depth >= cap
-            if over_limit or capped:
+            if limit is not None and self.queued(req.rclass) >= limit:
                 self.admission_rejects[req.rclass] += 1
-                self.capped_rejects += capped
                 obs.counter("sched_admission_rejects_total",
                             "background requests rejected by queue-depth "
                             "limits", ("rclass",)).labels(

@@ -49,13 +49,6 @@ class TimeAccount:
         """A copy of the category -> seconds map."""
         return dict(self._buckets)
 
-    def percentages(self) -> Dict[str, float]:
-        """Category -> percentage of the account total (paper Table 4 form)."""
-        total = self.total()
-        if total <= 0:
-            return {key: 0.0 for key in self._buckets}
-        return {key: 100.0 * val / total for key, val in self._buckets.items()}
-
     def clear(self) -> None:
         """Drop all charges."""
         self._buckets.clear()
@@ -87,6 +80,3 @@ class Actor:
     def sleep_until(self, when: float) -> None:
         """Advance local time to ``when`` if it is in the future."""
         self.clock.advance_to(when)
-
-    def __repr__(self) -> str:
-        return f"Actor({self.name!r}, t={self.time:.6f})"

@@ -32,9 +32,5 @@ class VirtualClock:
             self._now = when
         return self._now
 
-    def reset(self, start: float = 0.0) -> None:
-        """Reset the clock (only sensible between independent runs)."""
-        self._now = float(start)
-
     def __repr__(self) -> str:
         return f"VirtualClock(now={self._now:.6f})"

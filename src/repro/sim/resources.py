@@ -43,9 +43,6 @@ class TimelineResource:
         actor.sleep_until(end)
         return start, end
 
-    def __repr__(self) -> str:
-        return f"TimelineResource({self.name!r}, next_free={self.next_free:.6f})"
-
 
 def occupy_all(actor: Actor, resources: Iterable[TimelineResource],
                duration: float) -> Tuple[float, float]:

@@ -12,9 +12,6 @@ class Bitmap:
         self._nbits = nbits
         self._words = bytearray((nbits + 7) // 8)
 
-    def __len__(self) -> int:
-        return self._nbits
-
     def _check(self, bit: int) -> None:
         if not 0 <= bit < self._nbits:
             raise IndexError(f"bit {bit} out of range [0, {self._nbits})")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Generic, Hashable, Iterator, Optional, TypeVar
+from typing import Generic, Hashable, Iterator, TypeVar
 
 K = TypeVar("K", bound=Hashable)
 
@@ -19,12 +19,6 @@ class LRUTracker(Generic[K]):
     def __init__(self) -> None:
         self._order: "OrderedDict[K, None]" = OrderedDict()
 
-    def __len__(self) -> int:
-        return len(self._order)
-
-    def __contains__(self, key: K) -> bool:
-        return key in self._order
-
     def __iter__(self) -> Iterator[K]:
         """Iterate keys from least- to most-recently used."""
         return iter(self._order)
@@ -39,9 +33,3 @@ class LRUTracker(Generic[K]):
     def discard(self, key: K) -> None:
         """Forget ``key`` if present."""
         self._order.pop(key, None)
-
-    def lru(self) -> Optional[K]:
-        """Return the least-recently-used key without removing it."""
-        if not self._order:
-            return None
-        return next(iter(self._order))

@@ -13,19 +13,6 @@ GB = 1024 * MB
 TB = 1024 * GB
 
 
-def fmt_bytes(n: int) -> str:
-    """Render a byte count the way the paper does (10KB, 1MB, 848MB...)."""
-    if n < KB:
-        return f"{n}B"
-    for unit, name in ((TB, "TB"), (GB, "GB"), (MB, "MB"), (KB, "KB")):
-        if n >= unit:
-            value = n / unit
-            if value == int(value):
-                return f"{int(value)}{name}"
-            return f"{value:.1f}{name}"
-    raise AssertionError("unreachable")
-
-
 def fmt_rate(bytes_per_second: float) -> str:
     """Render a throughput in KB/s, the unit used throughout the paper."""
     return f"{bytes_per_second / KB:.0f}KB/s"

@@ -42,10 +42,6 @@ class PhaseResult:
             return float("inf")
         return self.nbytes / self.seconds
 
-    def row(self) -> str:
-        return (f"{self.phase:<28} {self.seconds:8.2f} s "
-                f"{self.throughput / KB:8.0f}KB/s")
-
 
 class LargeObjectBenchmark:
     """Runs the six phases against any filesystem with the shared API."""

@@ -56,3 +56,11 @@ def good_ref_batches(actor, disk, store, refs, image, spans, blkno):
     for start, nbytes in spans:
         out.append(ExtentRef(image, start, nbytes))       # ok: no block I/O
     return observed, out
+
+
+class BadReceivers:
+    def per_block(self, a, base, b, idx, n):
+        for i in range(n):
+            self.driver.read_refs(a, base + i, 1)                # finding
+        for i in range(n):
+            self.jukebox.drives[idx].read_refs(a, b + i, 1)      # finding

@@ -111,11 +111,15 @@ class TestRuleFixtures:
 
     def test_hl008_datapath_copy(self):
         result = analyze("hl008_datapath.py", [HL008DatapathCopy()])
-        assert lines_of(result, "HL008") == [7, 9, 11, 12, 17, 18, 19, 41]
+        # Lines 64 and 66 reach the device through ``self.driver`` and a
+        # subscripted ``drives[idx]`` receiver.
+        assert lines_of(result, "HL008") == [7, 9, 11, 12, 17, 18, 19, 41,
+                                             64, 66]
         # Vectored single calls, non-store receivers, non-range loops,
         # comprehension-built ref batches, and while-loop spills (one
         # accumulated region per pass) all stay clean.
-        assert all(f.line <= 19 or f.line == 41 for f in result.findings)
+        assert all(f.line <= 19 or f.line in (41, 64, 66)
+                   for f in result.findings)
 
     def test_hl008_exempt_inside_blockdev(self):
         # The stores themselves legitimately hold the representation.

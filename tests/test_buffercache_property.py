@@ -103,7 +103,7 @@ def assert_same(bc: BufferCache, ref: NaiveLRU, cached_before, step) -> None:
     where = f"after step {step}"
     assert bc.lru_order() == ref.order, where
     assert [b.key for b in bc.dirty_buffers()] == ref.dirty_order(), where
-    assert len(bc) == len(ref.data), where
+    assert len(bc.lru_order()) == len(ref.data), where
     assert bc.dirty_count() == len(ref.dirty), where
     assert (bc.hits, bc.misses) == (ref.hits, ref.misses), where
     assert evictions() == len(ref.victims), where
@@ -111,7 +111,7 @@ def assert_same(bc: BufferCache, ref: NaiveLRU, cached_before, step) -> None:
     assert obs.metrics().get("buffercache_misses_total") == ref.misses, where
     # The victims of this step, as a set (their order is pinned by
     # lru_order() having matched before the step).
-    gone = cached_before - set(bc.keys())
+    gone = cached_before - set(bc.lru_order())
     assert gone == cached_before - set(ref.data), where
     for key in ref.data:
         assert bc.peek(key) == ref.data[key], where
@@ -172,10 +172,10 @@ def test_random_ops_match_naive_lru(seed, dirty_share):
     over_capacity = 0
     replays = set()
     for step in range(3000):
-        before = set(bc.keys())
+        before = set(bc.lru_order())
         what = random_step(rng, bc, ref, dirty_share)
         assert_same(bc, ref, before, f"{step} ({what})")
-        over_capacity += len(bc) > CAPACITY
+        over_capacity += len(bc.lru_order()) > CAPACITY
         if what.startswith("hit_all"):
             replays.add(what.split(" -> ")[1])
     assert ref.victims, "the walk never evicted"
@@ -188,7 +188,7 @@ def test_all_dirty_means_no_victim():
     bc = BufferCache(capacity_bytes=CAPACITY * BLOCK_SIZE)
     for i in range(CAPACITY + 3):
         bc.put((1, i), block(i), dirty=True)
-    assert len(bc) == CAPACITY + 3  # grew: nothing was evictable
+    assert len(bc.lru_order()) == CAPACITY + 3  # grew: nothing was evictable
     assert evictions() == 0
     assert [b.key for b in bc.dirty_buffers()] == \
         [(1, i) for i in range(CAPACITY + 3)]
@@ -196,7 +196,7 @@ def test_all_dirty_means_no_victim():
     for buf in bc.dirty_buffers():
         bc.mark_clean(buf.key)
     bc.put((2, 0), block(0), dirty=False)
-    assert len(bc) == CAPACITY
+    assert len(bc.lru_order()) == CAPACITY
     assert bc.lru_order() == [(1, i) for i in range(4, CAPACITY + 3)] \
         + [(2, 0)]
 

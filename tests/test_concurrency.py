@@ -71,7 +71,7 @@ class TestMigratorCleanerOverlap:
         for path, payload in data.items():
             assert fs.read_path(path) == payload, path
         report = check_filesystem(fs)
-        assert report.ok, report.render()
+        assert report.ok, report.errors
         assert cleaner.segments_cleaned > 0
         assert bed.migrator.stats.files_migrated == 4
 

@@ -66,7 +66,7 @@ class TestWatermarks:
                                      low_water=0.2)
         daemon.run_until_calm(max_ticks=16)
         report = check_filesystem(bed.fs)
-        assert report.ok, report.render()
+        assert report.ok, report.errors
         # Every file still reads back (some now through demand fetches).
         for i in range(16):
             assert len(bed.fs.read_path(f"/bulk/f{i}")) == MB

@@ -1,6 +1,5 @@
 """Tests for the Future-Work extensions: tertiary cleaner, delayed
-write-out (the scheduler's write-out queue), segment replicas, adaptive
-cache sizing."""
+write-out (the scheduler's write-out queue), segment replicas."""
 
 import os
 
@@ -8,11 +7,10 @@ import pytest
 
 from tests.conftest import HLBed
 from repro import obs
-from repro.core.cachesizer import AdaptiveCacheSizer
 from repro.core.highlight import HighLightConfig
 from repro.core.replicas import ReplicaManager
 from repro.core.tcleaner import TertiaryCleaner
-from repro.util.units import KB, MB
+from repro.util.units import MB
 
 
 def _migrate_some(bed, paths_bytes, flush_cache=True):
@@ -61,7 +59,7 @@ class TestTertiaryCleaner:
     def test_clean_volume_preserves_live_data(self):
         bed, data, keep = self._fragmented_bed()
         cleaner = TertiaryCleaner(bed.fs, bed.migrator)
-        cleaner.run_once()
+        cleaner.clean_volume(cleaner.select_victim())
         bed.fs.checkpoint()
         for path, payload in data.items():
             assert bed.fs.read_path(path) == payload, path
@@ -69,7 +67,7 @@ class TestTertiaryCleaner:
     def test_cleaned_volume_reusable(self):
         bed, _data, _keep = self._fragmented_bed()
         cleaner = TertiaryCleaner(bed.fs, bed.migrator)
-        assert cleaner.run_once() >= 0
+        assert cleaner.clean_volume(cleaner.select_victim()) >= 0
         meta = bed.fs.tsegfile.volumes[0]
         assert meta.next_free == 0
         assert not meta.marked_full
@@ -241,32 +239,3 @@ class TestReplicaManager:
         written = [t for t, _when, _nbytes in bed.fs.ioserver.writeout_log]
         assert written and all(manager.catalog.get(t) for t in written)
         assert manager.replicas_written == len(written)
-
-
-class TestAdaptiveCacheSizer:
-    def test_grows_under_miss_pressure(self):
-        bed = HLBed()
-        sizer = AdaptiveCacheSizer(bed.fs, miss_rate_threshold=0.1,
-                                   headroom_target=2)
-        bed.fs.cache.max_lines = 4
-        bed.fs.cache.misses += 100  # synthetic miss storm
-        delta = sizer.observe_and_adjust()
-        assert delta > 0
-        assert bed.fs.cache.max_lines == 4 + delta
-
-    def test_shrinks_under_clean_famine(self):
-        bed = HLBed()
-        data = _migrate_some(bed, {"/s": 2 * MB}, flush_cache=False)
-        sizer = AdaptiveCacheSizer(
-            bed.fs, headroom_target=bed.fs.ifile.clean_count() + 10,
-            min_lines=1)
-        before = bed.fs.cache.max_lines
-        delta = sizer.observe_and_adjust()
-        assert delta < 0
-        assert bed.fs.cache.max_lines == before + delta
-        assert bed.fs.read_path("/s") == data["/s"]
-
-    def test_steady_state_no_change(self):
-        bed = HLBed()
-        sizer = AdaptiveCacheSizer(bed.fs, headroom_target=1)
-        assert sizer.observe_and_adjust() == 0

@@ -3,8 +3,7 @@
 The ExtentStore must be observationally identical to the simple
 per-block dict (``tests/blockstore_model.py``) under every mixture of
 aligned writes, vectored writes, reads, discards, and occupancy queries
-— including the ``written_blocks()`` occupancy count the migrator's
-accounting uses.
+— including the ``written_in_range`` occupancy count.
 The property test drives both the store and a reference dict model with
 one seeded RNG and compares after every operation.
 """
@@ -41,7 +40,7 @@ class TestExtentStoreBasics:
         st = fresh()
         assert st.read(0, 4) == bytes(4 * BS)
         assert not st.is_written(0)
-        assert st.written_blocks() == 0
+        assert st.written_in_range(0, CAP) == 0
 
     def test_write_read_roundtrip(self):
         st = fresh()
@@ -49,7 +48,7 @@ class TestExtentStoreBasics:
         st.write(5, data)
         assert st.read(5, 3) == data
         assert st.read(4, 5) == bytes(BS) + data + bytes(BS)
-        assert st.written_blocks() == 3
+        assert st.written_in_range(0, CAP) == 3
 
     def test_exact_extent_read_is_zero_copy(self):
         # Reading back exactly one adopted bytes extent returns the very
@@ -66,7 +65,7 @@ class TestExtentStoreBasics:
         st.write(3, mid)
         assert st.read(3, 2) == mid
         assert st.read(0, 8) == blk(3, 8)[:3 * BS] + mid + blk(3, 8)[5 * BS:]
-        assert st.written_blocks() == 8
+        assert st.written_in_range(0, CAP) == 8
 
     def test_no_coalesce_across_holes(self):
         st = fresh()
@@ -83,7 +82,7 @@ class TestExtentStoreBasics:
         assert st.read(0, 6) == (blk(9, 6)[:2 * BS] + bytes(2 * BS)
                                  + blk(9, 6)[4 * BS:])
         assert st.written_in_range(0, 6) == 4
-        assert st.written_blocks() == 4
+        assert st.written_in_range(0, CAP) == 4
 
     def test_out_of_range_rejected(self):
         st = fresh()
@@ -113,7 +112,7 @@ class TestVectoredPath:
         st.write_refs(0, [ExtentRef(seg, 0, 4 * BS),
                           ExtentRef(seg, 4 * BS, 4 * BS)])
         assert st.read(0, 8) == seg
-        assert st.written_blocks() == 8
+        assert st.written_in_range(0, CAP) == 8
 
     def test_read_refs_zero_fill_holes(self):
         st = fresh()
@@ -248,7 +247,7 @@ class TestRunCounts:
             nblocks = rng.randrange(1, 9)
             st.write(blkno, blk(rng.getrandbits(30), nblocks))
             writes += 1
-            assert st.run_count() <= min(2 * writes, st.written_blocks())
+            assert st.run_count() <= min(2 * writes, st.written_in_range(0, CAP))
 
 
 class TestGuardedRunBorrows:
@@ -367,7 +366,7 @@ def test_store_equivalent_to_dict_model(store_cls, seed):
             assert st.is_written(blkno) == model.is_written(blkno)
             assert (st.written_in_range(blkno, nblocks)
                     == model.written_in_range(blkno, nblocks))
-        assert st.written_blocks() == model.written_blocks(), \
+        assert st.written_in_range(0, CAP) == model.written_blocks(), \
             f"occupancy diverged at step {step}"
     # Final sweep: every block position agrees.
     assert st.read(0, CAP) == model.read(0, CAP)

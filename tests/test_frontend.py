@@ -183,20 +183,6 @@ def test_migrate_and_demand_fetch_round_trip():
     assert bed.fs.stats.demand_fetches > 0
 
 
-def test_prefetch_submits_segments():
-    config = HighLightConfig(sched_mode=MODE_SCHEDULED)
-    client, bed = _node_client(config=config)
-    app = bed.app
-    handle = client.open(app, "/archive/warm.bin", create=True)
-    client.write(app, handle, b"w" * MB)
-    client.close(app, handle)
-    client.migrate(app, "/archive/warm.bin")
-    client.flush(app)
-    client.drop_caches(app)
-    submitted = client.prefetch(app, "/archive/warm.bin")
-    assert submitted > 0
-
-
 def test_same_workload_script_runs_on_both_backends():
     """The acceptance-criterion property: one generated request stream,
     two topologies, zero corruption and every request completed."""
@@ -307,60 +293,41 @@ def test_flood_cannot_blow_victim_demand_p99_past_gate():
     assert contended <= 2.0 * solo + 35.0
 
 
-def test_prefetch_flood_rejected_by_queue_depth():
-    """A tenant with a shallow queue tolerance gets AdmissionRejected
-    when it tries to stack prefetches behind its own backlog."""
-    config = HighLightConfig(sched_mode=MODE_SCHEDULED)
-    bed = _bed(n_platters=12, config=config)
-    client = open_node(bed)
-    client.tenant("greedy", TenantBudget(max_queued=0))
-    app = bed.app
-    for i in range(2):
-        path = f"/bulk/g{i}.bin"
-        handle = client.open(app, path, tenant="greedy", create=True)
-        client.write(app, handle, b"g" * MB)
-        client.close(app, handle)
-    # Stage both, sealing write-outs into the queue, without pumping.
-    bed.migrator.migrate_file("/bulk/g0.bin", app, unit_tag="/bulk/g0.bin")
-    bed.migrator.migrate_file("/bulk/g1.bin", app, unit_tag="/bulk/g1.bin")
-    bed.migrator.flush(app)
-    assert bed.fs.sched.queued(CLASS_WRITEOUT) > 0
-    with pytest.raises(AdmissionRejected):
-        client.prefetch(app, "/bulk/g0.bin", tenant="greedy")
-
-
-def test_cluster_control_plane_migrate_prefetch_pump():
+def test_cluster_control_plane_migrate_pump():
     """The cluster's control verbs end to end on a 2-shard scheduled
-    cluster: a capped migrate drains its own write-outs, prefetch is
-    capped per shard, and pump's limit spans the shards in id order."""
+    cluster: a capped migrate drains its own write-outs, and pump's
+    limit spans the shards in id order."""
     config = HighLightConfig(sched_mode=MODE_SCHEDULED)
     nodes = [ClusterNode(i, n_platters=6, platter_bytes=4 * MB,
                          config=config) for i in range(2)]
     router = ClusterRouter(nodes, seed=7)
     client = open_cluster(router)
     client.tenant("t", TenantBudget(max_queued=1))
+    client.tenant("u", TenantBudget())
     actor = Actor("c")
-    handle = client.open(actor, "/a.bin", tenant="t", create=True)
-    client.write(actor, handle, b"a" * (4 * MB))
-    client.close(actor, handle)
+    for path, tenant in (("/a.bin", "t"), ("/b.bin", "u")):
+        handle = client.open(actor, path, tenant=tenant, create=True)
+        client.write(actor, handle, b"a" * (4 * MB))
+        client.close(actor, handle)
     assert sorted(router.placement[k] for k in router.extents_of("/a.bin")) \
         == [0, 0, 1, 1]
 
     client.migrate(actor, "/a.bin", tenant="t")
     assert client.backend.queued_writeouts() == 1  # drained to the cap
-    assert client.pump(actor) == 1
-    assert client.backend.queued_writeouts() == 0
-    client.drop_caches(actor)
+    client.migrate(actor, "/b.bin", tenant="u")  # uncapped: no drain
 
-    # Three tertiary segments per shard; the cap admits one per shard.
-    assert client.prefetch(actor, "/a.bin", tenant="t") == 2
-    with pytest.raises(AdmissionRejected):
-        client.prefetch(actor, "/a.bin", tenant="t")
+    def queued():
+        return [n.fs.sched.queued(CLASS_WRITEOUT) for n in nodes]
+
+    assert queued() == [3, 4]
     assert client.pump(actor, limit=1) == 1
-    assert client.pump(actor, limit=5) == 1
-    assert client.pump(actor) == 0
-    assert [n.actor.time for n in nodes] == [44.17005240229567] * 2
-    assert actor.time == 17.00650642307153
+    assert queued() == [2, 4]
+    assert client.pump(actor, limit=5) == 5  # shard 0 empties first
+    assert queued() == [0, 1]
+    assert client.pump(actor) == 1
+    assert [n.actor.time for n in nodes] == [81.3101782502399,
+                                             81.31045866118329]
+    assert actor.time == 20.285042947492496
 
 
 # -- the workload generator --------------------------------------------------
@@ -502,7 +469,7 @@ def test_router_uses_frontend_session_objects():
 
 # -- one definition of each per-stack control verb ---------------------------
 
-CONTROL_VERBS = ("migrate", "seal", "prefetch", "queued_writeouts", "pump",
+CONTROL_VERBS = ("migrate", "seal", "queued_writeouts", "pump",
                  "flush", "drop_caches")
 
 

@@ -16,7 +16,7 @@ from repro.util.units import KB, MB
 class TestCheckerOnHealthyFS:
     def test_fresh_lfs_clean(self, lfs):
         report = check_filesystem(lfs)
-        assert report.ok, report.render()
+        assert report.ok, report.errors
 
     def test_populated_lfs_clean(self, lfs):
         lfs.mkdir("/d")
@@ -24,12 +24,12 @@ class TestCheckerOnHealthyFS:
             lfs.write_path(f"/d/f{i}", os.urandom(50 * KB))
         lfs.checkpoint()
         report = check_filesystem(lfs)
-        assert report.ok, report.render()
+        assert report.ok, report.errors
         assert report.files_checked >= 11
 
     def test_fresh_highlight_clean(self, hl):
         report = check_filesystem(hl.fs)
-        assert report.ok, report.render()
+        assert report.ok, report.errors
 
     def test_after_migration_clean(self, hl):
         hl.fs.write_path("/m", os.urandom(MB))
@@ -38,7 +38,7 @@ class TestCheckerOnHealthyFS:
         hl.migrator.flush()
         hl.fs.checkpoint()
         report = check_filesystem(hl.fs)
-        assert report.ok, report.render()
+        assert report.ok, report.errors
 
     def test_after_eject_and_fetch_clean(self, hl):
         hl.fs.write_path("/m", os.urandom(MB))
@@ -49,12 +49,7 @@ class TestCheckerOnHealthyFS:
         hl.fs.drop_caches(drop_inodes=True)
         hl.fs.read_path("/m", 0, 8 * KB)
         report = check_filesystem(hl.fs)
-        assert report.ok, report.render()
-
-    def test_render(self, lfs):
-        report = check_filesystem(lfs)
-        assert "clean" in report.render()
-
+        assert report.ok, report.errors
 
 class TestCheckerDetectsDamage:
     def test_detects_bad_imap_daddr(self, lfs):
@@ -104,7 +99,7 @@ class TestCheckerOracle:
             lfs.write_path(f"/o{i}", oracle[f"/o{i}"])
         lfs.checkpoint()
         report = check_filesystem(lfs, oracle=oracle)
-        assert report.ok, report.render()
+        assert report.ok, report.errors
 
     def test_detects_content_divergence(self, lfs):
         lfs.write_path("/o", b"a" * (20 * KB))
@@ -122,7 +117,7 @@ class TestCheckerOracle:
         lfs.checkpoint()
         fs2 = LFS.mount(small_disk)
         report = check_filesystem(fs2, oracle=oracle)
-        assert report.ok, report.render()
+        assert report.ok, report.errors
 
 
 class TestCheckerPersistSlots:
@@ -137,14 +132,14 @@ class TestCheckerPersistSlots:
     def test_no_persist_root_skips_validation(self, hl):
         assert hl.fs.sb.persist_root == 0
         report = check_filesystem(hl.fs)
-        assert report.ok and not report.warnings, report.render()
+        assert report.ok and not report.warnings, report.errors
 
     def test_valid_slots_clean(self):
         bed, _pm = self._persist_bed()
         bed.fs.write_path("/p", os.urandom(100 * KB))
         bed.fs.checkpoint()
         report = check_filesystem(bed.fs)
-        assert report.ok and not report.warnings, report.render()
+        assert report.ok and not report.warnings, report.errors
 
     def test_single_corrupt_slot_warns(self):
         from repro.persist.format import SLOT_BASES
@@ -156,7 +151,7 @@ class TestCheckerPersistSlots:
         bed.fs.dev_write(bed.app, SLOT_BASES[0],
                          b"\xff" * 16 + b"\x00" * (4 * KB - 16))
         report = check_filesystem(bed.fs)
-        assert report.ok, report.render()
+        assert report.ok, report.errors
         assert any("undecodable" in w for w in report.warnings)
 
     def test_all_slots_corrupt_errors(self):
@@ -208,7 +203,7 @@ class TestCheckerVerifiedStress:
                     max_per_pass=10).clean_pass()
         lfs.checkpoint()
         report = check_filesystem(lfs)
-        assert report.ok, report.render()
+        assert report.ok, report.errors
 
     def test_lfs_stress_survives_remount(self, lfs, small_disk):
         rng = random.Random(8)
@@ -220,7 +215,7 @@ class TestCheckerVerifiedStress:
         lfs.checkpoint()
         fs2 = LFS.mount(small_disk)
         report = check_filesystem(fs2)
-        assert report.ok, report.render()
+        assert report.ok, report.errors
         for path, payload in files.items():
             assert fs2.read_path(path) == payload
 
@@ -252,7 +247,7 @@ class TestCheckerVerifiedStress:
                 max_per_pass=50).clean_pass()
         fs.checkpoint()
         report = check_filesystem(fs)
-        assert report.ok, report.render()
+        assert report.ok, report.errors
 
     def test_highlight_crash_cycle_clean(self):
         bed = HLBed()
@@ -264,6 +259,6 @@ class TestCheckerVerifiedStress:
         for _ in range(3):
             fs = bed.remount()
             report = check_filesystem(fs)
-            assert report.ok, report.render()
+            assert report.ok, report.errors
             fs.write_path("/extra", os.urandom(100 * KB))
             fs.checkpoint()

@@ -78,7 +78,7 @@ class TestHierarchyRoundTrip:
         hl.migrator.migrate_file(dir_inum)
         hl.migrator.flush()
         ino = fs.get_inode(dir_inum)
-        assert fs.aspace.is_tertiary_daddr(fs.bmap(ino, 0))
+        assert fs.aspace.is_tertiary_segno(fs.aspace.segno_of(fs.bmap(ino, 0)))
         assert len(fs.readdir("/dir")) == 30  # readable via the cache
 
     def test_mixed_residency_file(self, hl):
@@ -91,7 +91,7 @@ class TestHierarchyRoundTrip:
         hl.migrator.flush()
         assert fs.read_path("/mix") == payload
         ino = fs.get_inode(fs.lookup("/mix"))
-        kinds = {fs.aspace.is_tertiary_daddr(fs.bmap(ino, lbn))
+        kinds = {fs.aspace.is_tertiary_segno(fs.aspace.segno_of(fs.bmap(ino, lbn)))
                  for lbn in range(30)}
         assert kinds == {True, False}
 
@@ -146,7 +146,7 @@ class TestCrashRecovery:
         bed.fs.checkpoint()                  # must flush it
         fs2 = bed.remount()
         report = check_filesystem(fs2)       # every segment describes itself
-        assert report.ok, report.render()
+        assert report.ok, report.errors
         assert fs2.read_path("/small")
         fs2.service.flush_cache(fs2.actor)
         fs2.drop_caches(drop_inodes=True)
@@ -275,7 +275,7 @@ class TestBlockRangePipeline:
         assert stats.blocks_migrated > 0
         ino = fs.get_inode(inum)
         assert fs.aspace.is_disk_daddr(fs.bmap(ino, 0))       # hot stays
-        assert fs.aspace.is_tertiary_daddr(fs.bmap(ino, 30))  # cold went
+        assert fs.aspace.is_tertiary_segno(fs.aspace.segno_of(fs.bmap(ino, 30)))  # cold went
         assert fs.read_path("/rel") == payload
 
 

@@ -100,7 +100,7 @@ def test_hierarchy_consistency_invariants(ops):
     apply_ops(bed.fs, bed.migrator, bed.app, ops)
     bed.fs.checkpoint(bed.app)
     report = check_filesystem(bed.fs)
-    assert report.ok, report.render()
+    assert report.ok, report.errors
 
 
 @given(ops_strategy)
@@ -113,4 +113,4 @@ def test_hierarchy_survives_crash(ops):
     fs2 = remount(bed).fs
     verify_model(fs2, model)
     report = check_filesystem(fs2)
-    assert report.ok, report.render()
+    assert report.ok, report.errors

@@ -15,7 +15,7 @@ import pytest
 from repro import obs
 from repro.bench import harness
 from repro.blockdev import profiles
-from repro.blockdev.base import FreeCPU
+from repro.blockdev.base import CPUModel
 from repro.errors import (DirectoryNotEmpty, FileExists, FileNotFound,
                           NoSpace)
 from repro.ffs.filesystem import FFS
@@ -197,7 +197,7 @@ def test_cache_equals_bytes_under_random_namespace_ops(layout, seed):
         walks_checked += assert_coherent(fs)
         if layout is LFS:
             report = check_filesystem(fs, oracle=dict(m.files))
-            assert report.ok, report.render()
+            assert report.ok, report.errors
         for d in sorted(m.dirs):
             want = sorted(p.rsplit("/", 1)[1]
                           for p in list(m.dirs) + list(m.files)
@@ -472,7 +472,8 @@ def test_replay_over_a_dirty_directory_block(walked):
 
 def test_replay_on_a_free_cpu_charges_nothing(walked):
     (replay, n_replay), (loop, n_loop) = both_ways(
-        walked, cpu=FreeCPU(), repeat=3)
+        walked, cpu=CPUModel(copy_rate=float("inf"), per_block_op=0.0),
+        repeat=3)
     assert (n_replay, n_loop) == (0, 15)
     assert replay == loop
     assert replay["virt_s"] == 0.0 and replay["hits"] == 15
@@ -540,8 +541,8 @@ def test_migrated_directory_demand_fetches_on_warm_parse(parses):
         dir_inum = fs.lookup("/dir")
         bed.migrator.migrate_file(dir_inum)
         bed.migrator.flush()
-        assert fs.aspace.is_tertiary_daddr(
-            fs.bmap(fs.get_inode(dir_inum), 0))
+        assert fs.aspace.is_tertiary_segno(fs.aspace.segno_of(
+            fs.bmap(fs.get_inode(dir_inum), 0)))
         fs.service.flush_cache(app)   # eject the cache lines ...
         fs.drop_caches()              # ... and the buffers; parses stay
         assert dir_inum in fs._dirs

@@ -206,12 +206,6 @@ class TestInode:
         assert all(p == UNASSIGNED for p in ino.ib)
         assert len(ino.db) == NDADDR
 
-    def test_copy_is_independent(self):
-        ino = Inode(3)
-        clone = ino.copy()
-        clone.db[0] = 5
-        assert ino.db[0] == UNASSIGNED
-
     def test_inode_block_roundtrip(self):
         inodes = [Inode(i, size=i * 100) for i in range(1, 20)]
         block = pack_inode_block(inodes)

@@ -31,7 +31,7 @@ class TestWholeFileMigration:
         ino = hl.fs.get_inode(hl.fs.lookup("/f"))
         for lbn in range(3):
             daddr = hl.fs.bmap(ino, lbn)
-            assert hl.fs.aspace.is_tertiary_daddr(daddr)
+            assert hl.fs.aspace.is_tertiary_segno(hl.fs.aspace.segno_of(daddr))
 
     def test_old_disk_segments_lose_liveness(self, hl):
         hl.fs.write_path("/f", os.urandom(MB))
@@ -57,7 +57,7 @@ class TestWholeFileMigration:
         hl.fs.checkpoint()
         hl.migrator.migrate_file("/ind")
         ino = hl.fs.get_inode(hl.fs.lookup("/ind"))
-        assert hl.fs.aspace.is_tertiary_daddr(ino.ib[0])
+        assert hl.fs.aspace.is_tertiary_segno(hl.fs.aspace.segno_of(ino.ib[0]))
 
     def test_inode_migration_optional(self):
         bed = HLBed(migrate_inodes=True)
@@ -68,7 +68,7 @@ class TestWholeFileMigration:
         bed.migrator.flush()
         inum = bed.fs.lookup("/f")
         entry = bed.fs.ifile.imap_entry(inum)
-        assert bed.fs.aspace.is_tertiary_daddr(entry.daddr)
+        assert bed.fs.aspace.is_tertiary_segno(bed.fs.aspace.segno_of(entry.daddr))
         # Reading through the migrated inode still works.
         bed.fs._inodes.pop(inum, None)
         assert bed.fs.read_path("/f") == payload
@@ -97,7 +97,7 @@ class TestWholeFileMigration:
             bed.migrator.migrate_file(path)
         bed.migrator.flush()
         report = check_filesystem(bed.fs)
-        assert report.ok, report.render()
+        assert report.ok, report.errors
         bed.fs.tsegfile.mark_volume_full(0)
         TertiaryCleaner(bed.fs, bed.migrator, actor=bed.app).clean_volume(0)
         # The cleaned volume is consumed again, overwriting what it held.
@@ -112,7 +112,7 @@ class TestWholeFileMigration:
         for path, payload in data.items():
             assert bed.fs.read_path(path) == payload, path
         report = check_filesystem(bed.fs)
-        assert report.ok, report.render()
+        assert report.ok, report.errors
 
     def test_unstable_file_flushed_first(self, hl):
         inum = hl.fs.create("/dirty")
@@ -154,7 +154,7 @@ class TestBlockRangeMigration:
         hl.migrator.flush()
         ino = hl.fs.get_inode(hl.fs.lookup("/db"))
         assert hl.fs.aspace.is_disk_daddr(hl.fs.bmap(ino, 0))
-        assert hl.fs.aspace.is_tertiary_daddr(hl.fs.bmap(ino, 15))
+        assert hl.fs.aspace.is_tertiary_segno(hl.fs.aspace.segno_of(hl.fs.bmap(ino, 15)))
         assert hl.fs.read_path("/db") == payload
 
     def test_range_migration_keeps_inode_on_disk(self, hl):
@@ -217,7 +217,7 @@ class TestDemandFetch:
         ino = hl.fs.get_inode(inum)
         assert hl.fs.aspace.is_disk_daddr(hl.fs.bmap(ino, 0))
         # Later blocks are still tertiary.
-        assert hl.fs.aspace.is_tertiary_daddr(hl.fs.bmap(ino, 5))
+        assert hl.fs.aspace.is_tertiary_segno(hl.fs.aspace.segno_of(hl.fs.bmap(ino, 5)))
         assert hl.fs.read(inum, 0, 6) == b"fresh!"
 
     def test_update_kills_tertiary_liveness(self, hl):

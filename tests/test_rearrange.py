@@ -125,7 +125,7 @@ class TestRearrangement:
         for path, payload in data.items():
             assert bed.fs.read_path(path) == payload, path
         report = check_filesystem(bed.fs)
-        assert report.ok, report.render()
+        assert report.ok, report.errors
 
     def test_old_segments_released(self):
         bed, data, rearranger = _scattered_bed()

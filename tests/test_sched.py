@@ -57,7 +57,7 @@ def test_priority_order_within_volume_batch(classes):
     expected = sorted(((r, i) for i, r in enumerate(classes)),
                       key=lambda k: (PRIORITY[k[0]], k[1]))
     assert order == expected
-    assert len(sched) == 0
+    assert sched.queued() == 0
     assert sched.volume_switches == 1  # unmounted -> volume 7, once
 
 
@@ -168,7 +168,7 @@ def test_passthrough_preserves_fifo_order(classes):
     for i, rclass in enumerate(classes):
         assert sched.submit(rclass, app, lambda a, i=i: order.append(i))
     assert order == list(range(len(classes)))
-    assert len(sched) == 0
+    assert sched.queued() == 0
     assert sched.dispatch_log == []
     assert app.time == 0.0  # zero added virtual time
     assert sched.ioserver.account.total() == 0.0
@@ -211,7 +211,7 @@ def test_demand_class_never_queues_even_when_scheduled():
     ran = []
     assert sched.submit(CLASS_DEMAND, app, lambda a: ran.append("demand"))
     assert ran == ["demand"]
-    assert len(sched) == 0
+    assert sched.queued() == 0
 
 
 def test_unknown_class_and_mode_are_rejected():

@@ -363,7 +363,8 @@ def test_walk_that_evicts_its_own_root_goes_alone():
     other = twins.do("create", lambda fs: fs.create("/g"))
 
     def fill(fs):   # dirty buffers up to capacity, without a flush
-        for lbn in range(fs.bcache.capacity_blocks - len(fs.bcache)):
+        for lbn in range(fs.bcache.capacity_blocks
+                         - len(fs.bcache.lru_order())):
             fs.bcache.put((other, lbn), bytes(BLOCK_SIZE), dirty=True)
     twins.do("fill", fill)
     reads = twins.fs.stats.blocks_read
@@ -392,7 +393,7 @@ def test_double_indirect_file_migrates_and_reads_back():
     fs.sync(app)
     assert bed.migrator.migrate_file(inum, app) > 0
     bed.migrator.flush(app)
-    assert fs.aspace.is_tertiary_daddr(fs.get_inode(inum).ib[1])
+    assert fs.aspace.is_tertiary_segno(fs.aspace.segno_of(fs.get_inode(inum).ib[1]))
     fs.drop_caches(app, drop_inodes=True)
     assert fs.read(inum, (CHILD_EDGE - 20) * BLOCK_SIZE, len(data),
                    app) == data

@@ -28,11 +28,6 @@ class TestClock:
         clock.advance_to(9.0)
         assert clock.now == 9.0
 
-    def test_reset(self):
-        clock = VirtualClock(5.0)
-        clock.reset()
-        assert clock.now == 0.0
-
 
 class TestTimeAccount:
     def test_charge_and_get(self):
@@ -46,17 +41,6 @@ class TestTimeAccount:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             TimeAccount().charge("x", -1.0)
-
-    def test_percentages(self):
-        acct = TimeAccount()
-        acct.charge("a", 3.0)
-        acct.charge("b", 1.0)
-        pct = acct.percentages()
-        assert pct["a"] == 75.0
-        assert pct["b"] == 25.0
-
-    def test_percentages_empty(self):
-        assert TimeAccount().percentages() == {}
 
     def test_clear(self):
         acct = TimeAccount()

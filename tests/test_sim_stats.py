@@ -38,14 +38,6 @@ class TestVirtualClock:
         clock.advance_to(5.0)  # in the past: no-op
         assert clock.now == 10.0
 
-    def test_reset(self):
-        clock = VirtualClock()
-        clock.advance(100.0)
-        clock.reset()
-        assert clock.now == 0.0
-        clock.reset(3.0)
-        assert clock.now == 3.0
-
     def test_repr_shows_time(self):
         assert "1.5" in repr(VirtualClock(start=1.5))
 
@@ -69,18 +61,6 @@ class TestTimeAccount:
         acct.charge("io", 1.0)
         acct.breakdown()["io"] = 99.0
         assert acct.get("io") == 1.0
-
-    def test_percentages_sum_to_100(self):
-        acct = TimeAccount()
-        acct.charge("a", 1.0)
-        acct.charge("b", 3.0)
-        pct = acct.percentages()
-        assert pct["a"] == pytest.approx(25.0)
-        assert pct["b"] == pytest.approx(75.0)
-        assert sum(pct.values()) == pytest.approx(100.0)
-
-    def test_percentages_of_empty_account(self):
-        assert TimeAccount().percentages() == {}
 
     def test_clear(self):
         acct = TimeAccount()

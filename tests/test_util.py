@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from repro.util.bitmap import Bitmap
 from repro.util.checksum import cksum32, cksum_blocks
 from repro.util.lru import LRUTracker
-from repro.util.units import KB, MB, GB, TB, fmt_bytes, fmt_rate, fmt_time
+from repro.util.units import KB, MB, GB, TB, fmt_rate, fmt_time
 
 
 class TestUnits:
@@ -15,15 +15,6 @@ class TestUnits:
         assert MB == 1024 * KB
         assert GB == 1024 * MB
         assert TB == 1024 * GB
-
-    def test_fmt_bytes_exact(self):
-        assert fmt_bytes(10 * KB) == "10KB"
-        assert fmt_bytes(1 * MB) == "1MB"
-        assert fmt_bytes(848 * MB) == "848MB"
-        assert fmt_bytes(512) == "512B"
-
-    def test_fmt_bytes_fractional(self):
-        assert fmt_bytes(int(14.5 * GB)) == "14.5GB"
 
     def test_fmt_rate(self):
         assert fmt_rate(451 * KB) == "451KB/s"
@@ -90,7 +81,7 @@ class TestLRUTracker:
         lru = LRUTracker()
         for k in "abc":
             lru.touch(k)
-        assert lru.lru() == "a"
+        assert next(iter(lru)) == "a"
         assert list(lru)[-1] == "c"
 
     def test_touch_promotes(self):
@@ -98,7 +89,7 @@ class TestLRUTracker:
         for k in "abc":
             lru.touch(k)
         lru.touch("a")
-        assert lru.lru() == "b"
+        assert next(iter(lru)) == "b"
         assert list(lru)[-1] == "a"
 
     def test_discard(self):
@@ -106,7 +97,7 @@ class TestLRUTracker:
         lru.touch("x")
         lru.discard("x")
         lru.discard("never-seen")
-        assert len(lru) == 0
+        assert list(lru) == []
 
     def test_iteration_order(self):
         lru = LRUTracker()
@@ -117,5 +108,4 @@ class TestLRUTracker:
 
     def test_empty(self):
         lru = LRUTracker()
-        assert lru.lru() is None
         assert list(lru) == []
