@@ -264,10 +264,15 @@ def materialize_refs(refs: Sequence[ExtentRef]) -> bytes:
     """Copy a ref list into one contiguous ``bytes`` (counted).
 
     The single-ref whole-``bytes`` case is free: the ref *is* already an
-    immutable contiguous image, so it is returned as-is.
+    immutable contiguous image, so it is returned as-is.  A single ref
+    into the shared zero buffer is free too, as a fresh ``bytes(n)``:
+    zero-filling is an allocation, not a copy, and the count must not
+    depend on how far :func:`zeros` has grown the buffer.
     """
     if len(refs) == 1:
         ref = refs[0]
+        if ref.buf is _zero_buf:
+            return bytes(ref.nbytes)
         if (isinstance(ref.buf, bytes) and ref.start == 0
                 and ref.nbytes == len(ref.buf)):
             return ref.buf

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.sim.actor import Actor
-from repro.util.units import KB
 
 FRAME_SIZE = 4096
 TOTAL_FRAMES = 12_500

@@ -1,8 +1,6 @@
 """Smoke tests for the benchmark harness at reduced scale, so the bench
 machinery is exercised by the plain test suite too."""
 
-import pytest
-
 from repro.bench import harness, tables
 from repro.bench.__main__ import main
 from repro.bench.policy_eval import SiteSpec, evaluate_policy

@@ -9,8 +9,6 @@ under the deterministic scheduler and verify integrity and determinism.
 import os
 import random
 
-import pytest
-
 from tests.conftest import HLBed
 from repro.lfs.check import check_filesystem
 from repro.lfs.cleaner import Cleaner, GreedyPolicy

@@ -9,7 +9,7 @@ from repro.core.daemon import AutoMigrationDaemon
 from repro.core.migrator import Migrator
 from repro.core.policies import STPPolicy
 from repro.lfs.check import check_filesystem
-from repro.util.units import KB, MB
+from repro.util.units import MB
 
 
 def _loaded_bed(fill_mb=20):

@@ -4,11 +4,9 @@ import os
 
 import pytest
 
-from tests.conftest import HLBed
 from repro.blockdev import profiles
-from repro.blockdev.disk import DiskDevice
 from repro.blockdev.striped import ConcatDevice
-from repro.errors import FileExists, InvalidArgument
+from repro.errors import InvalidArgument
 from repro.lfs.constants import (BLOCK_SIZE, MAX_LBN, NDADDR,
                                  PTRS_PER_BLOCK, UNASSIGNED)
 from repro.lfs.filesystem import LFS

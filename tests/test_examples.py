@@ -5,9 +5,7 @@ Examples are documentation that executes; these tests keep them honest.
 
 import importlib.util
 import pathlib
-import sys
 
-import pytest
 
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from repro.blockdev import datapath
 from repro.blockdev.datapath import (
     ExtentRef,
     block_views,
@@ -41,6 +42,21 @@ class TestExtentStoreBasics:
         assert st.read(0, 4) == bytes(4 * BS)
         assert not st.is_written(0)
         assert st.written_in_range(0, CAP) == 0
+
+    def test_hole_read_copy_count_ignores_zero_buffer_history(self,
+                                                               monkeypatch):
+        # The shared zero buffer only grows, so its length depends on
+        # what ran before in the process; a whole-hole read must count
+        # the same copies whether or not something grew it first.
+        st = fresh()
+        copied = []
+        for grow in (0, 1 << 20):
+            monkeypatch.setattr(datapath, "_zero_buf", bytes(0))
+            datapath.zeros(grow)
+            before = datapath.bytes_copied_total()
+            assert st.read(0, 4) == bytes(4 * BS)
+            copied.append(datapath.bytes_copied_total() - before)
+        assert copied[0] == copied[1]
 
     def test_write_read_roundtrip(self):
         st = fresh()

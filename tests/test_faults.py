@@ -724,7 +724,7 @@ class TestAlternateJukeboxes:
 
 class TestPublicAPI:
     def test_reexports_resolve_to_the_real_classes(self):
-        from repro.core.highlight import HighLightConfig, HighLightFS
+        from repro.core.highlight import HighLightFS
         from repro.faults.plan import FaultPlan as DeepFaultPlan
         assert repro.HighLightFS is HighLightFS
         assert repro.FaultPlan is DeepFaultPlan

@@ -8,7 +8,6 @@ workload script runs on both backends.
 """
 
 import json
-import os
 
 import pytest
 
@@ -18,7 +17,7 @@ from repro.cluster import ClusterNode, ClusterRouter
 from repro.core.highlight import HighLightConfig
 from repro.errors import (AdmissionRejected, FileNotFound, HandleClosed,
                           ReproError, UnknownTenant)
-from repro.frontend import (Client, Handle, NodeBackend, TenantBudget, load,
+from repro.frontend import (Handle, NodeBackend, TenantBudget, load,
                             open_cluster, open_node, slo)
 from repro.frontend.session import TokenBucket
 from repro.sched import CLASS_WRITEOUT, MODE_SCHEDULED

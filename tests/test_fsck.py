@@ -3,12 +3,9 @@
 import os
 import random
 
-import pytest
-
 from tests.conftest import HLBed
 from repro.lfs.check import check_filesystem
 from repro.lfs.cleaner import Cleaner, GreedyPolicy
-from repro.lfs.constants import UNASSIGNED
 from repro.lfs.filesystem import LFS
 from repro.util.units import KB, MB
 

@@ -7,10 +7,9 @@ import pytest
 
 from tests.conftest import HLBed
 from repro.blockdev.datapath import bytes_copied_total
-from repro.core.highlight import HighLightFS
 from repro.core.migrator import Migrator
 from repro.core.policies import (AccessRangeTracker, BlockRangePolicy,
-                                 NamespacePolicy, STPPolicy)
+                                 STPPolicy)
 from repro.core.prefetch import NoPrefetch, SequentialPrefetch, UnitPrefetch
 from repro.lfs.check import check_filesystem
 from repro.lfs.cleaner import Cleaner, GreedyPolicy

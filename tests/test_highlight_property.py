@@ -6,14 +6,12 @@ content must match at every read, the consistency checker must pass at
 the end, and a crash/remount must preserve everything.
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.stack import make_highlight, remount
-from repro.errors import ReproError
 from repro.lfs.check import check_filesystem
 from repro.lfs.cleaner import Cleaner, GreedyPolicy
-from repro.util.units import KB, MB
+from repro.util.units import MB
 
 FILES = ["/p0", "/p1", "/p2"]
 

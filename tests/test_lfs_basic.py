@@ -9,8 +9,6 @@ from repro.errors import (DirectoryNotEmpty, FileExists, FileNotFound,
                           IsADirectory, NotADirectory)
 from repro.ffs.filesystem import FFS
 from repro.lfs.constants import BLOCK_SIZE, IFILE_INUM, ROOT_INUM
-from repro.lfs.filesystem import LFS
-from repro.lfs.inode import S_IFDIR
 
 
 class TestFileIO:

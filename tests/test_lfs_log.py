@@ -9,9 +9,8 @@ from repro.errors import NoSpace
 from repro.lfs.cleaner import (Cleaner, CostBenefitPolicy, GreedyPolicy,
                                walk_segment)
 from repro.lfs.constants import BLOCK_SIZE, UNASSIGNED
-from repro.lfs.filesystem import LFS, LFSConfig
+from repro.lfs.filesystem import LFS
 from repro.lfs.summary import SegmentSummary
-from repro.sim.actor import Actor
 from repro.util.units import MB
 
 

@@ -5,7 +5,6 @@ sequences; every read must match, before and after sync/checkpoint/
 remount, and segment accounting invariants must hold throughout.
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.blockdev import profiles

@@ -8,7 +8,7 @@ from repro.errors import ChecksumError, CorruptFilesystem, InvalidArgument
 from repro.lfs.constants import (BLOCK_SIZE, INODE_SIZE, INODES_PER_BLOCK,
                                  NDADDR, UNASSIGNED)
 from repro.lfs.directory import Directory, pack_entries, unpack_entries
-from repro.lfs.ifile import IFile, IMapEntry, SEG_CACHED, SEG_CLEAN, SegUse
+from repro.lfs.ifile import IFile, SEG_CACHED, SEG_CLEAN, SegUse
 from repro.lfs.inode import (Inode, S_IFDIR, S_IFREG, find_inode_in_block,
                              pack_inode_block, unpack_inode_block)
 from repro.lfs.summary import FileInfo, SegmentSummary

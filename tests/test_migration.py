@@ -5,11 +5,11 @@ import os
 import pytest
 
 from tests.conftest import HLBed
-from repro.core.migrator import MigrationPipeline, Migrator
+from repro.core.migrator import MigrationPipeline
 from repro.core.tcleaner import TertiaryCleaner
 from repro.errors import MigrationError
 from repro.lfs.check import check_filesystem
-from repro.lfs.constants import BLOCK_SIZE, NDADDR, UNASSIGNED
+from repro.lfs.constants import BLOCK_SIZE, NDADDR
 from repro.sim.actor import Actor
 from repro.util.units import KB, MB
 

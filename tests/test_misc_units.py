@@ -10,7 +10,7 @@ from repro.errors import (DeviceError, FilesystemError, MigrationError,
                           ReproError)
 import repro.errors as errors_mod
 from repro.lfs.constants import BLOCK_SIZE, NDADDR, UNASSIGNED
-from repro.lfs.summary import SS_DIROP, SegmentSummary
+from repro.lfs.summary import SS_DIROP
 from repro.lfs.cleaner import walk_segment
 from repro.lfs.ufs import CLUSTER_BLOCKS
 from repro.util.units import KB

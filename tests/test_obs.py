@@ -6,7 +6,7 @@ import pytest
 
 from repro import obs
 from repro.sched.scheduler import TABLE4_CATEGORIES
-from repro.obs.registry import (DEFAULT_BUCKETS, Histogram, MetricError,
+from repro.obs.registry import (DEFAULT_BUCKETS, MetricError,
                                 MetricsRegistry)
 from repro.obs.report import snapshot, write_snapshot
 from repro.obs.trace import (EVENT_TYPES, TraceError, TraceEvent,

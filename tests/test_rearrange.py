@@ -11,7 +11,6 @@ from repro.core.tcleaner import TertiaryCleaner
 from repro.lfs.check import check_filesystem
 from repro.lfs.constants import BLOCK_SIZE
 from repro.lfs.summary import SegmentSummary
-from repro.sim.actor import Actor
 from repro.util.units import KB, MB
 
 SEG_PAYLOAD = 254 * 4096  # one tertiary segment per file

@@ -2,8 +2,6 @@
 
 import os
 
-import pytest
-
 from tests.conftest import HLBed
 from repro.sched.scheduler import (CAT_DISK_WRITE, CAT_FOOTPRINT_READ,
                                    CAT_FOOTPRINT_WRITE, CAT_IOSERVER_READ)

@@ -17,7 +17,7 @@ from repro.lfs.check import check_filesystem
 from repro.lfs.constants import BLOCK_SIZE
 from repro.lfs.filesystem import LFS
 from repro.sim.actor import Actor
-from repro.util.units import KB, MB
+from repro.util.units import MB
 
 
 class TornWriteDisk:

@@ -5,10 +5,9 @@ import pytest
 from repro.core.policies.ejection import (LeastWorthyEjection, LRUEjection,
                                           RandomEjection)
 from repro.core.tsegfile import TSegFile, VolumeMeta
-from repro.errors import InvalidArgument, StagingFull, TertiaryExhausted
+from repro.errors import InvalidArgument, TertiaryExhausted
 from repro.lfs.constants import UNASSIGNED
-from repro.lfs.ifile import SEG_CACHED, SEG_STAGING
-from repro.sim.actor import Actor
+from repro.lfs.ifile import SEG_CACHED
 
 
 def tsegfile(counts=(4, 4)):

@@ -4,10 +4,9 @@ import pytest
 
 from tests.conftest import HLBed
 from repro.bench import harness
-from repro.sim.actor import Actor
 from repro.util.units import KB, MB
 from repro.workloads.checkpoints import CheckpointWorkload
-from repro.workloads.database import DatabaseWorkload, PAGE
+from repro.workloads.database import DatabaseWorkload
 from repro.workloads.filetree import TreeSpec, build_tree
 from repro.workloads.largeobject import (FRAME_SIZE, LargeObjectBenchmark,
                                          PhaseResult)
