@@ -39,6 +39,7 @@ _MUTATOR_SUFFIXES: Tuple[Tuple[str, ...], ...] = (
     ("sleep",),
     ("sleep_until",),
     ("clock", "advance"),
+    ("clock", "advance_each"),
     ("clock", "advance_to"),
     ("account", "charge"),
     ("account", "clear"),

@@ -10,7 +10,7 @@ simplified.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.blockdev.base import BlockDevice, CPUModel
 from repro.errors import InvalidArgument
@@ -124,16 +124,24 @@ class FFS(UFS):
              actor: Optional[Actor] = None) -> int:
         return self._block_map.get(ino.inum, {}).get(lbn, UNASSIGNED)
 
-    def bmap_cached(self, ino: Inode, lbn: int) -> int:
-        """The whole block map is in core: the same as :meth:`bmap`."""
-        return self.bmap(ino, lbn)
+    def bmap_cached_run(self, ino: Inode, lbn: int, n: int) -> List[int]:
+        """:meth:`bmap` of ``lbn .. lbn + n - 1``: the whole block map is
+        in core."""
+        bmap = self._block_map.get(ino.inum, {})
+        return [bmap.get(i, UNASSIGNED) for i in range(lbn, lbn + n)]
 
-    def _place(self, ino: Inode, lbn: int, actor: Actor) -> None:
-        """Allocate on first write; later operations reuse the location."""
+    def _place_run(self, ino: Inode, lbn: int, blocks: Sequence[bytes],
+                   actor: Actor) -> int:
+        """Buffer a prefix of ``blocks`` dirty at ``lbn`` on, allocating
+        each on its first write (later writes reuse the location);
+        returns its length."""
+        n = self.bcache.put_run(ino.inum, lbn, blocks, dirty=True)
         bmap = self._block_map.setdefault(ino.inum, {})
-        if lbn not in bmap:
-            bmap[lbn] = self.allocator.alloc(ino.inum)
-            ino.blocks += 1
+        for i in range(lbn, lbn + n):
+            if i not in bmap:
+                bmap[i] = self.allocator.alloc(ino.inum)
+                ino.blocks += 1
+        return n
 
     def _truncate_blocks(self, ino: Inode, new_size: int,
                          actor: Actor) -> None:

@@ -381,6 +381,26 @@ class LFS(UFS):
             return None
         return _PTR.unpack_from(block, index * 4)[0]
 
+    def bmap_cached_run(self, ino: Inode, lbn: int, n: int) -> List[int]:
+        """:meth:`bmap_cached` of ``lbn .. lbn + n - 1``, up to the first
+        block whose pointer is not in core: slices of the inode's and the
+        buffered pointer blocks' pointers."""
+        out: List[int] = []
+        end = min(lbn + n, MAX_LBN + 1)
+        while lbn < end:
+            plbn, index, stop = _locate(lbn)
+            k = min(stop, end) - lbn
+            if plbn is None:
+                ptrs, i = self._inode_ptrs(ino, index)
+                out += ptrs[i:i + k]
+            else:
+                block = self.bcache.peek((ino.inum, plbn))
+                if block is None:
+                    break
+                out += struct.unpack_from(f"<{k}I", block, index * 4)
+            lbn += k
+        return out
+
     def pointers_buffered(self, ino: Inode, lbn: int) -> bool:
         """Whether every pointer block on the way to ``lbn`` is buffered,
         so that bmaps and set_bmaps of its run only touch."""
@@ -534,12 +554,31 @@ class LFS(UFS):
     # Layout hooks of the shared UFS layer
     # ------------------------------------------------------------------
 
-    def _place(self, ino: Inode, lbn: int, actor: Actor) -> None:
-        """Count a block the write loop creates; the segment writer
-        gives it an address when it reaches the log."""
-        if (self.bcache.peek((ino.inum, lbn)) is None
-                and self.bmap(ino, lbn, actor) == UNASSIGNED):
-            ino.blocks += 1
+    def _place_run(self, ino: Inode, lbn: int, blocks: Sequence[bytes],
+                   actor: Actor) -> int:
+        """Buffer a prefix of ``blocks`` dirty at ``lbn`` on, counting each
+        new block; returns its length.
+
+        A block already buffered is only re-put.  Any other is bmapped
+        first, to see whether it is new: a run of them under one pointer
+        block is one walk, and every later block's walk touches that
+        path just before its own put (DESIGN.md "Buffer cache recency").
+        """
+        inum, bcache = ino.inum, self.bcache
+        if bcache.peek((inum, lbn)) is not None:
+            return bcache.put_run(inum, lbn, blocks, dirty=True)
+        plbn, index, end = _locate(lbn)
+        n = min(len(blocks), end - lbn)
+        if plbn is None:
+            ptrs, i = self._inode_ptrs(ino, index)
+            n = bcache.put_run(inum, lbn, blocks[:n], dirty=True)
+            ptrs = ptrs[i:i + n]
+        else:
+            block, path, n = self._walk(ino, plbn, n, actor, create=False)
+            n = bcache.put_run(inum, lbn, blocks[:n], dirty=True, touch=path)
+            ptrs = struct.unpack_from(f"<{n}I", block, index * 4)
+        ino.blocks += ptrs.count(UNASSIGNED)
+        return n
 
     def _write_behind(self, actor: Actor) -> None:
         self.segwriter.flush(actor)

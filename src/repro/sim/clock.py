@@ -26,6 +26,18 @@ class VirtualClock:
         self._now += duration
         return self._now
 
+    def advance_each(self, duration: float, times: int) -> float:
+        """Advance by ``duration``, ``times`` times over, and return the
+        new time: that many float additions, which on a float clock are
+        not one advance by ``times * duration``."""
+        if duration < 0:
+            raise ValueError(f"cannot advance clock by {duration!r} seconds")
+        now = self._now
+        for _ in range(times):
+            now += duration
+        self._now = now
+        return now
+
     def advance_to(self, when: float) -> float:
         """Advance to absolute time ``when`` (no-op if already past it)."""
         if when > self._now:

@@ -328,16 +328,16 @@ LEAF = "/a/b/c/leaf"                  # 5 directory blocks: /, /a, /a/b x2, /a/b
 
 @pytest.fixture
 def walked(monkeypatch):
-    """The ``(inum, lbn)`` of every ``LFS._read_block`` call: a replayed
-    lookup makes none."""
+    """The ``(inum, lbn)`` of every block ``LFS._read_blocks`` reads: a
+    replayed lookup reads none."""
     calls = []
-    real = LFS._read_block
+    real = LFS._read_blocks
 
-    def counting(self, ino, lbn, actor):
-        calls.append((ino.inum, lbn))
-        return real(self, ino, lbn, actor)
+    def counting(self, ino, lbn, end, actor):
+        calls.extend((ino.inum, n) for n in range(lbn, end))
+        return real(self, ino, lbn, end, actor)
 
-    monkeypatch.setattr(LFS, "_read_block", counting)
+    monkeypatch.setattr(LFS, "_read_blocks", counting)
     return calls
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the virtual-time simulation kernel."""
 
+import random
+
 import pytest
 
 from repro.sim.actor import Actor, TimeAccount
@@ -20,6 +22,15 @@ class TestClock:
     def test_advance_negative_rejected(self):
         with pytest.raises(ValueError):
             VirtualClock().advance(-1)
+
+    def test_advance_each_is_one_addition_per_time(self):
+        one, many = VirtualClock(3.0), VirtualClock(3.0)
+        for _ in range(1000):
+            one.advance(0.0008)
+        assert many.advance_each(0.0008, 1000) == one.now
+        assert one.now != 3.0 + 1000 * 0.0008  # why it is not one advance
+        with pytest.raises(ValueError):
+            many.advance_each(-1.0, 0)
 
     def test_advance_to_monotonic(self):
         clock = VirtualClock(5.0)
@@ -199,6 +210,97 @@ class TestScheduler:
         sched.add(Actor("a"), factory)
         sched.run()
         assert done == [True]
+
+
+class LinearScan:
+    """The reference scheduler: every step scans every task for the
+    smallest ``(clock, order)``; a WAIT parks a task until any task makes
+    progress."""
+
+    def __init__(self):
+        self.tasks = []   # [actor, gen, finished, waiting]
+
+    def add(self, actor, gen):
+        self.tasks.append([actor, gen, False, False])
+
+    def run(self):
+        while True:
+            ready = [(t[0].time, order, t)
+                     for order, t in enumerate(self.tasks)
+                     if not t[2] and not t[3]]
+            if not ready:
+                live = [t[0].name for t in self.tasks if not t[2]]
+                if live:
+                    raise DeadlockError(
+                        "all live tasks are waiting: " + ", ".join(live))
+                return
+            task = min(ready, key=lambda r: r[:2])[2]
+            try:
+                result = next(task[1])
+            except StopIteration:
+                task[2] = True
+                result = None
+            if result is WAIT:
+                task[3] = True
+            else:
+                for other in self.tasks:
+                    other[3] = False
+
+
+def random_world(seed, sched):
+    """Tasks that sleep, push another actor's clock, WAIT on others'
+    progress and add tasks mid-run, on fewer actors than tasks.  Each
+    task's choices come from its own seed, so the log depends only on
+    the order the scheduler steps them in."""
+    actors = [Actor(f"a{i}") for i in range(3)]
+    log, progress = [], [0]
+
+    def task(name, depth):
+        rng = random.Random(f"{seed}/{name}")
+        actor = actors[rng.randrange(len(actors))]
+        for step in range(rng.randint(1, 10)):
+            roll = rng.random()
+            if roll < 0.4:
+                actor.sleep(rng.choice([0.0, 0.5, 1.0, 2.5]))
+            elif roll < 0.55:
+                other = actors[rng.randrange(len(actors))]
+                other.sleep_until(actor.time + rng.choice([0.0, 1.0, 3.0]))
+            elif roll < 0.75:
+                seen, waits = progress[0], rng.randint(1, 3)
+                while progress[0] == seen and waits:
+                    waits -= 1
+                    log.append((name, "wait", actor.time))
+                    yield WAIT
+            elif roll < 0.85 and depth < 2:
+                child = f"{name}.{step}"
+                sched.add(actors[rng.randrange(len(actors))],
+                          task(child, depth + 1))
+            progress[0] += 1
+            log.append((name, step, actor.name, actor.time))
+            yield
+
+    for i in range(4):
+        rng = random.Random(f"{seed}/actor{i}")
+        sched.add(actors[rng.randrange(len(actors))], task(f"t{i}", 0))
+    try:
+        sched.run()
+    except DeadlockError as exc:
+        log.append(("deadlock", str(exc)))
+    return log
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_heap_steps_tasks_in_the_linear_scan_order(seed):
+    assert random_world(seed, Scheduler()) == random_world(seed, LinearScan())
+
+
+def test_the_random_worlds_reach_every_case():
+    logs = [random_world(seed, Scheduler()) for seed in range(60)]
+    names = {entry[0] for log in logs for entry in log}
+    assert any("." in name for name in names)  # tasks added mid-run
+    assert any(entry[1] == "wait" for log in logs for entry in log)
+    assert any(log[-1][0] == "deadlock" for log in logs)
+    assert any(log[-1][0] != "deadlock" for log in logs)
 
 
 class TestTimedQueue:
