@@ -46,15 +46,15 @@ class NodeBackend:
         self.migrator = migrator if migrator is not None \
             else getattr(fs, "migrator", None)
 
-    def exists(self, path: str) -> bool:
+    def exists(self, actor: Actor, path: str) -> bool:
         try:
-            self.fs.lookup(path)
+            self.fs.lookup(path, actor)
         except FileNotFound:
             return False
         return True
 
-    def size_of(self, path: str) -> int:
-        return self.fs.stat(path).size
+    def size_of(self, actor: Actor, path: str) -> int:
+        return self.fs.stat(path, actor).size
 
     def create(self, actor: Actor, path: str) -> None:
         self._ensure_parents(actor, path)
@@ -139,10 +139,10 @@ class ClusterBackend:
             node.actor.sleep_until(actor.time)
             yield node, key
 
-    def exists(self, path: str) -> bool:
+    def exists(self, actor: Actor, path: str) -> bool:
         return path in self.router.namespace
 
-    def size_of(self, path: str) -> int:
+    def size_of(self, actor: Actor, path: str) -> int:
         return self.router.size_of(path)
 
     def create(self, actor: Actor, path: str) -> None:

@@ -325,10 +325,10 @@ class Client:
                             tenant=ten.name, reason="open_handles").inc()
             raise AdmissionRejected(
                 f"tenant {ten.name!r} is at its open-handle cap ({cap})")
-        if not self.backend.exists(path):
+        if not self.backend.exists(actor, path):
             if not create:
                 # Typed FileNotFound, same as the path surfaces.
-                self.backend.size_of(path)
+                self.backend.size_of(actor, path)
             self.backend.create(actor, path)
         handle = Handle(self, self._next_fd, path, actor.name, ten.name)
         self._next_fd += 1
@@ -353,7 +353,7 @@ class Client:
              nbytes: int = -1) -> bytes:
         """Read through a handle, paced by the tenant's token bucket."""
         ten = self._check_open(handle, "read")
-        size = self.backend.size_of(handle.path)
+        size = self.backend.size_of(actor, handle.path)
         if nbytes < 0:
             nbytes = max(0, size - offset)
         nbytes = max(0, min(nbytes, size - offset))
@@ -385,7 +385,7 @@ class Client:
              tenant: Optional[str] = None) -> FileStat:
         """Size and identity of ``path`` (FileNotFound when absent)."""
         ten = self._resolve_tenant(tenant)
-        return FileStat(path=path, size=self.backend.size_of(path),
+        return FileStat(path=path, size=self.backend.size_of(actor, path),
                         tenant=ten.name)
 
     # -- background control plane ------------------------------------------------
@@ -401,7 +401,7 @@ class Client:
         cap — the flooding tenant pays its own drain time.
         """
         path, ten = self._target(target, tenant)
-        size = self.backend.size_of(path)
+        size = self.backend.size_of(actor, path)
         wait = ten.admit_bytes(actor, size)
         t0 = actor.time
         self.backend.migrate(actor, path)

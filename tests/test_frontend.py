@@ -120,6 +120,25 @@ def test_handle_round_trip_and_stat():
     client.close(app, handle)
 
 
+def test_path_resolution_is_charged_to_the_calling_actor():
+    """open, read, stat and close resolve the path on the worker's clock;
+    the filesystem's own actor stays where it was."""
+    client, bed = _node_client()
+    path, payload = "/data/deep/a.bin", b"payload " * 1024
+    handle = client.open(bed.app, path, create=True)
+    client.write(bed.app, handle, payload)
+    client.close(bed.app, handle)
+    bed.fs.drop_caches(bed.app)   # the walk then reads directory blocks
+    worker = Actor("worker")
+    kernel = bed.fs.actor.time
+    handle = client.open(worker, path)
+    assert client.read(worker, handle) == payload
+    assert client.stat(worker, path).size == len(payload)
+    client.close(worker, handle)
+    assert bed.fs.actor.time == kernel
+    assert worker.time > 0
+
+
 def test_double_close_raises_typed_error():
     client, bed = _node_client()
     handle = client.open(bed.app, "/x", create=True)
