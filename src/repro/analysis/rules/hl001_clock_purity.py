@@ -72,7 +72,7 @@ class HL001ClockPurity(Rule):
                             sf, node,
                             f"import of wall-clock symbol "
                             f"'{node.module}.{alias.name}'; use the "
-                            f"virtual clock (repro.sim.VirtualClock)"))
+                            f"virtual clock (repro.sim.clock.VirtualClock)"))
         imports = import_map(sf)
         for call in sf.calls:
             chain = dotted_chain(call.func)

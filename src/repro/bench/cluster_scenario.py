@@ -22,11 +22,12 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro import obs, sim
+from repro import obs
 from repro.cluster import ClusterNode, ClusterRouter, cluster_rollup
 from repro.core.highlight import HighLightConfig
 from repro.frontend import NodeBackend
 from repro.sim.actor import Actor
+from repro.sim.scheduler import Scheduler
 from repro.util.units import MB
 
 __all__ = ["run_cluster"]
@@ -114,7 +115,7 @@ def _run_workload(router: ClusterRouter, requests: Sequence[str],
                 yield path
         return gen
 
-    sched = sim.Scheduler()
+    sched = Scheduler()
     clients = [Actor(f"client{i}") for i in range(n_clients)]
     for i, client in enumerate(clients):
         sched.add(client, make_task(client, requests[i::n_clients]))

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.bench import harness
+from repro.errors import AddressError
 from repro.lfs.constants import RESERVED_BLOCKS, UNASSIGNED
 from repro.lfs.ifile import (SEG_ACTIVE, SEG_CACHED, SEG_CLEAN, SEG_DIRTY,
                              SEG_STAGING)
@@ -188,7 +189,6 @@ def figure4() -> FigureResult:
         "volumes_descend": v1 < v0,
         "dead_zone_errors": True,
     }
-    from repro.errors import AddressError
     try:
         aspace.check(aspace.seg_base((lo + hi) // 2))
         facts["dead_zone_errors"] = False

@@ -16,6 +16,7 @@ from repro.core.stack import (PARTITION_BYTES, Testbed, make_highlight,
                               preload_write_volume)
 from repro.ffs.filesystem import FFS
 from repro.lfs.filesystem import LFS, LFSConfig
+from repro.obs.report import write_snapshot
 from repro.sim.actor import Actor
 
 __all__ = ["Testbed", "make_ffs", "make_lfs", "make_highlight",
@@ -56,7 +57,6 @@ def dump_observability(name: str, out_dir: Optional[str] = None,
     quick flag) is recorded at the top of the snapshot.  Returns the
     path written.
     """
-    from repro.obs.report import write_snapshot
     out_dir = out_dir or os.environ.get(OBS_DIR_ENV) or DEFAULT_OBS_DIR
     safe = "".join(c if c.isalnum() or c in "-_." else "_" for c in name)
     path = os.path.join(out_dir, f"{safe}.json")

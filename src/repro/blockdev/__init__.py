@@ -4,9 +4,10 @@ The paper's testbed (HP 9000/370, DEC RZ57/RZ58 SCSI disks, an HP-IB
 HP7958A, and an HP 6300 magneto-optic autochanger) is replaced by
 data-bearing device simulators whose sequential rates are calibrated to the
 paper's Table 5 raw measurements.  Every device charges virtual time to the
-calling actor and occupies shared :class:`~repro.sim.TimelineResource`
-objects (SCSI bus, disk arm, robot picker) so cross-actor contention
-emerges the same way it did on the real hardware.
+calling actor and occupies shared
+:class:`~repro.sim.resources.TimelineResource` objects (SCSI bus, disk
+arm, robot picker) so cross-actor contention emerges the same way it did
+on the real hardware.
 """
 
 from repro.blockdev.base import BlockDevice, DeviceStats, CPUModel

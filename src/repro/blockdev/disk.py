@@ -12,28 +12,28 @@ from repro.sim.actor import Actor
 from repro.sim.resources import TimelineResource, occupy_all
 
 
-class DiskDevice(BlockDevice):
-    """A single-spindle magnetic disk.
+class Head:
+    """One seek-and-rotate head model: a disk's arm or an MO drive's head
+    (MO drives behave like slow disks).
 
-    The arm is a :class:`TimelineResource`; when two actors (say the
-    migrator and the I/O server) interleave operations on one disk, every
+    The head is a :class:`TimelineResource`; when two actors (say the
+    migrator and the I/O server) interleave operations on it, every
     operation that does not continue the *immediately preceding* physical
     position pays seek + rotation, which is the entire story behind the
     paper's Table 6 "disk arm contention" phase.
     """
 
-    def __init__(self, profile: DiskProfile, name: Optional[str] = None,
-                 bus: Optional[SCSIBus] = None) -> None:
-        super().__init__(name or profile.name, profile.capacity_blocks,
-                         profile.block_size)
+    def __init__(self, name: str, profile: DiskProfile,
+                 bus: Optional[SCSIBus]) -> None:
         self.profile = profile
         self.bus = bus
-        self.arm = TimelineResource(f"{self.name}.arm")
-        # Physical continuity state for streaming detection.
+        self.timeline = TimelineResource(name)
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget the position (a fresh platter has no history)."""
         self._last_end_blk: Optional[int] = None
         self._last_end_time = float("-inf")
-
-    # -- timing -----------------------------------------------------------
 
     def _positioning(self, actor: Actor, blkno: int) -> float:
         """Seek + rotation cost for an op starting at ``blkno``, or 0 if
@@ -55,30 +55,40 @@ class DiskDevice(BlockDevice):
             seek = self.profile.seek(self._last_end_blk, blkno)
         return seek + self.profile.avg_rotational_latency
 
-    def _do_io(self, actor: Actor, blkno: int, nbytes: int,
-               is_write: bool) -> tuple:
+    def io(self, actor: Actor, blkno: int, nbytes: int,
+           is_write: bool) -> tuple:
+        """Charge one operation to ``actor``; returns (positioning,
+        transfer) seconds."""
         pos = self._positioning(actor, blkno)
         xfer = self.profile.transfer(nbytes, is_write)
-        overhead = self.profile.per_op_overhead
-        # Seek/rotation holds only the arm (the device disconnects from the
-        # bus); the transfer holds arm + bus together.
-        self.arm.occupy(actor, overhead + pos)
+        # Seek/rotation holds only the head (the device disconnects from
+        # the bus); the transfer holds head + bus together.
+        self.timeline.occupy(actor, self.profile.per_op_overhead + pos)
         if self.bus is not None:
             wire = nbytes / self.bus.bandwidth
-            occupy_all(actor, [self.arm, self.bus], max(xfer, wire))
+            occupy_all(actor, [self.timeline, self.bus], max(xfer, wire))
         else:
-            self.arm.occupy(actor, xfer)
-        self._last_end_blk = blkno + nbytes // self.block_size
+            self.timeline.occupy(actor, xfer)
+        self._last_end_blk = blkno + nbytes // self.profile.block_size
         self._last_end_time = actor.time
         return pos, xfer
 
-    # -- BlockDevice API ----------------------------------------------------
+
+class DiskDevice(BlockDevice):
+    """A single-spindle magnetic disk: one :class:`Head`, the arm."""
+
+    def __init__(self, profile: DiskProfile, name: Optional[str] = None,
+                 bus: Optional[SCSIBus] = None) -> None:
+        super().__init__(name or profile.name, profile.capacity_blocks,
+                         profile.block_size)
+        self.profile = profile
+        self.arm = Head(f"{self.name}.arm", profile, bus)
 
     def read_refs(self, actor: Actor, blkno: int,
                   nblocks: int) -> List[ExtentRef]:
         refs = self.store.read_refs(blkno, nblocks)
         nbytes = nblocks * self.block_size
-        pos, xfer = self._do_io(actor, blkno, nbytes, is_write=False)
+        pos, xfer = self.arm.io(actor, blkno, nbytes, is_write=False)
         self.stats.record("read", nbytes, pos, xfer)
         return refs
 
@@ -86,5 +96,5 @@ class DiskDevice(BlockDevice):
         nbytes = sum(map(len, parts))
         self.store.check_range(blkno, nbytes // self.block_size)
         self.store.writev(blkno, parts)
-        pos, xfer = self._do_io(actor, blkno, nbytes, is_write=True)
+        pos, xfer = self.arm.io(actor, blkno, nbytes, is_write=True)
         self.stats.record("write", nbytes, pos, xfer)

@@ -322,7 +322,6 @@ class ExtentStore(DataStore):
 
     def restore(self, image: object) -> None:
         if not isinstance(image, list):
-            from repro.errors import InvalidArgument
             raise InvalidArgument("not an ExtentStore image")
         san = sanitizer()
         if san is not None:

@@ -19,8 +19,8 @@ from repro.blockdev.base import DeviceStats
 from repro.blockdev.bus import SCSIBus
 from repro.blockdev.datapath import BlockIO, ExtentRef, Part
 from repro.blockdev.extent import ExtentStore
-from repro.errors import (DriveBusy, EndOfMedium, NoSuchVolume,
-                          ReadOnlyMedium, VolumeNotLoaded)
+from repro.errors import (DriveBusy, EndOfMedium, MediaFailure,
+                          NoSuchVolume, ReadOnlyMedium, VolumeNotLoaded)
 from repro.faults.health import VolumeHealth
 from repro.sim.actor import Actor
 from repro.sim.resources import TimelineResource
@@ -79,7 +79,6 @@ class Drive(BlockIO, ABC):
         if self.loaded is None:
             raise VolumeNotLoaded(f"drive {self.name} is empty")
         if not self.loaded.health.serving:
-            from repro.errors import MediaFailure
             raise MediaFailure(
                 f"volume {self.loaded.volume_id} has failed "
                 f"({self.loaded.health.value})",

@@ -12,10 +12,10 @@ from typing import List, Optional, Sequence
 
 from repro.blockdev.bus import SCSIBus
 from repro.blockdev.datapath import ExtentRef, Part
+from repro.blockdev.disk import Head
 from repro.blockdev.geometry import DiskProfile
 from repro.blockdev.jukebox import Drive, RemovableVolume
 from repro.sim.actor import Actor
-from repro.sim.resources import TimelineResource, occupy_all
 
 
 class MOPlatter(RemovableVolume):
@@ -23,58 +23,25 @@ class MOPlatter(RemovableVolume):
 
 
 class MODrive(Drive):
-    """A magneto-optic reader/writer with disk-like positioning costs."""
+    """A magneto-optic reader/writer: a disk's :class:`Head` over
+    whichever platter is loaded."""
 
     def __init__(self, name: str, profile: DiskProfile,
                  bus: Optional[SCSIBus] = None) -> None:
         super().__init__(name, bus)
         self.profile = profile
-        self.head = TimelineResource(f"{name}.head")
-        self._last_end_blk: Optional[int] = None
-        self._last_end_time = float("-inf")
+        self.head = Head(f"{name}.head", profile, bus)
 
     def on_load(self, volume: RemovableVolume) -> None:
         super().on_load(volume)
-        self._last_end_blk = None  # fresh platter: no positioning history
-        self._last_end_time = float("-inf")
-
-    def _positioning(self, actor: Actor, blkno: int) -> float:
-        streams = (
-            self._last_end_blk is not None
-            and blkno == self._last_end_blk
-            and actor.time - self._last_end_time <= self.profile.streaming_gap
-        )
-        if streams:
-            return 0.0
-        if self._last_end_blk is None:
-            seek = self.profile.avg_seek
-        elif blkno == self._last_end_blk:
-            return self.profile.rotation_time  # blown revolution, no seek
-        else:
-            seek = self.profile.seek(self._last_end_blk, blkno)
-        return seek + self.profile.avg_rotational_latency
-
-    def _do_io(self, actor: Actor, blkno: int, nbytes: int,
-               is_write: bool) -> tuple:
-        pos = self._positioning(actor, blkno)
-        xfer = self.profile.transfer(nbytes, is_write)
-        self.head.occupy(actor, self.profile.per_op_overhead + pos)
-        if self.bus is not None:
-            wire = nbytes / self.bus.bandwidth
-            occupy_all(actor, [self.head, self.bus], max(xfer, wire))
-        else:
-            self.head.occupy(actor, xfer)
-        nblocks = nbytes // self.profile.block_size
-        self._last_end_blk = blkno + nblocks
-        self._last_end_time = actor.time
-        return pos, xfer
+        self.head.reset()
 
     def read_refs(self, actor: Actor, blkno: int,
                   nblocks: int) -> List[ExtentRef]:
         volume = self.require_loaded()
         refs = volume.store.read_refs(blkno, nblocks)
         nbytes = nblocks * volume.block_size
-        pos, xfer = self._do_io(actor, blkno, nbytes, is_write=False)
+        pos, xfer = self.head.io(actor, blkno, nbytes, is_write=False)
         self.stats.record("read", nbytes, pos, xfer)
         return refs
 
@@ -83,5 +50,5 @@ class MODrive(Drive):
         nbytes = sum(map(len, parts))
         self._pre_write(volume, blkno, nbytes // volume.block_size)
         volume.store.writev(blkno, parts)
-        pos, xfer = self._do_io(actor, blkno, nbytes, is_write=True)
+        pos, xfer = self.head.io(actor, blkno, nbytes, is_write=True)
         self.stats.record("write", nbytes, pos, xfer)

@@ -227,15 +227,20 @@ class ClusterRouter:
 
     def _read_extents(self, client: Actor, path: str, offset: int,
                       nbytes: int) -> bytes:
-        pieces: List[Tuple[int, str, int, int]] = []  # (order, key, off, len)
+        holes: List[int] = []  # per piece: zero bytes after the shard's part
         by_shard: Dict[int, List[Tuple[int, str, int, int]]] = {}
         for order, (idx, in_ext, take) in enumerate(
                 self._extents(offset, nbytes)):
             key = extent_key(path, idx)
-            shard_id = self.shard_of(key)
-            piece = (order, key, in_ext, take)
-            pieces.append(piece)
-            by_shard.setdefault(shard_id, []).append(piece)
+            shard_id = self.placement.get(key)
+            # A stripe never written, or the unwritten tail of a short
+            # one, is a hole: it reads as zeros with no shard I/O.
+            have = 0 if shard_id is None else max(0, min(
+                take, self.nodes[shard_id].objects.get(key, 0) - in_ext))
+            holes.append(take - have)
+            if have:
+                by_shard.setdefault(shard_id, []).append(
+                    (order, key, in_ext, have))
 
         def make_reader(shard_id: int,
                         parts: List[Tuple[int, str, int, int]]
@@ -250,13 +255,20 @@ class ClusterRouter:
 
             return run
 
-        plan = {sid: (sum(p[3] for p in parts), make_reader(sid, parts))
-                for sid, parts in by_shard.items()}
-        results = self._dispatch_many(client, "read", plan)
         chunks: Dict[int, bytes] = {}
-        for per_shard in results.values():
-            chunks.update(per_shard)
-        return b"".join(chunks[order] for order, _k, _o, _n in pieces)
+        if by_shard:
+            plan = {sid: (sum(p[3] for p in parts), make_reader(sid, parts))
+                    for sid, parts in by_shard.items()}
+            for per_shard in self._dispatch_many(client, "read",
+                                                 plan).values():
+                chunks.update(per_shard)
+        out: List[bytes] = []
+        for order, hole in enumerate(holes):
+            if order in chunks:
+                out.append(chunks[order])
+            if hole:
+                out.append(bytes(hole))
+        return b"".join(out)
 
     # -- maintenance views -------------------------------------------------------
 

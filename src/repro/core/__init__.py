@@ -14,22 +14,3 @@ Extends the LFS substrate with a storage hierarchy (paper §4-§6):
   ``migrator``, with the policy zoo in ``policies``;
 * the assembled filesystem — ``highlight.HighLightFS``.
 """
-
-from repro.core.addressing import AddressSpace, BlockMapDriver
-from repro.core.tsegfile import TSegFile, VolumeMeta
-from repro.core.segcache import SegmentCache
-from repro.core.service import ServiceProcess
-from repro.core.ioserver import IOServer
-from repro.core.migrator import Migrator
-from repro.core.highlight import HighLightFS, HighLightConfig
-from repro.core import policies
-
-__all__ = [
-    "AddressSpace", "BlockMapDriver",
-    "TSegFile", "VolumeMeta",
-    "SegmentCache",
-    "ServiceProcess", "IOServer",
-    "Migrator",
-    "HighLightFS", "HighLightConfig",
-    "policies",
-]

@@ -19,7 +19,7 @@ from repro.core.addressing import AddressSpace, BlockMapDriver
 from repro.core.ioserver import IOServer
 from repro.core.segcache import SegmentCache
 from repro.core.service import ServiceProcess
-from repro.core.tsegfile import TSegFile
+from repro.core.tsegfile import TSegFile, VolumeMeta
 from repro.errors import InvalidArgument, NoSpace
 from repro.faults.health import HealthRegistry
 from repro.footprint.interface import FootprintInterface
@@ -184,7 +184,6 @@ class HighLightFS(LFS):
         else:
             use_nominal = config.expected_capacity == "nominal"
             metas = []
-            from repro.core.tsegfile import VolumeMeta
             for info in footprint.volumes():
                 blocks = (info.capacity_blocks if use_nominal
                           else info.effective_capacity_blocks)

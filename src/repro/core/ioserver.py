@@ -12,7 +12,7 @@ while the migrator is simultaneously gathering blocks and filling fresh
 staging lines, every chunk pays arm repositioning — Table 6's "disk arm
 contention" phase is exactly this interleaving.
 
-All phase durations are recorded in a :class:`~repro.sim.TimeAccount`
+All phase durations are recorded in a :class:`~repro.sim.actor.TimeAccount`
 using the paper's Table 4 categories, which
 :data:`repro.sched.scheduler.TABLE4_CATEGORIES` names.
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro import obs
+from repro.core.policies.ejection import LRUEjection
 from repro.errors import StagingFull
 from repro.lfs.constants import UNASSIGNED
 from repro.lfs.ifile import SEG_CACHED, SEG_CLEAN, SEG_STAGING
@@ -30,7 +31,6 @@ class SegmentCache:
     """Cache directory + line lifecycle for tertiary segments on disk."""
 
     def __init__(self, fs, max_lines: int, ejection_policy=None) -> None:
-        from repro.core.policies.ejection import LRUEjection
         self.fs = fs
         self.max_lines = max_lines
         self.policy = ejection_policy or LRUEjection()

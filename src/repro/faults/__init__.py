@@ -13,48 +13,23 @@ The subsystem has two halves:
   :class:`RepairDaemon` (:mod:`repro.faults.repair`).
 
 See docs/FAULTS.md for the fault model and the health state machine.
-
-Attribute access is lazy (PEP 562): ``repro.blockdev.jukebox`` imports
-:mod:`repro.faults.health` for the :class:`VolumeHealth` enum, and an
-eager ``__init__`` here would close an import cycle back through
-``repro.core``.
 """
 
-from __future__ import annotations
+from repro.faults.health import EV_QUARANTINE, HealthRegistry, VolumeHealth
+from repro.faults.plan import (EV_FAULT_INJECT, FAULT_KINDS, KIND_DRIVE_TIMEOUT,
+                               KIND_MEDIA_DEAD, KIND_MEDIA_ERROR,
+                               KIND_MOUNT_FAILURE, KIND_SLOW_IO, FaultInjector,
+                               FaultPlan, FaultSpec)
+from repro.faults.recovery import FaultManager
+from repro.faults.repair import RepairDaemon
+from repro.faults.retry import (CLASS_REPAIR, DEFAULT_CLASS_POLICIES, EV_RETRY,
+                                RetryClassPolicy, RetryPolicy)
 
-_EXPORTS = {
-    "VolumeHealth": "repro.faults.health",
-    "HealthRegistry": "repro.faults.health",
-    "EV_QUARANTINE": "repro.faults.health",
-    "FaultSpec": "repro.faults.plan",
-    "FaultPlan": "repro.faults.plan",
-    "FaultInjector": "repro.faults.plan",
-    "EV_FAULT_INJECT": "repro.faults.plan",
-    "KIND_MEDIA_ERROR": "repro.faults.plan",
-    "KIND_MEDIA_DEAD": "repro.faults.plan",
-    "KIND_MOUNT_FAILURE": "repro.faults.plan",
-    "KIND_DRIVE_TIMEOUT": "repro.faults.plan",
-    "KIND_SLOW_IO": "repro.faults.plan",
-    "FAULT_KINDS": "repro.faults.plan",
-    "RetryClassPolicy": "repro.faults.retry",
-    "RetryPolicy": "repro.faults.retry",
-    "DEFAULT_CLASS_POLICIES": "repro.faults.retry",
-    "CLASS_REPAIR": "repro.faults.retry",
-    "EV_RETRY": "repro.faults.retry",
-    "FaultManager": "repro.faults.recovery",
-    "RepairDaemon": "repro.faults.repair",
-}
-
-__all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str):
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module 'repro.faults' has no attribute "
-                             f"{name!r}")
-    import importlib
-    value = getattr(importlib.import_module(module), name)
-    globals()[name] = value  # cache for the next access
-    return value
-
+__all__ = [
+    "CLASS_REPAIR", "DEFAULT_CLASS_POLICIES", "EV_FAULT_INJECT",
+    "EV_QUARANTINE", "EV_RETRY", "FAULT_KINDS", "KIND_DRIVE_TIMEOUT",
+    "KIND_MEDIA_DEAD", "KIND_MEDIA_ERROR", "KIND_MOUNT_FAILURE",
+    "KIND_SLOW_IO", "FaultInjector", "FaultManager", "FaultPlan",
+    "FaultSpec", "HealthRegistry", "RepairDaemon", "RetryClassPolicy",
+    "RetryPolicy", "VolumeHealth",
+]

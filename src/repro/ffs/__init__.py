@@ -17,8 +17,3 @@ The baseline is performance-faithful, not crash-faithful: it exists so
 Tables 2 and 3 have their comparison column, and it persists enough
 metadata (inodes, directories, data) to round-trip file content.
 """
-
-from repro.ffs.allocator import CylinderGroupAllocator
-from repro.ffs.filesystem import FFS
-
-__all__ = ["CylinderGroupAllocator", "FFS"]

@@ -7,8 +7,3 @@ robot, or the Sony WORM jukebox.  This package is that abstraction: a
 segment-granular volume API plus an implementation over the jukebox
 simulators.
 """
-
-from repro.footprint.interface import FootprintInterface, VolumeInfo
-from repro.footprint.robot import JukeboxFootprint
-
-__all__ = ["FootprintInterface", "VolumeInfo", "JukeboxFootprint"]

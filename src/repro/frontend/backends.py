@@ -3,7 +3,7 @@
 Lustre keeps one narrow client protocol over interchangeable server
 stacks; this module does the same for the repo's two data planes:
 
-* :class:`NodeBackend` — a single :class:`~repro.core.HighLightFS`
+* :class:`NodeBackend` — a single :class:`~repro.core.highlight.HighLightFS`
   stack (disk cache + jukebox) with its
   :class:`~repro.core.service.ServiceProcess`, migrator, and
   :class:`~repro.sched.TertiaryScheduler`;
@@ -24,6 +24,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.errors import FileNotFound, InvalidArgument
+from repro.frontend.session import Client
 from repro.sched import CLASS_WRITEOUT
 from repro.sim.actor import Actor
 
@@ -189,12 +190,10 @@ def open_node(fs, migrator=None, default_budget=None):
     """A :class:`~repro.frontend.session.Client` over one HighLight
     stack.  ``fs`` may be a ``HighLightFS`` or any testbed object with
     ``.fs`` (and ``.migrator``) attributes."""
-    from repro.frontend.session import Client
     return Client(NodeBackend(fs, migrator), default_budget=default_budget)
 
 
 def open_cluster(router, default_budget=None):
     """A :class:`~repro.frontend.session.Client` over a sharded
     :class:`~repro.cluster.router.ClusterRouter`."""
-    from repro.frontend.session import Client
     return Client(ClusterBackend(router), default_budget=default_budget)

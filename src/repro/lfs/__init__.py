@@ -9,22 +9,3 @@ All on-media structures are genuinely byte-serialised: recovery really
 scans the log, checksums really catch torn partial segments, and file data
 round-trips bit-for-bit through the block devices.
 """
-
-from repro.lfs.constants import (BLOCK_SIZE, SEGMENT_SIZE, BLOCKS_PER_SEG,
-                                 UNASSIGNED, IFILE_INUM, ROOT_INUM)
-from repro.lfs.superblock import Superblock
-from repro.lfs.summary import SegmentSummary, FileInfo
-from repro.lfs.inode import Inode, S_IFREG, S_IFDIR
-from repro.lfs.ifile import IFile, SegUse, SEG_CLEAN, SEG_DIRTY, SEG_ACTIVE, SEG_CACHED
-from repro.lfs.filesystem import LFS, LFSConfig
-from repro.lfs.cleaner import Cleaner, GreedyPolicy, CostBenefitPolicy
-
-__all__ = [
-    "BLOCK_SIZE", "SEGMENT_SIZE", "BLOCKS_PER_SEG", "UNASSIGNED",
-    "IFILE_INUM", "ROOT_INUM",
-    "Superblock", "SegmentSummary", "FileInfo",
-    "Inode", "S_IFREG", "S_IFDIR",
-    "IFile", "SegUse", "SEG_CLEAN", "SEG_DIRTY", "SEG_ACTIVE", "SEG_CACHED",
-    "LFS", "LFSConfig",
-    "Cleaner", "GreedyPolicy", "CostBenefitPolicy",
-]

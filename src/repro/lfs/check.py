@@ -27,13 +27,6 @@ For HighLight, additionally:
 * tertiary pointers land on allocated tertiary segments;
 * tsegfile allocation cursors are within bounds.
 
-When the superblock anchors a persistence area (``sb.persist_root``,
-see docs/RECOVERY.md), the checkpoint slots are validated too: both
-slots unreadable is an error, a single corrupt slot only a warning
-(dual slots exist precisely so one may be mid-write at a crash), and a
-persistence serial *ahead* of the superblock's checkpoint serial is an
-error — the LFS checkpoint is always made durable first.
-
 Callers that know what the filesystem *should* contain can pass an
 ``oracle`` mapping of path -> expected bytes; every entry is read back
 and compared, which is how the crash harness proves zero acknowledged
@@ -168,15 +161,13 @@ def check_filesystem(fs, actor: Actor | None = None,
 
     if getattr(fs, "cache", None) is not None:
         _check_highlight(fs, report)
-    if getattr(fs.sb, "persist_root", 0):
-        _check_persist_slots(fs, actor, report)
     if oracle:
-        _check_oracle(fs, actor, oracle, report)
+        check_oracle(fs, actor, oracle, report)
     return report
 
 
-def _check_oracle(fs, actor: Actor, oracle: Dict[str, bytes],
-                  report: CheckReport) -> None:
+def check_oracle(fs, actor: Actor, oracle: Dict[str, bytes],
+                 report: CheckReport) -> None:
     """Compare every oracle entry against what the tree actually holds."""
     for path in sorted(oracle):
         expected = oracle[path]
@@ -191,35 +182,6 @@ def _check_oracle(fs, actor: Actor, oracle: Dict[str, bytes],
             report.error(f"{path}: content differs from oracle "
                          f"({len(got)} vs {len(expected)} bytes, first "
                          f"divergence at offset {first})")
-
-
-def _check_persist_slots(fs, actor: Actor, report: CheckReport) -> None:
-    """Validate the dual persistence checkpoint slots (docs/RECOVERY.md)."""
-    from repro.persist.format import (SLOT_BASES, SLOT_BLOCKS,
-                                      PersistFormatError, decode_slot)
-    sb_serial = fs.sb.latest_checkpoint().serial
-    invalid = 0
-    nonblank = 0
-    for slot, base in enumerate(SLOT_BASES):
-        raw = fs.dev_read(actor, base, SLOT_BLOCKS)
-        try:
-            image = decode_slot(bytes(raw))
-        except PersistFormatError as exc:
-            invalid += 1
-            nonblank += 1
-            report.warn(f"persist slot {slot}: undecodable ({exc})")
-            continue
-        if image is None:
-            continue  # blank slot: never yet written
-        nonblank += 1
-        if image.serial > sb_serial:
-            report.error(
-                f"persist slot {slot}: serial {image.serial} is ahead of "
-                f"the superblock checkpoint serial {sb_serial}; the LFS "
-                "checkpoint must always be durable first")
-    if nonblank and invalid == nonblank:
-        report.error("no persistence slot is decodable (persist_root set "
-                     "but every written slot is corrupt)")
 
 
 def _check_file_blocks(fs, actor, path, ino, seen_daddrs, report) -> None:

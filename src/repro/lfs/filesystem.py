@@ -25,6 +25,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.blockdev.base import BlockDevice, CPUModel
 from repro.blockdev.datapath import materialize_refs
 from repro.errors import FileNotFound, InvalidArgument, NoSpace
+from repro.lfs import recovery
 from repro.lfs.constants import (BLOCK_SIZE, DOUBLE_ROOT_LBN, IFILE_INUM,
                                  MAX_LBN, NDADDR, PTRS_PER_BLOCK,
                                  RESERVED_BLOCKS, ROOT_INUM, SEGMENT_SIZE,
@@ -33,6 +34,7 @@ from repro.lfs.constants import (BLOCK_SIZE, DOUBLE_ROOT_LBN, IFILE_INUM,
 from repro.lfs.directory import Directory
 from repro.lfs.ifile import IFile, IMapEntry, SEG_ACTIVE, SEG_DIRTY, SegUse
 from repro.lfs.inode import (Inode, S_IFDIR, S_IFREG, find_inode_in_block)
+from repro.lfs.segwriter import SegmentWriter
 from repro.lfs.superblock import Checkpoint, Superblock
 from repro.lfs.ufs import BCACHE_BYTES, UFS, UFSStats
 from repro.sim.actor import Actor
@@ -128,8 +130,6 @@ class LFS(UFS):
         self.cur_offset: int = 0          # blocks consumed in cur segment
         self._mounted = False
 
-        # Late import to avoid a cycle; the writer needs the fs object.
-        from repro.lfs.segwriter import SegmentWriter
         self.segwriter = SegmentWriter(self)
 
     # ------------------------------------------------------------------
@@ -173,8 +173,7 @@ class LFS(UFS):
               cpu: Optional[CPUModel] = None,
               actor: Optional[Actor] = None) -> "LFS":
         """Mount an existing filesystem, rolling the log forward."""
-        from repro.lfs.recovery import mount as _mount
-        return _mount(cls, device, config, cpu, actor)
+        return recovery.mount(cls, device, config, cpu, actor)
 
     # ------------------------------------------------------------------
     # Address geometry (overridden by HighLight for the unified space)

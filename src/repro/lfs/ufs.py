@@ -14,7 +14,7 @@ clustering.  A layout subclass supplies:
 * ``_write_behind``, the flush a full buffer cache triggers;
 * ``_truncate_blocks``, ``_destroy_inode``, ``sync`` and ``checkpoint``.
 
-Every operation takes an :class:`~repro.sim.Actor` (defaulting to the
+Every operation takes an :class:`~repro.sim.actor.Actor` (defaulting to the
 filesystem's own "kernel" actor) and charges virtual device and CPU time.
 """
 

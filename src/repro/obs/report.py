@@ -12,6 +12,7 @@ import json
 import os
 from typing import Dict, Optional
 
+from repro import obs
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import TraceRecorder
 
@@ -29,7 +30,6 @@ def snapshot(metrics: Optional[MetricsRegistry] = None,
     recorded verbatim under the snapshot's ``header`` key, so a stored
     snapshot says *which* seeded run produced it.
     """
-    from repro import obs
     if metrics is None:
         obs.flush()  # publish lazily-accumulated deltas before reading
         metrics = obs.metrics()

@@ -25,9 +25,10 @@ restarts from the media.  The invariant under test is the
 **acknowledged-write contract**: every byte whose ``checkpoint()``
 returned before the crash reads back intact afterwards, and the
 recovered filesystem passes fsck.  Acknowledged content is tracked in a
-dict-model oracle (path -> bytes) handed to ``check_filesystem``.  Crash
-points are store-write indices counted from the moment the phase starts,
-so the same (phase, index, seed) triple always tears the same write.
+dict-model oracle (path -> bytes) that :meth:`CrashHarness.check` reads
+back after fsck and the persistence-slot check.  Crash points are
+store-write indices counted from the moment the phase starts, so the
+same (phase, index, seed) triple always tears the same write.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from repro.core.replicas import ReplicaManager
 from repro.core.stack import Testbed, make_farm, make_highlight, remount
 from repro.errors import ReproError
 from repro.faults.repair import RepairDaemon
-from repro.lfs.check import CheckReport, check_filesystem
+from repro.lfs.check import CheckReport, check_filesystem, check_oracle
+from repro.persist.format import check_persist_slots
 from repro.persist.manager import PersistManager
 from repro.util.units import KB, MB
 
@@ -292,9 +294,13 @@ class CrashHarness:
     # -- the invariant ------------------------------------------------------
 
     def check(self) -> CheckReport:
-        return check_filesystem(self.fs, self.app, oracle=self.oracle)
+        """fsck, then the persistence slots, then the oracle read-back."""
+        report = check_filesystem(self.fs, self.app)
+        check_persist_slots(self.fs, self.app, report)
+        check_oracle(self.fs, self.app, self.oracle, report)
+        return report
 
     def assert_acknowledged(self) -> None:
         """Every acknowledged byte reads back and fsck is clean."""
         report = self.check()
-        assert report.ok, report.render()
+        assert report.ok, report.errors

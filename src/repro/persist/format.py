@@ -191,3 +191,40 @@ def decode_slot(raw: bytes) -> Optional[PersistImage]:
         raise PersistFormatError(f"persistence payload inflate: {exc}") \
             from exc
     return PersistImage(serial=serial, sections=sections)
+
+
+def check_persist_slots(fs, actor, report) -> None:
+    """Validate the dual checkpoint slots of ``fs`` into an fsck
+    ``report`` (:class:`repro.lfs.check.CheckReport`), when the
+    superblock anchors a persistence area.
+
+    Both slots unreadable is an error, a single corrupt slot only a
+    warning (dual slots exist precisely so one may be mid-write at a
+    crash), and a serial *ahead* of the superblock's checkpoint serial
+    is an error — the LFS checkpoint is always made durable first.
+    """
+    if not fs.sb.persist_root:
+        return
+    sb_serial = fs.sb.latest_checkpoint().serial
+    invalid = 0
+    nonblank = 0
+    for slot, base in enumerate(SLOT_BASES):
+        raw = fs.dev_read(actor, base, SLOT_BLOCKS)
+        try:
+            image = decode_slot(bytes(raw))
+        except PersistFormatError as exc:
+            invalid += 1
+            nonblank += 1
+            report.warn(f"persist slot {slot}: undecodable ({exc})")
+            continue
+        if image is None:
+            continue  # blank slot: never yet written
+        nonblank += 1
+        if image.serial > sb_serial:
+            report.error(
+                f"persist slot {slot}: serial {image.serial} is ahead of "
+                f"the superblock checkpoint serial {sb_serial}; the LFS "
+                "checkpoint must always be durable first")
+    if nonblank and invalid == nonblank:
+        report.error("no persistence slot is decodable (persist_root set "
+                     "but every written slot is corrupt)")

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro import obs
+from repro.faults.health import VolumeHealth
 from repro.lfs.constants import BLOCK_SIZE
 from repro.persist.format import (SEC_CACHEMAP, SEC_COUNTERS, SEC_CRC_LEDGER,
                                   SEC_EPOCH, SEC_HEALTH, SEC_REPLICAS,
@@ -245,7 +246,6 @@ class PersistManager:
     def _restore_health(self, rows: List[list]) -> None:
         """Reinstate persisted health states without re-emitting the
         original quarantine events (history, not new transitions)."""
-        from repro.faults.health import VolumeHealth
         jukebox = self.health.jukebox
         for vid, state, errors, reason in rows:
             vol = jukebox.volumes.get(vid)

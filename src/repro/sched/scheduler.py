@@ -147,6 +147,10 @@ class TertiaryScheduler:
         self.queue_limits = dict(_DEFAULT_QUEUE_LIMITS)
         if queue_limits:
             self.queue_limits.update(queue_limits)
+        if self.queue_limits[CLASS_WRITEOUT] < 1:
+            # A write-out is never rejected, so a full queue force-drains
+            # its oldest; with room for none there is no oldest to drain.
+            raise ValueError("the write-out queue limit must be at least 1")
         #: Actor that pays for prefetch I/O in passthrough mode (it runs
         #: alongside the app, exactly as the service process's used to).
         self.prefetch_actor = Actor("prefetcher")
@@ -439,14 +443,6 @@ class TertiaryScheduler:
 
     def pump(self, actor: Actor, limit: Optional[int] = None) -> int:
         """Dispatch queued requests on ``actor``; returns the count."""
-        count = 0
-        for _ in self.pump_steps(actor, limit):
-            count += 1
-        return count
-
-    def pump_steps(self, actor: Actor,
-                   limit: Optional[int] = None) -> Iterator[None]:
-        """Generator form of :meth:`pump` (one yield per dispatch)."""
         dispatched = 0
         while self._queue and (limit is None or dispatched < limit):
             req = self._pick_next(actor.time)
@@ -455,7 +451,7 @@ class TertiaryScheduler:
             self._remove(req)
             self._dispatch(req, actor)
             dispatched += 1
-            yield
+        return dispatched
 
     def _pick_next(self, now: float) -> Optional[Request]:
         """Mount-batching elevator with aging and in-flight gating."""

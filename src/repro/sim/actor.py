@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Dict
 
+from repro import obs
 from repro.sim.clock import VirtualClock
 
 
@@ -30,7 +31,6 @@ class TimeAccount:
         self._buckets[category] = self._buckets.get(category, 0.0) + seconds
         series = self._series.get(category)
         if series is None:
-            from repro import obs
             series = self._series[category] = obs.counter(
                 "time_account_seconds_total",
                 "virtual seconds charged to accounting categories",

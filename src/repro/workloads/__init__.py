@@ -12,16 +12,3 @@
 * ``database`` — database-style random, incomplete page access within
   large files (§5.2's motivation for block-range migration).
 """
-
-from repro.workloads.largeobject import LargeObjectBenchmark, PhaseResult
-from repro.workloads.filetree import TreeSpec, build_tree
-from repro.workloads.traces import ArchivalTrace, TraceEvent
-from repro.workloads.checkpoints import CheckpointWorkload
-from repro.workloads.database import DatabaseWorkload
-
-__all__ = [
-    "LargeObjectBenchmark", "PhaseResult",
-    "TreeSpec", "build_tree",
-    "ArchivalTrace", "TraceEvent",
-    "CheckpointWorkload", "DatabaseWorkload",
-]

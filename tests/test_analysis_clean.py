@@ -32,6 +32,7 @@ UNREFERENCED_OK = {
     "lru_order": "the victim-order reference the buffer-cache "
                  "property test compares against",
     "assert_acknowledged": "crashsim's zero-acknowledged-loss oracle",
+    "GreedyPolicy": "the golden trace's cleaner",
 }
 
 
@@ -67,6 +68,68 @@ def _src_trees():
     guards below."""
     return tuple((path, ast.parse(path.read_text(encoding="utf-8")))
                  for path in sorted(SRC.rglob("*.py")))
+
+
+#: The one layer order of ``src`` (the paper's Fig. 5, bottom first):
+#: a module may import from its own package and the packages before it,
+#: never from one after it.  ``errors`` is the module ``repro.errors``.
+LAYERS = ("errors", "util", "obs", "sim", "faults", "blockdev",
+          "footprint", "lfs", "ffs", "sched", "core", "persist", "cluster",
+          "frontend", "workloads", "bench", "analysis")
+
+
+def _upward_imports(layer: str, tree):
+    """``(line, module)`` for each ``repro`` import in ``tree``, at any
+    depth, that names a package above ``layer`` (or the ``repro``
+    facade itself)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module == "repro":
+            modules = [f"repro.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        for module in modules:
+            parts = module.split(".")
+            if parts[0] != "repro":
+                continue
+            target = parts[1] if len(parts) > 1 else ""
+            rank = LAYERS.index(target) if target in LAYERS else len(LAYERS)
+            if rank > LAYERS.index(layer):
+                yield node.lineno, module
+
+
+def test_imports_follow_the_layer_order():
+    """Every ``repro`` import in ``src``, function-level ones included,
+    points down :data:`LAYERS`, so no two packages form a cycle; every
+    package has a place in the table.  The ``repro`` facade sits above
+    them all."""
+    packages, upward = set(), []
+    for path, tree in _src_trees():
+        rel = path.relative_to(SRC)
+        if rel.parts == ("__init__.py",):
+            continue
+        layer = rel.parts[0].removesuffix(".py")
+        packages.add(layer)
+        upward += [f"{rel.as_posix()}:{line} -> {module}"
+                   for line, module in _upward_imports(layer, tree)]
+    assert packages == set(LAYERS)
+    assert upward == [], "imports against the layer order:\n" + \
+        "\n".join(upward)
+
+
+def test_the_layer_check_flags_every_import_form():
+    source = ("import repro.core.stack\n"
+              "from repro.persist.format import decode_slot\n"
+              "from repro import bench, obs\n"
+              "from repro.lfs.check import check_filesystem\n"
+              "def f():\n"
+              "    from repro.frontend import session\n")
+    found = list(_upward_imports("lfs", ast.parse(source)))
+    assert found == [(1, "repro.core.stack"), (2, "repro.persist.format"),
+                     (3, "repro.bench"), (6, "repro.frontend")]
 
 
 def _code_identifiers(path: Path):

@@ -203,7 +203,8 @@ def test_migrate_and_demand_fetch_round_trip():
 
 def test_same_workload_script_runs_on_both_backends():
     """The acceptance-criterion property: one generated request stream,
-    two topologies, zero corruption and every request completed."""
+    two topologies, zero corruption and every request completed; a
+    sparse file reads back the same on both."""
     paths = tuple(f"/data/f{i}.bin" for i in range(3))
     spec = load.WorkloadSpec(
         seed=42,
@@ -215,7 +216,7 @@ def test_same_workload_script_runs_on_both_backends():
     assert requests
 
     payloads = {p: f"payload {p}".encode() * 4096 for p in paths}
-    results = []
+    results, sparse = [], []
     for make in ("node", "cluster"):
         if make == "node":
             client, bed = _node_client()
@@ -233,9 +234,17 @@ def test_same_workload_script_runs_on_both_backends():
         result = load.replay(client, requests,
                              verify={p: d for p, d in payloads.items()})
         results.append(result)
+        # A sparse file: the unwritten stripes and tails read as zeros.
+        handle = client.open(actor, "/data/sparse.bin", tenant="t",
+                             create=True)
+        client.write(actor, handle, b"s" * 100)
+        client.write(actor, handle, b"t" * 100, 3 * MB)
+        sparse.append(client.read(actor, handle))
+        client.close(actor, handle)
     for result in results:
         assert result.corrupt == 0
         assert len(result.all_latencies("t")) == len(requests)
+    assert sparse == [b"s" * 100 + bytes(3 * MB - 100) + b"t" * 100] * 2
     assert [len(r.all_latencies("t")) for r in results[: 1]] == \
            [len(r.all_latencies("t")) for r in results[1:]]
 

@@ -7,6 +7,7 @@ from tests.conftest import HLBed
 from repro.lfs.check import check_filesystem
 from repro.lfs.cleaner import Cleaner, GreedyPolicy
 from repro.lfs.filesystem import LFS
+from repro.persist.format import check_persist_slots
 from repro.util.units import KB, MB
 
 
@@ -118,7 +119,8 @@ class TestCheckerOracle:
 
 
 class TestCheckerPersistSlots:
-    """Checkpoint-slot validation when a persistence area is anchored."""
+    """Checkpoint-slot validation when a persistence area is anchored:
+    fsck proper leaves the slots to ``check_persist_slots``."""
 
     @staticmethod
     def _persist_bed():
@@ -126,16 +128,22 @@ class TestCheckerPersistSlots:
         bed = HLBed()
         return bed, PersistManager(bed.fs)
 
+    @staticmethod
+    def _check(fs):
+        report = check_filesystem(fs)
+        check_persist_slots(fs, fs.actor, report)
+        return report
+
     def test_no_persist_root_skips_validation(self, hl):
         assert hl.fs.sb.persist_root == 0
-        report = check_filesystem(hl.fs)
+        report = self._check(hl.fs)
         assert report.ok and not report.warnings, report.errors
 
     def test_valid_slots_clean(self):
         bed, _pm = self._persist_bed()
         bed.fs.write_path("/p", os.urandom(100 * KB))
         bed.fs.checkpoint()
-        report = check_filesystem(bed.fs)
+        report = self._check(bed.fs)
         assert report.ok and not report.warnings, report.errors
 
     def test_single_corrupt_slot_warns(self):
@@ -147,7 +155,7 @@ class TestCheckerPersistSlots:
         bed.fs.checkpoint()  # both slots now hold images
         bed.fs.dev_write(bed.app, SLOT_BASES[0],
                          b"\xff" * 16 + b"\x00" * (4 * KB - 16))
-        report = check_filesystem(bed.fs)
+        report = self._check(bed.fs)
         assert report.ok, report.errors
         assert any("undecodable" in w for w in report.warnings)
 
@@ -158,17 +166,17 @@ class TestCheckerPersistSlots:
         for base in SLOT_BASES:
             bed.fs.dev_write(bed.app, base,
                              b"\xff" * 16 + b"\x00" * (4 * KB - 16))
-        report = check_filesystem(bed.fs)
+        report = self._check(bed.fs)
         assert any("no persistence slot" in e for e in report.errors)
 
     def test_future_serial_errors(self):
-        from repro.persist.format import SLOT_BASES, encode_slot
-        from repro.persist.format import PersistImage
+        from repro.persist.format import (SLOT_BASES, PersistImage,
+                                          encode_slot)
         bed, _pm = self._persist_bed()
         bed.fs.checkpoint()
         bogus = PersistImage(serial=10_000, sections={})
         bed.fs.dev_write(bed.app, SLOT_BASES[1], encode_slot(bogus))
-        report = check_filesystem(bed.fs)
+        report = self._check(bed.fs)
         assert any("ahead of" in e for e in report.errors)
 
 

@@ -222,6 +222,15 @@ def test_unknown_class_and_mode_are_rejected():
         sched.submit("bulk", Actor("app"), lambda a: None)
 
 
+def test_writeout_queue_limit_below_one_is_rejected():
+    """A write-out is never rejected, so a full write-out queue drains
+    its oldest entry; a limit of 0 leaves nothing to drain."""
+    with pytest.raises(ValueError):
+        make_sched(queue_limits={CLASS_WRITEOUT: 0})
+    with pytest.raises(ValueError):
+        scheduled_bed(sched_writeout_queue_limit=0)
+
+
 def test_strict_accounting_flags_uncharged_service_time():
     """A table4 request that burns virtual time without charging a
     Table 4 category violates the partition and must be loud about it."""
